@@ -16,7 +16,7 @@ package noc
 import "parm/internal/geom"
 
 // FlitKind distinguishes the positions of a flit inside a packet.
-type FlitKind int
+type FlitKind uint8
 
 // Flit kinds. Single-flit packets use KindHeadTail.
 const (
@@ -26,19 +26,24 @@ const (
 	KindHeadTail
 )
 
-// flit is one flow-control unit in flight.
+// flit is one flow-control unit in flight. It is copied on every buffer
+// push, pop and link crossing, so it is kept at 40 bytes: flow and tile
+// indices are int32 (NewNetwork rejects inputs that do not fit) and the
+// routing decision is a port index, not a geom.Dir.
 type flit struct {
-	kind   FlitKind
-	flow   int // index into the simulation's flow table
-	packet int // packet sequence number within the flow
-	dst    geom.TileID
-	outDir geom.Dir // assigned output at current router (head decides)
-	born   int      // cycle the packet's head was injected
-	routed bool     // head flit: output direction already computed
 	// noise is the worst PSN sensor reading on the route so far, carried by
 	// head flits for the fault model's corruption check; unused (zero) when
 	// no fault model is installed.
-	noise float64
+	noise  float64
+	packet int   // packet sequence number within the flow
+	born   int   // cycle the packet's head was injected
+	flow   int32 // index into the simulation's flow table
+	dst    int32 // destination tile
+	kind   FlitKind
+	// out is the output port assigned at the current router: portUnrouted
+	// until a head's route is computed (and always for body and tail
+	// flits), portNone when the algorithm named no port.
+	out uint8
 }
 
 // Flow is one traffic stream: the mapped image of an APG edge. Src and Dst

@@ -2,6 +2,7 @@ package noc
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sort"
 
@@ -85,6 +86,33 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// validate rejects configurations the simulator cannot run. It checks the
+// config after withDefaults, so zero fields already hold their defaults.
+func (c Config) validate() error {
+	switch {
+	case c.Width <= 0 || c.Height <= 0:
+		return fmt.Errorf("noc: non-positive mesh dimensions %dx%d", c.Width, c.Height)
+	case c.Width > math.MaxInt32/c.Height:
+		// Flits carry tile indices as int32.
+		return fmt.Errorf("noc: mesh %dx%d exceeds %d tiles", c.Width, c.Height, math.MaxInt32)
+	case c.BufferFlits < 0:
+		return fmt.Errorf("noc: negative BufferFlits %d", c.BufferFlits)
+	case c.FlitsPerPacket < 0:
+		return fmt.Errorf("noc: negative FlitsPerPacket %d", c.FlitsPerPacket)
+	case c.StagedPackets < 0:
+		return fmt.Errorf("noc: negative StagedPackets %d", c.StagedPackets)
+	case !(c.RateEWMA > 0 && c.RateEWMA <= 1):
+		return fmt.Errorf("noc: RateEWMA %g outside (0,1]", c.RateEWMA)
+	case math.IsNaN(c.OccupancyThreshold) || c.OccupancyThreshold < 0:
+		return fmt.Errorf("noc: invalid OccupancyThreshold %g", c.OccupancyThreshold)
+	case math.IsNaN(c.SatLinkLoad) || c.SatLinkLoad < 0:
+		return fmt.Errorf("noc: invalid SatLinkLoad %g", c.SatLinkLoad)
+	case c.Stepping != SteppingActive && c.Stepping != SteppingDense:
+		return fmt.Errorf("noc: unknown Stepping %d", c.Stepping)
+	}
+	return nil
+}
+
 // Env is the cross-layer state adaptive routing reads: the latest quantized
 // PSN sensor reading per tile (paper Algorithm 3 input). A nil or short
 // slice reads as zero noise.
@@ -137,9 +165,13 @@ type Network struct {
 	nextWake      []int // latest scheduled wake per flow; -1 when dormant
 	rated         []int // tiles that received flits this cycle (deduplicated)
 
+	// nbr[t][p] is the tile one hop from t through cardinal port p, or -1
+	// off the mesh; built once so traversal never recomputes coordinates.
+	nbr [][4]int32
+
 	// per-cycle scratch, reused to avoid allocation in the hot loop
 	arrivalScratch []pendingArrival
-	inFlight       [][geom.NumPorts]int
+	inFlight       [][4]int32 // per tile and cardinal input port
 
 	// faults, when non-nil, injects noise-induced packet losses at ejection
 	// (SetFaultModel). pendingRecovery[f] counts flow f's retransmissions
@@ -154,15 +186,21 @@ type Network struct {
 }
 
 // NewNetwork builds a network for the given routing algorithm, flow set,
-// and environment. It returns an error for non-positive mesh dimensions,
-// or when a flow references a tile outside the mesh or has a negative rate.
+// and environment. It returns an error for a config field out of range
+// (non-positive mesh dimensions or more than MaxInt32 tiles, negative
+// buffer, packet or stage sizes, RateEWMA outside (0,1], a NaN or negative
+// threshold, an unknown Stepping), for more than MaxInt32 flows, or when a
+// flow references a tile outside the mesh or has a negative rate.
 func NewNetwork(cfg Config, alg Algorithm, flows []Flow, env *Env) (*Network, error) {
 	cfg = cfg.withDefaults()
 	if alg == nil {
 		return nil, fmt.Errorf("noc: nil routing algorithm")
 	}
-	if cfg.Width <= 0 || cfg.Height <= 0 {
-		return nil, fmt.Errorf("noc: non-positive mesh dimensions %dx%d", cfg.Width, cfg.Height)
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	if int64(len(flows)) > math.MaxInt32 {
+		return nil, fmt.Errorf("noc: %d flows exceed %d", len(flows), math.MaxInt32)
 	}
 	mesh := geom.NewMesh(cfg.Width, cfg.Height)
 	n := &Network{
@@ -192,17 +230,23 @@ func NewNetwork(cfg Config, alg Algorithm, flows []Flow, env *Env) (*Network, er
 		rated:          make([]int, 0, mesh.NumTiles()),
 		wake:           make(wakeHeap, 0, len(flows)),
 		arrivalScratch: make([]pendingArrival, 0, mesh.NumTiles()*geom.NumPorts),
-		inFlight:       make([][geom.NumPorts]int, mesh.NumTiles()),
+		nbr:            make([][4]int32, mesh.NumTiles()),
+		inFlight:       make([][4]int32, mesh.NumTiles()),
 	}
 	// One backing array for every input buffer keeps the rings contiguous.
 	bufs := make([]flit, mesh.NumTiles()*geom.NumPorts*cfg.BufferFlits)
 	for i := range n.routers {
-		n.routers[i].tile = geom.TileID(i)
 		n.routers[i].recvCycle = -1
 		for p := range n.routers[i].owner {
 			n.routers[i].owner[p] = noOwner
 			off := (i*geom.NumPorts + p) * cfg.BufferFlits
 			n.routers[i].inputs[p].buf = bufs[off : off+cfg.BufferFlits]
+		}
+		for p := range n.nbr[i] {
+			n.nbr[i][p] = -1
+			if next, ok := mesh.Neighbor(geom.TileID(i), indexDir[p]); ok {
+				n.nbr[i][p] = int32(next)
+			}
 		}
 		n.partialFlow[i] = -1
 	}
@@ -282,21 +326,15 @@ func (n *Network) Step() {
 			w &= w - 1
 		}
 	}
-	// Route compute, then switch traversal, over routers holding flits.
-	// Traversal must sweep in ascending tile order: a downstream pop earlier
-	// in the sweep frees a credit an upstream router sees the same cycle.
-	for wi, w := range n.activeRouters.words {
-		base := wi << 6
-		for w != 0 {
-			n.routeComputeRouter(base + bits.TrailingZeros64(w))
-			w &= w - 1
-		}
-	}
+	// Route compute and switch traversal, router by router, over routers
+	// holding flits. The sweep must be in ascending tile order: a downstream
+	// pop earlier in the sweep frees a credit an upstream router sees the
+	// same cycle.
 	arrivals := n.arrivalScratch[:0]
 	for wi, w := range n.activeRouters.words {
 		base := wi << 6
 		for w != 0 {
-			arrivals = n.traverseRouter(base+bits.TrailingZeros64(w), arrivals)
+			arrivals = n.stepRouter(base+bits.TrailingZeros64(w), arrivals)
 			w &= w - 1
 		}
 	}
@@ -322,18 +360,12 @@ func (n *Network) stepDense() {
 	for _, t := range n.srcTiles {
 		n.injectAtTile(t)
 	}
-	for t := range n.routers {
-		if n.routers[t].buffered == 0 {
-			continue
-		}
-		n.routeComputeRouter(t)
-	}
 	arrivals := n.arrivalScratch[:0]
 	for t := range n.routers {
 		if n.routers[t].buffered == 0 {
-			continue // no flits: arbitration and traversal are no-ops
+			continue // no flits: routing, arbitration and traversal are no-ops
 		}
-		arrivals = n.traverseRouter(t, arrivals)
+		arrivals = n.stepRouter(t, arrivals)
 	}
 	n.applyArrivals(arrivals)
 	n.arrivalScratch = arrivals[:0]
@@ -488,7 +520,7 @@ func (n *Network) updateTileActivity(t int) {
 //
 //parm:hot
 func (n *Network) injectAtTile(t int) {
-	lp := dirIndex(geom.Local)
+	lp := portLocal
 	r := &n.routers[t]
 	if r.inputs[lp].len() >= n.cfg.BufferFlits {
 		return
@@ -537,90 +569,105 @@ func (n *Network) pickInjection(t int) int {
 //parm:hot
 func (n *Network) flitToInject(t, fi int) flit {
 	fpp := n.cfg.FlitsPerPacket
+	k := flit{kind: KindBody, flow: int32(fi), dst: int32(n.flows[fi].Dst), born: n.cycle, out: portUnrouted}
 	if n.partialFlow[t] < 0 {
 		// Start a new packet.
-		seq := n.nextSeq[fi]
+		k.packet = n.nextSeq[fi]
 		n.nextSeq[fi]++
 		n.decStaged(fi)
-		n.starts[fi].record(seq, n.cycle)
+		n.starts[fi].record(k.packet, n.cycle)
 		if fpp == 1 {
-			return flit{kind: KindHeadTail, flow: fi, packet: seq, dst: n.flows[fi].Dst, born: n.cycle}
+			k.kind = KindHeadTail
+			return k
 		}
 		n.partialFlow[t] = fi
 		n.partialLeft[t] = fpp - 1
 		n.activeTiles.set(t)
-		return flit{kind: KindHead, flow: fi, packet: seq, dst: n.flows[fi].Dst, born: n.cycle}
+		k.kind = KindHead
+		return k
 	}
-	seq := n.nextSeq[fi] - 1
+	k.packet = n.nextSeq[fi] - 1
 	n.partialLeft[t]--
-	kind := KindBody
 	if n.partialLeft[t] == 0 {
-		kind = KindTail
+		k.kind = KindTail
 		n.partialFlow[t] = -1
 		n.updateTileActivity(t)
 	}
-	return flit{kind: kind, flow: fi, packet: seq, dst: n.flows[fi].Dst, born: n.cycle}
+	return k
 }
 
-// routeComputeRouter assigns output directions to unrouted head flits at
-// the front of router t's input buffers.
+// stepRouter runs one cycle of router t: route computation for unrouted
+// head flits at its input fronts, output arbitration, and switch traversal
+// of at most one flit per output port, appending link crossings to
+// arrivals. When the router drains completely it leaves the active set.
+//
+// Fusing the three stages per router is exact against a sweep that routes
+// every router before traversing any: traversal only pops the router's own
+// inputs and books downstream inFlight credits, and route computation reads
+// neither — it reads the router's own input fronts and occupancy, neighbour
+// incoming rates (folded only at the end of the cycle) and sensor PSN.
 //
 //parm:hot
-func (n *Network) routeComputeRouter(t int) {
+func (n *Network) stepRouter(t int, arrivals []pendingArrival) []pendingArrival {
 	r := &n.routers[t]
+	// One pass over the input fronts routes unrouted heads and builds, per
+	// output port, the bitmask of inputs whose head requests it.
+	var req [geom.NumPorts]uint8
 	for p := range r.inputs {
-		if r.inputs[p].len() == 0 {
+		q := &r.inputs[p]
+		if q.n == 0 {
 			continue
 		}
-		f := r.inputs[p].front()
-		if f.routed || (f.kind != KindHead && f.kind != KindHeadTail) {
-			continue
+		f := &q.buf[q.head]
+		if f.out == portUnrouted {
+			if f.kind != KindHead && f.kind != KindHeadTail {
+				continue // body and tail flits follow their worm's channel
+			}
+			d := n.alg.Route(RouteCtx{
+				Net:            n,
+				At:             geom.TileID(t),
+				Dst:            geom.TileID(f.dst),
+				InDir:          indexDir[p],
+				InputOccupancy: r.occupancy(p, n.cfg.BufferFlits),
+			})
+			f.out = portNone
+			if port := dirIndex(d); port >= 0 {
+				f.out = uint8(port)
+			}
 		}
-		ctx := RouteCtx{
-			Net:            n,
-			At:             geom.TileID(t),
-			Dst:            f.dst,
-			InDir:          indexDir[p],
-			InputOccupancy: r.occupancy(p, n.cfg.BufferFlits),
+		if f.out < geom.NumPorts {
+			req[f.out] |= 1 << p
 		}
-		f.outDir = n.alg.Route(ctx)
-		f.routed = true
 	}
-}
-
-// traverseRouter performs output arbitration and moves at most one flit per
-// output port of router t, appending link crossings to arrivals. When the
-// router drains completely it leaves the active set.
-//
-//parm:hot
-func (n *Network) traverseRouter(t int, arrivals []pendingArrival) []pendingArrival {
-	r := &n.routers[t]
-	// Output arbitration: free outputs pick a requesting input.
-	for out := 0; out < geom.NumPorts; out++ {
-		if r.owner[out] != noOwner {
+	// Arbitration: a free output grants the first requester at or after
+	// its round-robin pointer. Rotating the request mask right by the
+	// pointer puts that input at the lowest set bit. Each input requests at
+	// most one output, so grants never collide.
+	for out := range req {
+		m := req[out]
+		if m == 0 || r.owner[out] != noOwner {
 			continue
 		}
-		for k := 0; k < geom.NumPorts; k++ {
-			in := (r.rrPtr[out] + k) % geom.NumPorts
-			if r.inputs[in].len() == 0 {
-				continue
-			}
-			f := r.inputs[in].front()
-			if !f.routed || dirIndex(f.outDir) != out {
-				continue
-			}
-			r.owner[out] = in
-			r.rrPtr[out] = (in + 1) % geom.NumPorts
-			break
+		ptr := r.rrPtr[out]
+		rot := (m>>ptr | m<<(geom.NumPorts-ptr)) & (1<<geom.NumPorts - 1)
+		in := ptr + uint8(bits.TrailingZeros8(rot))
+		if in >= geom.NumPorts {
+			in -= geom.NumPorts
+		}
+		r.owner[out] = int8(in)
+		r.rrPtr[out] = in + 1
+		if r.rrPtr[out] == geom.NumPorts {
+			r.rrPtr[out] = 0
 		}
 	}
 	// Traversal: each owned output forwards its input's front flit.
-	for out := 0; out < geom.NumPorts; out++ {
+	capacity := n.cfg.BufferFlits
+	for out := range r.owner {
 		in := r.owner[out]
-		if in == noOwner || r.inputs[in].len() == 0 {
+		if in == noOwner || r.inputs[in].n == 0 {
 			continue
 		}
-		if out == dirIndex(geom.Local) {
+		if out == portLocal {
 			// Ejection: infinite sink.
 			f := r.inputs[in].pop()
 			r.buffered--
@@ -631,31 +678,29 @@ func (n *Network) traverseRouter(t int, arrivals []pendingArrival) []pendingArri
 			}
 			continue
 		}
-		dir := indexDir[out]
-		next, ok := n.mesh.Neighbor(geom.TileID(t), dir)
-		if !ok {
+		next := n.nbr[t][out]
+		if next < 0 {
 			// Misrouting off-mesh cannot happen with a sane algorithm;
 			// drop the channel to avoid wedging the port forever.
 			r.owner[out] = noOwner
 			continue
 		}
-		dstPort := dirIndex(dir.Opposite())
-		nr := &n.routers[next]
-		if nr.inputs[dstPort].len()+n.inFlight[next][dstPort] >= n.cfg.BufferFlits {
+		dstPort := oppositePort[out]
+		credits := &n.inFlight[next][dstPort]
+		if n.routers[next].inputs[dstPort].n+int(*credits) >= capacity {
 			continue // no downstream credit
 		}
-		n.inFlight[next][dstPort]++
+		*credits++
 		f := r.inputs[in].pop()
 		r.buffered--
 		r.forwarded++
 		// Body/tail flits follow the worm without route computation.
 		moved := f
-		moved.routed = false
-		moved.outDir = geom.DirInvalid
+		moved.out = portUnrouted
 		// Bounded by the scratch capacity NewNetwork preallocated: one
 		// arrival per (tile, port) per cycle.
 		//parm:alloc
-		arrivals = append(arrivals, pendingArrival{to: next, port: dstPort, f: moved})
+		arrivals = append(arrivals, pendingArrival{f: moved, to: next, port: dstPort})
 		if f.kind == KindTail || f.kind == KindHeadTail {
 			r.owner[out] = noOwner
 		}
@@ -694,7 +739,7 @@ func (n *Network) eject(f flit) {
 			st.DroppedPackets++
 			n.starts[f.flow].take(f.packet)
 			if n.staged[f.flow] < n.cfg.StagedPackets {
-				n.incStaged(f.flow)
+				n.incStaged(int(f.flow))
 				n.pendingRecovery[f.flow]++
 				st.RetransmittedPackets++
 			} else {
@@ -723,7 +768,7 @@ func (n *Network) applyArrivals(arrivals []pendingArrival) {
 	for i := range arrivals {
 		a := &arrivals[i]
 		if n.faults != nil && (a.f.kind == KindHead || a.f.kind == KindHeadTail) {
-			if p := n.env.psnAt(a.to); p > a.f.noise {
+			if p := n.env.psnAt(geom.TileID(a.to)); p > a.f.noise {
 				a.f.noise = p
 			}
 		}
@@ -839,7 +884,8 @@ type Result struct {
 }
 
 // Measure runs the network for the given number of cycles from its current
-// state and returns aggregate statistics.
+// state and returns aggregate statistics. A window of no cycles reports
+// zero router utilization.
 func (n *Network) Measure(cycles int) *Result {
 	startForwarded := make([]int, len(n.routers))
 	for i := range n.routers {
@@ -872,7 +918,9 @@ func (n *Network) Measure(cycles int) *Result {
 	for i := range n.routers {
 		fw := n.routers[i].forwarded - startForwarded[i]
 		res.RouterForwarded[i] = fw
-		res.RouterUtil[i] = float64(fw) / float64(cycles) / float64(geom.NumPorts)
+		if cycles > 0 {
+			res.RouterUtil[i] = float64(fw) / float64(cycles) / float64(geom.NumPorts)
+		}
 	}
 	return res
 }

@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"math"
 	"testing"
 
 	"parm/internal/geom"
@@ -18,6 +19,59 @@ func TestNewNetworkValidation(t *testing.T) {
 	}
 	if _, err := NewNetwork(Config{}, XY{}, []Flow{{Src: 0, Dst: 5, Rate: -1}}, &Env{}); err == nil {
 		t.Error("negative rate accepted")
+	}
+}
+
+// Out-of-range config fields are errors from NewNetwork (and so from
+// AnalyticMeasure), not panics, wedged worms, or silent acceptance.
+func TestNewNetworkRejectsBadConfig(t *testing.T) {
+	flows := []Flow{{Src: 0, Dst: 5, Rate: 0.1}}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"negative BufferFlits", Config{BufferFlits: -1}},
+		{"negative FlitsPerPacket", Config{FlitsPerPacket: -1}},
+		{"negative StagedPackets", Config{StagedPackets: -1}},
+		{"negative RateEWMA", Config{RateEWMA: -0.1}},
+		{"RateEWMA above 1", Config{RateEWMA: 1.5}},
+		{"NaN RateEWMA", Config{RateEWMA: math.NaN()}},
+		{"NaN OccupancyThreshold", Config{OccupancyThreshold: math.NaN()}},
+		{"negative OccupancyThreshold", Config{OccupancyThreshold: -0.5}},
+		{"NaN SatLinkLoad", Config{SatLinkLoad: math.NaN()}},
+		{"negative SatLinkLoad", Config{SatLinkLoad: -1}},
+		{"unknown Stepping", Config{Stepping: Stepping(7)}},
+		{"tile count beyond int32", Config{Width: 1 << 16, Height: 1 << 16}},
+	} {
+		if _, err := NewNetwork(tc.cfg, XY{}, flows, &Env{}); err == nil {
+			t.Errorf("%s: NewNetwork accepted %+v", tc.name, tc.cfg)
+		}
+		if _, _, err := AnalyticMeasure(tc.cfg, XY{}, flows, &Env{}, 100); err == nil {
+			t.Errorf("%s: AnalyticMeasure accepted %+v", tc.name, tc.cfg)
+		}
+	}
+	// The boundaries of the valid ranges still build.
+	for _, cfg := range []Config{{RateEWMA: 1}, {FlitsPerPacket: 1}, {BufferFlits: 1}, {Stepping: SteppingDense}} {
+		if _, err := NewNetwork(cfg, XY{}, flows, &Env{}); err != nil {
+			t.Errorf("%+v rejected: %v", cfg, err)
+		}
+	}
+}
+
+// A zero-cycle window has no utilization to report; it must read 0, not the
+// NaN of 0/0.
+func TestMeasureZeroCycles(t *testing.T) {
+	n, err := NewNetwork(Config{}, XY{}, []Flow{{Src: 0, Dst: 9, Rate: 0.5}}, &Env{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Run(200)
+	res := n.Measure(0)
+	for i, u := range res.RouterUtil {
+		//parm:floateq
+		if u != 0 {
+			t.Errorf("router %d util %g in a zero-cycle window, want 0", i, u)
+		}
 	}
 }
 

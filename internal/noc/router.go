@@ -5,25 +5,49 @@ import "parm/internal/geom"
 // noOwner marks an output port with no wormhole channel allocated.
 const noOwner = -1
 
-// port indices: cardinal directions map via dirIndex; Local is index 4.
-func dirIndex(d geom.Dir) int {
-	switch d {
-	case geom.East:
-		return 0
-	case geom.West:
-		return 1
-	case geom.North:
-		return 2
-	case geom.South:
-		return 3
-	case geom.Local:
-		return 4
-	default:
-		return -1
-	}
+// Port indices. The four cardinal ports come first, so a port below
+// portLocal also indexes the per-network neighbour table.
+const (
+	portEast = iota
+	portWest
+	portNorth
+	portSouth
+	portLocal
+)
+
+// Values of flit.out beyond the real port indices.
+const (
+	// portNone marks a head whose route named no port (geom.DirInvalid or
+	// an unknown direction): it requests no output and is never granted.
+	portNone = geom.NumPorts
+	// portUnrouted marks a flit with no output assigned yet.
+	portUnrouted = 0xFF
+)
+
+// indexDir maps a port index to its direction; dirPort is the inverse.
+var indexDir = [geom.NumPorts]geom.Dir{geom.East, geom.West, geom.North, geom.South, geom.Local}
+
+var dirPort = [...]int8{
+	geom.DirInvalid: -1,
+	geom.East:       portEast,
+	geom.West:       portWest,
+	geom.North:      portNorth,
+	geom.South:      portSouth,
+	geom.Local:      portLocal,
 }
 
-var indexDir = [geom.NumPorts]geom.Dir{geom.East, geom.West, geom.North, geom.South, geom.Local}
+// dirIndex returns the port index of direction d, or -1 when d names no
+// port.
+func dirIndex(d geom.Dir) int {
+	if d < 0 || int(d) >= len(dirPort) {
+		return -1
+	}
+	return int(dirPort[d])
+}
+
+// oppositePort[p] is the input port through which a flit leaving on
+// cardinal output p enters the neighbouring router.
+var oppositePort = [4]uint8{portWest, portEast, portSouth, portNorth}
 
 // fifo is one input buffer: a fixed-capacity ring of flits. A ring keeps the
 // hot loop allocation-free — the slice-and-append FIFO it replaces leaked
@@ -35,10 +59,6 @@ type fifo struct {
 }
 
 func (q *fifo) len() int { return q.n }
-
-// front returns the flit at the head of the queue; the caller must have
-// checked len() > 0. The pointer stays valid until the next pop.
-func (q *fifo) front() *flit { return &q.buf[q.head] }
 
 func (q *fifo) push(f flit) {
 	i := q.head + q.n
@@ -61,8 +81,6 @@ func (q *fifo) pop() flit {
 
 // router is one 5-port input-buffered wormhole router.
 type router struct {
-	tile geom.TileID
-
 	// inputs[p] is the FIFO of flits waiting at input port p.
 	inputs [geom.NumPorts]fifo
 	// buffered is the total flit count across all input ports; a router
@@ -70,9 +88,10 @@ type router struct {
 	buffered int
 	// owner[p] is the input port that holds the wormhole channel to output
 	// port p, or noOwner.
-	owner [geom.NumPorts]int
-	// rrPtr[p] is the round-robin arbitration pointer of output port p.
-	rrPtr [geom.NumPorts]int
+	owner [geom.NumPorts]int8
+	// rrPtr[p] is the round-robin arbitration pointer of output port p: the
+	// input that wins a tie next.
+	rrPtr [geom.NumPorts]uint8
 
 	// forwarded counts flits that traversed the crossbar (all outputs).
 	forwarded int
@@ -99,7 +118,7 @@ func (r *router) occupancy(p int, capacity int) float64 {
 // pendingArrival records a flit crossing a link this cycle, applied after
 // all routers have been stepped so a flit moves at most one hop per cycle.
 type pendingArrival struct {
-	to   geom.TileID
-	port int
 	f    flit
+	to   int32
+	port uint8
 }
