@@ -43,7 +43,7 @@ func main() {
 		quiet    = flag.Bool("q", false, "suppress progress output")
 		bench    = flag.Bool("bench", false, "run the solver/engine benchmark harness instead of the figures")
 		benchOut = flag.String("benchout", "BENCH_parm.json", "benchmark JSON output path (with -bench)")
-		nocMode  = flag.String("noc", "cycle", "NoC measurement mode: cycle (exact), auto (analytic fast path below saturation), or analytic")
+		nocMode  = flag.String("noc", "cycle", "NoC measurement mode: cycle (exact) or auto (analytic fast path below saturation)")
 
 		metricsOut   = flag.String("metrics-out", "", "write the aggregated telemetry snapshot as JSON to this file")
 		timelineOut  = flag.String("timeline", "", "write engine events as Chrome trace JSON to this file (runs interleave across parallel cells)")

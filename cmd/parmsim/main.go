@@ -43,7 +43,7 @@ func main() {
 		loadPath = flag.String("load", "", "load the workload from a JSON file instead of generating it")
 		explain  = flag.Bool("explain", false, "print Algorithm 1's selection trace for the first application")
 		savePath = flag.String("save", "", "save the generated workload as JSON to this file")
-		nocMode  = flag.String("noc", "cycle", "NoC measurement mode: cycle (exact), auto (analytic fast path below saturation), or analytic")
+		nocMode  = flag.String("noc", "cycle", "NoC measurement mode: cycle (exact) or auto (analytic fast path below saturation)")
 
 		metricsOut   = flag.String("metrics-out", "", "write the telemetry counter snapshot as JSON to this file")
 		timelineOut  = flag.String("timeline", "", "write the engine event timeline as Chrome trace JSON to this file (load at ui.perfetto.dev)")
@@ -129,12 +129,11 @@ func main() {
 			return "fail"
 		}
 		for _, st := range steps {
-			if st.Skipped {
-				et.AddRow(st.Vdd, st.DoP, st.WCET*1e3, "skipped", "-", "-", "-", "")
-				continue
-			}
-			if !st.DeadlineOK {
-				et.AddRow(st.Vdd, st.DoP, st.WCET*1e3, "fail", "-", "-", "-", "")
+			deadline := mark(st.DeadlineOK)
+			if st.BestEffort {
+				deadline = "best-effort"
+			} else if !st.DeadlineOK {
+				et.AddRow(st.Vdd, st.DoP, st.WCET*1e3, deadline, "-", "-", "-", "")
 				continue
 			}
 			chosen := ""
@@ -145,7 +144,7 @@ func main() {
 			if st.MappingTried {
 				mapping = mark(st.MappingOK)
 			}
-			et.AddRow(st.Vdd, st.DoP, st.WCET*1e3, "ok", st.PowerW, mark(st.PowerOK), mapping, chosen)
+			et.AddRow(st.Vdd, st.DoP, st.WCET*1e3, deadline, float64(st.PowerW), mark(st.PowerOK), mapping, chosen)
 		}
 		if err := et.Write(os.Stdout); err != nil {
 			log.Fatal(err)

@@ -51,8 +51,8 @@ func New(body *ast.BlockStmt) *Graph {
 
 // loopFrame is one enclosing breakable/continuable construct.
 type loopFrame struct {
-	label     string
-	breakTo   *Block
+	label      string
+	breakTo    *Block
 	continueTo *Block // nil for switch/select frames (break-only)
 }
 

@@ -11,20 +11,22 @@ import (
 	"strings"
 )
 
-func failing() error               { return nil }
-func failingPair() (int, error)    { return 0, nil }
-func valueOnly() int               { return 0 }
+func failing() error            { return nil }
+func failingPair() (int, error) { return 0, nil }
+func valueOnly() int            { return 0 }
+
 type closer struct{}
-func (closer) Close() error        { return nil }
+
+func (closer) Close() error { return nil }
 
 func droppedCallStatement(c closer) {
-	failing()  // want `error result of failing dropped`
-	c.Close()  // want `error result of c.Close dropped`
+	failing()   // want `error result of failing dropped`
+	c.Close()   // want `error result of c.Close dropped`
 	valueOnly() // no error result: no finding
 }
 
 func droppedBlankAssign() {
-	_ = failing() // want `error value assigned to _`
+	_ = failing()         // want `error value assigned to _`
 	n, _ := failingPair() // want `error from failingPair assigned to _`
 	_ = n
 	err := failing() // checked below: no finding
@@ -34,16 +36,16 @@ func droppedBlankAssign() {
 }
 
 func exemptPrinters(buf *bytes.Buffer, sb *strings.Builder) {
-	fmt.Println("status")                  // stdout convention: no finding
-	fmt.Printf("%d\n", 1)                  // no finding
-	fmt.Fprintf(os.Stderr, "warn\n")       // no finding
-	fmt.Fprintf(os.Stdout, "out\n")        // no finding
-	fmt.Fprintf(buf, "cell,%d\n", 2)       // in-memory buffer: no finding
-	fmt.Fprintln(sb, "row")                // no finding
-	buf.WriteString("x")                   // Buffer writes never fail: no finding
-	sb.WriteString("y")                    // no finding
+	fmt.Println("status")            // stdout convention: no finding
+	fmt.Printf("%d\n", 1)            // no finding
+	fmt.Fprintf(os.Stderr, "warn\n") // no finding
+	fmt.Fprintf(os.Stdout, "out\n")  // no finding
+	fmt.Fprintf(buf, "cell,%d\n", 2) // in-memory buffer: no finding
+	fmt.Fprintln(sb, "row")          // no finding
+	buf.WriteString("x")             // Buffer writes never fail: no finding
+	sb.WriteString("y")              // no finding
 	h := fnv.New64a()
-	h.Write([]byte("key"))                 // hash.Hash.Write never fails: no finding
+	h.Write([]byte("key")) // hash.Hash.Write never fails: no finding
 	_ = h.Sum64()
 }
 

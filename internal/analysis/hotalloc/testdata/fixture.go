@@ -14,12 +14,12 @@ var sink interface{}
 func hotLoopAllocs(n int) {
 	buf := make([]float64, n) // outside any loop: allowed
 	for i := 0; i < n; i++ {
-		s := make([]float64, 4) // want `make allocates in hot loop`
-		p := new(point)         // want `new allocates in hot loop`
-		buf = append(buf, 1)    // want `append in hot loop may grow`
-		q := &point{x: 1}       // want `&composite literal allocates in hot loop`
-		lit := []int{1, 2}      // want `slice literal allocates in hot loop`
-		m := map[int]int{}      // want `map literal allocates in hot loop`
+		s := make([]float64, 4)      // want `make allocates in hot loop`
+		p := new(point)              // want `new allocates in hot loop`
+		buf = append(buf, 1)         // want `append in hot loop may grow`
+		q := &point{x: 1}            // want `&composite literal allocates in hot loop`
+		lit := []int{1, 2}           // want `slice literal allocates in hot loop`
+		m := map[int]int{}           // want `map literal allocates in hot loop`
 		f := func() int { return i } // want `closure allocated in hot loop`
 		_ = s
 		_ = p
@@ -35,7 +35,7 @@ func hotLoopAllocs(n int) {
 func hotBoxing(vals []float64) {
 	total := 0.0
 	for _, v := range vals {
-		fmt.Sprintf("%v", v) // want `argument boxes float64 into an interface in hot loop`
+		fmt.Sprintf("%v", v)  // want `argument boxes float64 into an interface in hot loop`
 		sink = interface{}(v) // want `conversion to interface boxes float64 in hot loop`
 		total += v
 	}

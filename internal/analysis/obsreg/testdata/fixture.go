@@ -27,9 +27,9 @@ type Timeline struct{}
 
 type SpanID uint64
 
-func (t *Timeline) Record(ev Event)                                 {}
+func (t *Timeline) Record(ev Event)                                   {}
 func (t *Timeline) StartSpan(name string, ts float64, app int) SpanID { return 1 }
-func (t *Timeline) EndSpan(id SpanID, ts float64)                   {}
+func (t *Timeline) EndSpan(id SpanID, ts float64)                     {}
 
 //parm:hot
 func hotLoopRegistration(r *Registry, xs []float64) {

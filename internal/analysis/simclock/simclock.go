@@ -38,10 +38,10 @@ var Analyzer = &analysis.Analyzer{
 // randConstructors are the math/rand(/v2) package-level functions that build
 // a local generator rather than drawing from the global source.
 var randConstructors = map[string]bool{
-	"New":       true,
-	"NewSource": true,
-	"NewZipf":   true,
-	"NewPCG":    true,
+	"New":        true,
+	"NewSource":  true,
+	"NewZipf":    true,
+	"NewPCG":     true,
 	"NewChaCha8": true,
 }
 

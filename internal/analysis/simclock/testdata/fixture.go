@@ -11,15 +11,15 @@ import (
 var sink interface{}
 
 func wallClockReads(start time.Time) {
-	now := time.Now()        // want `time.Now reads the wall clock`
-	el := time.Since(start)  // want `time.Since reads the wall clock`
-	du := time.Until(start)  // want `time.Until reads the wall clock`
+	now := time.Now()       // want `time.Now reads the wall clock`
+	el := time.Since(start) // want `time.Since reads the wall clock`
+	du := time.Until(start) // want `time.Until reads the wall clock`
 	sink = []interface{}{now, el, du}
 }
 
 func globalRandDraws() {
-	a := rand.Intn(10)    // want `rand.Intn draws from the global source`
-	b := rand.Float64()   // want `rand.Float64 draws from the global source`
+	a := rand.Intn(10)                 // want `rand.Intn draws from the global source`
+	b := rand.Float64()                // want `rand.Float64 draws from the global source`
 	rand.Shuffle(3, func(i, j int) {}) // want `rand.Shuffle draws from the global source`
 	sink = a + int(b)
 }

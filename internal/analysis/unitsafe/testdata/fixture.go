@@ -48,7 +48,7 @@ type Config struct {
 
 // TypedConfig uses unit types throughout: no report.
 type TypedConfig struct {
-	Vdd      Volts
+	Vdd              Volts
 	LimitWattsBudget Watts
 }
 

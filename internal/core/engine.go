@@ -77,8 +77,7 @@ type Config struct {
 	// states hit the cache and answers uncongested windows with the
 	// closed-form analytic model, falling back to cycle simulation when any
 	// link's offered load exceeds NoC.SatLinkLoad; fault injection always
-	// forces the cycle path. NoCModeAnalytic answers every window with the
-	// closed form, congested or not — for model studies only.
+	// forces the cycle path.
 	NoCMode NoCMode
 }
 
@@ -91,8 +90,6 @@ const (
 	// NoCModeAuto uses the quantized memo plus the analytic fast path for
 	// uncongested windows, cycle simulation otherwise.
 	NoCModeAuto
-	// NoCModeAnalytic answers every window with the closed form.
-	NoCModeAnalytic
 )
 
 // String returns the CLI name of the mode.
@@ -102,24 +99,20 @@ func (m NoCMode) String() string {
 		return "cycle"
 	case NoCModeAuto:
 		return "auto"
-	case NoCModeAnalytic:
-		return "analytic"
 	default:
 		return fmt.Sprintf("NoCMode(%d)", int(m))
 	}
 }
 
-// ParseNoCMode maps a CLI name ("cycle", "auto", "analytic") to its mode.
+// ParseNoCMode maps a CLI name ("cycle", "auto") to its mode.
 func ParseNoCMode(s string) (NoCMode, error) {
 	switch s {
 	case "cycle":
 		return NoCModeCycle, nil
 	case "auto":
 		return NoCModeAuto, nil
-	case "analytic":
-		return NoCModeAnalytic, nil
 	default:
-		return 0, fmt.Errorf("core: unknown NoC mode %q (want cycle, auto, or analytic)", s)
+		return 0, fmt.Errorf("core: unknown NoC mode %q (want cycle or auto)", s)
 	}
 }
 
@@ -136,6 +129,36 @@ const (
 	// rollback to the last checkpoint watermark plus restart overhead.
 	VERollback
 )
+
+// validate rejects Config values that withDefaults would otherwise
+// silently replace or misread: NaN, infinite or negative times, rates and
+// cycle counts, and unknown mode enums. Zero stays valid everywhere and
+// selects the documented default.
+func (c Config) validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"SamplePeriod", c.SamplePeriod},
+		{"WindowCycles", float64(c.WindowCycles)},
+		{"WarmupCycles", float64(c.WarmupCycles)},
+		{"RouterHz", c.RouterHz},
+		{"MaxSimTime", c.MaxSimTime},
+		{"NoCDropScale", c.NoCDropScale},
+		{"NoCDropCap", c.NoCDropCap},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) || f.v < 0 {
+			return fmt.Errorf("core: Config.%s = %g, want a finite value >= 0", f.name, f.v)
+		}
+	}
+	if c.NoCMode != NoCModeCycle && c.NoCMode != NoCModeAuto {
+		return fmt.Errorf("core: unknown %v", c.NoCMode)
+	}
+	if c.VEModel != VELegacy && c.VEModel != VERollback {
+		return fmt.Errorf("core: unknown VEModel %d", int(c.VEModel))
+	}
+	return nil
+}
 
 func (c Config) withDefaults() Config {
 	if c.SamplePeriod <= 0 {
@@ -291,7 +314,7 @@ type Engine struct {
 	nocMisses int
 	// flowsBuf and idsBuf are reused across activeFlows calls to avoid
 	// rebuilding the flow list allocation on every event; quantBuf holds the
-	// quantized memo key in the non-cycle NoC modes.
+	// quantized memo key in NoCModeAuto.
 	flowsBuf []noc.Flow
 	idsBuf   []int
 	quantBuf []noc.Flow
@@ -329,6 +352,9 @@ type Engine struct {
 
 // NewEngine builds an engine for the framework under cfg.
 func NewEngine(cfg Config, fw Framework) (*Engine, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults()
 	c, err := chip.New(cfg.Chip)
 	if err != nil {
@@ -545,8 +571,7 @@ const (
 
 // vddDoPLists returns the framework's search axes: PARM searches voltages
 // in increasing order and DoP in decreasing order (Algorithm 1 lines 1-4);
-// the HM baseline fixes DoP (and optionally Vdd) and only scales voltage to
-// meet the deadline.
+// the HM baseline fixes DoP and only scales voltage to meet the deadline.
 func (e *Engine) vddDoPLists() (vdds []power.Volts, dops []int) {
 	vdds = e.chip.Vdds
 	if e.fw.HighVddFirst {
@@ -556,25 +581,67 @@ func (e *Engine) vddDoPLists() (vdds []power.Volts, dops []int) {
 		}
 		vdds = rev
 	}
-	if e.fw.AdaptiveVddDoP {
-		all := appmodel.DoPValues()
-		for i := len(all) - 1; i >= 0; i-- { // descending (line 2)
-			dops = append(dops, all[i])
-		}
-		return vdds, dops
+	if !e.fw.AdaptiveVddDoP {
+		return vdds, []int{e.fw.FixedDoP}
 	}
-	dops = []int{e.fw.FixedDoP}
-	if e.fw.FixedVdd > 0 {
-		vdds = []power.Volts{e.fw.FixedVdd}
+	all := appmodel.DoPValues()
+	for i := len(all) - 1; i >= 0; i-- { // descending (line 2)
+		dops = append(dops, all[i])
 	}
 	return vdds, dops
 }
 
-// algorithm1 runs the paper's Vdd and DoP selection for the queue head:
-// voltages in increasing order, DoP in decreasing order; a combination that
-// meets the deadline but cannot be mapped (power or region) falls through
-// to the next lower DoP, which needs fewer tiles and less power (the paper:
-// "Selecting a lower DoP would resolve both of these concerns").
+// algorithm1 runs the paper's Vdd and DoP selection for the queue head (see
+// scan) and acts on the result: it commits the chosen point, or stalls the
+// application until an app exit frees resources (line 9) when some
+// combination met the deadline but none could be mapped, or drops it to
+// avoid queue stagnation when no combination can meet the deadline any more.
+func (e *Engine) algorithm1(entry *queueEntry) (decision, error) {
+	app := entry.app
+	att := e.scan(app, nil)
+	e.tel.candidates.Add(uint64(att.candidates))
+	e.tel.rejDeadline.Add(uint64(att.rejDeadline))
+	e.tel.rejBudget.Add(uint64(att.rejBudget))
+	e.tel.rejRegion.Add(uint64(att.rejRegion))
+	if att.placement != nil {
+		c := att.chosen
+		if err := e.commit(app, c.Vdd, c.DoP, att.placement, c.PowerW, c.WCET); err != nil {
+			return 0, err
+		}
+		e.recordDecision(app, "mapped", &att)
+		return decMapped, nil
+	}
+	if att.feasible || e.cfg.SoftDeadlines {
+		entry.stalled = true
+		e.tel.stalls.Inc()
+		e.recordDecision(app, "stalled", &att)
+		return decWait, nil
+	}
+	e.recordDecision(app, "dropped", &att)
+	return decDropped, nil
+}
+
+// mapAttempt is the result of one Algorithm 1 scan: its provenance (how
+// many (Vdd, DoP) candidates were examined and why each was rejected),
+// whether any candidate met the deadline, and the chosen point with its
+// placement — nil when nothing could be mapped.
+type mapAttempt struct {
+	candidates  int
+	rejDeadline int
+	rejBudget   int
+	rejRegion   int
+	feasible    bool
+	chosen      SelectionStep
+	placement   *mapping.Placement
+}
+
+// scan is Algorithm 1's search for app against the current chip state. It
+// commits nothing; step, when non-nil, receives every candidate examined in
+// search order, ending at the chosen one. Voltages go in increasing order
+// and DoP in decreasing order; a combination that meets the deadline but
+// cannot be mapped (power or region) falls through to the next lower DoP,
+// which needs fewer tiles and less power (the paper: "Selecting a lower DoP
+// would resolve both of these concerns").
 //
 // WCET is non-monotonic in DoP: synchronization overhead grows with DoP, so
 // past the sync knee (DESIGN.md §2) a *lower* DoP is faster. A deadline
@@ -583,90 +650,82 @@ func (e *Engine) vddDoPLists() (vdds []power.Volts, dops []int) {
 // minimum — while WCET is still non-increasing, a lower DoP can still meet
 // the deadline and the scan continues.
 //
-// When the whole scan finds deadline-feasible combinations but no region,
-// the application stalls until an app exit frees resources (line 9) and
-// rescans; when no combination can meet the deadline any more, it is
-// dropped to avoid queue stagnation.
-func (e *Engine) algorithm1(entry *queueEntry) (decision, error) {
-	app := entry.app
+// Under SoftDeadlines a scan in which no combination meets the deadline
+// retries best-effort at the fastest point rather than starving the queue.
+func (e *Engine) scan(app *appmodel.App, step func(SelectionStep)) mapAttempt {
 	vdds, dops := e.vddDoPLists()
 	remaining := app.AbsDeadline() - e.now
 	if e.cfg.SoftDeadlines {
 		remaining = app.RelDeadline
 	}
-
-	feasible := false
 	var att mapAttempt
-	bestVdd, bestDoP, bestWCET := power.Volts(0), 0, inf
+	best := SelectionStep{WCET: inf} // fastest candidate, for the soft retry
 	for _, vdd := range vdds {
 		minWCET := inf // per-Vdd WCET minimum seen so far in the DoP scan
 		for _, dop := range dops {
-			e.tel.candidates.Inc()
 			att.candidates++
-			wcet := app.Bench.WCETEstimate(e.chip.Node, vdd, dop)
-			if wcet < bestWCET {
-				bestVdd, bestDoP, bestWCET = vdd, dop, wcet
+			st := SelectionStep{Vdd: vdd, DoP: dop, WCET: app.Bench.WCETEstimate(e.chip.Node, vdd, dop)}
+			if st.WCET < best.WCET {
+				best = st
 			}
-			if wcet >= remaining {
-				e.tel.rejDeadline.Inc()
+			if st.WCET >= remaining {
 				att.rejDeadline++
-				if wcet > minWCET {
+				if step != nil {
+					step(st)
+				}
+				if st.WCET > minWCET {
 					// Past the sync knee: WCET is rising as DoP falls, so
 					// lower DoPs are no faster; next (higher) Vdd (line 13).
 					break
 				}
-				minWCET = wcet
+				minWCET = st.WCET
 				continue
 			}
-			if wcet < minWCET {
-				minWCET = wcet
-			}
-			feasible = true
-			ok, err := e.tryMapAt(app, vdd, dop, wcet, &att)
-			if err != nil {
-				return 0, err
-			}
-			if ok {
-				return decMapped, nil
+			minWCET = min(minWCET, st.WCET)
+			st.DeadlineOK = true
+			att.feasible = true
+			if e.tryPoint(app, st, &att, step) {
+				return att
 			}
 		}
 	}
-	if e.cfg.SoftDeadlines && !feasible && bestDoP > 0 {
-		// Advisory deadlines: no operating point can meet this one, so run
-		// best-effort at the fastest point rather than starving the queue.
-		ok, err := e.tryMapAt(app, bestVdd, bestDoP, bestWCET, &att)
-		if err != nil {
-			return 0, err
-		}
-		if ok {
-			return decMapped, nil
-		}
+	if e.cfg.SoftDeadlines && !att.feasible && best.DoP > 0 {
+		best.BestEffort = true
+		e.tryPoint(app, best, &att, step)
 	}
-	if feasible || e.cfg.SoftDeadlines {
-		entry.stalled = true
-		e.tel.stalls.Inc()
-		e.recordDecision(app, "stalled", &att, 0, 0, nil)
-		return decWait, nil
-	}
-	e.recordDecision(app, "dropped", &att, 0, 0, nil)
-	return decDropped, nil
+	return att
 }
 
-// mapAttempt accumulates one algorithm1 scan's provenance: how many
-// (Vdd, DoP) candidates were examined and why each was rejected. It feeds
-// the DecisionLog; the telemetry counters keep their own running totals.
-type mapAttempt struct {
-	candidates  int
-	rejDeadline int
-	rejBudget   int
-	rejRegion   int
+// tryPoint applies the dark-silicon power check (Algorithm 2 line 1) and
+// then the framework's mapping heuristic to one candidate, recording the
+// outcome in att and reporting the step. It reports whether the candidate
+// was chosen.
+func (e *Engine) tryPoint(app *appmodel.App, st SelectionStep, att *mapAttempt, step func(SelectionStep)) bool {
+	st.PowerW = app.Bench.PowerEstimate(e.chip.Node, st.Vdd, st.DoP)
+	st.PowerOK = st.PowerW <= e.chip.Budget.Available()
+	if !st.PowerOK {
+		att.rejBudget++
+	} else {
+		st.MappingTried = true
+		var p *mapping.Placement
+		p, st.MappingOK = e.fw.Mapper.Map(e.chip, app.Graph(st.DoP))
+		if st.MappingOK {
+			st.Chosen = true
+			att.chosen, att.placement = st, p
+		} else {
+			att.rejRegion++
+		}
+	}
+	if step != nil {
+		step(st)
+	}
+	return st.Chosen
 }
 
 // recordDecision logs one scheduling attempt's outcome with its rejection
-// breakdown. vdd/dop/domains describe the chosen operating point and region
-// for mapped outcomes (zero values otherwise). Nil-guarded so disabled runs
-// skip even the record construction.
-func (e *Engine) recordDecision(app *appmodel.App, outcome string, att *mapAttempt, vdd power.Volts, dop int, domains []chip.DomainID) {
+// breakdown and, for mapped outcomes, the chosen operating point and
+// region. Nil-guarded so disabled runs skip even the record construction.
+func (e *Engine) recordDecision(app *appmodel.App, outcome string, att *mapAttempt) {
 	if e.decisions == nil {
 		return
 	}
@@ -681,11 +740,11 @@ func (e *Engine) recordDecision(app *appmodel.App, outcome string, att *mapAttem
 		RejRegion:   att.rejRegion,
 		WaitS:       e.now - app.Arrival,
 	}
-	if outcome == "mapped" {
-		d.Vdd = float64(vdd)
-		d.DoP = dop
-		d.Domains = make([]int, len(domains))
-		for i, dom := range domains {
+	if att.placement != nil {
+		d.Vdd = float64(att.chosen.Vdd)
+		d.DoP = att.chosen.DoP
+		d.Domains = make([]int, len(att.placement.Domains))
+		for i, dom := range att.placement.Domains {
 			d.Domains[i] = int(dom)
 		}
 	}
@@ -694,28 +753,6 @@ func (e *Engine) recordDecision(app *appmodel.App, outcome string, att *mapAttem
 
 // inf is a time that no real estimate reaches.
 const inf = 1e308
-
-// tryMapAt attempts to admit the app at one (Vdd, DoP) point: dark-silicon
-// power check (Algorithm 2 line 1), then the framework's mapping heuristic.
-func (e *Engine) tryMapAt(app *appmodel.App, vdd power.Volts, dop int, wcet float64, att *mapAttempt) (bool, error) {
-	pw := app.Bench.PowerEstimate(e.chip.Node, vdd, dop)
-	if pw > e.chip.Budget.Available() {
-		e.tel.rejBudget.Inc()
-		att.rejBudget++
-		return false, nil
-	}
-	placement, ok := e.fw.Mapper.Map(e.chip, app.Graph(dop))
-	if !ok {
-		e.tel.rejRegion.Inc()
-		att.rejRegion++
-		return false, nil
-	}
-	if err := e.commit(app, vdd, dop, placement, pw, wcet); err != nil {
-		return false, err
-	}
-	e.recordDecision(app, "mapped", att, vdd, dop, placement.Domains)
-	return true, nil
-}
 
 // commit maps the application: reserves power, claims domains and tiles,
 // measures the NoC with the new flow set, schedules the completion event,
@@ -909,7 +946,7 @@ type nocMemoEntry struct {
 const nocMemoCap = 16
 
 // nocRateQuantum is the flow-rate grid of the quantized memo key used by
-// NoCModeAuto and NoCModeAnalytic: rates are snapped to multiples of 1/4096
+// NoCModeAuto: rates are snapped to multiples of 1/4096
 // flit/cycle before the memo lookup, so mapper states whose flow rates differ
 // by less than half a quantum share one measurement. The induced measurement
 // error is bounded by the drift tests (see DESIGN.md §11); NoCModeCycle keys
@@ -932,7 +969,7 @@ func (e *Engine) quantizedFlows(flows []noc.Flow) []noc.Flow {
 // list: the memoized result when both the flow list and the sensor PSN
 // environment match a remembered measurement (the simulation is a
 // deterministic function of the two), a fresh window otherwise. In
-// NoCModeCycle the memo key is the exact flow list; the other modes key on
+// NoCModeCycle the memo key is the exact flow list; NoCModeAuto keys on
 // quantized rates so near-identical mapper states share a window.
 func (e *Engine) measurementFor(flows []noc.Flow) (*noc.Result, error) {
 	key := flows
@@ -982,11 +1019,10 @@ func (e *Engine) measurementFor(flows []noc.Flow) (*noc.Result, error) {
 	return res, nil
 }
 
-// simulateWindow produces one measurement window for the flow list. In the
-// non-cycle modes with no fault model installed it first tries the analytic
-// closed form; NoCModeAuto only accepts that answer for uncongested windows
-// (no resource's offered load above NoC.SatLinkLoad), while NoCModeAnalytic
-// accepts it unconditionally. Everything else — NoCModeCycle, fault
+// simulateWindow produces one measurement window for the flow list. In
+// NoCModeAuto with no fault model installed it first tries the analytic
+// closed form and accepts it for uncongested windows (no resource's offered
+// load above NoC.SatLinkLoad). Everything else — NoCModeCycle, fault
 // injection, and saturated windows under NoCModeAuto — runs the
 // cycle-accurate warmup+measure.
 func (e *Engine) simulateWindow(flows []noc.Flow) (*noc.Result, error) {
@@ -995,7 +1031,7 @@ func (e *Engine) simulateWindow(flows []noc.Flow) (*noc.Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		if !rep.Saturated || e.cfg.NoCMode == NoCModeAnalytic {
+		if !rep.Saturated {
 			e.tel.nocAnalytic.Inc()
 			e.tel.nocWindows.Inc()
 			e.tel.measuredCyc.Add(uint64(res.Cycles))

@@ -11,7 +11,6 @@ import (
 
 	"parm/internal/mapping"
 	"parm/internal/noc"
-	"parm/internal/power"
 )
 
 // Framework is one evaluated combination of mapping scheme, voltage/DoP
@@ -25,15 +24,12 @@ type Framework struct {
 	// Routing selects the NoC routing scheme.
 	Routing noc.Algorithm
 	// AdaptiveVddDoP enables Algorithm 1's joint (Vdd, DoP) search. When
-	// false the framework uses FixedDoP and FixedVdd — the policy of the HM
-	// baseline, which adapts neither voltage nor parallelism (ref [21] and
-	// §5.2: HM's "increased power consumption (due to high Vdd)").
+	// false the framework scans voltage only, at FixedDoP — the policy of
+	// the HM baseline, which does not adapt parallelism (ref [21] and §5.2:
+	// HM's "increased power consumption (due to high Vdd)").
 	AdaptiveVddDoP bool
 	// FixedDoP is the DoP used when AdaptiveVddDoP is false.
 	FixedDoP int
-	// FixedVdd is the supply voltage used when AdaptiveVddDoP is false.
-	// Zero selects the node's nominal voltage.
-	FixedVdd power.Volts
 	// HighVddFirst reverses Algorithm 1's voltage search order — the
 	// ablation that shows why lowest-Vdd-first matters for PSN and power
 	// (DESIGN.md §5).

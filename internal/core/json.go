@@ -8,21 +8,21 @@ import (
 // metricsJSON is the machine-readable form of a run's metrics
 // (cmd/parmsim -json).
 type metricsJSON struct {
-	Framework         string        `json:"framework"`
-	Workload          string        `json:"workload"`
-	TotalTimeS        float64       `json:"total_time_s"`
-	PeakPSN           float64       `json:"peak_psn"`
-	AvgPSN            float64       `json:"avg_psn"`
-	Completed         int           `json:"completed"`
-	Dropped           int           `json:"dropped"`
-	Unfinished        int           `json:"unfinished"`
-	TotalVEs          int           `json:"total_ves"`
-	TotalEnergyJ      float64       `json:"total_energy_j"`
-	MeanPacketLatency float64       `json:"mean_packet_latency_cycles"`
+	Framework         string  `json:"framework"`
+	Workload          string  `json:"workload"`
+	TotalTimeS        float64 `json:"total_time_s"`
+	PeakPSN           float64 `json:"peak_psn"`
+	AvgPSN            float64 `json:"avg_psn"`
+	Completed         int     `json:"completed"`
+	Dropped           int     `json:"dropped"`
+	Unfinished        int     `json:"unfinished"`
+	TotalVEs          int     `json:"total_ves"`
+	TotalEnergyJ      float64 `json:"total_energy_j"`
+	MeanPacketLatency float64 `json:"mean_packet_latency_cycles"`
 	// Explicit rollback totals (VERollback mode); omitted under VELegacy so
 	// legacy output stays byte-identical.
-	TotalRollbacks      int     `json:"total_rollbacks,omitempty"`
-	TotalRollbackDelayS float64 `json:"total_rollback_delay_s,omitempty"`
+	TotalRollbacks      int           `json:"total_rollbacks,omitempty"`
+	TotalRollbackDelayS float64       `json:"total_rollback_delay_s,omitempty"`
 	Apps                []outcomeJSON `json:"apps"`
 	// Measurement-cache counters, present only when the run collected them
 	// (Engine.CollectCacheStats) so default output stays unchanged.

@@ -156,8 +156,8 @@ func AnalyticMeasure(cfg Config, alg Algorithm, flows []Flow, env *Env, cycles i
 // waitMD1 is the M/D/1-style waiting term for a port offered rho flits/cycle
 // by worms of fpp flits. rho is clamped at 0.95: above SatLinkLoad the model
 // is out of its validity range anyway (NoCModeAuto falls back to cycle
-// simulation there), and the clamp keeps NoCModeAnalytic's answers finite and
-// monotone instead of diverging as rho -> 1.
+// simulation there), and the clamp keeps AnalyticMeasure's answer for a
+// saturated window finite and monotone instead of diverging as rho -> 1.
 func waitMD1(rho float64, fpp int) float64 {
 	if rho <= 0 {
 		return 0
