@@ -1,0 +1,113 @@
+package core
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
+	"os"
+	"path/filepath"
+	"sort"
+	"testing"
+
+	"parm/internal/appmodel"
+)
+
+var updateEngineGolden = flag.Bool("update", false, "rewrite testdata/engine_golden.json")
+
+// This file anchors whole-engine output to recorded digests, independently of
+// the engine agreeing with itself across reruns or worker counts. Each case
+// stores the SHA-256 of its Metrics JSON; any change to what the NoC loop,
+// the PDN solve or the mapper simulates shows up as a mismatch. The digests
+// are rewritten only with -update, when a change to simulated results is
+// intended.
+
+const engineGoldenPath = "testdata/engine_golden.json"
+
+// engineGoldenCase is one engine run: a framework and config over a workload.
+type engineGoldenCase struct {
+	fw  Framework
+	cfg Config
+	w   *appmodel.Workload
+}
+
+// engineGoldenCases covers the six evaluation frameworks on one 8-app mixed
+// sequence, and PARM+PANR with NoC packet faults and checkpoint/rollback VEs
+// on the same sequence, so the fault path's per-packet noise bookkeeping is
+// anchored too.
+func engineGoldenCases(t *testing.T) map[string]engineGoldenCase {
+	t.Helper()
+	w := genWorkload(t, appmodel.WorkloadMixed, 8, 0.05, 42)
+	cases := make(map[string]engineGoldenCase)
+	for _, fw := range EvaluationFrameworks() {
+		cases[fw.Name] = engineGoldenCase{fw: fw, cfg: Config{SoftDeadlines: true}, w: w}
+	}
+	cases["PARM+PANR/faults"] = engineGoldenCase{
+		fw: MustCombo("PARM", "PANR"),
+		cfg: Config{
+			SoftDeadlines:     true,
+			VEModel:           VERollback,
+			FaultSeed:         7,
+			NoCFaultInjection: true,
+		},
+		w: w,
+	}
+	return cases
+}
+
+// TestEngineGolden checks every case against the recorded digests. The fault
+// case must also have dropped packets, or it would not exercise the path it
+// is there for.
+func TestEngineGolden(t *testing.T) {
+	cases := engineGoldenCases(t)
+	names := make([]string, 0, len(cases))
+	for name := range cases {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+
+	got := make(map[string]string, len(cases))
+	for _, name := range names {
+		gc := cases[name]
+		m := runOne(t, gc.cfg, gc.fw, gc.w)
+		if gc.cfg.NoCFaultInjection && (m.NoCFaults == nil || m.NoCFaults.Dropped == 0) {
+			t.Errorf("%s: no NoC packet was dropped", name)
+		}
+		var buf bytes.Buffer
+		if err := m.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(buf.Bytes())
+		got[name] = hex.EncodeToString(sum[:])
+	}
+
+	if *updateEngineGolden {
+		out, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Dir(engineGoldenPath), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(engineGoldenPath, append(out, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, err := os.ReadFile(engineGoldenPath)
+	if err != nil {
+		t.Fatalf("reading golden (run with -update to regenerate): %v", err)
+	}
+	var want map[string]string
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
+		if want[name] != got[name] {
+			t.Errorf("%s: digest %s, golden %s", name, got[name], want[name])
+		}
+	}
+	if len(want) != len(got) {
+		t.Errorf("golden has %d cases, test produced %d (run with -update to regenerate)", len(want), len(got))
+	}
+}

@@ -2,9 +2,8 @@ package noc
 
 // This file holds the data structures behind the event-driven stepping fast
 // path (DESIGN.md §11): the active-tile bitsets that let Step visit only
-// routers and source NICs with work, the wakeup heap that replaces per-cycle
-// demand accrual for dormant flows, and the slice-backed packet-start log
-// that replaced the (flow, seq) map in the cycle loop.
+// routers and source NICs with work, and the wakeup heap that replaces
+// per-cycle demand accrual for dormant flows.
 
 // tileSet is a fixed-capacity bitset over tile indices. Iteration is in
 // ascending tile order — the same order the dense reference sweeps routers,
@@ -33,8 +32,8 @@ func (s *tileSet) empty() bool {
 	return true
 }
 
-// flowWake is one pending accrual wakeup: flow's source NIC needs per-cycle
-// attention no later than cycle (its next possible packet staging).
+// flowWake is one pending accrual wakeup: cycle is flow's next demand
+// crossing (a packet staging or stall), or the lookahead bound before it.
 type flowWake struct {
 	cycle int
 	flow  int
@@ -96,85 +95,4 @@ func (h *wakeHeap) pop() flowWake {
 		i = child
 	}
 	return top
-}
-
-// flowLog maps one flow's in-flight packet sequence numbers to their head
-// injection cycles. Sequence numbers are recorded in increasing order (the
-// NIC allocates them monotonically) but may be taken out of order: under
-// adaptive routing, consecutive packets of one flow can follow different
-// paths and eject reordered. The ring therefore tolerates holes — a taken
-// slot is marked consumed and the base advances over the consumed prefix.
-//
-// This replaced the packetStarts map[[2]int]int of the seed loop: the ring
-// grows (amortized, during warmup) to the flow's in-flight high-water mark
-// and then runs allocation-free, where the map hashed on every head
-// injection and tail ejection.
-type flowLog struct {
-	base int   // sequence number stored at buf[head]
-	head int   // ring index of base
-	n    int   // live span: sequences [base, base+n) occupy the ring
-	buf  []int // injection cycles; -1 marks a consumed slot
-}
-
-// record stores the injection cycle of sequence seq. seq is always the
-// flow's next unrecorded sequence number.
-//
-//parm:hot
-func (l *flowLog) record(seq, cycle int) {
-	if len(l.buf) == 0 {
-		l.buf = make([]int, 4)
-	}
-	if l.n == 0 {
-		l.base = seq
-		l.head = 0
-		l.buf[0] = cycle
-		l.n = 1
-		return
-	}
-	if l.n == len(l.buf) {
-		// Grow and linearize. Amortized: stops once the ring reaches the
-		// flow's steady-state in-flight packet count.
-		//parm:alloc
-		grown := make([]int, 2*len(l.buf))
-		for i := 0; i < l.n; i++ {
-			grown[i] = l.buf[(l.head+i)%len(l.buf)]
-		}
-		l.buf = grown
-		l.head = 0
-	}
-	i := l.head + l.n
-	if i >= len(l.buf) {
-		i -= len(l.buf)
-	}
-	l.buf[i] = cycle
-	l.n++
-}
-
-// take removes and returns the recorded injection cycle of sequence seq,
-// reporting whether it was present.
-//
-//parm:hot
-func (l *flowLog) take(seq int) (int, bool) {
-	if l.n == 0 || seq < l.base || seq >= l.base+l.n {
-		return 0, false
-	}
-	idx := l.head + (seq - l.base)
-	if idx >= len(l.buf) {
-		idx -= len(l.buf)
-	}
-	c := l.buf[idx]
-	if c < 0 {
-		return 0, false
-	}
-	l.buf[idx] = -1
-	// Compact the consumed prefix so the live span stays tight.
-	for l.n > 0 && l.buf[l.head] < 0 {
-		l.head++
-		if l.head == len(l.buf) {
-			l.head = 0
-		}
-		l.base++
-		l.n--
-	}
-	return c, true
 }

@@ -44,8 +44,13 @@ func maxTraceHops(m geom.Mesh) int { return m.Width + m.Height + 2 }
 func AnalyticMeasure(cfg Config, alg Algorithm, flows []Flow, env *Env, cycles int) (*Result, AnalyticReport, error) {
 	cfg = cfg.withDefaults()
 	// The throwaway network supplies RouteCtx's view of an idle fabric; it
-	// is never stepped, so occupancy and incoming rates read as zero.
-	n, err := NewNetwork(cfg, alg, flows, env)
+	// is never stepped, so occupancy and incoming rates read as zero, and
+	// under dense stepping it books no accrual wakeups.
+	idle := cfg
+	if idle.Stepping == SteppingActive {
+		idle.Stepping = SteppingDense
+	}
+	n, err := NewNetwork(idle, alg, flows, env)
 	if err != nil {
 		return nil, AnalyticReport{}, err
 	}

@@ -40,11 +40,11 @@ func contendedRouter(t *testing.T, tile geom.TileID, dir geom.Dir, inputs []int,
 	r := &n.routers[tile]
 	for _, in := range inputs {
 		for k := 0; k < packets; k++ {
-			for _, kind := range []FlitKind{KindHead, KindTail} {
-				r.inputs[in].push(flit{kind: kind, flow: int32(in), packet: k, dst: int32(tile), out: portUnrouted})
-				r.buffered++
-			}
+			slot := n.openPacket(in)
+			r.inputs[in].push(newFlit(slot, KindHead))
+			r.inputs[in].push(newFlit(slot, KindTail))
 		}
+		r.occ |= 1 << in
 	}
 	n.activeRouters.set(int(tile))
 	return n, calls
@@ -115,10 +115,8 @@ func TestArbitrationInvalidRouteNeverGranted(t *testing.T) {
 	if r.inputs[portEast].len() != 2 || r.forwarded != 0 || n.stats[portEast].DeliveredFlits != 0 {
 		t.Errorf("invalid-route worm moved: len %d, forwarded %d", r.inputs[portEast].len(), r.forwarded)
 	}
-	for out, in := range r.owner {
-		if in != noOwner {
-			t.Errorf("output %d granted to input %d", out, in)
-		}
+	if r.owned != 0 {
+		t.Errorf("outputs %05b granted (owners %v)", r.owned, r.owner)
 	}
 	if r.rrPtr != [geom.NumPorts]uint8{} {
 		t.Errorf("round-robin pointers moved: %v", r.rrPtr)
@@ -139,7 +137,7 @@ func TestArbitrationOffMeshReleases(t *testing.T) {
 		if r.rrPtr[portWest] != portEast+1 {
 			t.Fatalf("cycle %d: west pointer %d, want %d (granted to east)", c, r.rrPtr[portWest], portEast+1)
 		}
-		if r.owner[portWest] != noOwner {
+		if r.owned&(1<<portWest) != 0 {
 			t.Fatalf("cycle %d: off-mesh channel still held by %d", c, r.owner[portWest])
 		}
 		if r.inputs[portEast].len() != 2 || r.forwarded != 0 {
@@ -151,10 +149,10 @@ func TestArbitrationOffMeshReleases(t *testing.T) {
 	}
 }
 
-// TestFlitLayout pins the compact flit: every buffer slot and link crossing
-// copies one.
+// TestFlitLayout pins the 4-byte flit handle: every buffer slot holds one
+// and every link crossing moves one.
 func TestFlitLayout(t *testing.T) {
-	if size := unsafe.Sizeof(flit{}); size > 40 {
-		t.Errorf("flit is %d bytes, want at most 40", size)
+	if size := unsafe.Sizeof(flit(0)); size != 4 {
+		t.Errorf("flit is %d bytes, want 4", size)
 	}
 }

@@ -15,8 +15,11 @@ import (
 // its documented drift bounds on uncongested fixtures.
 
 // equivFixtures covers the regimes the engine produces: Fig 6-shaped sparse
-// traffic, the saturated bench fixture, a hotspot, single-flit packets, and
-// an empty-then-bursty corner with one dominant flow.
+// traffic, the saturated bench fixture, a hotspot, single-flit packets, an
+// empty-then-bursty corner with one dominant flow, and rates whose running
+// sums straddle FlitsPerPacket under rounding (0.1, 1/3, 0.2 and 0.7 are
+// inexact in binary, 1.0 saturates the injection port) next to one whose
+// next crossing lies past the wakeup lookahead bound.
 func equivFixtures() map[string]struct {
 	cfg   Config
 	flows []Flow
@@ -34,6 +37,19 @@ func equivFixtures() map[string]struct {
 		"hotspot":   {Config{}, hotspot},
 		"fpp1":      {Config{FlitsPerPacket: 1}, sparseFlows()[:20]},
 		"single":    {Config{}, []Flow{{Src: 0, Dst: 59, Rate: 0.3}}},
+		"rounding":  {Config{}, roundingFlows()},
+	}
+}
+
+// roundingFlows gives each boundary rate its own source and destination.
+func roundingFlows() []Flow {
+	return []Flow{
+		{Src: 0, Dst: 59, Rate: 0.1},
+		{Src: 12, Dst: 47, Rate: 1.0 / 3},
+		{Src: 25, Dst: 3, Rate: 0.2},
+		{Src: 38, Dst: 21, Rate: 0.7},
+		{Src: 51, Dst: 8, Rate: 1.0},
+		{Src: 9, Dst: 50, Rate: 1e-4},
 	}
 }
 
@@ -112,37 +128,100 @@ func TestActiveDenseEquivalenceFaulted(t *testing.T) {
 
 // TestActiveDenseLockstep steps both strategies cycle by cycle and compares
 // after every single cycle, so a divergence is caught at the cycle it first
-// appears rather than smeared over a window.
+// appears rather than smeared over a window. Staged-packet counts are
+// compared every cycle too: they move exactly at accrual crossings, which
+// the active path reaches by scheduled wakeups and the dense path by
+// per-cycle adds.
 func TestActiveDenseLockstep(t *testing.T) {
+	type lockstepCase struct {
+		alg   Algorithm
+		flows []Flow
+	}
+	cases := map[string]lockstepCase{"sparse/PANR": {PANR{}, sparseFlows()[:25]}}
+	for _, alg := range []Algorithm{XY{}, WestFirst{}, ICON{}, PANR{}} {
+		cases["rounding/"+alg.Name()] = lockstepCase{alg, roundingFlows()}
+	}
 	env := &Env{PSN: make([]float64, 60)}
-	flows := sparseFlows()[:25]
-	mk := func(s Stepping) *Network {
-		n, err := NewNetwork(Config{Stepping: s}, PANR{}, flows, env)
+	for name, tc := range cases {
+		mk := func(s Stepping) *Network {
+			n, err := NewNetwork(Config{Stepping: s}, tc.alg, tc.flows, env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return n
+		}
+		a, d := mk(SteppingActive), mk(SteppingDense)
+		for c := 0; c < 3000; c++ {
+			a.Step()
+			d.Step()
+			for tile := 0; tile < 60; tile++ {
+				ia, id := a.IncomingRate(geom.TileID(tile)), d.IncomingRate(geom.TileID(tile))
+				//parm:floateq
+				if ia != id {
+					t.Fatalf("%s cycle %d tile %d: IncomingRate active=%g dense=%g", name, c, tile, ia, id)
+				}
+			}
+			if !reflect.DeepEqual(a.staged, d.staged) {
+				t.Fatalf("%s cycle %d: staged packets active=%v dense=%v", name, c, a.staged, d.staged)
+			}
+			if c%500 == 499 {
+				if !reflect.DeepEqual(a.stats, d.stats) {
+					t.Fatalf("%s cycle %d: flow stats diverged\nactive: %+v\ndense:  %+v", name, c, a.stats, d.stats)
+				}
+				for tile := range a.routers {
+					if a.routers[tile].forwarded != d.routers[tile].forwarded {
+						t.Fatalf("%s cycle %d tile %d: forwarded active=%d dense=%d", name, c, tile, a.routers[tile].forwarded, d.routers[tile].forwarded)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestWakeupsStageOrStall pins the exact-crossing wakeups: every wakeup the
+// active path pops stages or stalls a packet of its flow, unless it was
+// booked wakeLookahead cycles after the flow's previous one. The rounding
+// fixture's slowest flow must reach that bound.
+func TestWakeupsStageOrStall(t *testing.T) {
+	for name, fx := range equivFixtures() {
+		n, err := NewNetwork(fx.cfg, PANR{}, fx.flows, &Env{PSN: make([]float64, 60)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return n
-	}
-	a, d := mk(SteppingActive), mk(SteppingDense)
-	for c := 0; c < 3000; c++ {
-		a.Step()
-		d.Step()
-		for tile := 0; tile < 60; tile++ {
-			ia, id := a.IncomingRate(geom.TileID(tile)), d.IncomingRate(geom.TileID(tile))
-			//parm:floateq
-			if ia != id {
-				t.Fatalf("cycle %d tile %d: IncomingRate active=%g dense=%g", c, tile, ia, id)
-			}
+		last := make([]int, len(fx.flows)) // cycle of each flow's previous wakeup
+		for i := range last {
+			last[i] = -1
 		}
-		if c%500 == 499 {
-			if !reflect.DeepEqual(a.stats, d.stats) {
-				t.Fatalf("cycle %d: flow stats diverged\nactive: %+v\ndense:  %+v", c, a.stats, d.stats)
-			}
-			for tile := range a.routers {
-				if a.routers[tile].forwarded != d.routers[tile].forwarded {
-					t.Fatalf("cycle %d tile %d: forwarded active=%d dense=%d", c, tile, a.routers[tile].forwarded, d.routers[tile].forwarded)
+		var due []flowWake
+		pops, atBound := 0, 0
+		for c := 0; c < 7500; c++ {
+			due = due[:0]
+			for _, w := range n.wake {
+				if w.cycle <= n.cycle {
+					due = append(due, w)
 				}
 			}
+			staged := append([]int(nil), n.staged...)
+			stats := append([]FlowStats(nil), n.stats...)
+			n.processWakeups()
+			for _, w := range due {
+				pops++
+				crossed := n.staged[w.flow] > staged[w.flow] || n.stats[w.flow].StalledCycles > stats[w.flow].StalledCycles
+				if !crossed {
+					if w.cycle-last[w.flow] != wakeLookahead {
+						t.Fatalf("%s: flow %d woke at cycle %d (previous %d) without staging or stalling", name, w.flow, w.cycle, last[w.flow])
+					}
+					atBound++
+				}
+				last[w.flow] = w.cycle
+			}
+			n.Step()
+		}
+		if pops == 0 {
+			t.Errorf("%s: no wakeup popped", name)
+		}
+		if name == "rounding" && atBound == 0 {
+			t.Errorf("%s: no wakeup reached the lookahead bound", name)
 		}
 	}
 }

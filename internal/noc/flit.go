@@ -26,24 +26,36 @@ const (
 	KindHeadTail
 )
 
-// flit is one flow-control unit in flight. It is copied on every buffer
-// push, pop and link crossing, so it is kept at 40 bytes: flow and tile
-// indices are int32 (NewNetwork rejects inputs that do not fit) and the
-// routing decision is a port index, not a geom.Dir.
-type flit struct {
-	// noise is the worst PSN sensor reading on the route so far, carried by
-	// head flits for the fault model's corruption check; unused (zero) when
-	// no fault model is installed.
-	noise  float64
-	packet int   // packet sequence number within the flow
-	born   int   // cycle the packet's head was injected
-	flow   int32 // index into the simulation's flow table
-	dst    int32 // destination tile
-	kind   FlitKind
-	// out is the output port assigned at the current router: portUnrouted
-	// until a head's route is computed (and always for body and tail
-	// flits), portNone when the algorithm named no port.
-	out uint8
+// flit is one flow-control unit in flight: a 4-byte handle packing the
+// packet's slot in the network's packet table with the flit's kind
+// (slot<<2 | kind). Buffers and links move handles; per-packet state lives
+// once in the table.
+type flit uint32
+
+func newFlit(slot int32, k FlitKind) flit { return flit(uint32(slot)<<2 | uint32(k)) }
+
+func (f flit) slot() int32    { return int32(f >> 2) }
+func (f flit) kind() FlitKind { return FlitKind(f & 3) }
+
+// isHead reports whether f opens its packet (KindHead or KindHeadTail).
+func (f flit) isHead() bool { return f.kind() == KindHead || f.kind() == KindHeadTail }
+
+// isTail reports whether f closes its packet (KindTail or KindHeadTail).
+func (f flit) isTail() bool { return f.kind() >= KindTail }
+
+// maxPackets bounds the packet table: slots must fit the handle's 30 bits.
+const maxPackets = 1 << 30
+
+// packet is the state a packet's flits share. The head takes a table slot
+// at injection and the tail frees it at ejection.
+type packet struct {
+	// noise is the worst PSN sensor reading on the head's route so far, for
+	// the fault model's corruption check; zero when no fault model is
+	// installed.
+	noise float64
+	born  int   // cycle the head was injected
+	flow  int32 // index into the simulation's flow table
+	dst   int32 // destination tile
 }
 
 // Flow is one traffic stream: the mapped image of an APG edge. Src and Dst

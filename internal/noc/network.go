@@ -93,10 +93,14 @@ func (c Config) validate() error {
 	case c.Width <= 0 || c.Height <= 0:
 		return fmt.Errorf("noc: non-positive mesh dimensions %dx%d", c.Width, c.Height)
 	case c.Width > math.MaxInt32/c.Height:
-		// Flits carry tile indices as int32.
+		// Packets carry tile indices as int32.
 		return fmt.Errorf("noc: mesh %dx%d exceeds %d tiles", c.Width, c.Height, math.MaxInt32)
 	case c.BufferFlits < 0:
 		return fmt.Errorf("noc: negative BufferFlits %d", c.BufferFlits)
+	case c.BufferFlits > (maxPackets/(c.Width*c.Height)-1)/geom.NumPorts:
+		// In flight, a packet holds a buffer slot or is mid-injection at its
+		// source tile, and flit handles address at most maxPackets packets.
+		return fmt.Errorf("noc: %dx%d mesh of %d-flit buffers exceeds %d packets in flight", c.Width, c.Height, c.BufferFlits, maxPackets)
 	case c.FlitsPerPacket < 0:
 		return fmt.Errorf("noc: negative FlitsPerPacket %d", c.FlitsPerPacket)
 	case c.StagedPackets < 0:
@@ -138,22 +142,24 @@ type Network struct {
 	flows   []Flow
 	stats   []FlowStats
 
-	// per-flow injection state
-	acc     []float64 // fractional flit credit accumulated from Rate
-	staged  []int     // whole packets waiting at the source NIC
-	nextSeq []int     // next packet sequence number
-	// accCycle[i] is the last cycle whose demand accrual has been replayed
-	// into acc[i]; the active path advances it lazily at wakeups, the dense
-	// path every cycle.
-	accCycle []int
-	// partial[t] tracks, per tile, the flow whose packet is mid-injection
-	// and how many flits remain, so packets enter the local port contiguously.
-	partialFlow []int
+	// per-flow injection state. acc[i] is the fractional flit credit
+	// accumulated from Rate; the active path replays it ahead of the clock
+	// up to the cycle before the next wakeup (scheduleWake).
+	acc    []float64
+	staged []int // whole packets waiting at the source NIC
+	// partialPkt[t] is the packet-table slot of the packet mid-injection at
+	// tile t (-1 when none) and partialLeft[t] its flits still to inject,
+	// so packets enter the local port contiguously.
+	partialPkt  []int32
 	partialLeft []int
 	injectRR    []int // round-robin pointer over flows per source tile
 	flowsBySrc  [][]int
-	srcTiles    []int     // tiles with at least one flow source, ascending
-	starts      []flowLog // per-flow packet-start log: seq -> head injection cycle
+	srcTiles    []int // tiles with at least one flow source, ascending
+
+	// packets is the packet table flit handles point into; free lists its
+	// released slots.
+	packets []packet
+	free    []int32
 
 	// active-set stepping state: which routers hold flits, which tiles have
 	// staged or mid-packet injection work, and when each dormant flow next
@@ -162,7 +168,6 @@ type Network struct {
 	activeTiles   tileSet
 	stagedFlows   []int // per tile, count of flows with staged > 0
 	wake          wakeHeap
-	nextWake      []int // latest scheduled wake per flow; -1 when dormant
 	rated         []int // tiles that received flits this cycle (deduplicated)
 
 	// nbr[t][p] is the tile one hop from t through cardinal port p, or -1
@@ -171,16 +176,12 @@ type Network struct {
 
 	// per-cycle scratch, reused to avoid allocation in the hot loop
 	arrivalScratch []pendingArrival
-	inFlight       [][4]int32 // per tile and cardinal input port
 
 	// faults, when non-nil, injects noise-induced packet losses at ejection
 	// (SetFaultModel). pendingRecovery[f] counts flow f's retransmissions
-	// still owed a delivery; headNoise[f] parks the head flit's accumulated
-	// path noise until the tail closes the packet (ejection is contiguous
-	// per packet, so one slot per flow suffices).
+	// still owed a delivery.
 	faults          FaultModel
 	pendingRecovery []int
-	headNoise       []float64
 
 	cycle int
 }
@@ -189,8 +190,9 @@ type Network struct {
 // and environment. It returns an error for a config field out of range
 // (non-positive mesh dimensions or more than MaxInt32 tiles, negative
 // buffer, packet or stage sizes, RateEWMA outside (0,1], a NaN or negative
-// threshold, an unknown Stepping), for more than MaxInt32 flows, or when a
-// flow references a tile outside the mesh or has a negative rate.
+// threshold, an unknown Stepping, buffers too large for the packet table),
+// for more than MaxInt32 flows, or when a flow references a tile outside
+// the mesh or has a negative, NaN or infinite rate.
 func NewNetwork(cfg Config, alg Algorithm, flows []Flow, env *Env) (*Network, error) {
 	cfg = cfg.withDefaults()
 	if alg == nil {
@@ -213,17 +215,13 @@ func NewNetwork(cfg Config, alg Algorithm, flows []Flow, env *Env) (*Network, er
 		stats:         make([]FlowStats, len(flows)),
 		acc:           make([]float64, len(flows)),
 		staged:        make([]int, len(flows)),
-		nextSeq:       make([]int, len(flows)),
-		accCycle:      make([]int, len(flows)),
-		partialFlow:   make([]int, mesh.NumTiles()),
+		partialPkt:    make([]int32, mesh.NumTiles()),
 		partialLeft:   make([]int, mesh.NumTiles()),
 		injectRR:      make([]int, mesh.NumTiles()),
 		flowsBySrc:    make([][]int, mesh.NumTiles()),
-		starts:        make([]flowLog, len(flows)),
 		activeRouters: newTileSet(mesh.NumTiles()),
 		activeTiles:   newTileSet(mesh.NumTiles()),
 		stagedFlows:   make([]int, mesh.NumTiles()),
-		nextWake:      make([]int, len(flows)),
 		// Preallocated to their steady-state bounds so the cycle loop never
 		// grows them: at most one arrival per (tile, port) per cycle, one
 		// rated entry per tile per cycle, one live wakeup per flow.
@@ -231,14 +229,13 @@ func NewNetwork(cfg Config, alg Algorithm, flows []Flow, env *Env) (*Network, er
 		wake:           make(wakeHeap, 0, len(flows)),
 		arrivalScratch: make([]pendingArrival, 0, mesh.NumTiles()*geom.NumPorts),
 		nbr:            make([][4]int32, mesh.NumTiles()),
-		inFlight:       make([][4]int32, mesh.NumTiles()),
 	}
 	// One backing array for every input buffer keeps the rings contiguous.
 	bufs := make([]flit, mesh.NumTiles()*geom.NumPorts*cfg.BufferFlits)
 	for i := range n.routers {
 		n.routers[i].recvCycle = -1
-		for p := range n.routers[i].owner {
-			n.routers[i].owner[p] = noOwner
+		for p := range n.routers[i].route {
+			n.routers[i].route[p] = portUnrouted
 			off := (i*geom.NumPorts + p) * cfg.BufferFlits
 			n.routers[i].inputs[p].buf = bufs[off : off+cfg.BufferFlits]
 		}
@@ -248,17 +245,15 @@ func NewNetwork(cfg Config, alg Algorithm, flows []Flow, env *Env) (*Network, er
 				n.nbr[i][p] = int32(next)
 			}
 		}
-		n.partialFlow[i] = -1
+		n.partialPkt[i] = -1
 	}
 	for i, f := range flows {
 		if !mesh.ValidTile(f.Src) || !mesh.ValidTile(f.Dst) {
 			return nil, fmt.Errorf("noc: flow %d endpoints (%d,%d) outside mesh", i, f.Src, f.Dst)
 		}
-		if f.Rate < 0 {
-			return nil, fmt.Errorf("noc: flow %d has negative rate %g", i, f.Rate)
+		if f.Rate < 0 || math.IsNaN(f.Rate) || math.IsInf(f.Rate, 0) {
+			return nil, fmt.Errorf("noc: flow %d has invalid rate %g", i, f.Rate)
 		}
-		n.accCycle[i] = -1
-		n.nextWake[i] = -1
 		if f.Src != f.Dst {
 			if len(n.flowsBySrc[f.Src]) == 0 {
 				n.srcTiles = append(n.srcTiles, int(f.Src))
@@ -270,7 +265,7 @@ func NewNetwork(cfg Config, alg Algorithm, flows []Flow, env *Env) (*Network, er
 	if cfg.Stepping == SteppingActive {
 		for i, f := range flows {
 			if f.Src != f.Dst {
-				n.scheduleWake(i)
+				n.scheduleWake(i, -1)
 			}
 		}
 	}
@@ -290,7 +285,6 @@ func (n *Network) SetFaultModel(fm FaultModel) {
 	n.faults = fm
 	if fm != nil && n.pendingRecovery == nil {
 		n.pendingRecovery = make([]int, len(n.flows))
-		n.headNoise = make([]float64, len(n.flows))
 	}
 }
 
@@ -353,7 +347,7 @@ func (n *Network) stepDense() {
 		if n.flows[i].Src == n.flows[i].Dst {
 			continue // local communication bypasses the NoC
 		}
-		n.advanceAccrual(i, n.cycle)
+		n.advanceAccrual(i)
 	}
 	// One flit per cycle enters each source tile's local input port (only
 	// tiles with flows can ever inject).
@@ -362,7 +356,7 @@ func (n *Network) stepDense() {
 	}
 	arrivals := n.arrivalScratch[:0]
 	for t := range n.routers {
-		if n.routers[t].buffered == 0 {
+		if n.routers[t].occ == 0 {
 			continue // no flits: routing, arbitration and traversal are no-ops
 		}
 		arrivals = n.stepRouter(t, arrivals)
@@ -395,85 +389,67 @@ func (n *Network) Run(cycles int) {
 	}
 }
 
-// processWakeups replays demand accrual for every flow whose wakeup is due,
-// then books the next one. Wakeups are scheduled at or before each credit
-// crossing, so accrual state is always current by the time it can matter.
+// processWakeups accrues the crossing cycle of every flow whose wakeup is
+// due, then books the next one. scheduleWake has already replayed the
+// flow's accrual up to the cycle before, so each wakeup stages or stalls a
+// packet unless it was booked at the lookahead bound.
 //
 //parm:hot
 func (n *Network) processWakeups() {
 	for len(n.wake) > 0 && n.wake[0].cycle <= n.cycle {
 		w := n.wake.pop()
-		if n.nextWake[w.flow] != w.cycle {
-			continue // superseded booking
-		}
-		n.advanceAccrual(w.flow, n.cycle)
-		n.scheduleWake(w.flow)
+		n.advanceAccrual(w.flow)
+		n.scheduleWake(w.flow, n.cycle)
 	}
 }
 
-// advanceAccrual replays flow i's per-cycle demand accrual up to and
-// including cycle through, exactly as the dense loop would have: one
-// floating-point add per cycle, stagings and stall accounting at the
-// precise crossing cycles. Replaying the adds (rather than closing the sum
-// into k*rate) keeps the float trajectory bit-identical to the reference.
+// advanceAccrual accrues one cycle of flow i's demand: one floating-point
+// add, then a staging (or, with the stage queue full, a stall) for each
+// FlitsPerPacket of credit. The dense loop calls it every cycle; the active
+// path only on crossing cycles, after scheduleWake replayed the same adds
+// in the same order, so both keep the same float trajectory bit for bit.
 //
 //parm:hot
-func (n *Network) advanceAccrual(i, through int) {
-	if through <= n.accCycle[i] {
-		return
-	}
-	// Locals keep the replay loop in registers; the adds and compares are
-	// the same float operations in the same order as the per-cycle form.
-	rate := n.flows[i].Rate
+func (n *Network) advanceAccrual(i int) {
 	fpp := float64(n.cfg.FlitsPerPacket)
-	acc := n.acc[i]
-	for c := n.accCycle[i] + 1; c <= through; c++ {
-		acc += rate
-		for acc >= fpp {
-			if n.staged[i] >= n.cfg.StagedPackets {
-				n.stats[i].StalledCycles++
-				// Drop the accrued packet's credit: the source is
-				// backpressured and the demand is deferred.
-				acc -= fpp
-				break
-			}
-			acc -= fpp
-			n.incStaged(i)
+	n.acc[i] += n.flows[i].Rate
+	for n.acc[i] >= fpp {
+		// A stall drops the accrued packet's credit: the source is
+		// backpressured and the demand is deferred.
+		n.acc[i] -= fpp
+		if n.staged[i] >= n.cfg.StagedPackets {
+			n.stats[i].StalledCycles++
+			break
 		}
+		n.incStaged(i)
 	}
-	n.acc[i] = acc
-	n.accCycle[i] = through
 }
 
-// scheduleWake books flow i's next accrual wakeup: a conservative lower
-// bound on its next credit crossing. Waking early is always safe (the flow
-// advances and re-estimates); waking late would miss a staging cycle, so
-// the estimate subtracts a margin covering the worst-case rounding drift of
-// k replayed additions (O(k^2) ulps around the crossing) and falls back to
-// geometric halving when the margin would swallow the whole estimate.
-func (n *Network) scheduleWake(i int) {
-	r := n.flows[i].Rate
-	if r <= 0 {
-		n.nextWake[i] = -1
-		return
+// wakeLookahead bounds how many cycles scheduleWake replays in one call, so
+// a tiny rate (or one too small to move the accumulator at all) costs a
+// bounded amount of work per wakeup.
+const wakeLookahead = 1 << 12
+
+// scheduleWake books flow i's next wakeup. acc[i] holds its accrual through
+// cycle; the adds of the following cycles are replayed ahead of the clock
+// while they stay below FlitsPerPacket, and the wakeup lands on the first
+// cycle that would reach it, or at most wakeLookahead cycles on. Accrual
+// below the threshold has no other effect, so running it early is exact.
+//
+//parm:hot
+func (n *Network) scheduleWake(i, cycle int) {
+	rate := n.flows[i].Rate
+	if rate <= 0 {
+		return // never crosses
 	}
-	deficit := float64(n.cfg.FlitsPerPacket) - n.acc[i]
-	est := deficit / r
-	if est > 1<<50 {
-		est = 1 << 50
+	fpp := float64(n.cfg.FlitsPerPacket)
+	acc := n.acc[i]
+	for k := 1; k < wakeLookahead && acc+rate < fpp; k++ {
+		acc += rate
+		cycle++
 	}
-	k := int(est)
-	margin := 2 + int(float64(k)*float64(k)*4e-15)
-	step := k - margin
-	if half := k / 2; step < half {
-		step = half
-	}
-	if step < 1 {
-		step = 1
-	}
-	wake := n.accCycle[i] + step
-	n.nextWake[i] = wake
-	n.wake.push(flowWake{cycle: wake, flow: i})
+	n.acc[i] = acc
+	n.wake.push(flowWake{cycle: cycle + 1, flow: i})
 }
 
 // incStaged stages one packet of flow fi and keeps the per-tile staged-flow
@@ -509,7 +485,7 @@ func (n *Network) decStaged(fi int) {
 //
 //parm:hot
 func (n *Network) updateTileActivity(t int) {
-	if n.partialFlow[t] >= 0 || n.stagedFlows[t] > 0 {
+	if n.partialPkt[t] >= 0 || n.stagedFlows[t] > 0 {
 		n.activeTiles.set(t)
 	} else {
 		n.activeTiles.clear(t)
@@ -520,22 +496,16 @@ func (n *Network) updateTileActivity(t int) {
 //
 //parm:hot
 func (n *Network) injectAtTile(t int) {
-	lp := portLocal
 	r := &n.routers[t]
-	if r.inputs[lp].len() >= n.cfg.BufferFlits {
+	if r.inputs[portLocal].len() >= n.cfg.BufferFlits {
 		return
 	}
 	fi := n.pickInjection(t)
 	if fi < 0 {
 		return
 	}
-	k := n.flitToInject(t, fi)
-	if n.faults != nil && (k.kind == KindHead || k.kind == KindHeadTail) {
-		// Path-noise accounting starts at the injection router.
-		k.noise = n.env.psnAt(geom.TileID(t))
-	}
-	r.inputs[lp].push(k)
-	r.buffered++
+	r.inputs[portLocal].push(n.flitToInject(t, fi))
+	r.occ |= 1 << portLocal
 	n.activeRouters.set(t)
 	n.noteReceive(r, t)
 	n.stats[fi].InjectedFlits++
@@ -546,8 +516,8 @@ func (n *Network) injectAtTile(t int) {
 //
 //parm:hot
 func (n *Network) pickInjection(t int) int {
-	if n.partialFlow[t] >= 0 {
-		return n.partialFlow[t]
+	if slot := n.partialPkt[t]; slot >= 0 {
+		return int(n.packets[slot].flow)
 	}
 	flows := n.flowsBySrc[t]
 	if len(flows) == 0 {
@@ -564,117 +534,134 @@ func (n *Network) pickInjection(t int) int {
 }
 
 // flitToInject produces the next flit of flow fi's current packet at tile t
-// and updates the partial-packet bookkeeping.
+// and updates the partial-packet bookkeeping. A head opens the packet's
+// table slot.
 //
 //parm:hot
 func (n *Network) flitToInject(t, fi int) flit {
-	fpp := n.cfg.FlitsPerPacket
-	k := flit{kind: KindBody, flow: int32(fi), dst: int32(n.flows[fi].Dst), born: n.cycle, out: portUnrouted}
-	if n.partialFlow[t] < 0 {
-		// Start a new packet.
-		k.packet = n.nextSeq[fi]
-		n.nextSeq[fi]++
+	if n.partialPkt[t] < 0 {
+		slot := n.openPacket(fi)
 		n.decStaged(fi)
-		n.starts[fi].record(k.packet, n.cycle)
-		if fpp == 1 {
-			k.kind = KindHeadTail
-			return k
+		if n.faults != nil {
+			// Path-noise accounting starts at the injection router.
+			n.packets[slot].noise = n.env.psnAt(geom.TileID(t))
 		}
-		n.partialFlow[t] = fi
-		n.partialLeft[t] = fpp - 1
+		if n.cfg.FlitsPerPacket == 1 {
+			return newFlit(slot, KindHeadTail)
+		}
+		n.partialPkt[t] = slot
+		n.partialLeft[t] = n.cfg.FlitsPerPacket - 1
 		n.activeTiles.set(t)
-		k.kind = KindHead
-		return k
+		return newFlit(slot, KindHead)
 	}
-	k.packet = n.nextSeq[fi] - 1
+	slot := n.partialPkt[t]
 	n.partialLeft[t]--
-	if n.partialLeft[t] == 0 {
-		k.kind = KindTail
-		n.partialFlow[t] = -1
-		n.updateTileActivity(t)
+	if n.partialLeft[t] > 0 {
+		return newFlit(slot, KindBody)
 	}
-	return k
+	n.partialPkt[t] = -1
+	n.updateTileActivity(t)
+	return newFlit(slot, KindTail)
+}
+
+// openPacket takes a packet-table slot for a new packet of flow fi injected
+// this cycle.
+//
+//parm:hot
+func (n *Network) openPacket(fi int) int32 {
+	pk := packet{born: n.cycle, flow: int32(fi), dst: int32(n.flows[fi].Dst)}
+	if k := len(n.free) - 1; k >= 0 {
+		slot := n.free[k]
+		n.free = n.free[:k]
+		n.packets[slot] = pk
+		return slot
+	}
+	// Amortized zero-alloc: the table grows to the in-flight packet
+	// high-water mark during warmup and is reused afterwards.
+	//parm:alloc
+	n.packets = append(n.packets, pk)
+	return int32(len(n.packets) - 1)
 }
 
 // stepRouter runs one cycle of router t: route computation for unrouted
 // head flits at its input fronts, output arbitration, and switch traversal
 // of at most one flit per output port, appending link crossings to
-// arrivals. When the router drains completely it leaves the active set.
+// arrivals. Each stage walks its port mask in ascending port order. When
+// the router drains completely it leaves the active set.
 //
 // Fusing the three stages per router is exact against a sweep that routes
 // every router before traversing any: traversal only pops the router's own
-// inputs and books downstream inFlight credits, and route computation reads
-// neither — it reads the router's own input fronts and occupancy, neighbour
-// incoming rates (folded only at the end of the cycle) and sensor PSN.
+// inputs and writes past the tail of downstream rings, and route
+// computation reads neither — it reads the router's own input fronts and
+// occupancy, neighbour incoming rates (folded only at the end of the cycle)
+// and sensor PSN.
 //
 //parm:hot
 func (n *Network) stepRouter(t int, arrivals []pendingArrival) []pendingArrival {
 	r := &n.routers[t]
-	// One pass over the input fronts routes unrouted heads and builds, per
-	// output port, the bitmask of inputs whose head requests it.
+	// One pass over the occupied inputs routes unrouted heads and builds,
+	// per output port, the bitmask of inputs whose head requests it.
 	var req [geom.NumPorts]uint8
-	for p := range r.inputs {
-		q := &r.inputs[p]
-		if q.n == 0 {
-			continue
-		}
-		f := &q.buf[q.head]
-		if f.out == portUnrouted {
-			if f.kind != KindHead && f.kind != KindHeadTail {
+	var requested uint8
+	for m := r.occ; m != 0; m &= m - 1 {
+		p := bits.TrailingZeros8(m)
+		out := r.route[p]
+		if out == portUnrouted {
+			q := &r.inputs[p]
+			f := q.buf[q.head]
+			if !f.isHead() {
 				continue // body and tail flits follow their worm's channel
 			}
 			d := n.alg.Route(RouteCtx{
 				Net:            n,
 				At:             geom.TileID(t),
-				Dst:            geom.TileID(f.dst),
+				Dst:            geom.TileID(n.packets[f.slot()].dst),
 				InDir:          indexDir[p],
 				InputOccupancy: r.occupancy(p, n.cfg.BufferFlits),
 			})
-			f.out = portNone
+			out = portNone
 			if port := dirIndex(d); port >= 0 {
-				f.out = uint8(port)
+				out = uint8(port)
 			}
+			r.route[p] = out
 		}
-		if f.out < geom.NumPorts {
-			req[f.out] |= 1 << p
+		if out < geom.NumPorts {
+			req[out] |= 1 << p
+			requested |= 1 << out
 		}
 	}
 	// Arbitration: a free output grants the first requester at or after
 	// its round-robin pointer. Rotating the request mask right by the
 	// pointer puts that input at the lowest set bit. Each input requests at
 	// most one output, so grants never collide.
-	for out := range req {
-		m := req[out]
-		if m == 0 || r.owner[out] != noOwner {
-			continue
-		}
+	for m := requested &^ r.owned; m != 0; m &= m - 1 {
+		out := bits.TrailingZeros8(m)
 		ptr := r.rrPtr[out]
-		rot := (m>>ptr | m<<(geom.NumPorts-ptr)) & (1<<geom.NumPorts - 1)
+		rot := (req[out]>>ptr | req[out]<<(geom.NumPorts-ptr)) & (1<<geom.NumPorts - 1)
 		in := ptr + uint8(bits.TrailingZeros8(rot))
 		if in >= geom.NumPorts {
 			in -= geom.NumPorts
 		}
-		r.owner[out] = int8(in)
+		r.owner[out] = in
+		r.owned |= 1 << out
 		r.rrPtr[out] = in + 1
 		if r.rrPtr[out] == geom.NumPorts {
 			r.rrPtr[out] = 0
 		}
 	}
 	// Traversal: each owned output forwards its input's front flit.
-	capacity := n.cfg.BufferFlits
-	for out := range r.owner {
-		in := r.owner[out]
-		if in == noOwner || r.inputs[in].n == 0 {
+	for m := r.owned; m != 0; m &= m - 1 {
+		out := bits.TrailingZeros8(m)
+		in := int(r.owner[out])
+		if r.occ&(1<<in) == 0 {
 			continue
 		}
 		if out == portLocal {
 			// Ejection: infinite sink.
-			f := r.inputs[in].pop()
-			r.buffered--
-			r.forwarded++
+			f := r.pop(in)
 			n.eject(f)
-			if f.kind == KindTail || f.kind == KindHeadTail {
-				r.owner[out] = noOwner
+			if f.isTail() {
+				r.owned &^= 1 << out
 			}
 			continue
 		}
@@ -682,102 +669,95 @@ func (n *Network) stepRouter(t int, arrivals []pendingArrival) []pendingArrival 
 		if next < 0 {
 			// Misrouting off-mesh cannot happen with a sane algorithm;
 			// drop the channel to avoid wedging the port forever.
-			r.owner[out] = noOwner
+			r.owned &^= 1 << out
 			continue
 		}
+		// Credit check. This output is the only writer of the downstream
+		// input, so the count alone tells whether a slot is free; pops by
+		// routers earlier in the sweep have already freed theirs.
 		dstPort := oppositePort[out]
-		credits := &n.inFlight[next][dstPort]
-		if n.routers[next].inputs[dstPort].n+int(*credits) >= capacity {
-			continue // no downstream credit
+		dq := &n.routers[next].inputs[dstPort]
+		if dq.n >= n.cfg.BufferFlits {
+			continue
 		}
-		*credits++
-		f := r.inputs[in].pop()
-		r.buffered--
-		r.forwarded++
-		// Body/tail flits follow the worm without route computation.
-		moved := f
-		moved.out = portUnrouted
+		f := r.pop(in)
+		// The handle lands just past the downstream tail. The count stays
+		// put until applyArrivals, so routers later in the sweep do not see
+		// the flit, and their pops move head and count together, keeping
+		// this slot just past the tail.
+		dq.buf[dq.tail()] = f
+		if n.faults != nil && f.isHead() {
+			pk := &n.packets[f.slot()]
+			if p := n.env.psnAt(geom.TileID(next)); p > pk.noise {
+				pk.noise = p
+			}
+		}
 		// Bounded by the scratch capacity NewNetwork preallocated: one
 		// arrival per (tile, port) per cycle.
 		//parm:alloc
-		arrivals = append(arrivals, pendingArrival{f: moved, to: next, port: dstPort})
-		if f.kind == KindTail || f.kind == KindHeadTail {
-			r.owner[out] = noOwner
+		arrivals = append(arrivals, pendingArrival{to: next, port: dstPort})
+		if f.isTail() {
+			r.owned &^= 1 << out
 		}
 	}
-	if r.buffered == 0 {
+	if r.occ == 0 {
 		n.activeRouters.clear(t)
 	}
 	return arrivals
 }
 
-// eject records delivery statistics for a flit leaving the network. With a
-// fault model installed, the tail flit closes the packet with a corruption
-// check against the head's accumulated path noise: a dropped packet is
-// retransmitted from the source NIC while its stage queue has room, and a
-// later delivery of the flow repays the debt as a recovery.
+// eject records delivery statistics for a flit leaving the network; the
+// tail closes the packet and frees its table slot. With a fault model
+// installed, the tail also checks the packet for corruption against the
+// head's accumulated path noise: a dropped packet is retransmitted from the
+// source NIC while its stage queue has room, and a later delivery of the
+// flow repays the debt as a recovery.
 //
 //parm:hot
 func (n *Network) eject(f flit) {
-	st := &n.stats[f.flow]
+	slot := f.slot()
+	pk := n.packets[slot]
+	st := &n.stats[pk.flow]
 	st.DeliveredFlits++
-	if n.faults != nil && f.kind == KindHead {
-		// Park the head's path noise until the tail closes the packet. One
-		// slot per flow suffices: the local output port's owner is held from
-		// head to tail, so a flow's packets eject contiguously.
-		n.headNoise[f.flow] = f.noise
-	}
-	if f.kind != KindTail && f.kind != KindHeadTail {
+	if !f.isTail() {
 		return
 	}
+	// Amortized zero-alloc: the free list never outgrows the table.
+	//parm:alloc
+	n.free = append(n.free, slot)
 	if n.faults != nil {
-		noise := f.noise
-		if f.kind == KindTail {
-			noise = n.headNoise[f.flow]
-		}
-		if n.faults.DropPacket(noise) {
+		if n.faults.DropPacket(pk.noise) {
 			st.DroppedPackets++
-			n.starts[f.flow].take(f.packet)
-			if n.staged[f.flow] < n.cfg.StagedPackets {
-				n.incStaged(int(f.flow))
-				n.pendingRecovery[f.flow]++
+			if n.staged[pk.flow] < n.cfg.StagedPackets {
+				n.incStaged(int(pk.flow))
+				n.pendingRecovery[pk.flow]++
 				st.RetransmittedPackets++
 			} else {
 				st.LostPackets++
 			}
 			return
 		}
-		if n.pendingRecovery[f.flow] > 0 {
-			n.pendingRecovery[f.flow]--
+		if n.pendingRecovery[pk.flow] > 0 {
+			n.pendingRecovery[pk.flow]--
 			st.RecoveredPackets++
 		}
 	}
 	st.DeliveredPackets++
-	if born, ok := n.starts[f.flow].take(f.packet); ok {
-		st.TotalPacketLatency += n.cycle - born + 1
-	}
+	st.TotalPacketLatency += n.cycle - pk.born + 1
 }
 
-// applyArrivals lands link crossings into downstream input buffers. It also
-// clears the inFlight credit holds — every nonzero entry corresponds to
-// exactly one arrival, so this leaves the whole table zero for the next
-// sweep without a full rezeroing pass.
+// applyArrivals makes this cycle's link crossings visible: traversal wrote
+// each handle into its downstream ring already, so only counts, masks and
+// the active and rated sets change here.
 //
 //parm:hot
 func (n *Network) applyArrivals(arrivals []pendingArrival) {
-	for i := range arrivals {
-		a := &arrivals[i]
-		if n.faults != nil && (a.f.kind == KindHead || a.f.kind == KindHeadTail) {
-			if p := n.env.psnAt(geom.TileID(a.to)); p > a.f.noise {
-				a.f.noise = p
-			}
-		}
+	for _, a := range arrivals {
 		r := &n.routers[a.to]
-		r.inputs[a.port].push(a.f)
-		r.buffered++
+		r.inputs[a.port].n++
+		r.occ |= 1 << a.port
 		n.activeRouters.set(int(a.to))
 		n.noteReceive(r, int(a.to))
-		n.inFlight[a.to][a.port] = 0
 	}
 }
 

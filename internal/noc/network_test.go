@@ -22,6 +22,32 @@ func TestNewNetworkValidation(t *testing.T) {
 	}
 }
 
+// Flow rates must be finite and non-negative. Before they were checked, a
+// NaN rate silently injected nothing and a +Inf rate injected every cycle
+// while reporting every cycle stalled.
+func TestNewNetworkRejectsBadRate(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		rate float64
+		ok   bool
+	}{
+		{"negative", -0.1, false},
+		{"NaN", math.NaN(), false},
+		{"+Inf", math.Inf(1), false},
+		{"-Inf", math.Inf(-1), false},
+		{"zero", 0, true},
+		{"above link capacity", 7, true},
+	} {
+		flows := []Flow{{Src: 0, Dst: 5, Rate: tc.rate}}
+		if _, err := NewNetwork(Config{}, XY{}, flows, &Env{}); (err == nil) != tc.ok {
+			t.Errorf("%s rate: NewNetwork error %v, want ok=%v", tc.name, err, tc.ok)
+		}
+		if _, _, err := AnalyticMeasure(Config{}, XY{}, flows, &Env{}, 100); (err == nil) != tc.ok {
+			t.Errorf("%s rate: AnalyticMeasure error %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+}
+
 // Out-of-range config fields are errors from NewNetwork (and so from
 // AnalyticMeasure), not panics, wedged worms, or silent acceptance.
 func TestNewNetworkRejectsBadConfig(t *testing.T) {
@@ -42,6 +68,7 @@ func TestNewNetworkRejectsBadConfig(t *testing.T) {
 		{"negative SatLinkLoad", Config{SatLinkLoad: -1}},
 		{"unknown Stepping", Config{Stepping: Stepping(7)}},
 		{"tile count beyond int32", Config{Width: 1 << 16, Height: 1 << 16}},
+		{"packet table beyond flit handles", Config{Width: 1 << 12, Height: 1 << 12, BufferFlits: 1 << 6}},
 	} {
 		if _, err := NewNetwork(tc.cfg, XY{}, flows, &Env{}); err == nil {
 			t.Errorf("%s: NewNetwork accepted %+v", tc.name, tc.cfg)

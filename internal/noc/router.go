@@ -2,9 +2,6 @@ package noc
 
 import "parm/internal/geom"
 
-// noOwner marks an output port with no wormhole channel allocated.
-const noOwner = -1
-
 // Port indices. The four cardinal ports come first, so a port below
 // portLocal also indexes the per-network neighbour table.
 const (
@@ -15,12 +12,12 @@ const (
 	portLocal
 )
 
-// Values of flit.out beyond the real port indices.
+// Values of router.route beyond the real port indices.
 const (
 	// portNone marks a head whose route named no port (geom.DirInvalid or
 	// an unknown direction): it requests no output and is never granted.
 	portNone = geom.NumPorts
-	// portUnrouted marks a flit with no output assigned yet.
+	// portUnrouted marks an input whose front flit has no output assigned.
 	portUnrouted = 0xFF
 )
 
@@ -49,9 +46,9 @@ func dirIndex(d geom.Dir) int {
 // cardinal output p enters the neighbouring router.
 var oppositePort = [4]uint8{portWest, portEast, portSouth, portNorth}
 
-// fifo is one input buffer: a fixed-capacity ring of flits. A ring keeps the
-// hot loop allocation-free — the slice-and-append FIFO it replaces leaked
-// front capacity on every pop and forced a reallocation per packet.
+// fifo is one input buffer: a fixed-capacity ring of flit handles. A ring
+// keeps the hot loop allocation-free — the slice-and-append FIFO it replaces
+// leaked front capacity on every pop and forced a reallocation per packet.
 type fifo struct {
 	buf  []flit
 	head int
@@ -60,35 +57,35 @@ type fifo struct {
 
 func (q *fifo) len() int { return q.n }
 
-func (q *fifo) push(f flit) {
+// tail returns the ring index just past the last flit.
+func (q *fifo) tail() int {
 	i := q.head + q.n
 	if i >= len(q.buf) {
 		i -= len(q.buf)
 	}
-	q.buf[i] = f
-	q.n++
+	return i
 }
 
-func (q *fifo) pop() flit {
-	f := q.buf[q.head]
-	q.head++
-	if q.head == len(q.buf) {
-		q.head = 0
-	}
-	q.n--
-	return f
+func (q *fifo) push(f flit) {
+	q.buf[q.tail()] = f
+	q.n++
 }
 
 // router is one 5-port input-buffered wormhole router.
 type router struct {
 	// inputs[p] is the FIFO of flits waiting at input port p.
 	inputs [geom.NumPorts]fifo
-	// buffered is the total flit count across all input ports; a router
-	// with buffered == 0 has no routing or switching work this cycle.
-	buffered int
+	// route[p] is the output port computed for the head at input p's front:
+	// portUnrouted until its route is computed (and for body and tail
+	// flits), portNone when the algorithm named no port. Every pop resets it.
+	route [geom.NumPorts]uint8
+	// occ has bit p set while input p holds a flit, owned has bit p set
+	// while output p's wormhole channel is held; a router with occ == 0 has
+	// no routing or switching work this cycle.
+	occ, owned uint8
 	// owner[p] is the input port that holds the wormhole channel to output
-	// port p, or noOwner.
-	owner [geom.NumPorts]int8
+	// port p (meaningful while owned has bit p set).
+	owner [geom.NumPorts]uint8
 	// rrPtr[p] is the round-robin arbitration pointer of output port p: the
 	// input that wins a tie next.
 	rrPtr [geom.NumPorts]uint8
@@ -115,10 +112,30 @@ func (r *router) occupancy(p int, capacity int) float64 {
 	return float64(r.inputs[p].len()) / float64(capacity)
 }
 
-// pendingArrival records a flit crossing a link this cycle, applied after
-// all routers have been stepped so a flit moves at most one hop per cycle.
+// pop removes input p's front flit as it crosses the switch.
+//
+//parm:hot
+func (r *router) pop(p int) flit {
+	q := &r.inputs[p]
+	f := q.buf[q.head]
+	q.head++
+	if q.head == len(q.buf) {
+		q.head = 0
+	}
+	q.n--
+	if q.n == 0 {
+		r.occ &^= 1 << p
+	}
+	r.route[p] = portUnrouted
+	r.forwarded++
+	return f
+}
+
+// pendingArrival is a link crossing this cycle into input port of router
+// to. Traversal has already written the handle just past that ring's tail;
+// applyArrivals bumps the count after all routers have been stepped, so a
+// flit moves at most one hop per cycle.
 type pendingArrival struct {
-	f    flit
 	to   int32
 	port uint8
 }
