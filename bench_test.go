@@ -128,11 +128,11 @@ func BenchmarkFig6ExecutionTime(b *testing.B) {
 }
 
 // BenchmarkEngineRunFig6Cell times one Fig. 6 cell (PARM+PANR, mixed
-// workload) end to end under the serial reference pipeline versus the
-// parallel, cached measurement pipeline. Both produce bit-identical metrics
-// (see core.TestPipelineSerialParallelDeterministic); the cell is the
-// evaluation's unit of work, so the ratio of these two is the speedup every
-// figure regeneration sees.
+// workload) end to end under the uncached reference pipeline versus the
+// cached measurement pipeline. Both produce bit-identical metrics (see
+// core.TestPipelineCachedMatchesUncached); the cell is the evaluation's unit
+// of work, so the ratio of these two is the speedup the measurement caches
+// give every figure regeneration.
 func BenchmarkEngineRunFig6Cell(b *testing.B) {
 	run := func(b *testing.B, cfg core.Config) {
 		fw := core.MustCombo("PARM", "PANR")
@@ -157,14 +157,14 @@ func BenchmarkEngineRunFig6Cell(b *testing.B) {
 			b.ReportMetric(m.TotalTime, "totalTime_s")
 		}
 	}
-	b.Run("serial", func(b *testing.B) {
+	b.Run("uncached", func(b *testing.B) {
 		run(b, core.Config{
 			SoftDeadlines:   true,
 			DisableNoCCache: true,
-			Chip:            chip.Config{PSNWorkers: 1, DisablePSNCache: true},
+			Chip:            chip.Config{DisablePSNCache: true},
 		})
 	})
-	b.Run("parallel", func(b *testing.B) {
+	b.Run("cached", func(b *testing.B) {
 		run(b, core.Config{SoftDeadlines: true})
 	})
 }

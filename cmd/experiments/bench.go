@@ -199,9 +199,9 @@ func runBench(outPath string, numApps int, seed int64, verbose func(string, ...i
 	}
 
 	// Full engine run (the Fig. 6 cell): PARM+PANR over a mixed sequence,
-	// serial PSN measurement vs the default parallel fan-out.
+	// exact cycle-level NoC measurement vs the auto (analytic) mode.
 	verbose("bench: engine run (PARM+PANR, %d mixed apps)", numApps)
-	engineRun := func(workers int, mode core.NoCMode) func() error {
+	engineRun := func(mode core.NoCMode) func() error {
 		return func() error {
 			w, err := appmodel.Generate(appmodel.WorkloadConfig{
 				Kind: appmodel.WorkloadMixed, NumApps: numApps, ArrivalGap: 0.06,
@@ -211,7 +211,6 @@ func runBench(outPath string, numApps int, seed int64, verbose func(string, ...i
 				return err
 			}
 			cfg := core.Config{SoftDeadlines: true, NoCMode: mode}
-			cfg.Chip.PSNWorkers = workers
 			eng, err := core.NewEngine(cfg, core.MustCombo("PARM", "PANR"))
 			if err != nil {
 				return err
@@ -220,13 +219,10 @@ func runBench(outPath string, numApps int, seed int64, verbose func(string, ...i
 			return err
 		}
 	}
-	if err := add(measure("engine_run/serial", 3, 2*time.Second, engineRun(1, core.NoCModeCycle))); err != nil {
+	if err := add(measure("engine_run/cycle", 3, 2*time.Second, engineRun(core.NoCModeCycle))); err != nil {
 		return err
 	}
-	if err := add(measure("engine_run/parallel", 3, 2*time.Second, engineRun(0, core.NoCModeCycle))); err != nil {
-		return err
-	}
-	if err := add(measure("engine_run/noc_auto", 3, 2*time.Second, engineRun(0, core.NoCModeAuto))); err != nil {
+	if err := add(measure("engine_run/noc_auto", 3, 2*time.Second, engineRun(core.NoCModeAuto))); err != nil {
 		return err
 	}
 
@@ -239,17 +235,14 @@ func runBench(outPath string, numApps int, seed int64, verbose func(string, ...i
 	if ph, hit := lookup("domain_solve/phasor"), lookup("domain_solve/cache_hit"); hit > 0 {
 		rep.Derived["speedup_cache_hit_vs_phasor"] = ph / hit
 	}
-	if ser, par := lookup("engine_run/serial"), lookup("engine_run/parallel"); par > 0 {
-		rep.Derived["speedup_engine_parallel_vs_serial"] = ser / par
-	}
 	if dense, cyc := lookup("noc_window/dense"), lookup("noc_window/cycle"); cyc > 0 {
 		rep.Derived["speedup_noc_cycle_vs_dense"] = dense / cyc
 	}
 	if dense, ana := lookup("noc_window/dense"), lookup("noc_window/analytic"); ana > 0 {
 		rep.Derived["speedup_noc_analytic_vs_dense"] = dense / ana
 	}
-	if par, auto := lookup("engine_run/parallel"), lookup("engine_run/noc_auto"); auto > 0 {
-		rep.Derived["speedup_engine_noc_auto_vs_cycle"] = par / auto
+	if cyc, auto := lookup("engine_run/cycle"), lookup("engine_run/noc_auto"); auto > 0 {
+		rep.Derived["speedup_engine_noc_auto_vs_cycle"] = cyc / auto
 	}
 
 	f, err := os.Create(outPath)

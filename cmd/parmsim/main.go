@@ -50,7 +50,6 @@ func main() {
 		decisionsOut = flag.String("decisions-out", "", "write the mapper decision provenance log as JSON to this file")
 		serveAddr    = flag.String("serve", "", "serve live telemetry on this address (e.g. :9090): /metrics, /healthz, /snapshot, /decisions, /trace, /debug/pprof/")
 		pprofAddr    = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); off when empty")
-		psnWorkers   = flag.Int("psnworkers", 0, "PSN solver workers per sample (0 = GOMAXPROCS)")
 	)
 	flag.Parse()
 
@@ -109,7 +108,6 @@ func main() {
 
 	cfg := core.Config{SoftDeadlines: *soft}
 	cfg.Chip.DsPB = power.Watts(*dspb)
-	cfg.Chip.PSNWorkers = *psnWorkers
 	cfg.NoCMode, err = core.ParseNoCMode(*nocMode)
 	if err != nil {
 		log.Fatal(err)

@@ -1,8 +1,7 @@
-// Command parmvet is the project's static-analysis suite: thirteen
-// analyzers that mechanically enforce the invariants the PARM measurement
-// pipeline's bit-identical-metrics guarantee rests on (see DESIGN.md §7),
-// including the whole-program determinism-taint pair detflow/maporder
-// (§7.4) and the whole-program concurrency pair racecheck/atomicmix (§7.5).
+// Command parmvet is the project's static-analysis suite: eleven analyzers
+// that mechanically enforce the invariants the PARM measurement pipeline's
+// bit-identical-metrics guarantee rests on (see DESIGN.md §7), including
+// the whole-program determinism-taint pair detflow/maporder (§7.4).
 //
 // Usage:
 //
@@ -17,9 +16,8 @@
 // (accepted findings that no longer fire); -baseline-write regenerates
 // that file from the current run.
 // Suppressions are //parm:orderfree, //parm:floateq, //parm:unitless,
-// //parm:pool, //parm:alloc, //parm:hold, //parm:errok, //parm:wallclock,
-// //parm:det, and //parm:conc comments on or directly above the flagged
-// line.
+// //parm:alloc, //parm:hold, //parm:errok, //parm:wallclock, and //parm:det
+// comments on or directly above the flagged line.
 package main
 
 import (

@@ -133,17 +133,16 @@ func TestRunRejectsUnknownAnalyzer(t *testing.T) {
 	if !strings.Contains(errOut.String(), "unknown analyzer") {
 		t.Fatalf("stderr missing explanation:\n%s", errOut.String())
 	}
-	if !strings.Contains(errOut.String(), "racecheck") {
+	if !strings.Contains(errOut.String(), "maporder") {
 		t.Fatalf("stderr does not list the valid analyzer names:\n%s", errOut.String())
 	}
 }
 
-func TestSuiteHasThirteenAnalyzers(t *testing.T) {
+func TestSuiteHasElevenAnalyzers(t *testing.T) {
 	want := map[string]bool{
 		"detrange": true, "poolgo": true, "unitsafe": true, "floateq": true,
 		"hotalloc": true, "lockhold": true, "errsink": true, "simclock": true,
 		"obsreg": true, "detflow": true, "maporder": true,
-		"racecheck": true, "atomicmix": true,
 	}
 	rules := parmvet.Rules()
 	if len(rules) != len(want) {

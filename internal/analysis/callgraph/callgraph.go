@@ -77,9 +77,8 @@ type Node struct {
 	Lit *ast.FuncLit
 	// Pkg is the package whose Info type-checked the node's body.
 	Pkg *analysis.ProgramPackage
-	// Out and In are the call edges, in deterministic build order.
+	// Out lists the outgoing call edges, in deterministic build order.
 	Out []*Edge
-	In  []*Edge
 
 	name string
 }
@@ -118,7 +117,6 @@ type Graph struct {
 	Nodes []*Node
 
 	byName map[string]*Node
-	byLit  map[*ast.FuncLit]*Node
 	// bySite indexes call edges by their CallExpr for the taint layer.
 	bySite map[ast.Node][]*Edge
 }
@@ -131,9 +129,6 @@ func (g *Graph) NodeOf(fn *types.Func) *Node {
 	}
 	return g.byName[fn.FullName()]
 }
-
-// NodeOfLit returns the node of a function literal, or nil.
-func (g *Graph) NodeOfLit(lit *ast.FuncLit) *Node { return g.byLit[lit] }
 
 // CalleesAt returns the candidate callees of one call expression, in
 // deterministic order. Unresolved (dynamic) calls return nil.
@@ -159,7 +154,6 @@ func Build(fset *token.FileSet, pkgs []*analysis.ProgramPackage) *Graph {
 		Fset:     fset,
 		Packages: pkgs,
 		byName:   make(map[string]*Node),
-		byLit:    make(map[*ast.FuncLit]*Node),
 		bySite:   make(map[ast.Node][]*Edge),
 	}
 
@@ -256,7 +250,6 @@ func (b *graphBuilder) addEdge(caller, callee *Node, site ast.Node, kind EdgeKin
 	}
 	e := &Edge{Caller: caller, Callee: callee, Site: site, Kind: kind}
 	caller.Out = append(caller.Out, e)
-	callee.In = append(callee.In, e)
 	if call, ok := site.(*ast.CallExpr); ok && (kind == Static || kind == Interface) {
 		b.g.bySite[call] = append(b.g.bySite[call], e)
 	}
@@ -273,7 +266,6 @@ func (b *graphBuilder) walk(owner *Node, pkg *analysis.ProgramPackage, body ast.
 		case *ast.FuncLit:
 			b.litSeq++
 			lit := &Node{Lit: n, Pkg: pkg, name: fmt.Sprintf("%s$lit%d", owner.Name(), b.litSeq)}
-			b.g.byLit[n] = lit
 			b.g.Nodes = append(b.g.Nodes, lit)
 			b.addEdge(owner, lit, n, Lit)
 			b.walk(lit, pkg, n.Body)

@@ -248,75 +248,3 @@ func TestForwardLoopFixpoint(t *testing.T) {
 		t.Error("loop-generated fact did not propagate around the back edge")
 	}
 }
-
-// mustTransfer gens fact X at assignments to identifiers named "genX" and
-// kills it at "killX", mirroring how the lockset analysis drives ForwardMust.
-func mustTransfer(b *Block, in Facts[string]) Facts[string] {
-	out := in.Clone()
-	for _, n := range b.Nodes {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok {
-			continue
-		}
-		id, ok := as.Lhs[0].(*ast.Ident)
-		if !ok {
-			continue
-		}
-		if name, ok := cutPrefix(id.Name, "gen"); ok {
-			out = out.Add(name)
-		} else if name, ok := cutPrefix(id.Name, "kill"); ok {
-			out.Delete(name)
-		}
-	}
-	return out
-}
-
-func cutPrefix(s, prefix string) (string, bool) {
-	if len(s) > len(prefix) && s[:len(prefix)] == prefix {
-		return s[len(prefix):], true
-	}
-	return "", false
-}
-
-// A fact generated on only one branch must not survive the join under the
-// must-analysis, while the may-analysis over the same graph keeps it — the
-// two disagree exactly there.
-func TestForwardMustIntersectsAtJoin(t *testing.T) {
-	g := buildGraph(t, "x := 1\nif x > 0 {\ngenL := 1\n_ = genL\n} else {\nx = 3\n}\n_ = x")
-	join := g.Blocks[len(g.Blocks)-1]
-	must := ForwardMust(g, []string{"L"}, mustTransfer)
-	if must[join].Has("L") {
-		t.Error("must-analysis kept a fact generated on only one branch")
-	}
-	may := Forward(g, mustTransfer)
-	if !may[join].Has("L") {
-		t.Error("may-analysis lost the branch fact")
-	}
-}
-
-func TestForwardMustKeepsFactHeldOnAllPaths(t *testing.T) {
-	g := buildGraph(t, "x := 1\nif x > 0 {\ngenL := 1\n_ = genL\n} else {\ngenL := 2\n_ = genL\n}\n_ = x")
-	join := g.Blocks[len(g.Blocks)-1]
-	in := ForwardMust(g, []string{"L"}, mustTransfer)
-	if !in[join].Has("L") {
-		t.Error("fact held on every path was dropped at the join")
-	}
-}
-
-// TOP initialization: a fact established before a loop must survive the
-// back-edge intersection when nothing in the body kills it, and must die
-// when the body kills it (the zero-iteration and some-iterations paths
-// disagree at the head).
-func TestForwardMustLoopBackEdge(t *testing.T) {
-	g := buildGraph(t, "genL := 1\nfor i := 0; i < 10; i++ {\n_ = i\n}\n_ = genL")
-	tail := g.Blocks[len(g.Blocks)-1]
-	if in := ForwardMust(g, []string{"L"}, mustTransfer); !in[tail].Has("L") {
-		t.Error("fact dropped crossing a loop that never kills it")
-	}
-
-	g = buildGraph(t, "genL := 1\nfor i := 0; i < 10; i++ {\nkillL := 1\n_ = killL\n}\n_ = genL")
-	tail = g.Blocks[len(g.Blocks)-1]
-	if in := ForwardMust(g, []string{"L"}, mustTransfer); in[tail].Has("L") {
-		t.Error("fact killed inside the loop survived to the exit")
-	}
-}

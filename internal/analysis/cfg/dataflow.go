@@ -47,71 +47,6 @@ func union[F comparable](dst, src Facts[F]) Facts[F] {
 	return dst
 }
 
-// ForwardMust runs a forward must-analysis to fixpoint: a block's input
-// facts are the INTERSECTION of its predecessors' outputs (a fact holds at
-// block entry only when it holds on every path), the entry block and
-// unreachable blocks start empty, and transfer maps a block's input set to
-// its output set. universe lists every fact the analysis can produce;
-// non-entry block outputs are initialized to it so the intersection does
-// not spuriously drop facts through not-yet-visited predecessors. It
-// returns the fixpoint INPUT facts of every block.
-//
-// transfer has the same contract as Forward's: monotone, and it must not
-// mutate the set it is given.
-func ForwardMust[F comparable](g *Graph, universe []F, transfer func(*Block, Facts[F]) Facts[F]) map[*Block]Facts[F] {
-	top := make(Facts[F], len(universe))
-	for _, k := range universe {
-		top = top.Add(k)
-	}
-	in := make(map[*Block]Facts[F], len(g.Blocks))
-	out := make(map[*Block]Facts[F], len(g.Blocks))
-	for i, b := range g.Blocks {
-		if i == 0 {
-			out[b] = transfer(b, nil)
-		} else {
-			out[b] = top.Clone()
-		}
-	}
-
-	work := make([]*Block, len(g.Blocks))
-	copy(work, g.Blocks)
-	queued := make(map[*Block]bool, len(g.Blocks))
-	for _, b := range work {
-		queued[b] = true
-	}
-
-	for len(work) > 0 {
-		b := work[0]
-		work = work[1:]
-		queued[b] = false
-
-		var newIn Facts[F]
-		if b.Index != 0 && len(b.Preds) > 0 {
-			newIn = out[b.Preds[0]].Clone()
-			for _, p := range b.Preds[1:] {
-				for k := range newIn {
-					if !out[p].Has(k) {
-						newIn.Delete(k)
-					}
-				}
-			}
-		}
-		newOut := transfer(b, newIn)
-		in[b] = newIn
-		if equal(newOut, out[b]) {
-			continue
-		}
-		out[b] = newOut
-		for _, s := range b.Succs {
-			if !queued[s] {
-				queued[s] = true
-				work = append(work, s)
-			}
-		}
-	}
-	return in
-}
-
 // Forward runs a forward may-analysis to fixpoint: a block's input facts are
 // the union of its predecessors' outputs (the entry block starts empty), and
 // transfer maps a block's input set to its output set. It returns the

@@ -21,13 +21,7 @@
 //     iteration order, channel arrival order, select choice, unseeded
 //     global rand, %p formatting — may flow into a determinism sink (json
 //     encoding, report tables, timeline records, core.Metrics stores),
-//     through any chain of calls, closures, or struct fields;
-//   - racecheck and atomicmix (whole-program, over internal/analysis/conc)
-//     police shared-state discipline: no two concurrently reachable
-//     accesses to a package variable, captured variable, or
-//     goroutine-escaped field may conflict without a common lock or a
-//     WaitGroup/channel join ordering them, and no location may mix
-//     sync/atomic with plain loads and stores.
+//     through any chain of calls, closures, or struct fields.
 //
 // cmd/parmvet is a thin wrapper around Check; the analysis driver test runs
 // the same suite over ./... so `go test` alone keeps the repository green
@@ -37,7 +31,6 @@ package parmvet
 import (
 	"strings"
 
-	"parm/internal/analysis/atomicmix"
 	"parm/internal/analysis/detflow"
 	"parm/internal/analysis/detrange"
 	"parm/internal/analysis/driver"
@@ -48,7 +41,6 @@ import (
 	"parm/internal/analysis/maporder"
 	"parm/internal/analysis/obsreg"
 	"parm/internal/analysis/poolgo"
-	"parm/internal/analysis/racecheck"
 	"parm/internal/analysis/simclock"
 	"parm/internal/analysis/unitsafe"
 )
@@ -112,8 +104,6 @@ func Rules() []driver.Rule {
 		// anchor, and the module owns all of it.
 		{Analyzer: detflow.Analyzer, Match: matchPrefix("parm/")},
 		{Analyzer: maporder.Analyzer, Match: matchPrefix("parm/")},
-		{Analyzer: racecheck.Analyzer, Match: matchPrefix("parm/")},
-		{Analyzer: atomicmix.Analyzer, Match: matchPrefix("parm/")},
 	}
 }
 

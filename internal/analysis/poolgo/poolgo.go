@@ -1,12 +1,13 @@
 // Package poolgo enforces the concurrency discipline of the simulation
-// packages: goroutine fan-out happens only inside the sanctioned bounded
-// worker pools (chip's PSN pool, expr's experiment pool), never ad hoc.
+// packages: the simulation pipeline is single-threaded by construction, and
+// goroutine fan-out lives above it (expr's experiment cells, reliability's
+// trials), where each worker owns a private engine.
 //
 // It reports two things:
 //
-//   - a `go` statement not annotated //parm:pool — unbounded spawning
-//     bypasses the pool sizing (Config.PSNWorkers) and can reorder the
-//     aggregation that keeps metrics bit-identical;
+//   - any `go` statement — a goroutine inside the pipeline would share its
+//     unsynchronized state and could reorder the aggregation that keeps
+//     metrics bit-identical;
 //   - a WaitGroup.Add call lexically inside a goroutine's function literal —
 //     the classic race where Wait may return before Add runs; Add must
 //     precede the `go` statement.
@@ -22,7 +23,7 @@ import (
 // Analyzer flags bare go statements and misplaced WaitGroup.Add calls.
 var Analyzer = &analysis.Analyzer{
 	Name: "poolgo",
-	Doc: "flags go statements outside sanctioned worker pools (//parm:pool) " +
+	Doc: "flags go statements in the single-threaded simulation packages " +
 		"and WaitGroup.Add calls inside the spawned goroutine",
 	Run: run,
 }
@@ -34,11 +35,8 @@ func run(pass *analysis.Pass) error {
 			if !ok {
 				return true
 			}
-			if !pass.Suppressed(f, gs.Pos(), "pool") {
-				pass.Reportf(gs.Pos(), "bare go statement bypasses the bounded worker pools; "+
-					"route the work through a pool or annotate the sanctioned pool //parm:pool")
-			}
-			// Whether sanctioned or not, Add inside the spawned body races.
+			pass.Reportf(gs.Pos(), "go statement in a single-threaded simulation package; "+
+				"fan work out above the engine, one private engine per worker")
 			if lit, ok := gs.Call.Fun.(*ast.FuncLit); ok {
 				checkAddInside(pass, lit)
 			}

@@ -1,5 +1,5 @@
-// Package fixture exercises the poolgo analyzer: goroutines outside
-// sanctioned pools fire, as does WaitGroup.Add inside the spawned body.
+// Package fixture exercises the poolgo analyzer: every goroutine fires, as
+// does WaitGroup.Add inside the spawned body.
 package fixture
 
 import "sync"
@@ -8,17 +8,17 @@ func work() {}
 
 // bare spawns ad hoc: fires.
 func bare() {
-	go work() // want `bare go statement bypasses the bounded worker pools`
+	go work() // want `go statement in a single-threaded simulation package`
 }
 
-// boundedPool is the sanctioned shape: Add before spawn, directive on the
-// go statement. No report.
+// boundedPool is a well-formed bounded pool (Add before spawn), and a
+// directive no longer sanctions it: fires.
 func boundedPool(n int) {
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		//parm:pool
-		go func() {
+		go func() { // want `go statement in a single-threaded simulation package`
 			defer wg.Done()
 			work()
 		}()
@@ -26,22 +26,10 @@ func boundedPool(n int) {
 	wg.Wait()
 }
 
-// addInsidePool is sanctioned but still races: Add fires.
-func addInsidePool() {
-	var wg sync.WaitGroup
-	//parm:pool
-	go func() {
-		wg.Add(1) // want `WaitGroup.Add inside the spawned goroutine races with Wait`
-		defer wg.Done()
-		work()
-	}()
-	wg.Wait()
-}
-
-// addInsideBare fires twice: bare spawn and misplaced Add.
-func addInsideBare() {
+// addInside fires twice: the spawn and the misplaced Add.
+func addInside() {
 	wg := &sync.WaitGroup{}
-	go func() { // want `bare go statement bypasses the bounded worker pools`
+	go func() { // want `go statement in a single-threaded simulation package`
 		wg.Add(1) // want `WaitGroup.Add inside the spawned goroutine races with Wait`
 		defer wg.Done()
 	}()
@@ -55,7 +43,7 @@ func (counter) Add(int) {}
 
 func otherAdd() {
 	var c counter
-	go func() { // want `bare go statement bypasses the bounded worker pools`
+	go func() { // want `go statement in a single-threaded simulation package`
 		c.Add(1)
 	}()
 }

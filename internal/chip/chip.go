@@ -8,8 +8,6 @@ package chip
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"parm/internal/geom"
 	"parm/internal/obs"
@@ -72,12 +70,8 @@ type Config struct {
 	DsPB power.Watts
 	// VddStep is the supply voltage granularity. Zero selects 0.1 V.
 	VddStep power.Volts
-	// PSNWorkers bounds the worker pool SamplePSN fans the per-domain
-	// transient solves out over. Zero selects GOMAXPROCS; 1 forces the
-	// serial reference path. Results are bit-identical for any value.
-	PSNWorkers int
 	// DisablePSNCache turns off the domain-solve memoization, forcing
-	// every sample to integrate every active domain (serial reference
+	// every sample to integrate every active domain (uncached reference
 	// mode for determinism tests and benchmarks).
 	DisablePSNCache bool
 	// PSNMode selects the domain transient solver algorithm (the zero
@@ -103,7 +97,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Chip is the CMP platform state.
+// Chip is the CMP platform state. A Chip is not safe for concurrent use:
+// mapping, unmapping and sampling all run on the engine's goroutine.
 type Chip struct {
 	Mesh geom.Mesh
 	Node power.NodeParams
@@ -116,23 +111,19 @@ type Chip struct {
 	tileDomain []DomainID
 	occupants  []Occupant
 
-	// psnWorkers is the resolved SamplePSN pool bound (>= 1).
-	psnWorkers int
 	// psnMode is the domain-solve algorithm every sample uses.
 	psnMode pdn.Mode
-	// solveCache memoizes domain solves across samples and workers; nil
-	// when caching is disabled.
+	// solveCache memoizes domain solves across samples; nil when caching
+	// is disabled.
 	solveCache *pdn.SolveCache
-	// solverPool recycles pdn.Solver scratch buffers across samples (one
-	// solver is checked out per worker per sample).
-	solverPool sync.Pool
+	// solver runs every domain solve, reusing its scratch buffers across
+	// samples.
+	solver *pdn.Solver
 
 	// Telemetry, pre-registered by Instrument; nil metrics discard updates.
 	obsSamples       *obs.Counter   // chip/psn/samples
 	obsDomainSolves  *obs.Counter   // chip/psn/domain_solves
-	obsWorkerLaunch  *obs.Counter   // chip/psn/worker_launches
 	obsActiveDomains *obs.Histogram // chip/psn/active_domains
-	solverObs        *pdn.SolverObs
 }
 
 // New builds a chip from cfg. It returns an error when the mesh dimensions
@@ -151,19 +142,11 @@ func New(cfg Config) (*Chip, error) {
 		tileDomain: make([]DomainID, m.NumTiles()),
 		occupants:  make([]Occupant, m.NumTiles()),
 	}
-	c.psnWorkers = cfg.PSNWorkers
-	if c.psnWorkers <= 0 {
-		c.psnWorkers = runtime.GOMAXPROCS(0)
-	}
 	c.psnMode = cfg.PSNMode
 	if !cfg.DisablePSNCache {
 		c.solveCache = pdn.NewSolveCache()
 	}
-	c.solverPool.New = func() interface{} {
-		s := pdn.NewSolver(c.solveCache)
-		s.Instrument(c.solverObs)
-		return s
-	}
+	c.solver = pdn.NewSolver(c.solveCache)
 	for i := range c.occupants {
 		c.occupants[i].App = NoApp
 	}
@@ -235,12 +218,8 @@ func (c *Chip) AssignDomain(d DomainID, app int, vdd power.Volts) error {
 	if dom.Occupied() {
 		return fmt.Errorf("chip: domain %d already occupied by app %d", d, dom.App)
 	}
-	// The racecheck engine sees SamplePSN's concurrent readers (the PSN
-	// pipeline stress test) but not the cross-function ordering that keeps
-	// them safe: the Chip contract is that mutation (Assign/Place/Release)
-	// is serialized by the caller and never overlaps sampling.
-	dom.App = app //parm:conc audited: mutation phase, callers serialize against SamplePSN readers
-	dom.Vdd = vdd //parm:conc audited: mutation phase, callers serialize against SamplePSN readers
+	dom.App = app
+	dom.Vdd = vdd
 	return nil
 }
 
@@ -267,17 +246,14 @@ func (c *Chip) PlaceTask(t geom.TileID, app, task int, class pdn.Class) error {
 // number of domains released.
 func (c *Chip) ReleaseApp(app int) int {
 	n := 0
-	// Same audited contract as AssignDomain above: mutation is serialized by
-	// the caller against SamplePSN readers, and the expr cell workers each
-	// own a private Chip the field-based engine conflates.
 	for i := range c.domains {
 		if c.domains[i].App == app {
-			c.domains[i].App = NoApp //parm:conc audited: mutation phase, callers serialize against SamplePSN readers
-			c.domains[i].Vdd = 0     //parm:conc audited: mutation phase, callers serialize against SamplePSN readers
+			c.domains[i].App = NoApp
+			c.domains[i].Vdd = 0
 			n++
 		}
 	}
-	for t := range c.occupants { //parm:conc audited: mutation phase, callers serialize against SamplePSN readers
+	for t := range c.occupants {
 		if c.occupants[t].App == app {
 			c.occupants[t] = Occupant{App: NoApp}
 		}

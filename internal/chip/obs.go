@@ -6,9 +6,8 @@ import (
 )
 
 // Instrument registers the chip's telemetry in r and threads the counter
-// sets down into the pdn layer (solve cache, pooled solvers). Call it once
-// at startup, before the first SamplePSN: solvers already sitting in the
-// pool are not retro-instrumented. A nil registry leaves the chip
+// sets down into the pdn layer (solve cache and solver). Call it once at
+// startup, before the first SamplePSN. A nil registry leaves the chip
 // uninstrumented; telemetry never alters sampling behavior or results.
 func (c *Chip) Instrument(r *obs.Registry) {
 	if r == nil {
@@ -16,11 +15,10 @@ func (c *Chip) Instrument(r *obs.Registry) {
 	}
 	c.obsSamples = r.Counter("chip/psn/samples")
 	c.obsDomainSolves = r.Counter("chip/psn/domain_solves")
-	c.obsWorkerLaunch = r.Counter("chip/psn/worker_launches")
-	// Active-domain population per sample; the chip has NumDomains() pool
-	// slots, so bucket on the occupancy range of the paper's 10x6 mesh.
+	// Active-domain population per sample; bucket on the occupancy range of
+	// the paper's 10x6 mesh (15 domains).
 	c.obsActiveDomains = r.Histogram("chip/psn/active_domains", []float64{1, 2, 4, 8, 12, 15})
-	c.solverObs = pdn.NewSolverObs(r)
+	c.solver.Instrument(pdn.NewSolverObs(r))
 	if c.solveCache != nil {
 		c.solveCache.Instrument(r)
 	}

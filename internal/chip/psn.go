@@ -2,8 +2,6 @@ package chip
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"parm/internal/pdn"
 )
@@ -50,24 +48,15 @@ func (s *PSNSample) ActiveAvg() float64 {
 	return sum / float64(n)
 }
 
-// psnJob is one active domain's solve input in a SamplePSN fan-out.
-type psnJob struct {
-	domain int
-	cfg    pdn.Config
-	loads  [pdn.DomainTiles]pdn.TileLoad
-}
-
 // SamplePSN transient-simulates every active domain and returns the chip's
 // PSN sample. routerUtil gives the measured NoC router utilization per tile
 // in [0,1] (flits forwarded per cycle, normalized); it may be nil when no
 // traffic information is available. Same-class tasks of the app owning a
 // domain are phase-staggered (see pdn.BuildLoads).
 //
-// The per-domain solves are independent, so they are fanned out over a
-// worker pool bounded by Config.PSNWorkers and aggregated in domain order;
-// repeated load signatures are served from the chip's solve cache (see
-// pdn.Solver). The sample is bit-identical for any worker count and with
-// the cache on or off.
+// Domains are solved one after another in domain order; repeated load
+// signatures are served from the chip's solve cache (see pdn.Solver). The
+// sample is bit-identical with the cache on or off.
 func (c *Chip) SamplePSN(routerUtil []float64) (*PSNSample, error) {
 	if routerUtil != nil && len(routerUtil) != c.Mesh.NumTiles() {
 		return nil, fmt.Errorf("chip: routerUtil length %d, want %d", len(routerUtil), c.Mesh.NumTiles())
@@ -78,14 +67,13 @@ func (c *Chip) SamplePSN(routerUtil []float64) (*PSNSample, error) {
 		DomainPeak: make([]float64, len(c.domains)),
 		DomainAvg:  make([]float64, len(c.domains)),
 	}
-	// Phase 1 (serial): gather the occupant state of every active domain
-	// into solve jobs. This touches chip state, so it stays on the caller.
-	jobs := make([]psnJob, 0, len(c.domains))
+	active := 0
 	for i := range c.domains {
 		d := &c.domains[i]
 		if !d.Occupied() {
 			continue
 		}
+		active++
 		var occ [pdn.DomainTiles]pdn.TileOccupant
 		for slot, t := range d.Tiles {
 			o := c.occupants[t]
@@ -108,73 +96,22 @@ func (c *Chip) SamplePSN(routerUtil []float64) (*PSNSample, error) {
 				Staggered: true, // same-app threads are barrier-synchronized
 			}
 		}
-		jobs = append(jobs, psnJob{
-			domain: i,
-			cfg:    pdn.Config{Params: c.Node, Vdd: d.Vdd, Mode: c.psnMode},
-			loads:  pdn.BuildLoads(occ),
-		})
-	}
-	if len(jobs) == 0 {
-		return s, nil
-	}
-	c.obsSamples.Inc()
-	c.obsDomainSolves.Add(uint64(len(jobs)))
-	c.obsActiveDomains.Observe(float64(len(jobs)))
-
-	// Phase 2 (parallel): solve the independent domains over the pool.
-	results := make([]pdn.Result, len(jobs))
-	errs := make([]error, len(jobs))
-	workers := c.psnWorkers
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	// Workers engaged this sample (the serial path runs on the caller).
-	c.obsWorkerLaunch.Add(uint64(workers))
-	if workers <= 1 {
-		solver := c.solverPool.Get().(*pdn.Solver)
-		for j := range jobs {
-			results[j], errs[j] = solver.SimulateDomain(jobs[j].cfg, jobs[j].loads)
+		cfg := pdn.Config{Params: c.Node, Vdd: d.Vdd, Mode: c.psnMode}
+		res, err := c.solver.SimulateDomain(cfg, pdn.BuildLoads(occ))
+		if err != nil {
+			return nil, fmt.Errorf("chip: domain %d: %w", i, err)
 		}
-		c.solverPool.Put(solver)
-	} else {
-		var wg sync.WaitGroup
-		var next atomic.Int64
-		next.Store(-1)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			// This is the sanctioned bounded pool the poolgo analyzer steers
-			// everything else toward: Add precedes the spawn, the pool size is
-			// capped by Config.PSNWorkers, and aggregation is order-independent.
-			//parm:pool
-			go func() {
-				defer wg.Done()
-				solver := c.solverPool.Get().(*pdn.Solver)
-				defer c.solverPool.Put(solver)
-				for {
-					j := int(next.Add(1))
-					if j >= len(jobs) {
-						return
-					}
-					results[j], errs[j] = solver.SimulateDomain(jobs[j].cfg, jobs[j].loads)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-
-	// Phase 3 (serial): aggregate in domain order — deterministic
-	// regardless of which worker solved which domain.
-	for j, job := range jobs {
-		if errs[j] != nil {
-			return nil, fmt.Errorf("chip: domain %d: %w", job.domain, errs[j])
-		}
-		res := results[j]
-		s.DomainPeak[job.domain] = res.DomainPeak()
-		s.DomainAvg[job.domain] = res.DomainAvg()
-		for slot, t := range c.domains[job.domain].Tiles {
+		s.DomainPeak[i] = res.DomainPeak()
+		s.DomainAvg[i] = res.DomainAvg()
+		for slot, t := range d.Tiles {
 			s.TilePeak[t] = res.PeakPSN[slot]
 			s.TileAvg[t] = res.AvgPSN[slot]
 		}
+	}
+	if active > 0 {
+		c.obsSamples.Inc()
+		c.obsDomainSolves.Add(uint64(active))
+		c.obsActiveDomains.Observe(float64(active))
 	}
 	return s, nil
 }

@@ -1,7 +1,6 @@
 package chip
 
 import (
-	"sync"
 	"testing"
 
 	"parm/internal/pdn"
@@ -55,40 +54,6 @@ func sameSample(a, b *PSNSample) bool {
 		eq(a.DomainPeak, b.DomainPeak) && eq(a.DomainAvg, b.DomainAvg)
 }
 
-// The parallel, cached sampling path must be bit-identical to the serial,
-// uncached reference for any worker count.
-func TestSamplePSNParallelMatchesSerial(t *testing.T) {
-	ref, err := New(Config{PSNWorkers: 1, DisablePSNCache: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	populate(t, ref)
-	util := utilRamp(ref)
-	want, err := ref.SamplePSN(util)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{0, 2, 4, 16} {
-		c, err := New(Config{PSNWorkers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		populate(t, c)
-		for rep := 0; rep < 2; rep++ { // second rep runs fully from cache
-			got, err := c.SamplePSN(util)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sameSample(got, want) {
-				t.Fatalf("workers=%d rep=%d: sample differs from serial reference", workers, rep)
-			}
-		}
-		if st := c.PSNCacheStats(); st.Hits == 0 || st.Misses == 0 {
-			t.Errorf("workers=%d: cache not exercised (hits=%d misses=%d)", workers, st.Hits, st.Misses)
-		}
-	}
-}
-
 // Repeated samples with an unchanged occupant set are served from the
 // solve cache: the second sample adds no misses.
 func TestSamplePSNCacheHitsOnRepeat(t *testing.T) {
@@ -114,54 +79,99 @@ func TestSamplePSNCacheHitsOnRepeat(t *testing.T) {
 	}
 }
 
-// Concurrent SamplePSN calls on one chip are safe (run with -race): the
-// sampler only reads chip state and synchronizes on the solver pool and
-// cache.
-func TestSamplePSNConcurrentCallers(t *testing.T) {
-	c, err := New(Config{PSNWorkers: 2})
-	if err != nil {
-		t.Fatal(err)
+// utilBatch returns a distinct router-utilization ramp per batch index, so
+// successive samples exercise different load signatures and cache keys.
+func utilBatch(c *Chip, b int) []float64 {
+	util := make([]float64, c.Mesh.NumTiles())
+	for i := range util {
+		util[i] = float64((i+3*b)%11) / 25
 	}
-	populate(t, c)
-	util := utilRamp(c)
-	want, err := c.SamplePSN(util)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 6; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for rep := 0; rep < 3; rep++ {
-				got, err := c.SamplePSN(util)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if !sameSample(got, want) {
-					t.Error("concurrent sample diverged")
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	return util
 }
 
-// BenchmarkSamplePSNParallel measures a full-chip PSN sample: the serial
-// uncached reference, the parallel uncached pool, and the steady-state
-// cached path (the hot path of every simulated second).
-func BenchmarkSamplePSNParallel(b *testing.B) {
-	bench := func(b *testing.B, cfg Config, util []float64) {
+// churn is one mutation epoch between sampling batches: it evicts whatever
+// occupies domain 0 and reassigns it to a fresh app at a different Vdd with
+// a different activity mix. Applied identically to both chips under test.
+func churn(t testing.TB, c *Chip, epoch int) {
+	t.Helper()
+	dom := c.Domain(0)
+	if occ := c.Occupant(dom.Tiles[0]); occ.App != NoApp {
+		c.ReleaseApp(occ.App)
+	}
+	app := 1000 + epoch
+	if err := c.AssignDomain(0, app, c.Vdds[epoch%len(c.Vdds)]); err != nil {
+		t.Fatal(err)
+	}
+	for slot, tile := range dom.Tiles {
+		class := pdn.High
+		if (slot+epoch)%2 == 0 {
+			class = pdn.Low
+		}
+		if err := c.PlaceTask(tile, app, slot, class); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestSamplePSNChurnMatchesUncached drives sampling the way the engine does
+// over a run: mutation epochs (release, reassign, re-place) alternate with
+// batches of samples over varying router utilization, each batch repeated so
+// later passes run from the solve cache. Every sample of the cached chip
+// must be bit-identical to the uncached reference chip mutated in lockstep.
+func TestSamplePSNChurnMatchesUncached(t *testing.T) {
+	ref, err := New(Config{DisablePSNCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cached, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	populate(t, ref)
+	populate(t, cached)
+
+	const (
+		batches = 5
+		epochs  = 3
+		reps    = 2
+	)
+	for epoch := 0; epoch < epochs; epoch++ {
+		if epoch > 0 {
+			churn(t, ref, epoch)
+			churn(t, cached, epoch)
+		}
+		for rep := 0; rep < reps; rep++ {
+			for b := 0; b < batches; b++ {
+				want, err := ref.SamplePSN(utilBatch(ref, b))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := cached.SamplePSN(utilBatch(cached, b))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sameSample(got, want) {
+					t.Fatalf("epoch=%d rep=%d batch=%d: cached sample differs from uncached reference", epoch, rep, b)
+				}
+			}
+		}
+	}
+	if st := cached.PSNCacheStats(); st.Hits == 0 || st.Misses == 0 {
+		t.Errorf("churn run did not exercise the solve cache (hits=%d misses=%d)", st.Hits, st.Misses)
+	}
+}
+
+// BenchmarkSamplePSN measures a full-chip PSN sample: the uncached
+// reference and the steady-state cached path (the hot path of every
+// simulated second).
+func BenchmarkSamplePSN(b *testing.B) {
+	bench := func(b *testing.B, cfg Config) {
 		c, err := New(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
 		populate(b, c)
-		if util == nil {
-			util = utilRamp(c)
-		}
+		util := utilRamp(c)
 		b.ResetTimer()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -170,13 +180,10 @@ func BenchmarkSamplePSNParallel(b *testing.B) {
 			}
 		}
 	}
-	b.Run("serial-nocache", func(b *testing.B) {
-		bench(b, Config{PSNWorkers: 1, DisablePSNCache: true}, nil)
+	b.Run("uncached", func(b *testing.B) {
+		bench(b, Config{DisablePSNCache: true})
 	})
-	b.Run("parallel-nocache", func(b *testing.B) {
-		bench(b, Config{DisablePSNCache: true}, nil)
-	})
-	b.Run("parallel-cached", func(b *testing.B) {
-		bench(b, Config{}, nil)
+	b.Run("cached", func(b *testing.B) {
+		bench(b, Config{})
 	})
 }

@@ -44,10 +44,10 @@ type Config struct {
 	SoftDeadlines bool
 	// DisableNoCCache forces a full NoC warmup+measurement on every
 	// map/unmap event even when the active flow set and the sensor PSN
-	// environment are unchanged since the last measurement (serial
+	// environment are unchanged since the last measurement (uncached
 	// reference mode for determinism tests and benchmarks). The chip-side
-	// measurement knobs live in Chip (PSNWorkers, DisablePSNCache, and
-	// PSNMode, which selects the domain transient solver algorithm).
+	// measurement knobs live in Chip (DisablePSNCache, and PSNMode, which
+	// selects the domain transient solver algorithm).
 	DisableNoCCache bool
 	// VEModel selects how voltage emergencies become completion-time
 	// penalties. The zero value VELegacy keeps the closed-form expected
@@ -57,7 +57,7 @@ type Config struct {
 	VEModel VEMode
 	// FaultSeed seeds the VERollback fault plan and, when NoCFaultInjection
 	// is set, the NoC packet-drop model. Zero selects 1. Runs with the same
-	// seed replay bit-identically regardless of PSN worker count.
+	// seed replay bit-identically.
 	FaultSeed int64
 	// NoCFaultInjection installs a seeded noise-proportional packet-drop
 	// model in every NoC measurement, populating the per-flow drop,
@@ -399,8 +399,8 @@ func (e *Engine) Chip() *chip.Chip { return e.chip }
 func (e *Engine) NoCCacheStats() (hits, misses int) { return e.nocHits, e.nocMisses }
 
 // CollectCacheStats attaches the run's measurement-cache counters (the pdn
-// domain-solve cache and the NoC measurement memo) to m. Opt-in because the
-// pdn hit/miss split varies with the PSN worker count; see Metrics.PDNCache.
+// domain-solve cache and the NoC measurement memo) to m. Opt-in so default
+// output stays unchanged; see Metrics.PDNCache.
 func (e *Engine) CollectCacheStats(m *Metrics) {
 	cs := e.chip.PSNCacheStats()
 	m.PDNCache = &cs

@@ -193,16 +193,15 @@ func TestEngineDeterministic(t *testing.T) {
 }
 
 // Byte-identical determinism: the fully serialized metrics of repeated
-// identical runs must match byte for byte, including across PSN worker
-// counts — the contract the sorted-iteration discipline (and the detrange
-// and poolgo analyzers that enforce it) protects. Stricter than
+// identical runs must match byte for byte — the contract the
+// sorted-iteration discipline (and the detrange and poolgo analyzers that
+// enforce it) protects. Stricter than
 // TestEngineDeterministic: every field of every outcome is covered.
 // Exercised per solver mode: the exact paths (expm, phasor) must be just as
 // reproducible as the RK4 reference, and auto must coincide with phasor.
 func TestEngineRunsByteIdentical(t *testing.T) {
-	run := func(workers int, mode pdn.Mode) []byte {
+	run := func(mode pdn.Mode) []byte {
 		cfg := Config{}
-		cfg.Chip.PSNWorkers = workers
 		cfg.Chip.PSNMode = mode
 		w := genWorkload(t, appmodel.WorkloadMixed, 6, 0.06, 14)
 		m := runOne(t, cfg, MustCombo("PARM", "PANR"), w)
@@ -215,15 +214,12 @@ func TestEngineRunsByteIdentical(t *testing.T) {
 	var autoBase []byte
 	for _, mode := range []pdn.Mode{pdn.ModeAuto, pdn.ModeRK4, pdn.ModeExpm, pdn.ModePhasor} {
 		t.Run(mode.String(), func(t *testing.T) {
-			base := run(1, mode)
+			base := run(mode)
 			if len(base) == 0 {
 				t.Fatal("empty metrics JSON")
 			}
-			if rerun := run(1, mode); !bytes.Equal(rerun, base) {
-				t.Error("two serial runs diverged")
-			}
-			if parallel := run(4, mode); !bytes.Equal(parallel, base) {
-				t.Error("4-worker run diverged from the serial reference")
+			if rerun := run(mode); !bytes.Equal(rerun, base) {
+				t.Error("two runs diverged")
 			}
 			switch mode {
 			case pdn.ModeAuto:
@@ -526,17 +522,16 @@ func TestVELegacyIsDefault(t *testing.T) {
 }
 
 // The rollback fault plan is part of the determinism contract: a fixed
-// FaultSeed replays bit-identically across reruns and PSN worker counts,
-// with NoC fault injection enabled too.
+// FaultSeed replays bit-identically across reruns, with NoC fault
+// injection enabled too.
 func TestRollbackModeByteIdentical(t *testing.T) {
-	run := func(workers int) []byte {
+	run := func() []byte {
 		cfg := Config{
 			SoftDeadlines:     true,
 			VEModel:           VERollback,
 			FaultSeed:         9,
 			NoCFaultInjection: true,
 		}
-		cfg.Chip.PSNWorkers = workers
 		w := genWorkload(t, appmodel.WorkloadCompute, 6, 0.04, 12)
 		m := runOne(t, cfg, MustCombo("HM", "XY"), w)
 		var buf bytes.Buffer
@@ -545,12 +540,9 @@ func TestRollbackModeByteIdentical(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	base := run(1)
-	if rerun := run(1); !bytes.Equal(rerun, base) {
-		t.Error("two serial rollback-mode runs diverged")
-	}
-	if parallel := run(4); !bytes.Equal(parallel, base) {
-		t.Error("4-worker rollback-mode run diverged from the serial reference")
+	base := run()
+	if rerun := run(); !bytes.Equal(rerun, base) {
+		t.Error("two rollback-mode runs diverged")
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 var updateEngineGolden = flag.Bool("update", false, "rewrite testdata/engine_golden.json")
 
 // This file anchors whole-engine output to recorded digests, independently of
-// the engine agreeing with itself across reruns or worker counts. Each case
+// the engine agreeing with itself across reruns. Each case
 // stores the SHA-256 of its Metrics JSON; any change to what the NoC loop,
 // the PDN solve or the mapper simulates shows up as a mismatch. The digests
 // are rewritten only with -update, when a change to simulated results is

@@ -98,10 +98,10 @@ type Metrics struct {
 
 	// PDNCache and NoCMemo optionally carry the run's measurement-cache
 	// counters (Engine.CollectCacheStats). They stay nil unless the caller
-	// asks for them: cache hit/miss splits depend on the PSN worker count
-	// (concurrent misses on one key race), so they are kept out of the
-	// simulation results that the bit-identical determinism contract covers
-	// and serialized only when present.
+	// asks for them: the splits are deterministic but describe the
+	// measurement caches rather than the simulated system, so they are kept
+	// out of the default results the engine golden digests cover and
+	// serialized only when present.
 	PDNCache *pdn.CacheStats
 	NoCMemo  *NoCMemoStats
 

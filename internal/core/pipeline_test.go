@@ -70,17 +70,17 @@ func TestAlgorithm1ScansPastSyncKnee(t *testing.T) {
 	}
 }
 
-// The parallel, cached measurement pipeline must produce bit-identical
-// metrics to the serial, uncached reference on the same workload — the
-// tentpole determinism contract (quantization is applied in both paths, the
-// caches key on exact inputs, and aggregation is ordered by domain index).
-func TestPipelineSerialParallelDeterministic(t *testing.T) {
-	serial := Config{
+// The cached measurement pipeline must produce bit-identical metrics to the
+// uncached reference on the same workload — the determinism contract
+// (quantization is applied in both paths and the caches key on exact
+// inputs).
+func TestPipelineCachedMatchesUncached(t *testing.T) {
+	uncached := Config{
 		SoftDeadlines:   true,
 		DisableNoCCache: true,
-		Chip:            chip.Config{PSNWorkers: 1, DisablePSNCache: true},
+		Chip:            chip.Config{DisablePSNCache: true},
 	}
-	parallel := Config{SoftDeadlines: true} // default: pooled workers + caches
+	cached := Config{SoftDeadlines: true} // default: both caches on
 
 	run := func(cfg Config) (*Metrics, *Engine) {
 		w := genWorkload(t, appmodel.WorkloadMixed, 6, 0.05, 42)
@@ -94,8 +94,8 @@ func TestPipelineSerialParallelDeterministic(t *testing.T) {
 		}
 		return m, eng
 	}
-	want, _ := run(serial)
-	got, eng := run(parallel)
+	want, _ := run(uncached)
+	got, eng := run(cached)
 
 	if got.TotalTime != want.TotalTime || got.PeakPSN != want.PeakPSN ||
 		got.AvgPSN != want.AvgPSN || got.MeanPacketLatency != want.MeanPacketLatency ||
@@ -189,7 +189,7 @@ func TestNoCMeasurementMemo(t *testing.T) {
 		t.Error("evicted entry still served from memo")
 	}
 
-	// DisableNoCCache keeps the serial reference path memo-free.
+	// DisableNoCCache keeps the uncached reference path memo-free.
 	ref, err := NewEngine(Config{DisableNoCCache: true}, MustCombo("PARM", "PANR"))
 	if err != nil {
 		t.Fatal(err)

@@ -14,7 +14,6 @@ import (
 func TestEngineRunsByteIdenticalWithTelemetry(t *testing.T) {
 	run := func(enable bool) []byte {
 		cfg := Config{}
-		cfg.Chip.PSNWorkers = 1
 		w := genWorkload(t, appmodel.WorkloadMixed, 6, 0.06, 14)
 		eng, err := NewEngine(cfg, MustCombo("PARM", "PANR"))
 		if err != nil {
@@ -74,6 +73,23 @@ func TestTelemetryCountersPopulated(t *testing.T) {
 	}
 	if int(r.Counter("engine/ves").Value()) != m.TotalVEs {
 		t.Errorf("engine/ves = %d, want %d", r.Counter("engine/ves").Value(), m.TotalVEs)
+	}
+	// Every domain solve goes through the chip's one instrumented solver and
+	// one cache lookup, and the telemetry mirrors agree with the cache's own
+	// counters.
+	solves := r.Counter("chip/psn/domain_solves").Value()
+	if bySolver := r.Counter("pdn/solve/phasor").Value() + r.Counter("pdn/solve/rk4").Value() +
+		r.Counter("pdn/solve/expm").Value(); bySolver != solves {
+		t.Errorf("pdn/solve/* total %d, want chip/psn/domain_solves %d", bySolver, solves)
+	}
+	hits, misses := r.Counter("pdn/cache/hits").Value(), r.Counter("pdn/cache/misses").Value()
+	if hits+misses != solves {
+		t.Errorf("pdn/cache hits %d + misses %d = %d, want chip/psn/domain_solves %d", hits, misses, hits+misses, solves)
+	}
+	eng.CollectCacheStats(m)
+	if m.PDNCache.Hits != hits || m.PDNCache.Misses != misses {
+		t.Errorf("CollectCacheStats hits/misses %d/%d, want telemetry %d/%d",
+			m.PDNCache.Hits, m.PDNCache.Misses, hits, misses)
 	}
 	if tl.Len() == 0 {
 		t.Fatal("timeline recorded no events")

@@ -2,8 +2,6 @@ package pdn
 
 import (
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"parm/internal/obs"
 	"parm/internal/power"
@@ -35,7 +33,7 @@ func quantize(v, q float64) float64 { return math.Round(v/q) * q }
 // QuantizeLoads snaps a 4-tile load signature to the solver's input grids.
 // Solver.SimulateDomain applies it before every solve, cached or not, so a
 // cached result is always the exact transient solution of the inputs the
-// serial path would integrate.
+// uncached path would integrate.
 func QuantizeLoads(loads [DomainTiles]TileLoad) [DomainTiles]TileLoad {
 	for i := range loads {
 		loads[i].IAvg = quantize(loads[i].IAvg, iavgQuantum)
@@ -66,17 +64,14 @@ type solveKey struct {
 // plain map stays cheap.
 const maxCacheEntries = 1 << 15
 
-// SolveCache memoizes domain transient solves across Solvers. It is safe
-// for concurrent use; chip.SamplePSN shares one cache across its worker
-// pool, so a load signature solved by any worker is reused by all.
+// SolveCache memoizes domain transient solves across samples. It is not
+// safe for concurrent use.
 type SolveCache struct {
-	mu     sync.RWMutex
 	m      map[solveKey]Result
-	hits   atomic.Uint64
-	misses atomic.Uint64
+	hits   uint64
+	misses uint64
 	// clears counts wholesale resets on overflow; evicted totals the
-	// entries those resets dropped. Both are guarded by mu (they only
-	// change under the write lock store already holds).
+	// entries those resets dropped.
 	clears  uint64
 	evicted uint64
 	// Telemetry mirrors, set once by Instrument before the first lookup.
@@ -90,21 +85,18 @@ func NewSolveCache() *SolveCache {
 }
 
 func (c *SolveCache) lookup(k solveKey) (Result, bool) {
-	c.mu.RLock()
 	r, ok := c.m[k]
-	c.mu.RUnlock()
 	if ok {
-		c.hits.Add(1)
+		c.hits++
 		c.obsHits.Inc()
 	} else {
-		c.misses.Add(1)
+		c.misses++
 		c.obsMisses.Inc()
 	}
 	return r, ok
 }
 
 func (c *SolveCache) store(k solveKey, r Result) {
-	c.mu.Lock()
 	if len(c.m) >= maxCacheEntries {
 		c.clears++
 		c.evicted += uint64(len(c.m))
@@ -113,7 +105,6 @@ func (c *SolveCache) store(k solveKey, r Result) {
 		c.m = make(map[solveKey]Result)
 	}
 	c.m[k] = r
-	c.mu.Unlock()
 }
 
 // CacheStats is a point-in-time snapshot of a SolveCache's lifetime
@@ -134,22 +125,18 @@ type CacheStats struct {
 // Stats reports the cache's hit/miss/eviction counters and current entry
 // count.
 func (c *SolveCache) Stats() CacheStats {
-	c.mu.RLock()
-	s := CacheStats{
+	return CacheStats{
+		Hits:    c.hits,
+		Misses:  c.misses,
 		Clears:  c.clears,
 		Evicted: c.evicted,
 		Entries: len(c.m),
 	}
-	c.mu.RUnlock()
-	s.Hits = c.hits.Load()
-	s.Misses = c.misses.Load()
-	return s
 }
 
 // Solver runs domain transient simulations with reusable scratch buffers
-// and an optional shared solve cache. A Solver is NOT safe for concurrent
-// use (the scratch is per-solve state); give each worker its own Solver and
-// share the SolveCache between them.
+// and an optional solve cache. A Solver is not safe for concurrent use (the
+// scratch is per-solve state).
 type Solver struct {
 	cache   *SolveCache
 	scratch solverScratch
@@ -201,8 +188,6 @@ func (s *Solver) SimulateDomain(cfg Config, loads [DomainTiles]TileLoad) (Result
 	if err != nil {
 		return Result{}, err
 	}
-	// Concurrent workers may race to compute the same key; both integrate
-	// the identical inputs, so last-write-wins stores the identical value.
 	s.cache.store(key, r)
 	return r, nil
 }

@@ -2,7 +2,6 @@ package pdn
 
 import (
 	"math"
-	"sync"
 	"testing"
 
 	"parm/internal/power"
@@ -147,44 +146,6 @@ func TestSolverScratchIsolation(t *testing.T) {
 	}
 	if ra1 != ra2 || rb1 != rb2 {
 		t.Error("scratch reuse changed results")
-	}
-}
-
-// A shared SolveCache is safe under concurrent solvers (run with -race).
-func TestSolveCacheConcurrent(t *testing.T) {
-	p := power.MustParams(power.Node7)
-	cache := NewSolveCache()
-	vdds := []power.Volts{0.4, 0.5, 0.6, 0.7, 0.8}
-	var wg sync.WaitGroup
-	results := make([][]Result, 8)
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			s := NewSolver(cache)
-			results[w] = make([]Result, len(vdds))
-			for rep := 0; rep < 3; rep++ {
-				for i, v := range vdds {
-					r, err := s.SimulateDomain(Config{Params: p, Vdd: v}, solverLoads(p, v))
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					results[w][i] = r
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for w := 1; w < 8; w++ {
-		for i := range vdds {
-			if results[w][i] != results[0][i] {
-				t.Errorf("worker %d vdd %g diverged", w, vdds[i])
-			}
-		}
-	}
-	if st := cache.Stats(); st.Hits+st.Misses != 8*3*uint64(len(vdds)) {
-		t.Errorf("stats lost updates: hits=%d misses=%d", st.Hits, st.Misses)
 	}
 }
 
