@@ -54,6 +54,39 @@ func sameSample(a, b *PSNSample) bool {
 		eq(a.DomainPeak, b.DomainPeak) && eq(a.DomainAvg, b.DomainAvg)
 }
 
+// The default sampling path (solve cache on) must be bit-identical to the
+// serial, uncached reference: on the first pass and on a repeat served
+// wholly from the cache.
+func TestSamplePSNParallelMatchesSerial(t *testing.T) {
+	ref, err := New(Config{DisablePSNCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	populate(t, ref)
+	util := utilRamp(ref)
+	want, err := ref.SamplePSN(util)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	populate(t, c)
+	for rep := 0; rep < 2; rep++ { // second rep runs fully from cache
+		got, err := c.SamplePSN(util)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameSample(got, want) {
+			t.Fatalf("rep=%d: sample differs from serial reference", rep)
+		}
+	}
+	if st := c.PSNCacheStats(); st.Hits == 0 || st.Misses == 0 {
+		t.Errorf("cache not exercised (hits=%d misses=%d)", st.Hits, st.Misses)
+	}
+}
+
 // Repeated samples with an unchanged occupant set are served from the
 // solve cache: the second sample adds no misses.
 func TestSamplePSNCacheHitsOnRepeat(t *testing.T) {
