@@ -12,8 +12,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"net/http"
-	_ "net/http/pprof" // registered handlers serve only when -pprof is set
 	"os"
 
 	"parm/internal/appmodel"
@@ -49,18 +47,8 @@ func main() {
 		timelineOut  = flag.String("timeline", "", "write the engine event timeline as Chrome trace JSON to this file (load at ui.perfetto.dev)")
 		decisionsOut = flag.String("decisions-out", "", "write the mapper decision provenance log as JSON to this file")
 		serveAddr    = flag.String("serve", "", "serve live telemetry on this address (e.g. :9090): /metrics, /healthz, /snapshot, /decisions, /trace, /debug/pprof/")
-		pprofAddr    = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); off when empty")
 	)
 	flag.Parse()
-
-	if *pprofAddr != "" {
-		go func() {
-			log.Printf("pprof listening on http://%s/debug/pprof/", *pprofAddr)
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				log.Printf("pprof server: %v", err)
-			}
-		}()
-	}
 
 	fw, err := core.Combo(*mapper, *routing)
 	if err != nil {

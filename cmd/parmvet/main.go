@@ -1,23 +1,23 @@
-// Command parmvet is the project's static-analysis suite: eleven analyzers
+// Command parmvet is the project's static-analysis suite: eight analyzers
 // that mechanically enforce the invariants the PARM measurement pipeline's
 // bit-identical-metrics guarantee rests on (see DESIGN.md §7), including
-// the whole-program determinism-taint pair detflow/maporder (§7.4).
+// det, which flags every nondeterminism source outside internal/analysis
+// (§7.4).
 //
 // Usage:
 //
-//	go run ./cmd/parmvet [-json] [-tests] [-run analyzer,...] [-baseline file | -baseline-write file] [packages]
+//	go run ./cmd/parmvet [-json] [-run analyzer,...] [-baseline file | -baseline-write file] [packages]
 //
 // It prints findings sorted by (file, line, column, analyzer), one per line
 // in file:line:col form (or, with -json, one JSON object per line), and
 // exits nonzero when any analyzer fires. -run restricts the suite to a
-// comma-separated subset of analyzers; -tests extends the analysis to
-// _test.go files (off by default, on in CI). -baseline filters findings
-// through an accepted-findings JSON file and errors on stale entries
-// (accepted findings that no longer fire); -baseline-write regenerates
-// that file from the current run.
-// Suppressions are //parm:orderfree, //parm:floateq, //parm:unitless,
-// //parm:alloc, //parm:hold, //parm:errok, //parm:wallclock, and //parm:det
-// comments on or directly above the flagged line.
+// comma-separated subset of analyzers. -baseline filters findings through
+// an accepted-findings JSON file and errors on stale entries (accepted
+// findings that no longer fire); -baseline-write regenerates that file from
+// the current run.
+// Suppressions are //parm:det (with a reason), //parm:floateq,
+// //parm:unitless, //parm:alloc, //parm:hold, //parm:errok and
+// //parm:obsreg comments on or directly above the flagged line.
 package main
 
 import (
@@ -45,11 +45,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	jsonOut := fs.Bool("json", false, "print findings as one JSON object per line")
 	runFilter := fs.String("run", "", "comma-separated analyzer names to run (default: all)")
-	withTests := fs.Bool("tests", false, "also analyze _test.go files")
 	baseline := fs.String("baseline", "", "filter findings through this accepted-findings JSON file; stale entries are an error")
 	baselineWrite := fs.String("baseline-write", "", "write the current findings to this baseline file and exit clean")
 	fs.Usage = func() {
-		fprintf(stderr, "usage: parmvet [-json] [-tests] [-run analyzer,...] [-baseline file | -baseline-write file] [packages]\n\n")
+		fprintf(stderr, "usage: parmvet [-json] [-run analyzer,...] [-baseline file | -baseline-write file] [packages]\n\n")
 		fprintf(stderr, "Analyzers:\n")
 		for _, r := range parmvet.Rules() {
 			fprintf(stderr, "  %-10s %s\n", r.Analyzer.Name, r.Analyzer.Doc)
@@ -68,7 +67,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	findings, err := driver.RunDirOpts("", patterns, rules, driver.Options{Tests: *withTests})
+	findings, err := driver.Run(patterns, rules)
 	if err != nil {
 		fprintf(stderr, "parmvet: %v\n", err)
 		return 2

@@ -133,16 +133,15 @@ func TestRunRejectsUnknownAnalyzer(t *testing.T) {
 	if !strings.Contains(errOut.String(), "unknown analyzer") {
 		t.Fatalf("stderr missing explanation:\n%s", errOut.String())
 	}
-	if !strings.Contains(errOut.String(), "maporder") {
+	if !strings.Contains(errOut.String(), "obsreg") {
 		t.Fatalf("stderr does not list the valid analyzer names:\n%s", errOut.String())
 	}
 }
 
-func TestSuiteHasElevenAnalyzers(t *testing.T) {
+func TestSuiteHasEightAnalyzers(t *testing.T) {
 	want := map[string]bool{
-		"detrange": true, "poolgo": true, "unitsafe": true, "floateq": true,
-		"hotalloc": true, "lockhold": true, "errsink": true, "simclock": true,
-		"obsreg": true, "detflow": true, "maporder": true,
+		"det": true, "poolgo": true, "unitsafe": true, "floateq": true,
+		"hotalloc": true, "lockhold": true, "errsink": true, "obsreg": true,
 	}
 	rules := parmvet.Rules()
 	if len(rules) != len(want) {

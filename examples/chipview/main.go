@@ -38,8 +38,9 @@ func main() {
 				log.Fatal(err)
 			}
 		}
-		for task, tile := range pl.TaskTile {
-			if err := c.PlaceTask(tile, appID, int(task), g.Tasks[task].Activity); err != nil {
+		for task := range g.Tasks {
+			tile := pl.TaskTile[appmodel.TaskID(task)]
+			if err := c.PlaceTask(tile, appID, task, g.Tasks[task].Activity); err != nil {
 				log.Fatal(err)
 			}
 		}

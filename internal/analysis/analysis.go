@@ -25,22 +25,16 @@ import (
 	"strings"
 )
 
-// Analyzer describes one static check. Exactly one of Run and RunProgram is
-// set: Run analyzers see one package at a time, RunProgram analyzers see the
-// whole loaded program at once (call graphs, cross-package flows).
+// Analyzer describes one static check over one package at a time.
 type Analyzer struct {
 	// Name is the short identifier used in diagnostics and suppression
-	// documentation, e.g. "detrange".
+	// documentation, e.g. "det".
 	Name string
 	// Doc is the one-paragraph description shown by `parmvet help`.
 	Doc string
 	// Run executes the check on one package, reporting findings through
 	// pass.Report.
 	Run func(*Pass) error
-	// RunProgram executes a whole-program check over every loaded package
-	// at once. The driver invokes it exactly once per load, after all
-	// packages have type-checked.
-	RunProgram func(*ProgramPass) error
 }
 
 // Pass carries one analyzed package to an Analyzer's Run function.
@@ -82,14 +76,6 @@ func (p *Pass) Directives(f *ast.File) map[int][]string {
 	if d, ok := p.directives[f]; ok {
 		return d
 	}
-	d := fileDirectives(p.Fset, f)
-	p.directives[f] = d
-	return d
-}
-
-// fileDirectives scans one file's comments for //parm: directives, keyed by
-// annotated line (the directive's own line and the line below it).
-func fileDirectives(fset *token.FileSet, f *ast.File) map[int][]string {
 	d := make(map[int][]string)
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
@@ -100,11 +86,12 @@ func fileDirectives(fset *token.FileSet, f *ast.File) map[int][]string {
 			if i := strings.IndexAny(name, " \t"); i >= 0 {
 				name = name[:i]
 			}
-			line := fset.Position(c.Pos()).Line
+			line := p.Fset.Position(c.Pos()).Line
 			d[line] = append(d[line], name)
 			d[line+1] = append(d[line+1], name)
 		}
 	}
+	p.directives[f] = d
 	return d
 }
 
@@ -134,86 +121,4 @@ func (p *Pass) FileOf(pos token.Pos) *ast.File {
 func IsFloat(t types.Type) bool {
 	b, ok := t.Underlying().(*types.Basic)
 	return ok && b.Info()&(types.IsFloat|types.IsComplex) != 0
-}
-
-// ProgramPackage is one loaded package as a whole-program analyzer sees it.
-// It mirrors the driver's package shape without importing the driver, so the
-// analysis layer stays the dependency root.
-type ProgramPackage struct {
-	// Path is the import path (e.g. "parm/internal/core").
-	Path string
-	// Files holds every parsed file of the package.
-	Files []*ast.File
-	// Analyzable is the subset of Files findings may anchor in (generated
-	// files type-check but are nobody's lint problem).
-	Analyzable []*ast.File
-	Types      *types.Package
-	Info       *types.Info
-}
-
-// ProgramPass carries the entire loaded program to an Analyzer's RunProgram
-// function. Packages appear in dependency order (imports before importers).
-type ProgramPass struct {
-	Analyzer *Analyzer
-	Fset     *token.FileSet
-	Packages []*ProgramPackage
-
-	// Report records one diagnostic. The driver supplies it.
-	Report func(Diagnostic)
-
-	directives map[*ast.File]map[int][]string
-}
-
-// Reportf formats and records a diagnostic at pos.
-func (p *ProgramPass) Reportf(pos token.Pos, format string, args ...interface{}) {
-	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
-}
-
-// FileOf returns the file containing pos and its package, or nils.
-func (p *ProgramPass) FileOf(pos token.Pos) (*ast.File, *ProgramPackage) {
-	for _, pkg := range p.Packages {
-		for _, f := range pkg.Files {
-			if f.FileStart <= pos && pos < f.FileEnd {
-				return f, pkg
-			}
-		}
-	}
-	return nil, nil
-}
-
-// Analyzable reports whether pos falls in a file findings may anchor in.
-func (p *ProgramPass) Analyzable(pos token.Pos) bool {
-	f, pkg := p.FileOf(pos)
-	if f == nil {
-		return false
-	}
-	for _, a := range pkg.Analyzable {
-		if a == f {
-			return true
-		}
-	}
-	return false
-}
-
-// Suppressed reports whether a //parm:<name> directive annotates the line of
-// pos, wherever in the program it falls.
-func (p *ProgramPass) Suppressed(pos token.Pos, name string) bool {
-	f, _ := p.FileOf(pos)
-	if f == nil {
-		return false
-	}
-	if p.directives == nil {
-		p.directives = make(map[*ast.File]map[int][]string)
-	}
-	d, ok := p.directives[f]
-	if !ok {
-		d = fileDirectives(p.Fset, f)
-		p.directives[f] = d
-	}
-	for _, n := range d[p.Fset.Position(pos).Line] {
-		if n == name {
-			return true
-		}
-	}
-	return false
 }

@@ -10,19 +10,6 @@
 // The backquoted text is a regular expression matched against the
 // diagnostic message. A line may carry several `// want` comments; every
 // expectation must be matched by exactly one diagnostic and vice versa.
-//
-// Two fixture shapes are supported. Run loads every .go file directly under
-// dir as one package, for single-package analyzers. RunProgram (and the
-// LoadPackages helper under it) loads a fixture module rooted at dir: every
-// directory below dir that holds .go files is one package, importable by
-// its slash path relative to dir — so a tree like
-//
-//	testdata/src/parm/internal/core/metrics.go
-//	testdata/src/parm/internal/report/report.go
-//
-// yields packages "parm/internal/core" and "parm/internal/report" with
-// working cross-imports, letting whole-program analyzers exercise flows
-// through the same import paths their production source/sink tables name.
 package analysistest
 
 import (
@@ -31,7 +18,6 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -153,147 +139,6 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer) {
 		Report:    func(d analysis.Diagnostic) { got = append(got, d) },
 	}
 	if err := a.Run(pass); err != nil {
-		t.Fatalf("analysistest: %s: %v", a.Name, err)
-	}
-	diff(t, fset, got, expects)
-}
-
-// LoadPackages loads the fixture module rooted at dir: every directory
-// below dir holding .go files becomes one package whose import path is its
-// slash-separated path relative to dir. Imports between fixture packages
-// resolve inside the tree; everything else resolves from $GOROOT source.
-// Packages come back in dependency order (imports before importers), with
-// the fileset and every `// want` expectation found in the tree.
-func LoadPackages(t *testing.T, dir string) (*token.FileSet, []*analysis.ProgramPackage) {
-	t.Helper()
-	fset, pkgs, _ := loadPackages(t, dir)
-	return fset, pkgs
-}
-
-func loadPackages(t *testing.T, dir string) (*token.FileSet, []*analysis.ProgramPackage, []*expectation) {
-	t.Helper()
-	// Discover fixture packages: directories with .go files.
-	pkgDirs := make(map[string]string) // import path -> directory
-	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(d.Name(), ".go") {
-			return err
-		}
-		rel, err := filepath.Rel(dir, filepath.Dir(path))
-		if err != nil {
-			return err
-		}
-		pkgDirs[filepath.ToSlash(rel)] = filepath.Dir(path)
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("analysistest: %v", err)
-	}
-	if len(pkgDirs) == 0 {
-		t.Fatalf("analysistest: no fixture packages under %s", dir)
-	}
-
-	fset := token.NewFileSet()
-	var expects []*expectation
-	var order []*analysis.ProgramPackage
-	checked := make(map[string]*analysis.ProgramPackage)
-	checking := make(map[string]bool)
-	std := importer.ForCompiler(fset, "source", nil)
-
-	var check func(path string) (*analysis.ProgramPackage, error)
-	imp := importerFunc(func(path string) (*types.Package, error) {
-		if _, ok := pkgDirs[path]; ok {
-			pkg, err := check(path)
-			if err != nil {
-				return nil, err
-			}
-			return pkg.Types, nil
-		}
-		return std.Import(path)
-	})
-	check = func(path string) (*analysis.ProgramPackage, error) {
-		if pkg, ok := checked[path]; ok {
-			return pkg, nil
-		}
-		if checking[path] {
-			t.Fatalf("analysistest: import cycle through %s", path)
-		}
-		checking[path] = true
-		defer delete(checking, path)
-
-		pdir := pkgDirs[path]
-		entries, err := os.ReadDir(pdir)
-		if err != nil {
-			return nil, err
-		}
-		var files []*ast.File
-		for _, e := range entries {
-			if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-				continue
-			}
-			fpath := filepath.Join(pdir, e.Name())
-			src, err := os.ReadFile(fpath)
-			if err != nil {
-				return nil, err
-			}
-			f, err := parser.ParseFile(fset, fpath, src, parser.ParseComments)
-			if err != nil {
-				return nil, err
-			}
-			files = append(files, f)
-			expects = append(expects, collectWants(t, fpath, src)...)
-		}
-		info := &types.Info{
-			Types:      make(map[ast.Expr]types.TypeAndValue),
-			Defs:       make(map[*ast.Ident]types.Object),
-			Uses:       make(map[*ast.Ident]types.Object),
-			Selections: make(map[*ast.SelectorExpr]*types.Selection),
-			Scopes:     make(map[ast.Node]*types.Scope),
-		}
-		conf := types.Config{Importer: imp}
-		tpkg, err := conf.Check(path, fset, files, info)
-		if err != nil {
-			return nil, err
-		}
-		pkg := &analysis.ProgramPackage{
-			Path: path, Files: files, Analyzable: files, Types: tpkg, Info: info,
-		}
-		checked[path] = pkg
-		order = append(order, pkg)
-		return pkg, nil
-	}
-
-	paths := make([]string, 0, len(pkgDirs))
-	for p := range pkgDirs {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	for _, p := range paths {
-		if _, err := check(p); err != nil {
-			t.Fatalf("analysistest: type-checking %s: %v", p, err)
-		}
-	}
-	return fset, order, expects
-}
-
-// importerFunc adapts a function to types.Importer.
-type importerFunc func(path string) (*types.Package, error)
-
-func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
-
-// RunProgram loads the fixture module rooted at dir (see LoadPackages),
-// applies a whole-program analyzer, and diffs its diagnostics against the
-// `// want` comments anywhere in the tree.
-func RunProgram(t *testing.T, dir string, a *analysis.Analyzer) {
-	t.Helper()
-	fset, pkgs, expects := loadPackages(t, dir)
-	var got []analysis.Diagnostic
-	pass := &analysis.ProgramPass{
-		Analyzer: a,
-		Fset:     fset,
-		Packages: pkgs,
-		Report:   func(d analysis.Diagnostic) { got = append(got, d) },
-	}
-	if err := a.RunProgram(pass); err != nil {
 		t.Fatalf("analysistest: %s: %v", a.Name, err)
 	}
 	diff(t, fset, got, expects)

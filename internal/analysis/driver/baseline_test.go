@@ -9,9 +9,9 @@ import (
 
 func baselineFindings() []Finding {
 	return []Finding{
-		{Analyzer: "detflow", Pos: token.Position{Filename: "/x/chip/psn.go", Line: 10, Column: 2}, Message: "tainted sink"},
-		{Analyzer: "detflow", Pos: token.Position{Filename: "/x/chip/psn.go", Line: 20, Column: 2}, Message: "tainted sink"},
-		{Analyzer: "maporder", Pos: token.Position{Filename: "/x/obs/reg.go", Line: 5, Column: 1}, Message: "unordered range"},
+		{Analyzer: "det", Pos: token.Position{Filename: "/x/chip/psn.go", Line: 10, Column: 2}, Message: "range over map"},
+		{Analyzer: "det", Pos: token.Position{Filename: "/x/chip/psn.go", Line: 20, Column: 2}, Message: "range over map"},
+		{Analyzer: "floateq", Pos: token.Position{Filename: "/x/obs/reg.go", Line: 5, Column: 1}, Message: "== on float"},
 	}
 }
 
@@ -24,7 +24,7 @@ func TestBaselineRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadBaseline: %v", err)
 	}
-	// Two classes: psn.go/detflow count 2, reg.go/maporder count 1,
+	// Two classes: psn.go/det count 2, reg.go/floateq count 1,
 	// sorted by file.
 	if len(entries) != 2 {
 		t.Fatalf("got %d entries, want 2: %+v", len(entries), entries)
@@ -32,8 +32,8 @@ func TestBaselineRoundTrip(t *testing.T) {
 	if entries[0].File != "psn.go" || entries[0].Count != 2 {
 		t.Fatalf("entry 0 = %+v, want psn.go count 2", entries[0])
 	}
-	if entries[1].File != "reg.go" || entries[1].Analyzer != "maporder" {
-		t.Fatalf("entry 1 = %+v, want reg.go maporder", entries[1])
+	if entries[1].File != "reg.go" || entries[1].Analyzer != "floateq" {
+		t.Fatalf("entry 1 = %+v, want reg.go floateq", entries[1])
 	}
 	kept, stale := ApplyBaseline(baselineFindings(), entries)
 	if len(kept) != 0 || len(stale) != 0 {
@@ -56,17 +56,17 @@ func TestBaselineEmptyRoundTrip(t *testing.T) {
 }
 
 func TestApplyBaselineKeepsNewFindings(t *testing.T) {
-	entries := []BaselineEntry{{File: "psn.go", Analyzer: "detflow", Message: "tainted sink", Count: 2}}
+	entries := []BaselineEntry{{File: "psn.go", Analyzer: "det", Message: "range over map", Count: 2}}
 	extra := append(baselineFindings(), Finding{
-		Analyzer: "detflow",
+		Analyzer: "det",
 		Pos:      token.Position{Filename: "/x/chip/psn.go", Line: 30, Column: 2},
-		Message:  "tainted sink",
+		Message:  "range over map",
 	})
 	kept, stale := ApplyBaseline(extra, entries)
 	if len(stale) != 0 {
 		t.Fatalf("stale = %+v, want none", stale)
 	}
-	// The third psn.go finding exceeds the budget and the maporder one was
+	// The third psn.go finding exceeds the budget and the floateq one was
 	// never accepted: both must survive.
 	if len(kept) != 2 {
 		t.Fatalf("kept %d findings, want 2: %+v", len(kept), kept)
@@ -75,12 +75,12 @@ func TestApplyBaselineKeepsNewFindings(t *testing.T) {
 
 func TestApplyBaselineReportsStale(t *testing.T) {
 	entries := []BaselineEntry{
-		{File: "psn.go", Analyzer: "detflow", Message: "tainted sink", Count: 5},
+		{File: "psn.go", Analyzer: "det", Message: "range over map", Count: 5},
 		{File: "gone.go", Analyzer: "floateq", Message: "== on float", Count: 1},
 	}
 	kept, stale := ApplyBaseline(baselineFindings(), entries)
-	if len(kept) != 1 || kept[0].Analyzer != "maporder" {
-		t.Fatalf("kept = %+v, want only the maporder finding", kept)
+	if len(kept) != 1 || kept[0].Analyzer != "floateq" {
+		t.Fatalf("kept = %+v, want only the floateq finding", kept)
 	}
 	if len(stale) != 2 {
 		t.Fatalf("stale = %+v, want 2 entries", stale)

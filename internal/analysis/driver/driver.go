@@ -26,21 +26,10 @@ import (
 
 // listedPackage is the slice of `go list -json` output the loader consumes.
 type listedPackage struct {
-	ImportPath   string
-	Dir          string
-	GoFiles      []string
-	TestGoFiles  []string
-	XTestGoFiles []string
-	Imports      []string
-}
-
-// Options configures a load or run.
-type Options struct {
-	// Tests includes each package's _test.go files: in-package test files
-	// join their package (type-checked as an augmented variant so importers
-	// still see the pure package and test-only import cycles cannot form),
-	// and external test packages load as "<path>_test".
-	Tests bool
+	ImportPath string
+	Dir        string
+	GoFiles    []string
+	Imports    []string
 }
 
 // Package is one loaded, type-checked module package.
@@ -73,21 +62,10 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s: %s (%s)", f.Pos, f.Message, f.Analyzer)
 }
 
-// Load enumerates and type-checks the module packages named by patterns
-// (e.g. "./..."), returning them in dependency order.
-func Load(fset *token.FileSet, patterns []string) ([]*Package, error) {
-	return LoadDir(fset, "", patterns)
-}
-
-// LoadDir is Load with the package patterns resolved relative to dir (the
-// process working directory when dir is empty). Tests point it at throwaway
-// modules.
+// LoadDir enumerates and type-checks the module packages named by patterns
+// (e.g. "./..."), resolved relative to dir (the process working directory
+// when dir is empty), returning them in dependency order.
 func LoadDir(fset *token.FileSet, dir string, patterns []string) ([]*Package, error) {
-	return LoadDirOpts(fset, dir, patterns, Options{})
-}
-
-// LoadDirOpts is LoadDir with explicit options.
-func LoadDirOpts(fset *token.FileSet, dir string, patterns []string, opts Options) ([]*Package, error) {
 	listed, err := goList(dir, patterns)
 	if err != nil {
 		return nil, err
@@ -141,36 +119,6 @@ func LoadDirOpts(fset *token.FileSet, dir string, patterns []string, opts Option
 			return nil, err
 		}
 		out = append(out, pkg)
-	}
-	if !opts.Tests {
-		return out, nil
-	}
-
-	// Second phase: augment packages with their test files. The base
-	// packages above stay the import-resolution truth, so a test-only
-	// dependency back onto an importer cannot cycle; the augmented variant
-	// (and any external "<path>_test" package, checked against the augmented
-	// types so export_test.go bridges resolve) replaces or follows the base
-	// in the analysis list only.
-	for i, path := range order {
-		lp := byPath[path]
-		base := out[i]
-		aug := base
-		if len(lp.TestGoFiles) > 0 {
-			aug, err = imp.checkVariant(path, lp.Dir, base, lp.TestGoFiles, nil)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = aug
-		}
-		if len(lp.XTestGoFiles) > 0 {
-			xt, err := imp.checkVariant(path+"_test", lp.Dir, nil, lp.XTestGoFiles,
-				map[string]*types.Package{path: aug.Types})
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, xt)
-		}
 	}
 	return out, nil
 }
@@ -250,69 +198,6 @@ func (m *moduleImporter) check(path string) (*Package, error) {
 	return pkg, nil
 }
 
-// checkVariant type-checks a package variant: the base package's already
-// parsed files (when base is non-nil) plus the named extra files from dir,
-// under fresh type information, without touching the import-resolution
-// state. overrides substitute specific import paths — an external test
-// package imports its subject's augmented types so export_test.go bridges
-// resolve.
-func (m *moduleImporter) checkVariant(pkgPath, dir string, base *Package, names []string, overrides map[string]*types.Package) (*Package, error) {
-	var files, analyzable []*ast.File
-	if base != nil {
-		files = append(files, base.Files...)
-		analyzable = append(analyzable, base.Analyzable...)
-	}
-	for _, name := range names {
-		fullPath := filepath.Join(dir, name)
-		src, err := os.ReadFile(fullPath)
-		if err != nil {
-			return nil, fmt.Errorf("driver: reading %s: %w", fullPath, err)
-		}
-		if hasIgnoreConstraint(src) {
-			continue
-		}
-		f, err := parser.ParseFile(m.fset, fullPath, src, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-		if !ast.IsGenerated(f) {
-			analyzable = append(analyzable, f)
-		}
-	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Scopes:     make(map[ast.Node]*types.Scope),
-	}
-	imp := types.Importer(m)
-	if len(overrides) > 0 {
-		imp = overrideImporter{m: m, overrides: overrides}
-	}
-	conf := types.Config{Importer: imp}
-	tpkg, err := conf.Check(pkgPath, m.fset, files, info)
-	if err != nil {
-		return nil, fmt.Errorf("driver: type-checking %s: %w", pkgPath, err)
-	}
-	return &Package{Path: pkgPath, Files: files, Types: tpkg, Info: info, Analyzable: analyzable}, nil
-}
-
-// overrideImporter is a moduleImporter with a few import paths pinned to
-// specific (variant) packages.
-type overrideImporter struct {
-	m         *moduleImporter
-	overrides map[string]*types.Package
-}
-
-func (o overrideImporter) Import(path string) (*types.Package, error) {
-	if p, ok := o.overrides[path]; ok {
-		return p, nil
-	}
-	return o.m.Import(path)
-}
-
 // hasIgnoreConstraint reports whether the file header carries a build
 // constraint that keeps it out of every ordinary build — the
 // `//go:build ignore` idiom (or its legacy `// +build ignore` spelling).
@@ -346,31 +231,19 @@ func hasIgnoreConstraint(src []byte) bool {
 // Run loads the packages named by patterns and applies every matching rule,
 // returning all findings sorted by position.
 func Run(patterns []string, rules []Rule) ([]Finding, error) {
-	return RunDirOpts("", patterns, rules, Options{})
+	return RunDir("", patterns, rules)
 }
 
-// RunDir is Run with the package patterns resolved relative to dir.
+// RunDir is Run with the package patterns resolved relative to dir. Each
+// analyzer runs on every package its rule matches.
 func RunDir(dir string, patterns []string, rules []Rule) ([]Finding, error) {
-	return RunDirOpts(dir, patterns, rules, Options{})
-}
-
-// RunDirOpts is RunDir with explicit options. Per-package analyzers run on
-// each package their rule matches; whole-program analyzers run once over
-// every loaded package, with the rule's Match filtering findings by the
-// package the diagnostic lands in.
-func RunDirOpts(dir string, patterns []string, rules []Rule, opts Options) ([]Finding, error) {
 	fset := token.NewFileSet()
-	pkgs, err := LoadDirOpts(fset, dir, patterns, opts)
+	pkgs, err := LoadDir(fset, dir, patterns)
 	if err != nil {
 		return nil, err
 	}
 	var findings []Finding
-	var progRules []Rule
 	for _, rule := range rules {
-		if rule.Analyzer.RunProgram != nil {
-			progRules = append(progRules, rule)
-			continue
-		}
 		for _, pkg := range pkgs {
 			if rule.Match != nil && !rule.Match(pkg.Path) {
 				continue
@@ -392,40 +265,6 @@ func RunDirOpts(dir string, patterns []string, rules []Rule, opts Options) ([]Fi
 			}
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("driver: %s on %s: %w", a.Name, pkg.Path, err)
-			}
-		}
-	}
-	if len(progRules) > 0 {
-		pps := make([]*analysis.ProgramPackage, len(pkgs))
-		fileOf := make(map[string]string) // filename -> import path
-		for i, pkg := range pkgs {
-			pps[i] = &analysis.ProgramPackage{
-				Path:       pkg.Path,
-				Files:      pkg.Files,
-				Analyzable: pkg.Analyzable,
-				Types:      pkg.Types,
-				Info:       pkg.Info,
-			}
-			for _, f := range pkg.Files {
-				fileOf[fset.Position(f.Pos()).Filename] = pkg.Path
-			}
-		}
-		for _, rule := range progRules {
-			a := rule.Analyzer
-			pass := &analysis.ProgramPass{
-				Analyzer: a,
-				Fset:     fset,
-				Packages: pps,
-			}
-			pass.Report = func(d analysis.Diagnostic) {
-				pos := fset.Position(d.Pos)
-				if rule.Match != nil && !rule.Match(fileOf[pos.Filename]) {
-					return
-				}
-				findings = append(findings, Finding{Analyzer: a.Name, Pos: pos, Message: d.Message})
-			}
-			if err := a.RunProgram(pass); err != nil {
-				return nil, fmt.Errorf("driver: %s: %w", a.Name, err)
 			}
 		}
 	}

@@ -1,7 +1,6 @@
 // Package obsreg enforces the telemetry layer's two-phase contract
 // (internal/obs): registration is a startup-time operation, updates are the
-// only telemetry the hot paths may perform, and event timestamps carry
-// simulated time.
+// only telemetry the hot paths may perform, and every span is closed.
 //
 // Flagged:
 //
@@ -9,11 +8,6 @@
 //     loop of a //parm:hot function. Registration takes the registry lock
 //     and may allocate, which breaks the 0 allocs/op discipline hotalloc
 //     guards; pre-register the metric at startup and update it in the loop.
-//   - wall-clock reads (time.Now / time.Since / time.Until) anywhere in the
-//     arguments of a Timeline.Record call. Timeline events must be stamped
-//     with the engine's simulated clock, or replayed runs produce different
-//     traces — the same determinism contract simclock enforces package-wide,
-//     applied to the one API where a wall timestamp is most tempting.
 //   - a Timeline.StartSpan result bound to a local variable that some path
 //     to a function exit fails to pass to Timeline.EndSpan. A leaked span
 //     stays open on the parent stack, mis-parenting every later span and
@@ -39,12 +33,10 @@ import (
 	"parm/internal/analysis/cfg"
 )
 
-// Analyzer flags telemetry registration in hot loops and wall-clock
-// timestamps fed to the event timeline.
+// Analyzer flags telemetry registration in hot loops and unbalanced spans.
 var Analyzer = &analysis.Analyzer{
 	Name: "obsreg",
-	Doc: "flags obs.Registry registration calls inside //parm:hot loops, " +
-		"wall-clock timestamps in obs.Timeline.Record arguments, and " +
+	Doc: "flags obs.Registry registration calls inside //parm:hot loops and " +
 		"obs.Timeline.StartSpan locals not closed by EndSpan on every path",
 	Run: run,
 }
@@ -68,14 +60,6 @@ func run(pass *analysis.Pass) error {
 			}
 			checkSpanBalance(pass, f, fd.Body)
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || !isMethodOn(pass, call, "Timeline", "Record") {
-				return true
-			}
-			checkRecordArgs(pass, f, call)
-			return true
-		})
 	}
 	return nil
 }
@@ -109,39 +93,6 @@ func checkHotBody(pass *analysis.Pass, f *ast.File, body *ast.BlockStmt) {
 				return true
 			})
 		}
-	}
-}
-
-// checkRecordArgs flags wall-clock reads anywhere inside the arguments of a
-// Timeline.Record call.
-func checkRecordArgs(pass *analysis.Pass, f *ast.File, record *ast.CallExpr) {
-	for _, arg := range record.Args {
-		ast.Inspect(arg, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			id, ok := sel.X.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			pkg, ok := pass.TypesInfo.Uses[id].(*types.PkgName)
-			if !ok || pkg.Imported().Path() != "time" {
-				return true
-			}
-			name := sel.Sel.Name
-			if name == "Now" || name == "Since" || name == "Until" {
-				if !pass.Suppressed(f, call.Pos(), "obsreg") {
-					pass.Reportf(call.Pos(), "time.%s feeds a wall-clock timestamp into Timeline.Record; "+
-						"stamp events with the simulated engine clock", name)
-				}
-			}
-			return true
-		})
 	}
 }
 

@@ -1,12 +1,10 @@
 // Fixture for the obsreg analyzer: registration inside hot loops and
-// wall-clock timestamps into Timeline.Record fire; startup registration,
-// hot-loop updates on pre-registered handles, sim-clock timestamps, and
-// //parm:obsreg sites do not. The local Registry/Timeline stand-ins mirror
+// unbalanced spans fire; startup registration, hot-loop updates on
+// pre-registered handles, balanced or escaped spans, and //parm:obsreg sites
+// do not. The local Registry/Timeline stand-ins mirror
 // internal/obs (fixtures type-check against the standard library alone, so
 // the analyzer matches the receiver type names).
 package fixture
-
-import "time"
 
 type Counter struct{ n uint64 }
 
@@ -18,16 +16,10 @@ func (r *Registry) Counter(name string) *Counter                { return &Counte
 func (r *Registry) Gauge(name string) *Counter                  { return &Counter{} }
 func (r *Registry) Histogram(name string, b []float64) *Counter { return &Counter{} }
 
-type Event struct {
-	Name string
-	TS   float64
-}
-
 type Timeline struct{}
 
 type SpanID uint64
 
-func (t *Timeline) Record(ev Event)                                   {}
 func (t *Timeline) StartSpan(name string, ts float64, app int) SpanID { return 1 }
 func (t *Timeline) EndSpan(id SpanID, ts float64)                     {}
 
@@ -69,28 +61,6 @@ func suppressedRegistration(r *Registry, xs []float64) {
 		c := r.Counter("justified")
 		c.Inc()
 	}
-}
-
-func wallClockTimestamp(t *Timeline) {
-	t.Record(Event{Name: "map", TS: float64(time.Now().UnixNano())}) // want `time.Now feeds a wall-clock timestamp into Timeline.Record`
-}
-
-func wallClockDuration(t *Timeline, start time.Time) {
-	t.Record(Event{Name: "app", TS: time.Since(start).Seconds()}) // want `time.Since feeds a wall-clock timestamp into Timeline.Record`
-}
-
-func simClockTimestampIsFine(t *Timeline, now float64) {
-	t.Record(Event{Name: "map", TS: now})
-}
-
-func suppressedWallClock(t *Timeline) {
-	//parm:obsreg
-	t.Record(Event{Name: "debug", TS: float64(time.Now().UnixNano())})
-}
-
-func unrelatedRecordIsFine(now float64) {
-	type logger struct{}
-	_ = now
 }
 
 // Seeded regression for the span-balance check: the error path returns with

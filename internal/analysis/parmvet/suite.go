@@ -1,8 +1,12 @@
 // Package parmvet assembles the project's analyzer suite and scopes each
 // analyzer to the packages whose invariants it guards (DESIGN.md §7):
 //
-//   - detrange and poolgo police the deterministic simulation pipeline
-//     (core, chip, pdn, noc, mapping, sched);
+//   - det polices every module package except internal/analysis (whose
+//     output order driver.Sort fixes): no map or sync.Map iteration order,
+//     channel arrival order, select choice, global rand, wall-clock read or
+//     %p address may go unsorted, unseeded or unaudited;
+//   - poolgo polices the single-threaded simulation pipeline (core, chip,
+//     pdn, noc, mapping, sched);
 //   - unitsafe polices the electrical boundaries (pdn, power, chip);
 //   - floateq polices every internal package;
 //   - hotalloc and lockhold (flow-sensitive, over internal/analysis/cfg)
@@ -10,18 +14,8 @@
 //     discipline apply wherever //parm:hot functions or mutexes appear;
 //   - errsink polices internal/ and cmd/ — library and binary code must
 //     check or explicitly wave through errors;
-//   - simclock polices the simulation pipeline plus the workload/experiment
-//     layers, where wall-clock or global-rand reads break replayability;
 //   - obsreg polices the whole module: telemetry registration must stay out
-//     of //parm:hot loops and Timeline events must carry simulated, not
-//     wall-clock, timestamps;
-//   - detflow and maporder (whole-program, over internal/analysis/callgraph
-//     and internal/analysis/taint) police the byte-identical contract
-//     interprocedurally: no nondeterminism source — map or sync.Map
-//     iteration order, channel arrival order, select choice, unseeded
-//     global rand, %p formatting — may flow into a determinism sink (json
-//     encoding, report tables, timeline records, core.Metrics stores),
-//     through any chain of calls, closures, or struct fields.
+//     of //parm:hot loops and every Timeline span must be closed.
 //
 // cmd/parmvet is a thin wrapper around Check; the analysis driver test runs
 // the same suite over ./... so `go test` alone keeps the repository green
@@ -31,17 +25,14 @@ package parmvet
 import (
 	"strings"
 
-	"parm/internal/analysis/detflow"
-	"parm/internal/analysis/detrange"
+	"parm/internal/analysis/det"
 	"parm/internal/analysis/driver"
 	"parm/internal/analysis/errsink"
 	"parm/internal/analysis/floateq"
 	"parm/internal/analysis/hotalloc"
 	"parm/internal/analysis/lockhold"
-	"parm/internal/analysis/maporder"
 	"parm/internal/analysis/obsreg"
 	"parm/internal/analysis/poolgo"
-	"parm/internal/analysis/simclock"
 	"parm/internal/analysis/unitsafe"
 )
 
@@ -62,14 +53,6 @@ var electricalPackages = []string{
 	"parm/internal/chip",
 }
 
-// replayablePackages must be deterministic under a fixed seed: the
-// simulation pipeline plus the workload-model and experiment layers that
-// feed it.
-var replayablePackages = append(append([]string{}, simulationPackages...),
-	"parm/internal/appmodel",
-	"parm/internal/expr",
-)
-
 func matchAny(paths []string) func(string) bool {
 	return func(p string) bool {
 		for _, want := range paths {
@@ -88,7 +71,9 @@ func matchPrefix(prefix string) func(string) bool {
 // Rules returns the suite with its package scoping.
 func Rules() []driver.Rule {
 	return []driver.Rule{
-		{Analyzer: detrange.Analyzer, Match: matchAny(simulationPackages)},
+		{Analyzer: det.Analyzer, Match: func(p string) bool {
+			return p != "parm/internal/analysis" && !strings.HasPrefix(p, "parm/internal/analysis/")
+		}},
 		{Analyzer: poolgo.Analyzer, Match: matchAny(simulationPackages)},
 		{Analyzer: unitsafe.Analyzer, Match: matchAny(electricalPackages)},
 		{Analyzer: floateq.Analyzer, Match: matchPrefix("parm/internal/")},
@@ -97,22 +82,11 @@ func Rules() []driver.Rule {
 		{Analyzer: errsink.Analyzer, Match: func(p string) bool {
 			return strings.HasPrefix(p, "parm/internal/") || strings.HasPrefix(p, "parm/cmd/")
 		}},
-		{Analyzer: simclock.Analyzer, Match: matchAny(replayablePackages)},
 		{Analyzer: obsreg.Analyzer, Match: matchPrefix("parm/")},
-		// Whole-program rules: the engine always sees every loaded package
-		// (flows cross package boundaries); Match scopes where findings may
-		// anchor, and the module owns all of it.
-		{Analyzer: detflow.Analyzer, Match: matchPrefix("parm/")},
-		{Analyzer: maporder.Analyzer, Match: matchPrefix("parm/")},
 	}
 }
 
 // Check runs the suite over the packages named by patterns.
 func Check(patterns []string) ([]driver.Finding, error) {
 	return driver.Run(patterns, Rules())
-}
-
-// CheckOpts is Check with driver options (CI runs with Tests on).
-func CheckOpts(patterns []string, opts driver.Options) ([]driver.Finding, error) {
-	return driver.RunDirOpts("", patterns, Rules(), opts)
 }

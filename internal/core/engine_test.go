@@ -194,7 +194,7 @@ func TestEngineDeterministic(t *testing.T) {
 
 // Byte-identical determinism: the fully serialized metrics of repeated
 // identical runs must match byte for byte — the contract the
-// sorted-iteration discipline (and the detrange and poolgo analyzers that
+// sorted-iteration discipline (and the det and poolgo analyzers that
 // enforce it) protects. Stricter than
 // TestEngineDeterministic: every field of every outcome is covered.
 // Exercised per solver mode: the exact paths (expm, phasor) must be just as

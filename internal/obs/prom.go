@@ -60,26 +60,29 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	var fams []promFamily
 	if r != nil {
 		r.mu.Lock()
-		for path, c := range r.counters {
+		for _, path := range sortedKeys(r.counters) {
+			c := r.counters[path]
 			name := promName(path)
 			fams = append(fams, promFamily{name: name, path: path, typ: "counter",
 				lines: []string{name + " " + strconv.FormatUint(c.Value(), 10)}})
 		}
-		for path, g := range r.gauges {
+		for _, path := range sortedKeys(r.gauges) {
+			g := r.gauges[path]
 			name := promName(path)
 			fams = append(fams, promFamily{name: name, path: path, typ: "gauge",
 				lines: []string{name + " " + strconv.FormatInt(g.Value(), 10)}})
 		}
-		for path, g := range r.fgauges {
+		for _, path := range sortedKeys(r.fgauges) {
+			g := r.fgauges[path]
 			name := promName(path)
 			fams = append(fams, promFamily{name: name, path: path, typ: "gauge",
 				lines: []string{name + " " + formatFloat(g.Value())}})
 		}
-		for path, h := range r.hists {
-			fams = append(fams, histFamily(path, h))
+		for _, path := range sortedKeys(r.hists) {
+			fams = append(fams, histFamily(path, r.hists[path]))
 		}
-		for path, fn := range r.attached {
-			fams = append(fams, untypedFamilies(path, fn())...)
+		for _, path := range sortedKeys(r.attached) {
+			fams = append(fams, untypedFamilies(path, r.attached[path]())...)
 		}
 		r.mu.Unlock()
 	}
