@@ -1,9 +1,17 @@
+// Package fixture exercises the det analyzer on arrival order: used
+// channel receives in loops, range over a channel, and multi-case select.
+// Discarded receives and a //parm:det-annotated receive stay silent.
 package fixture
 
 import (
 	"encoding/json"
 	"fmt"
 )
+
+// Metrics stands in for the engine's result record.
+type Metrics struct {
+	Trace string
+}
 
 // gather accumulates receives in arrival order.
 func gather(ch chan string, m *Metrics) {

@@ -1,13 +1,20 @@
+// Package fixture exercises the det analyzer on wall-clock reads and
+// global math/rand draws. Injected generators, constructors and a
+// //parm:det-annotated read stay silent.
 package fixture
 
 import (
-	"fmt"
 	"math/rand"
 	randv2 "math/rand/v2"
 	"time"
 )
 
 var sink interface{}
+
+// Metrics stands in for the engine's result record.
+type Metrics struct {
+	Energy float64
+}
 
 func wallClockReads(start time.Time) {
 	now := time.Now()       // want `time.Now reads the wall clock`
@@ -76,12 +83,4 @@ func simClockTimestampIsFine(t *Timeline, now float64) {
 func auditedWallClock(t *Timeline) {
 	//parm:det debug-only event, never written to a trace
 	t.Record(Event{Name: "debug", TS: float64(time.Now().UnixNano())})
-}
-
-const ptrFormat = "%s at %p"
-
-func label(m *Metrics, p *AppOutcome) {
-	m.Trace = fmt.Sprintf("%p", p)            // want `fmt.Sprintf formats a pointer address with %p`
-	m.Trace += fmt.Sprintf(ptrFormat, "x", p) // want `fmt.Sprintf formats a pointer address with %p`
-	m.Trace += fmt.Sprintf("%v", p.Name)
 }
