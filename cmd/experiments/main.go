@@ -17,6 +17,7 @@ import (
 	"io"
 	"log"
 	"os"
+	"slices"
 	"strings"
 
 	"parm/internal/core"
@@ -32,16 +33,14 @@ func main() {
 	log.SetPrefix("experiments: ")
 
 	var (
-		figs     = flag.String("fig", "all", "comma-separated figures: 1, 3a, 3b, 6, 7, 8, overhead, darksilicon, profiles, or all; reliability is opt-in (not part of all)")
-		numApps  = flag.Int("apps", 20, "applications per sequence for Figs 6-8")
-		seed     = flag.Int64("seed", 42, "workload generation seed")
-		trials   = flag.Int("trials", 20, "Monte-Carlo fault trials per scheme (with -fig reliability)")
-		relOut   = flag.String("relout", "", "write the reliability campaign result as JSON to this file (with -fig reliability)")
-		csv      = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		quiet    = flag.Bool("q", false, "suppress progress output")
-		bench    = flag.Bool("bench", false, "run the solver/engine benchmark harness instead of the figures")
-		benchOut = flag.String("benchout", "BENCH_parm.json", "benchmark JSON output path (with -bench)")
-		nocMode  = flag.String("noc", "cycle", "NoC measurement mode: cycle (exact) or auto (analytic fast path below saturation)")
+		figs    = flag.String("fig", "all", "comma-separated figures, from: "+strings.Join(figNames, ", ")+"; reliability is opt-in (not part of all)")
+		numApps = flag.Int("apps", 20, "applications per sequence for Figs 6-8")
+		seed    = flag.Int64("seed", 42, "workload generation seed")
+		trials  = flag.Int("trials", 20, "Monte-Carlo fault trials per scheme (with -fig reliability)")
+		relOut  = flag.String("relout", "", "write the reliability campaign result as JSON to this file (with -fig reliability)")
+		csv     = flag.Bool("csv", false, "emit CSV instead of aligned tables")
+		quiet   = flag.Bool("q", false, "suppress progress output")
+		nocMode = flag.String("noc", "cycle", "NoC measurement mode: cycle (exact) or auto (analytic fast path below saturation)")
 
 		metricsOut   = flag.String("metrics-out", "", "write the aggregated telemetry snapshot as JSON to this file")
 		timelineOut  = flag.String("timeline", "", "write engine events as Chrome trace JSON to this file (runs interleave across parallel cells)")
@@ -54,22 +53,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	if *bench {
-		verbose := func(format string, args ...interface{}) {
-			if !*quiet {
-				fmt.Fprintf(os.Stderr, format+"\n", args...)
-			}
-		}
-		if err := runBench(*benchOut, *numApps, *seed, verbose); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-
-	want := map[string]bool{}
-	for _, f := range strings.Split(*figs, ",") {
-		want[strings.TrimSpace(f)] = true
+	want, err := checkFlags(*figs, *numApps, *trials)
+	if err != nil {
+		log.Fatal(err)
 	}
 	all := want["all"]
 
@@ -207,6 +193,29 @@ func main() {
 			log.Fatal(err)
 		}
 	}
+}
+
+// figNames are the -fig values; "all" selects every one but reliability.
+var figNames = []string{"1", "3a", "3b", "6", "7", "8", "overhead", "darksilicon", "profiles", "reliability", "all"}
+
+// checkFlags validates the flags that shape the runs and returns the set of
+// selected figures, so that a bad value fails before anything is simulated.
+func checkFlags(figs string, numApps, trials int) (map[string]bool, error) {
+	if numApps < 1 {
+		return nil, fmt.Errorf("-apps %d: need at least one application", numApps)
+	}
+	if trials < 1 {
+		return nil, fmt.Errorf("-trials %d: need at least one trial", trials)
+	}
+	want := map[string]bool{}
+	for _, f := range strings.Split(figs, ",") {
+		f = strings.TrimSpace(f)
+		if !slices.Contains(figNames, f) {
+			return nil, fmt.Errorf("-fig %q: want one of %s", f, strings.Join(figNames, ", "))
+		}
+		want[f] = true
+	}
+	return want, nil
 }
 
 // writeFile creates path and streams write into it, folding the close error

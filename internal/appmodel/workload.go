@@ -2,6 +2,7 @@ package appmodel
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"parm/internal/power"
@@ -66,13 +67,14 @@ type Workload struct {
 // from the configured pool, arriving every ArrivalGap seconds (with ±20%
 // jitter), each with a deadline of DeadlineSlack times its reference WCET
 // (the profiled time at mid Vdd and DoP 16, with per-app jitter). It
-// returns an error for a non-positive app count or arrival gap.
+// returns an error for a non-positive app count or a non-positive or
+// non-finite arrival gap.
 func Generate(cfg WorkloadConfig) (*Workload, error) {
 	if cfg.NumApps <= 0 {
 		return nil, fmt.Errorf("appmodel: non-positive NumApps %d", cfg.NumApps)
 	}
-	if cfg.ArrivalGap <= 0 {
-		return nil, fmt.Errorf("appmodel: non-positive ArrivalGap %g", cfg.ArrivalGap)
+	if !(cfg.ArrivalGap > 0) || math.IsInf(cfg.ArrivalGap, 1) {
+		return nil, fmt.Errorf("appmodel: ArrivalGap %g is not a positive finite number", cfg.ArrivalGap)
 	}
 	slack := cfg.DeadlineSlack
 	if slack <= 0 {

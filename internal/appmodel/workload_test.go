@@ -1,6 +1,7 @@
 package appmodel
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -144,8 +145,10 @@ func TestGenerateErrors(t *testing.T) {
 	if _, err := Generate(WorkloadConfig{Kind: WorkloadMixed, NumApps: 0, ArrivalGap: 0.1, Node: np7()}); err == nil {
 		t.Error("zero apps accepted")
 	}
-	if _, err := Generate(WorkloadConfig{Kind: WorkloadMixed, NumApps: 5, ArrivalGap: 0, Node: np7()}); err == nil {
-		t.Error("zero gap accepted")
+	for _, gap := range []float64{0, math.NaN(), math.Inf(1)} {
+		if _, err := Generate(WorkloadConfig{Kind: WorkloadMixed, NumApps: 5, ArrivalGap: gap, Node: np7()}); err == nil {
+			t.Errorf("gap %g accepted", gap)
+		}
 	}
 	if _, err := Generate(WorkloadConfig{Kind: WorkloadKind(42), NumApps: 5, ArrivalGap: 0.1, Node: np7()}); err == nil {
 		t.Error("unknown kind accepted")

@@ -74,11 +74,6 @@ type Config struct {
 	// every sample to integrate every active domain (uncached reference
 	// mode for determinism tests and benchmarks).
 	DisablePSNCache bool
-	// PSNMode selects the domain transient solver algorithm (the zero
-	// value, pdn.ModeAuto, selects the exact phasor steady-state fast
-	// path; pdn.ModeRK4 is the numerical reference). Samples are
-	// bit-identical across runs for any fixed mode.
-	PSNMode pdn.Mode
 }
 
 func (c Config) withDefaults() Config {
@@ -111,8 +106,6 @@ type Chip struct {
 	tileDomain []DomainID
 	occupants  []Occupant
 
-	// psnMode is the domain-solve algorithm every sample uses.
-	psnMode pdn.Mode
 	// solveCache memoizes domain solves across samples; nil when caching
 	// is disabled.
 	solveCache *pdn.SolveCache
@@ -142,7 +135,6 @@ func New(cfg Config) (*Chip, error) {
 		tileDomain: make([]DomainID, m.NumTiles()),
 		occupants:  make([]Occupant, m.NumTiles()),
 	}
-	c.psnMode = cfg.PSNMode
 	if !cfg.DisablePSNCache {
 		c.solveCache = pdn.NewSolveCache()
 	}

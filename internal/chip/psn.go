@@ -96,7 +96,7 @@ func (c *Chip) SamplePSN(routerUtil []float64) (*PSNSample, error) {
 				Staggered: true, // same-app threads are barrier-synchronized
 			}
 		}
-		cfg := pdn.Config{Params: c.Node, Vdd: d.Vdd, Mode: c.psnMode}
+		cfg := pdn.Config{Params: c.Node, Vdd: d.Vdd}
 		res, err := c.solver.SimulateDomain(cfg, pdn.BuildLoads(occ))
 		if err != nil {
 			return nil, fmt.Errorf("chip: domain %d: %w", i, err)

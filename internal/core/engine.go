@@ -46,8 +46,7 @@ type Config struct {
 	// map/unmap event even when the active flow set and the sensor PSN
 	// environment are unchanged since the last measurement (uncached
 	// reference mode for determinism tests and benchmarks). The chip-side
-	// measurement knobs live in Chip (DisablePSNCache, and PSNMode, which
-	// selects the domain transient solver algorithm).
+	// counterpart is Chip.DisablePSNCache.
 	DisableNoCCache bool
 	// VEModel selects how voltage emergencies become completion-time
 	// penalties. The zero value VELegacy keeps the closed-form expected

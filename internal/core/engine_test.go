@@ -197,39 +197,22 @@ func TestEngineDeterministic(t *testing.T) {
 // sorted-iteration discipline (and the det and poolgo analyzers that
 // enforce it) protects. Stricter than
 // TestEngineDeterministic: every field of every outcome is covered.
-// Exercised per solver mode: the exact paths (expm, phasor) must be just as
-// reproducible as the RK4 reference, and auto must coincide with phasor.
 func TestEngineRunsByteIdentical(t *testing.T) {
-	run := func(mode pdn.Mode) []byte {
-		cfg := Config{}
-		cfg.Chip.PSNMode = mode
+	run := func() []byte {
 		w := genWorkload(t, appmodel.WorkloadMixed, 6, 0.06, 14)
-		m := runOne(t, cfg, MustCombo("PARM", "PANR"), w)
+		m := runOne(t, Config{}, MustCombo("PARM", "PANR"), w)
 		var buf bytes.Buffer
 		if err := m.WriteJSON(&buf); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
 	}
-	var autoBase []byte
-	for _, mode := range []pdn.Mode{pdn.ModeAuto, pdn.ModeRK4, pdn.ModeExpm, pdn.ModePhasor} {
-		t.Run(mode.String(), func(t *testing.T) {
-			base := run(mode)
-			if len(base) == 0 {
-				t.Fatal("empty metrics JSON")
-			}
-			if rerun := run(mode); !bytes.Equal(rerun, base) {
-				t.Error("two runs diverged")
-			}
-			switch mode {
-			case pdn.ModeAuto:
-				autoBase = base
-			case pdn.ModePhasor:
-				if !bytes.Equal(base, autoBase) {
-					t.Error("phasor run diverged from the auto default")
-				}
-			}
-		})
+	base := run()
+	if len(base) == 0 {
+		t.Fatal("empty metrics JSON")
+	}
+	if rerun := run(); !bytes.Equal(rerun, base) {
+		t.Error("two runs diverged")
 	}
 }
 

@@ -103,8 +103,8 @@ func BenchmarkMeasureWindow(b *testing.B) {
 
 // BenchmarkSparseWindow compares the window strategies on the Fig 6-shaped
 // sparse fixture: the dense reference sweep, the active-set cycle path, and
-// the analytic closed form. These are the per-strategy costs behind the
-// noc_window entries of BENCH_parm.json.
+// the analytic closed form. parmbench's fig6_mixed_auto against
+// fig6_mixed_cycle shows what they add up to over a whole engine run.
 func BenchmarkSparseWindow(b *testing.B) {
 	flows := sparseFlows()
 	b.Run("dense", func(b *testing.B) {
