@@ -181,9 +181,6 @@ func main() {
 		if n := opt.Timeline.Dropped(); n > 0 {
 			log.Printf("timeline: %d events dropped (buffer full); earliest events are missing", n)
 		}
-		if n := opt.Timeline.SpanDropped(); n > 0 {
-			log.Printf("timeline: %d spans dropped (ring full); earliest spans are missing", n)
-		}
 		if err := writeFile(*timelineOut, opt.Timeline.WriteChromeTrace); err != nil {
 			log.Fatal(err)
 		}

@@ -185,9 +185,6 @@ func main() {
 		if timeline.Dropped() > 0 {
 			log.Printf("timeline: %d events dropped (buffer full); earliest events are missing", timeline.Dropped())
 		}
-		if timeline.SpanDropped() > 0 {
-			log.Printf("timeline: %d spans dropped (ring full); earliest spans are missing", timeline.SpanDropped())
-		}
 		if err := writeFile(*timelineOut, timeline.WriteChromeTrace); err != nil {
 			log.Fatal(err)
 		}

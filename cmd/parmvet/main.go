@@ -1,4 +1,4 @@
-// Command parmvet is the project's static-analysis suite: eight analyzers
+// Command parmvet is the project's static-analysis suite: seven analyzers
 // that mechanically enforce the invariants the PARM measurement pipeline's
 // bit-identical-metrics guarantee rests on (see DESIGN.md §7), including
 // det, which flags every nondeterminism source outside internal/analysis
@@ -16,8 +16,8 @@
 // findings that no longer fire); -baseline-write regenerates that file from
 // the current run.
 // Suppressions are //parm:det (with a reason), //parm:floateq,
-// //parm:unitless, //parm:alloc, //parm:hold, //parm:errok and
-// //parm:obsreg comments on or directly above the flagged line.
+// //parm:unitless, //parm:alloc, //parm:errok and //parm:obsreg comments
+// on or directly above the flagged line.
 package main
 
 import (

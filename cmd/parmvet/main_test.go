@@ -138,10 +138,10 @@ func TestRunRejectsUnknownAnalyzer(t *testing.T) {
 	}
 }
 
-func TestSuiteHasEightAnalyzers(t *testing.T) {
+func TestSuiteHasSevenAnalyzers(t *testing.T) {
 	want := map[string]bool{
 		"det": true, "poolgo": true, "unitsafe": true, "floateq": true,
-		"hotalloc": true, "lockhold": true, "errsink": true, "obsreg": true,
+		"hotalloc": true, "errsink": true, "obsreg": true,
 	}
 	rules := parmvet.Rules()
 	if len(rules) != len(want) {

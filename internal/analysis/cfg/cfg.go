@@ -1,8 +1,7 @@
-// Package cfg builds per-function control-flow graphs over go/ast and runs
-// forward-dataflow fixpoint analyses on them. It is the flow-analysis layer
-// under the parmvet suite's flow-sensitive analyzers (hotalloc, lockhold),
-// built — like the rest of internal/analysis — on the standard library
-// alone.
+// Package cfg builds per-function control-flow graphs over go/ast. It is
+// the flow-analysis layer under the parmvet suite's loop-sensitive
+// analyzers (hotalloc, obsreg), built — like the rest of internal/analysis —
+// on the standard library alone.
 //
 // The graph is statement-granular: control-flow statements (if, for, range,
 // switch, select, branch, return) are decomposed into basic blocks, and

@@ -185,66 +185,3 @@ func TestReturnTerminatesBlock(t *testing.T) {
 		}
 	}
 }
-
-// TestForwardMayUnion checks the fixpoint engine: a fact generated in one
-// branch of an if reaches the join (may-analysis), and a fact generated in a
-// loop body reaches the loop head on the back edge.
-func TestForwardMayUnion(t *testing.T) {
-	g := buildGraph(t, "x := 1\nif x > 0 {\nx = 2\n} else {\nx = 3\n}\n_ = x")
-	// Transfer: generate the fact "gen" in the block containing `x = 2`.
-	in := Forward(g, func(b *Block, in Facts[string]) Facts[string] {
-		out := in.Clone()
-		for _, n := range b.Nodes {
-			if as, ok := n.(*ast.AssignStmt); ok && as.Tok.String() == "=" {
-				if bl, ok := as.Rhs[0].(*ast.BasicLit); ok && bl.Value == "2" {
-					out = out.Add("gen")
-				}
-			}
-		}
-		return out
-	})
-	join := g.Blocks[len(g.Blocks)-1]
-	if !in[join].Has("gen") {
-		t.Error("fact from then-branch did not reach the join (may-union broken)")
-	}
-	// The else branch must not have the fact on entry.
-	for _, b := range g.Blocks {
-		for _, n := range b.Nodes {
-			if as, ok := n.(*ast.AssignStmt); ok && as.Tok.String() == "=" {
-				if bl, ok := as.Rhs[0].(*ast.BasicLit); ok && bl.Value == "3" {
-					if in[b].Has("gen") {
-						t.Error("fact leaked into the sibling branch")
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestForwardLoopFixpoint(t *testing.T) {
-	g := buildGraph(t, "for i := 0; i < 10; i++ {\n_ = i\n}\n_ = 0")
-	// Generate a fact in the loop body; it must flow around the back edge
-	// into the head's input set.
-	in := Forward(g, func(b *Block, in Facts[string]) Facts[string] {
-		out := in.Clone()
-		for _, n := range b.Nodes {
-			if as, ok := n.(*ast.AssignStmt); ok {
-				if id, ok := as.Rhs[0].(*ast.Ident); ok && id.Name == "i" {
-					_ = id
-					out = out.Add("body")
-				}
-			}
-		}
-		return out
-	})
-	loops := g.LoopBlocks()
-	found := false
-	for b := range loops {
-		if in[b].Has("body") {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("loop-generated fact did not propagate around the back edge")
-	}
-}

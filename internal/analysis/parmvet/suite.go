@@ -9,13 +9,13 @@
 //     pdn, noc, mapping, sched);
 //   - unitsafe polices the electrical boundaries (pdn, power, chip);
 //   - floateq polices every internal package;
-//   - hotalloc and lockhold (flow-sensitive, over internal/analysis/cfg)
-//     police the whole module: hot-loop allocation-freedom and lock
-//     discipline apply wherever //parm:hot functions or mutexes appear;
+//   - hotalloc (loop-sensitive, over internal/analysis/cfg) polices the
+//     whole module: hot-loop allocation-freedom applies wherever //parm:hot
+//     functions appear;
 //   - errsink polices internal/ and cmd/ — library and binary code must
 //     check or explicitly wave through errors;
 //   - obsreg polices the whole module: telemetry registration must stay out
-//     of //parm:hot loops and every Timeline span must be closed.
+//     of //parm:hot loops.
 //
 // cmd/parmvet is a thin wrapper around Check; the analysis driver test runs
 // the same suite over ./... so `go test` alone keeps the repository green
@@ -30,7 +30,6 @@ import (
 	"parm/internal/analysis/errsink"
 	"parm/internal/analysis/floateq"
 	"parm/internal/analysis/hotalloc"
-	"parm/internal/analysis/lockhold"
 	"parm/internal/analysis/obsreg"
 	"parm/internal/analysis/poolgo"
 	"parm/internal/analysis/unitsafe"
@@ -78,7 +77,6 @@ func Rules() []driver.Rule {
 		{Analyzer: unitsafe.Analyzer, Match: matchAny(electricalPackages)},
 		{Analyzer: floateq.Analyzer, Match: matchPrefix("parm/internal/")},
 		{Analyzer: hotalloc.Analyzer, Match: matchPrefix("parm/")},
-		{Analyzer: lockhold.Analyzer, Match: matchPrefix("parm/")},
 		{Analyzer: errsink.Analyzer, Match: func(p string) bool {
 			return strings.HasPrefix(p, "parm/internal/") || strings.HasPrefix(p, "parm/cmd/")
 		}},

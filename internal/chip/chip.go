@@ -8,6 +8,7 @@ package chip
 
 import (
 	"fmt"
+	"math"
 
 	"parm/internal/geom"
 	"parm/internal/obs"
@@ -66,9 +67,11 @@ type Config struct {
 	// Node supplies the technology-node electrical constants. A zero value
 	// selects 7nm.
 	Node power.NodeParams
-	// DsPB is the dark-silicon power budget. Zero selects 65 W.
+	// DsPB is the dark-silicon power budget. Zero selects 65 W; New
+	// rejects negative, NaN and infinite values.
 	DsPB power.Watts
-	// VddStep is the supply voltage granularity. Zero selects 0.1 V.
+	// VddStep is the supply voltage granularity. Zero selects 0.1 V; New
+	// rejects negative, NaN and infinite values.
 	VddStep power.Volts
 	// DisablePSNCache turns off the domain-solve memoization, forcing
 	// every sample to integrate every active domain (uncached reference
@@ -90,6 +93,12 @@ func (c Config) withDefaults() Config {
 		c.VddStep = 0.1
 	}
 	return c
+}
+
+// positiveFinite reports whether v is greater than zero and not +Inf; NaN
+// fails the comparison.
+func positiveFinite(v float64) bool {
+	return v > 0 && !math.IsInf(v, 1)
 }
 
 // Chip is the CMP platform state. A Chip is not safe for concurrent use:
@@ -120,11 +129,18 @@ type Chip struct {
 }
 
 // New builds a chip from cfg. It returns an error when the mesh dimensions
-// are not positive and even.
+// are not positive and even, or when DsPB or VddStep is not a positive
+// finite number.
 func New(cfg Config) (*Chip, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Width <= 0 || cfg.Height <= 0 || cfg.Width%2 != 0 || cfg.Height%2 != 0 {
 		return nil, fmt.Errorf("chip: dimensions must be positive and even, got %dx%d", cfg.Width, cfg.Height)
+	}
+	if !positiveFinite(float64(cfg.DsPB)) {
+		return nil, fmt.Errorf("chip: DsPB must be a positive finite power, got %g W", float64(cfg.DsPB))
+	}
+	if !positiveFinite(float64(cfg.VddStep)) {
+		return nil, fmt.Errorf("chip: VddStep must be a positive finite voltage, got %g V", float64(cfg.VddStep))
 	}
 	m := geom.NewMesh(cfg.Width, cfg.Height)
 	c := &Chip{

@@ -1,6 +1,7 @@
 package chip
 
 import (
+	"math"
 	"testing"
 
 	"parm/internal/geom"
@@ -40,6 +41,28 @@ func TestNewRejectsOddDimensions(t *testing.T) {
 	for _, dims := range [][2]int{{9, 6}, {10, 5}, {0, 6}, {-2, 4}} {
 		if _, err := New(Config{Width: dims[0], Height: dims[1]}); err == nil {
 			t.Errorf("New(%dx%d) accepted", dims[0], dims[1])
+		}
+	}
+}
+
+// Non-positive, NaN and infinite budgets or voltage steps are errors, not
+// a panic in the budget ledger or a run where no app ever fits.
+func TestNewRejectsBadConfig(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"negative DsPB", Config{DsPB: -5}},
+		{"NaN DsPB", Config{DsPB: power.Watts(math.NaN())}},
+		{"+Inf DsPB", Config{DsPB: power.Watts(math.Inf(1))}},
+		{"-Inf DsPB", Config{DsPB: power.Watts(math.Inf(-1))}},
+		{"negative VddStep", Config{VddStep: -0.1}},
+		{"NaN VddStep", Config{VddStep: power.Volts(math.NaN())}},
+		{"+Inf VddStep", Config{VddStep: power.Volts(math.Inf(1))}},
+		{"-Inf VddStep", Config{VddStep: power.Volts(math.Inf(-1))}},
+	} {
+		if _, err := New(tc.cfg); err == nil {
+			t.Errorf("New(%s) accepted", tc.name)
 		}
 	}
 }

@@ -339,14 +339,11 @@ type Engine struct {
 	// pointers make every update a no-op when telemetry is off. timeline
 	// receives the event records (AttachTimeline), nil when disabled. reg
 	// keeps the registry so linkObs can attach timeline self-accounting;
-	// decisions receives mapper provenance (AttachDecisions). windowSpan is
-	// the open top-level span covering the current inter-sample window —
-	// every other span nests under it.
-	tel        telemetry
-	timeline   *obs.Timeline
-	reg        *obs.Registry
-	decisions  *obs.DecisionLog
-	windowSpan obs.SpanID
+	// decisions receives mapper provenance (AttachDecisions).
+	tel       telemetry
+	timeline  *obs.Timeline
+	reg       *obs.Registry
+	decisions *obs.DecisionLog
 }
 
 // NewEngine builds an engine for the framework under cfg.
@@ -430,7 +427,6 @@ func (e *Engine) Run(w *appmodel.Workload) (*Metrics, error) {
 		e.push(a.Arrival, evArrival, a.ID)
 	}
 	e.scheduleSample(0)
-	e.windowSpan = e.timeline.StartSpan("window", 0, -1)
 
 	for e.events.Len() > 0 {
 		ev := e.events.pop()
@@ -464,9 +460,6 @@ func (e *Engine) Run(w *appmodel.Workload) (*Metrics, error) {
 			}
 		}
 	}
-	e.timeline.EndSpan(e.windowSpan, e.now)
-	e.windowSpan = 0
-
 	// Final accounting.
 	for _, a := range w.Apps {
 		o := e.outcomes[a.ID]
@@ -534,9 +527,7 @@ func (e *Engine) trySchedule(resume bool) error {
 		if entry.stalled && !resume {
 			return nil // still waiting for an app exit event
 		}
-		sp := e.timeline.StartSpan("mapper_decide", e.now, entry.app.ID)
 		decision, err := e.algorithm1(entry)
-		e.timeline.EndSpan(sp, e.now)
 		if err != nil {
 			return err
 		}
@@ -985,9 +976,7 @@ func (e *Engine) measurementFor(flows []noc.Flow) (*noc.Result, error) {
 			}
 		}
 	}
-	sp := e.timeline.StartSpan("noc_window", e.now, -1)
 	res, err := e.simulateWindow(key)
-	e.timeline.EndSpan(sp, e.now)
 	if err != nil {
 		return nil, err
 	}
@@ -1071,12 +1060,6 @@ func (e *Engine) simulateWindow(flows []noc.Flow) (*noc.Result, error) {
 // per-edge communication delay function and average packet latency in
 // cycles.
 func (e *Engine) measureNoC(forApp *runningApp) (sched.CommDelay, float64, error) {
-	appID := -1
-	if forApp != nil {
-		appID = forApp.app.ID
-	}
-	sp := e.timeline.StartSpan("noc_measure", e.now, appID)
-	defer e.timeline.EndSpan(sp, e.now)
 	flows, start, end := e.activeFlows(forApp)
 	for i := range e.routerUtil {
 		e.routerUtil[i] = 0
@@ -1147,11 +1130,6 @@ func (e *Engine) eventSample() error {
 // periodicSample takes the scheduled PSN sample, charges voltage-emergency
 // rollbacks to apps whose domains exceeded the threshold, and reschedules.
 func (e *Engine) periodicSample() error {
-	// Roll the top-level window span: one span per inter-sample period, so
-	// every psn_sample/mapper_decide/noc_measure span nests under the window
-	// it happened in.
-	e.timeline.EndSpan(e.windowSpan, e.now)
-	e.windowSpan = e.timeline.StartSpan("window", e.now, -1)
 	s, err := e.samplePSN()
 	if err != nil {
 		return err
@@ -1242,11 +1220,7 @@ func (e *Engine) samplePSN() (*chip.PSNSample, error) {
 		e.lastSampleT = e.now
 		return nil, nil
 	}
-	sp := e.timeline.StartSpan("psn_sample", e.now, -1)
-	defer e.timeline.EndSpan(sp, e.now)
-	ds := e.timeline.StartSpan("domain_solve", e.now, -1)
 	s, err := e.chip.SamplePSN(e.routerUtil)
-	e.timeline.EndSpan(ds, e.now)
 	if err != nil {
 		return nil, err
 	}

@@ -127,25 +127,13 @@ func (e *Engine) AttachDecisions(dl *obs.DecisionLog) {
 	e.decisions = dl
 }
 
-// linkObs attaches the timeline's self-accounting — event and span drop
-// counts plus the per-name span rollup — to the registry as snapshot-time
-// collectors, once both sides are present. The collectors only read, so the
-// observational contract holds.
+// linkObs attaches the timeline's event drop count to the registry as a
+// snapshot-time collector, once both sides are present. The collector only
+// reads, so the observational contract holds.
 func (e *Engine) linkObs() {
 	if e.reg == nil || e.timeline == nil {
 		return
 	}
 	tl := e.timeline
 	e.reg.Attach("obs/timeline_dropped", func() interface{} { return tl.Dropped() })
-	e.reg.Attach("obs/span_dropped", func() interface{} { return tl.SpanDropped() })
-	e.reg.Attach("obs/spans", func() interface{} {
-		stats := tl.SpanStats()
-		m := make(map[string]interface{}, len(stats))
-		for _, st := range stats {
-			m[st.Name] = map[string]interface{}{
-				"count": st.Count, "total_s": st.TotalS, "max_s": st.MaxS,
-			}
-		}
-		return m
-	})
 }

@@ -57,7 +57,7 @@ func TestTelemetryCountersPopulated(t *testing.T) {
 	}
 
 	for _, name := range []string{
-		"pdn/cache/hits", "pdn/cache/misses", "pdn/solve/phasor",
+		"pdn/cache/hits", "pdn/cache/misses",
 		"pdn/lti/factor_hits", "chip/psn/samples", "chip/psn/domain_solves",
 		"chip/sensor/samples", "noc/memo/misses", "noc/windows",
 		"noc/warmup_cycles", "noc/flits_delivered/PANR",
@@ -74,14 +74,9 @@ func TestTelemetryCountersPopulated(t *testing.T) {
 	if int(r.Counter("engine/ves").Value()) != m.TotalVEs {
 		t.Errorf("engine/ves = %d, want %d", r.Counter("engine/ves").Value(), m.TotalVEs)
 	}
-	// Every domain solve goes through the chip's one instrumented solver and
-	// one cache lookup, and the telemetry mirrors agree with the cache's own
-	// counters.
+	// Every domain solve goes through one cache lookup, and the telemetry
+	// mirrors agree with the cache's own counters.
 	solves := r.Counter("chip/psn/domain_solves").Value()
-	if bySolver := r.Counter("pdn/solve/phasor").Value() + r.Counter("pdn/solve/rk4").Value() +
-		r.Counter("pdn/solve/expm").Value(); bySolver != solves {
-		t.Errorf("pdn/solve/* total %d, want chip/psn/domain_solves %d", bySolver, solves)
-	}
 	hits, misses := r.Counter("pdn/cache/hits").Value(), r.Counter("pdn/cache/misses").Value()
 	if hits+misses != solves {
 		t.Errorf("pdn/cache hits %d + misses %d = %d, want chip/psn/domain_solves %d", hits, misses, hits+misses, solves)
@@ -115,10 +110,9 @@ func TestTelemetryCountersPopulated(t *testing.T) {
 	}
 }
 
-// A full run populates the hierarchical spans with the engine's phase names,
-// proper nesting under the window span, and a rollup; the registry surfaces
-// the timeline's self-accounting and the liveness gauges.
-func TestSpansAndProgressPopulated(t *testing.T) {
+// A full run advances the liveness gauges, and the registry surfaces the
+// timeline's self-accounting.
+func TestProgressPopulated(t *testing.T) {
 	r := obs.NewRegistry()
 	tl := obs.NewTimeline(1 << 12)
 	eng, err := NewEngine(Config{}, MustCombo("PARM", "PANR"))
@@ -131,49 +125,6 @@ func TestSpansAndProgressPopulated(t *testing.T) {
 	m, err := eng.Run(w)
 	if err != nil {
 		t.Fatal(err)
-	}
-
-	spans := tl.Spans()
-	if len(spans) == 0 {
-		t.Fatal("no spans recorded")
-	}
-	byID := map[obs.SpanID]obs.Span{}
-	for _, sp := range spans {
-		byID[sp.ID] = sp
-	}
-	names := map[string]bool{}
-	for _, sp := range spans {
-		names[sp.Name] = true
-		if sp.Open {
-			t.Errorf("span %s (%d) still open after Run", sp.Name, sp.ID)
-		}
-		// Non-window spans nest under a window (unless the parent was
-		// evicted from the ring, which a 4096-entry ring on this workload
-		// never hits — assert it stays that way).
-		if sp.Name != "window" && sp.Parent == 0 {
-			t.Errorf("span %s (%d) has no parent", sp.Name, sp.ID)
-		}
-		if p, ok := byID[sp.Parent]; ok {
-			if sp.Start < p.Start-1e-12 || sp.End > p.End+1e-12 {
-				t.Errorf("span %s [%g,%g] outside parent %s [%g,%g]",
-					sp.Name, sp.Start, sp.End, p.Name, p.Start, p.End)
-			}
-		}
-	}
-	for _, want := range []string{"window", "psn_sample", "domain_solve", "mapper_decide", "noc_measure", "noc_window"} {
-		if !names[want] {
-			t.Errorf("no %q spans recorded", want)
-		}
-	}
-
-	stats := tl.SpanStats()
-	if len(stats) < 5 {
-		t.Errorf("span rollup has %d names, want at least 5", len(stats))
-	}
-	for _, st := range stats {
-		if st.Count == 0 {
-			t.Errorf("rollup %s has zero count", st.Name)
-		}
 	}
 
 	// Liveness gauges track the event loop.
@@ -194,16 +145,6 @@ func TestSpansAndProgressPopulated(t *testing.T) {
 	}
 	if _, ok := obsTree["timeline_dropped"]; !ok {
 		t.Error("snapshot missing obs/timeline_dropped")
-	}
-	if _, ok := obsTree["span_dropped"]; !ok {
-		t.Error("snapshot missing obs/span_dropped")
-	}
-	spansTree, ok := obsTree["spans"].(map[string]interface{})
-	if !ok || len(spansTree) == 0 {
-		t.Fatalf("snapshot obs/spans = %v, want per-name rollup", obsTree["spans"])
-	}
-	if _, ok := spansTree["window"].(map[string]interface{}); !ok {
-		t.Errorf("obs/spans missing window rollup: %v", spansTree)
 	}
 }
 

@@ -293,14 +293,13 @@ func (r *Registry) FloatGauge(name string) *FloatGauge {
 }
 
 // Attach registers fn to be evaluated at snapshot time and inserted at the
-// slash-separated name, letting externally-owned state (timeline drop
-// counters, span rollups) appear in the snapshot without copying it on
-// every update. fn must return a JSON-marshalable value and be safe to call
-// concurrently with the rest of the program; numeric leaves (including
-// nested map[string]interface{} trees of numbers) also reach the Prometheus
-// exposition as untyped families. Attaching the same name again replaces
-// the previous collector. Names share the metric namespace and must keep it
-// prefix-free.
+// slash-separated name, letting externally-owned state (the timeline drop
+// counter) appear in the snapshot without copying it on every update. fn
+// must return a JSON-marshalable value and be safe to call concurrently
+// with the rest of the program; a numeric value also reaches the
+// Prometheus exposition as an untyped family. Attaching the same name again
+// replaces the previous collector. Names share the metric namespace and
+// must keep it prefix-free.
 func (r *Registry) Attach(name string, fn func() interface{}) {
 	if r == nil || fn == nil {
 		return

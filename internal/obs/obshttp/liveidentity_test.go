@@ -103,7 +103,7 @@ func TestServeMidRunScrapeByteIdentity(t *testing.T) {
 	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, fam := range []string{"parm_mapper_mapped", "parm_engine_events", "parm_obs_spans_window_count"} {
+	for _, fam := range []string{"parm_mapper_mapped", "parm_engine_events", "parm_obs_timeline_dropped"} {
 		if !strings.Contains(buf.String(), fam) {
 			t.Errorf("post-run exposition missing %s", fam)
 		}

@@ -20,8 +20,7 @@ func TestHandlerRoundTrip(t *testing.T) {
 	r.FloatGauge("engine/sim_time_s").Set(1.5)
 	r.Histogram("mapper/wait_s", []float64{0.1, 1}).Observe(0.2)
 	tl := obs.NewTimeline(16)
-	sp := tl.StartSpan("window", 0, -1)
-	tl.EndSpan(sp, 0.5)
+	tl.Record(obs.TimelineEvent{Name: "sample", TS: 0.5, App: -1, Arg: 3})
 	dl := obs.NewDecisionLog(8)
 	dl.Record(obs.Decision{TS: 0.2, App: 1, Outcome: "mapped", Candidates: 3})
 
@@ -93,8 +92,8 @@ func TestHandlerRoundTrip(t *testing.T) {
 	}
 
 	trace, _ := get("/trace")
-	if !strings.Contains(trace, `"traceEvents"`) || !strings.Contains(trace, `"window"`) {
-		t.Errorf("/trace missing span events: %s", trace)
+	if !strings.Contains(trace, `"traceEvents"`) || !strings.Contains(trace, `"sample"`) {
+		t.Errorf("/trace missing the recorded event: %s", trace)
 	}
 
 	pprofIdx, _ := get("/debug/pprof/")

@@ -13,8 +13,8 @@ import (
 // metric paths become parm_-prefixed underscore names ("pdn/cache/hits" ->
 // "parm_pdn_cache_hits"); counters, gauges, and float gauges render as one
 // sample per family, histograms render with cumulative _bucket series plus
-// _sum and _count, and attached collectors contribute their numeric leaves
-// as untyped families. Output is deterministic: families are sorted by
+// _sum and _count, and attached collectors with a numeric value render as
+// untyped families. Output is deterministic: families are sorted by
 // name, histogram buckets by bound.
 
 // ExpositionContentType is the Content-Type of the rendered text format.
@@ -52,7 +52,7 @@ type promFamily struct {
 	lines []string
 }
 
-// WritePrometheus renders every registered metric (and the numeric leaves
+// WritePrometheus renders every registered metric (and the numeric values
 // of attached collectors) in the Prometheus text exposition format. It is
 // safe to call concurrently with updates; like Snapshot, values are read
 // atomically per metric, not as a cross-metric consistent cut.
@@ -82,7 +82,11 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			fams = append(fams, histFamily(path, r.hists[path]))
 		}
 		for _, path := range sortedKeys(r.attached) {
-			fams = append(fams, untypedFamilies(path, r.attached[path]())...)
+			if v, ok := toFloat(r.attached[path]()); ok {
+				name := promName(path)
+				fams = append(fams, promFamily{name: name, path: path, typ: "untyped",
+					lines: []string{name + " " + formatFloat(v)}})
+			}
 		}
 		r.mu.Unlock()
 	}
@@ -125,47 +129,25 @@ func histFamily(path string, h *Histogram) promFamily {
 	return f
 }
 
-// untypedFamilies flattens an attached collector's value into untyped
-// families: numeric leaves become samples, nested map[string]interface{}
-// levels extend the path, and everything else (strings, slices) is left to
-// the JSON snapshot alone.
-func untypedFamilies(path string, v interface{}) []promFamily {
-	var fams []promFamily
-	switch val := v.(type) {
-	case map[string]interface{}:
-		keys := make([]string, 0, len(val))
-		for k := range val {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			fams = append(fams, untypedFamilies(path+"/"+k, val[k])...)
-		}
-	case float64, uint64, int64, int, uint, int32, uint32:
-		name := promName(path)
-		fams = append(fams, promFamily{name: name, path: path, typ: "untyped",
-			lines: []string{name + " " + formatFloat(toFloat(val))}})
-	}
-	return fams
-}
-
-// toFloat widens the numeric leaf types untypedFamilies accepts.
-func toFloat(v interface{}) float64 {
+// toFloat widens the numeric values an attached collector may return; ok is
+// false for anything else (strings, slices, maps), which is left to the JSON
+// snapshot alone.
+func toFloat(v interface{}) (f float64, ok bool) {
 	switch n := v.(type) {
 	case float64:
-		return n
+		return n, true
 	case uint64:
-		return float64(n)
+		return float64(n), true
 	case int64:
-		return float64(n)
+		return float64(n), true
 	case int:
-		return float64(n)
+		return float64(n), true
 	case uint:
-		return float64(n)
+		return float64(n), true
 	case int32:
-		return float64(n)
+		return float64(n), true
 	case uint32:
-		return float64(n)
+		return float64(n), true
 	}
-	return 0
+	return 0, false
 }

@@ -20,9 +20,6 @@ func TestWritePrometheus(t *testing.T) {
 	h.Observe(0.5)
 	h.Observe(5)
 	r.Attach("obs/timeline_dropped", func() interface{} { return uint64(7) })
-	r.Attach("obs/spans", func() interface{} {
-		return map[string]interface{}{"window": map[string]interface{}{"count": uint64(2), "total_s": 0.5}}
-	})
 
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
@@ -43,8 +40,6 @@ func TestWritePrometheus(t *testing.T) {
 		"parm_mapper_wait_s_count 4",
 		"# TYPE parm_obs_timeline_dropped untyped",
 		"parm_obs_timeline_dropped 7",
-		"parm_obs_spans_window_count 2",
-		"parm_obs_spans_window_total_s 0.5",
 	} {
 		if !strings.Contains(text, want+"\n") {
 			t.Errorf("exposition is missing %q:\n%s", want, text)

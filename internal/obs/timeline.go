@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 )
 
@@ -20,50 +19,10 @@ type TimelineEvent struct {
 	Arg  int64   // event-specific payload (VE count, queue depth, ...)
 }
 
-// SpanID identifies one span returned by StartSpan. IDs are assigned
-// sequentially from 1; the zero SpanID is invalid (it is what a nil
-// timeline returns) and EndSpan ignores it.
-type SpanID uint64
-
-// Span is one hierarchical sim-clock interval: a StartSpan/EndSpan pair
-// with the parent span that was open when it started. Like TimelineEvent,
-// timestamps are simulated seconds — never wall clock — so span traces
-// replay deterministically.
-type Span struct {
-	ID     SpanID
-	Parent SpanID // 0 for root spans (or spans whose parent was evicted)
-	Name   string
-	Start  float64 // simulated start time, seconds
-	End    float64 // simulated end time; == Start until EndSpan
-	App    int     // application ID, or -1 for chip-global spans
-	Open   bool    // true until EndSpan lands
-}
-
-// spanStat aggregates the completed spans of one name.
-type spanStat struct {
-	count uint64
-	total float64
-	max   float64
-}
-
-// SpanStat is the rollup of one span name's completed spans: how many
-// ended, and the total and maximum simulated duration.
-type SpanStat struct {
-	Name   string
-	Count  uint64
-	TotalS float64
-	MaxS   float64
-}
-
-// maxSpanDepth bounds the open-span parent stack. Deeper starts still
-// record, with the stack top as parent, but are not tracked for nesting.
-const maxSpanDepth = 64
-
-// Timeline is a bounded ring buffer of TimelineEvents plus a bounded ring
-// of hierarchical spans. When full, Record overwrites the oldest event and
-// counts the loss in Dropped (spans likewise in SpanDropped), so a long run
+// Timeline is a bounded ring buffer of TimelineEvents. When full, Record
+// overwrites the oldest event and counts the loss in Dropped, so a long run
 // keeps its most recent window instead of growing without bound. A nil
-// Timeline discards events and spans, which lets instrumented code record
+// Timeline discards events, which lets instrumented code record
 // unconditionally.
 type Timeline struct {
 	mu      sync.Mutex
@@ -71,26 +30,14 @@ type Timeline struct {
 	start   int // index of the oldest event
 	n       int // number of live events
 	dropped uint64
-
-	spans       []Span // ring indexed by (id-1) % cap
-	spanNext    uint64 // last assigned span ID
-	spanDropped uint64
-	stack       [maxSpanDepth]SpanID
-	depth       int
-	stats       map[string]*spanStat
 }
 
-// NewTimeline returns a timeline holding at most capacity events and
-// capacity spans (minimum 1).
+// NewTimeline returns a timeline holding at most capacity events (minimum 1).
 func NewTimeline(capacity int) *Timeline {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Timeline{
-		buf:   make([]TimelineEvent, capacity),
-		spans: make([]Span, capacity),
-		stats: make(map[string]*spanStat),
-	}
+	return &Timeline{buf: make([]TimelineEvent, capacity)}
 }
 
 // Record appends ev, overwriting the oldest event when the buffer is full.
@@ -132,115 +79,6 @@ func (t *Timeline) Dropped() uint64 {
 	return t.dropped
 }
 
-// StartSpan opens a hierarchical span at simulated time ts, parented to the
-// innermost span still open. The returned ID is passed to EndSpan; spans
-// live in a bounded ring, so on very long runs an old span may be evicted
-// (counted in SpanDropped) before it ends. Safe for concurrent use, but
-// parent attribution assumes the single-threaded engine loop: concurrent
-// starters would interleave on one stack.
-//
-//parm:hot
-func (t *Timeline) StartSpan(name string, ts float64, app int) SpanID {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	t.spanNext++
-	id := SpanID(t.spanNext)
-	slot := &t.spans[int((t.spanNext-1)%uint64(len(t.spans)))]
-	if slot.ID != 0 {
-		t.spanDropped++ // ring full: the oldest span is overwritten
-	}
-	var parent SpanID
-	if t.depth > 0 {
-		parent = t.stack[t.depth-1]
-	}
-	*slot = Span{ID: id, Parent: parent, Name: name, Start: ts, End: ts, App: app, Open: true}
-	if t.depth < len(t.stack) {
-		t.stack[t.depth] = id
-		t.depth++
-	}
-	t.mu.Unlock()
-	return id
-}
-
-// EndSpan closes the span at simulated time ts and folds its duration into
-// the per-name rollup (SpanStats). Ending a zero ID, an already-ended span,
-// or a span the ring has evicted is a no-op.
-//
-//parm:hot
-func (t *Timeline) EndSpan(id SpanID, ts float64) {
-	if t == nil || id == 0 {
-		return
-	}
-	t.mu.Lock()
-	slot := &t.spans[int((uint64(id)-1)%uint64(len(t.spans)))]
-	if slot.ID == id && slot.Open {
-		slot.End = ts
-		slot.Open = false
-		st := t.stats[slot.Name]
-		if st == nil {
-			// First completion of this name: registration-style allocation,
-			// amortized to zero on the steady state.
-			st = &spanStat{}
-			t.stats[slot.Name] = st
-		}
-		st.count++
-		d := ts - slot.Start
-		st.total += d
-		if d > st.max {
-			st.max = d
-		}
-	}
-	if t.depth > 0 && t.stack[t.depth-1] == id {
-		t.depth--
-	}
-	t.mu.Unlock()
-}
-
-// SpanDropped returns how many spans were overwritten after the span ring
-// filled.
-func (t *Timeline) SpanDropped() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.spanDropped
-}
-
-// Spans returns the buffered spans in start (ID) order as a fresh slice.
-func (t *Timeline) Spans() []Span {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]Span, 0, len(t.spans))
-	for i := range t.spans {
-		if t.spans[i].ID != 0 {
-			out = append(out, t.spans[i])
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// SpanStats returns the per-name rollup of completed spans, sorted by name.
-func (t *Timeline) SpanStats() []SpanStat {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]SpanStat, 0, len(t.stats))
-	for name, st := range t.stats {
-		out = append(out, SpanStat{Name: name, Count: st.count, TotalS: st.total, MaxS: st.max})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
 // Events returns the buffered events oldest-first as a fresh slice.
 func (t *Timeline) Events() []TimelineEvent {
 	if t == nil {
@@ -277,25 +115,14 @@ type traceFile struct {
 	DisplayTimeUnit string       `json:"displayTimeUnit"`
 }
 
-// spanTrackPID is the trace process row carrying the hierarchical spans.
-// Spans share one track: the engine records them from its single-threaded
-// event loop, so the whole tree is one LIFO slice stack, and Perfetto nests
-// B/E pairs per track.
-const spanTrackPID = 1
-
-// WriteChromeTrace writes the buffered events and spans as Chrome
-// trace-event JSON, loadable in Perfetto (ui.perfetto.dev) or
-// chrome://tracing. Events with a duration become complete ("X") slices;
-// instantaneous events become global instants ("i"). Each app gets its own
-// track (tid = app ID); global events land on tid 0 of a separate process
-// row. Spans render as properly nested duration ("B"/"E") pairs on the
-// dedicated span process row (pid 1): children are emitted inside their
-// parent's pair, so the hierarchy survives even when a whole subtree is
-// instantaneous in simulated time.
+// WriteChromeTrace writes the buffered events as Chrome trace-event JSON,
+// loadable in Perfetto (ui.perfetto.dev) or chrome://tracing. Events with a
+// duration become complete ("X") slices; instantaneous events become global
+// instants ("i"). Each app gets its own track (tid = app ID); global events
+// land on tid 0.
 func (t *Timeline) WriteChromeTrace(w io.Writer) error {
 	events := t.Events()
-	spans := t.Spans()
-	out := traceFile{TraceEvents: make([]traceEvent, 0, len(events)+2*len(spans)), DisplayTimeUnit: "ms"}
+	out := traceFile{TraceEvents: make([]traceEvent, 0, len(events)), DisplayTimeUnit: "ms"}
 	for _, ev := range events {
 		te := traceEvent{
 			Name: ev.Name,
@@ -316,7 +143,6 @@ func (t *Timeline) WriteChromeTrace(w io.Writer) error {
 		}
 		out.TraceEvents = append(out.TraceEvents, te)
 	}
-	out.TraceEvents = appendSpanEvents(out.TraceEvents, spans)
 	data, err := json.MarshalIndent(out, "", " ")
 	if err != nil {
 		return fmt.Errorf("obs: marshaling trace: %w", err)
@@ -326,52 +152,4 @@ func (t *Timeline) WriteChromeTrace(w io.Writer) error {
 		return fmt.Errorf("obs: writing trace: %w", err)
 	}
 	return nil
-}
-
-// appendSpanEvents emits the span forest as B/E pairs in depth-first order:
-// B(parent), children recursively, E(parent). Emission order carries the
-// nesting — trace viewers resolve same-timestamp B/E pairs by array order —
-// so zero-sim-duration subtrees still display as a proper stack. Spans
-// whose parent was evicted from the ring become roots; spans still open at
-// export get a B with no E, which viewers extend to the end of the trace.
-func appendSpanEvents(dst []traceEvent, spans []Span) []traceEvent {
-	byID := make(map[SpanID]int, len(spans))
-	for i := range spans {
-		byID[spans[i].ID] = i
-	}
-	children := make(map[SpanID][]int, len(spans))
-	var roots []int
-	for i := range spans {
-		p := spans[i].Parent
-		if _, ok := byID[p]; p != 0 && ok {
-			children[p] = append(children[p], i)
-		} else {
-			roots = append(roots, i)
-		}
-	}
-	var emit func(i int)
-	emit = func(i int) {
-		sp := spans[i]
-		b := traceEvent{
-			Name:  sp.Name,
-			Phase: "B",
-			TS:    sp.Start * 1e6, // simulated s -> trace µs
-			PID:   spanTrackPID,
-			Args:  map[string]interface{}{"id": uint64(sp.ID)},
-		}
-		if sp.App >= 0 {
-			b.Args["app"] = sp.App
-		}
-		dst = append(dst, b)
-		for _, c := range children[sp.ID] {
-			emit(c)
-		}
-		if !sp.Open {
-			dst = append(dst, traceEvent{Name: sp.Name, Phase: "E", TS: sp.End * 1e6, PID: spanTrackPID})
-		}
-	}
-	for _, r := range roots {
-		emit(r)
-	}
-	return dst
 }

@@ -3,8 +3,13 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
+	"os"
+	"path/filepath"
 	"testing"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 func TestTimelineNil(t *testing.T) {
 	var tl *Timeline
@@ -82,5 +87,34 @@ func TestWriteChromeTrace(t *testing.T) {
 	}
 	if got := inst.Args["arg"].(float64); got != 5 {
 		t.Errorf("instant arg = %v, want 5", got)
+	}
+}
+
+// The exported Chrome trace is pinned byte-for-byte over the engine's event
+// kinds: an app lifetime slice, per-app instants and chip-global instants.
+func TestWriteChromeTraceGolden(t *testing.T) {
+	tl := NewTimeline(16)
+	tl.Record(TimelineEvent{Name: "map", TS: 0, App: 1, Arg: 4})
+	tl.Record(TimelineEvent{Name: "sample", TS: 0.01, App: -1, Arg: 2})
+	tl.Record(TimelineEvent{Name: "drop", TS: 0.015, App: 2})
+	tl.Record(TimelineEvent{Name: "ve", TS: 0.02, App: -1, Arg: 1})
+	tl.Record(TimelineEvent{Name: "app", TS: 0, Dur: 0.03, App: 1, Arg: 4})
+	var buf bytes.Buffer
+	if err := tl.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	golden := filepath.Join("testdata", "trace.golden.json")
+	if *updateGolden {
+		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("reading golden (run with -update to regenerate): %v", err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("trace differs from golden (run with -update to regenerate)\ngot:\n%s\nwant:\n%s",
+			buf.String(), string(want))
 	}
 }

@@ -8,11 +8,9 @@ package pdn
 import "parm/internal/obs"
 
 // SolverObs holds the pre-registered pdn telemetry counters shared by every
-// Solver of one run: per-mode solve counts and the Φ/admittance
-// factorization-cache hit rates. A nil *SolverObs disables instrumentation.
+// Solver of one run: the admittance factorization-cache hit rates. A nil
+// *SolverObs disables instrumentation.
 type SolverObs struct {
-	modes              [ModePhasor + 1]*obs.Counter
-	phiHits, phiMisses *obs.Counter
 	facHits, facMisses *obs.Counter
 }
 
@@ -24,13 +22,6 @@ func NewSolverObs(r *obs.Registry) *SolverObs {
 		return nil
 	}
 	return &SolverObs{
-		modes: [ModePhasor + 1]*obs.Counter{
-			ModeRK4:    r.Counter("pdn/solve/rk4"),
-			ModeExpm:   r.Counter("pdn/solve/expm"),
-			ModePhasor: r.Counter("pdn/solve/phasor"),
-		},
-		phiHits:   r.Counter("pdn/lti/phi_hits"),
-		phiMisses: r.Counter("pdn/lti/phi_misses"),
 		facHits:   r.Counter("pdn/lti/factor_hits"),
 		facMisses: r.Counter("pdn/lti/factor_misses"),
 	}
@@ -43,9 +34,6 @@ func (s *Solver) Instrument(o *SolverObs) {
 	if o == nil {
 		return
 	}
-	s.modeObs = o.modes
-	s.lti.phiHits = o.phiHits
-	s.lti.phiMisses = o.phiMisses
 	s.lti.facHits = o.facHits
 	s.lti.facMisses = o.facMisses
 }

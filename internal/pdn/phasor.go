@@ -106,7 +106,7 @@ type ltiCaches struct {
 	phi    map[phiKey]*[ltiStates][ltiStates]float64
 	factor map[facKey]*cluFactor
 	// Telemetry counters set by Solver.Instrument; nil discards updates.
-	phiHits, phiMisses, facHits, facMisses *obs.Counter
+	facHits, facMisses *obs.Counter
 }
 
 // phiFor returns the cached Φ = exp(A·dt) for the circuit, computing and
@@ -115,10 +115,8 @@ type ltiCaches struct {
 func (lc *ltiCaches) phiFor(c *circuit, params power.NodeParams, dt power.Seconds) (*[ltiStates][ltiStates]float64, error) {
 	if lc != nil {
 		if phi, ok := lc.phi[phiKey{params, dt}]; ok {
-			lc.phiHits.Inc()
 			return phi, nil
 		}
-		lc.phiMisses.Inc()
 	}
 	a := c.ltiMatrix()
 	h := float64(dt)

@@ -145,9 +145,6 @@ type Solver struct {
 	// solves — these hit even when the solve cache misses on a new load
 	// signature.
 	lti ltiCaches
-	// modeObs counts solves per resolved mode (index by cfg.Mode after
-	// withDefaults); nil entries discard updates.
-	modeObs [ModePhasor + 1]*obs.Counter
 }
 
 // NewSolver returns a Solver backed by cache. A nil cache disables
@@ -168,7 +165,6 @@ func (s *Solver) SimulateDomain(cfg Config, loads [DomainTiles]TileLoad) (Result
 		return Result{}, err
 	}
 	loads = QuantizeLoads(loads)
-	s.modeObs[cfg.Mode].Inc()
 	if s.cache == nil {
 		return simulate(cfg, loads, &s.scratch, &s.lti)
 	}
