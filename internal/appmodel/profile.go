@@ -138,16 +138,31 @@ func (g *APG) SPMDTimeEstimate(coreHz, syncCycles float64) float64 {
 	return m
 }
 
-// wcetCache memoizes WCETEstimate: Algorithm 1 evaluates it for every
-// (Vdd, DoP) combination on every scheduling attempt. Profiles are
-// deterministic, so caching is safe.
-var wcetCache sync.Map // key wcetKey -> float64
+// wcetCache and powerCache memoize WCETEstimate and PowerEstimate:
+// Algorithm 1 evaluates them for the (Vdd, DoP) combinations of every
+// scheduling attempt, and each uncached call builds an APG. Profiles are
+// deterministic, so caching is safe; the caches hold scalars only, never a
+// graph.
+var (
+	wcetCache  sync.Map // estimateKey -> float64
+	powerCache sync.Map // estimateKey -> power.Watts
+)
 
-type wcetKey struct {
+// estimateKey holds the inputs of a cached estimate. Only a node's table
+// parameters (power.Params) are cached, so the Node stands for all of them.
+type estimateKey struct {
 	bench string
 	node  power.Node
 	vdd   power.Volts
 	dop   int
+}
+
+// tableParams reports whether p is its node's table entry. Estimates for
+// any other parameter set (tests vary single constants) are computed
+// uncached, so they never read or overwrite the table entry's values.
+func tableParams(p *power.NodeParams) bool {
+	q, ok := power.Params(p.Node)
+	return ok && q == *p
 }
 
 // WCETEstimate returns the profiled worst-case execution time in seconds of
@@ -156,29 +171,46 @@ type wcetKey struct {
 // communication throughput. It returns +Inf when vdd cannot clock the core
 // (at or below threshold).
 func (b Benchmark) WCETEstimate(p power.NodeParams, vdd power.Volts, dop int) float64 {
-	key := wcetKey{bench: b.Name, node: p.Node, vdd: vdd, dop: dop}
+	if !tableParams(&p) {
+		return b.computeWCET(p, vdd, dop)
+	}
+	key := estimateKey{bench: b.Name, node: p.Node, vdd: vdd, dop: dop}
 	if v, ok := wcetCache.Load(key); ok {
 		return v.(float64)
 	}
-	f := p.Frequency(vdd)
-	var est float64
-	if f <= 0 {
-		est = inf()
-	} else {
-		est = b.Graph(dop).SPMDTimeEstimate(f, b.SyncCyclesPerTask(dop))
-	}
+	est := b.computeWCET(p, vdd, dop)
 	wcetCache.Store(key, est)
 	return est
+}
+
+func (b Benchmark) computeWCET(p power.NodeParams, vdd power.Volts, dop int) float64 {
+	f := p.Frequency(vdd)
+	if f <= 0 {
+		return inf()
+	}
+	return b.Graph(dop).SPMDTimeEstimate(f, b.SyncCyclesPerTask(dop))
 }
 
 // PowerEstimate returns the profiled total power of benchmark b mapped at
 // vdd with parallelism dop: the sum of its tasks' tile powers (paper
 // Algorithm 2, line 1 input).
 func (b Benchmark) PowerEstimate(p power.NodeParams, vdd power.Volts, dop int) power.Watts {
-	g := b.Graph(dop)
+	if !tableParams(&p) {
+		return b.computePower(p, vdd, dop)
+	}
+	key := estimateKey{bench: b.Name, node: p.Node, vdd: vdd, dop: dop}
+	if v, ok := powerCache.Load(key); ok {
+		return v.(power.Watts)
+	}
+	total := b.computePower(p, vdd, dop)
+	powerCache.Store(key, total)
+	return total
+}
+
+func (b Benchmark) computePower(p power.NodeParams, vdd power.Volts, dop int) power.Watts {
 	ru := routerUtilEstimate(b.Kind)
 	total := power.Watts(0)
-	for _, t := range g.Tasks {
+	for _, t := range b.Graph(dop).Tasks {
 		total += p.TilePower(vdd, ActivityFactor(t.Activity), ru)
 	}
 	return total

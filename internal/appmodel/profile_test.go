@@ -74,6 +74,49 @@ func TestWCETCacheConsistency(t *testing.T) {
 	}
 }
 
+// The estimate caches must key on every node parameter: two parameter sets
+// that share a Node each get their own uncached value, in whatever order
+// they are first asked for.
+func TestEstimateCachesKeyOnNodeParams(t *testing.T) {
+	p := np7()
+	fast := p
+	fast.FMax *= 2
+	b, err := BenchmarkByName("cholesky")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const vdd, dop = 0.6, 16
+	uncached := func(p power.NodeParams) (float64, power.Watts) {
+		g := b.Graph(dop)
+		var w power.Watts
+		for _, task := range g.Tasks {
+			w += p.TilePower(vdd, ActivityFactor(task.Activity), routerUtilEstimate(b.Kind))
+		}
+		return g.SPMDTimeEstimate(p.Frequency(vdd), b.SyncCyclesPerTask(dop)), w
+	}
+	for _, tc := range []struct {
+		name string
+		p    power.NodeParams
+	}{
+		{"default", p},
+		{"FMax doubled", fast},
+		{"default again", p},
+	} {
+		wantW, wantP := uncached(tc.p)
+		if got := b.WCETEstimate(tc.p, vdd, dop); got != wantW {
+			t.Errorf("%s: WCETEstimate = %g s, uncached %g s", tc.name, got, wantW)
+		}
+		if got := b.PowerEstimate(tc.p, vdd, dop); got != wantP {
+			t.Errorf("%s: PowerEstimate = %g W, uncached %g W", tc.name, got, wantP)
+		}
+	}
+	// Algorithm 1 calls both for every candidate; once cached, neither
+	// builds an APG again.
+	if n := testing.AllocsPerRun(10, func() { b.PowerEstimate(p, vdd, dop) }); n != 0 {
+		t.Errorf("cached PowerEstimate allocates %g times per call, want 0", n)
+	}
+}
+
 // The SPMD estimate lower-bounds at the slowest thread's compute time.
 func TestSPMDTimeEstimateBounds(t *testing.T) {
 	b := Benchmarks()[0]

@@ -298,6 +298,10 @@ type Engine struct {
 	env        noc.Env
 	sensor     *pdn.Sensor
 	routerUtil []float64
+	// net is the engine's one NoC network, reset for every window it
+	// simulates cycle by cycle. The first such window allocates it, which
+	// keeps engine set-up as cheap as before the network was reused.
+	net *noc.Network
 
 	// nocMemo holds recent NoC measurements with the exact inputs each was
 	// taken under. A measurement is a deterministic function of (config,
@@ -374,6 +378,10 @@ func NewEngine(cfg Config, fw Framework) (*Engine, error) {
 	e.cfg.NoC.Height = cfg.Chip.Height
 	if e.cfg.NoC.Width == 0 {
 		e.cfg.NoC.Width, e.cfg.NoC.Height = c.Mesh.Width, c.Mesh.Height
+	}
+	// Reject a bad NoC config here rather than at the first window.
+	if err := e.cfg.NoC.Validate(); err != nil {
+		return nil, fmt.Errorf("core: Config.NoC: %w", err)
 	}
 	if cfg.VEModel == VERollback {
 		e.faultPlan = sched.NewFaultPlan(cfg.FaultSeed)
@@ -1012,7 +1020,8 @@ func (e *Engine) measurementFor(flows []noc.Flow) (*noc.Result, error) {
 // closed form and accepts it for uncongested windows (no resource's offered
 // load above NoC.SatLinkLoad). Everything else — NoCModeCycle, fault
 // injection, and saturated windows under NoCModeAuto — runs the
-// cycle-accurate warmup+measure.
+// cycle-accurate warmup+measure on the engine's network, reset for the
+// window.
 func (e *Engine) simulateWindow(flows []noc.Flow) (*noc.Result, error) {
 	if e.cfg.NoCMode != NoCModeCycle && e.nocFaults == nil {
 		res, rep, err := noc.AnalyticMeasure(e.cfg.NoC, e.fw.Routing, flows, &e.env, e.cfg.WindowCycles)
@@ -1027,8 +1036,11 @@ func (e *Engine) simulateWindow(flows []noc.Flow) (*noc.Result, error) {
 		}
 		e.tel.nocFallback.Inc()
 	}
-	net, err := noc.NewNetwork(e.cfg.NoC, e.fw.Routing, flows, &e.env)
-	if err != nil {
+	if e.net == nil {
+		e.net = new(noc.Network)
+	}
+	net := e.net
+	if err := net.Reset(e.cfg.NoC, e.fw.Routing, flows, &e.env); err != nil {
 		return nil, err
 	}
 	if e.nocFaults != nil {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"parm/internal/appmodel"
+	"parm/internal/noc"
 	"parm/internal/obs"
 	"parm/internal/pdn"
 	"parm/internal/power"
@@ -86,6 +87,24 @@ func TestEngineRejectsBadInput(t *testing.T) {
 	}
 	if _, err := NewEngine(Config{}, Framework{Name: "broken"}); err == nil {
 		t.Error("framework without mapper accepted")
+	}
+}
+
+// A NoC config the network rejects fails NewEngine, not the first window
+// of Run.
+func TestNewEngineRejectsBadNoCConfig(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  noc.Config
+	}{
+		{"RateEWMA above 1", noc.Config{RateEWMA: 2}},
+		{"negative BufferFlits", noc.Config{BufferFlits: -1}},
+		{"negative OccupancyThreshold", noc.Config{OccupancyThreshold: -1}},
+		{"unknown Stepping", noc.Config{Stepping: 7}},
+	} {
+		if _, err := NewEngine(Config{NoC: tc.cfg}, MustCombo("PARM", "PANR")); err == nil {
+			t.Errorf("%s: NewEngine accepted %+v", tc.name, tc.cfg)
+		}
 	}
 }
 

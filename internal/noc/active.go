@@ -14,7 +14,8 @@ type tileSet struct {
 	words []uint64
 }
 
-func newTileSet(n int) tileSet { return tileSet{words: make([]uint64, (n+63)/64)} }
+// reset empties the set and sizes it for n tiles.
+func (s *tileSet) reset(n int) { s.words = resized(s.words, (n+63)/64) }
 
 func (s *tileSet) set(t int)   { s.words[t>>6] |= 1 << uint(t&63) }
 func (s *tileSet) clear(t int) { s.words[t>>6] &^= 1 << uint(t&63) }

@@ -41,8 +41,8 @@ func contendedRouter(t *testing.T, tile geom.TileID, dir geom.Dir, inputs []int,
 	for _, in := range inputs {
 		for k := 0; k < packets; k++ {
 			slot := n.openPacket(in)
-			r.inputs[in].push(newFlit(slot, KindHead))
-			r.inputs[in].push(newFlit(slot, KindTail))
+			n.push(int(tile), in, newFlit(slot, KindHead))
+			n.push(int(tile), in, newFlit(slot, KindTail))
 		}
 		r.occ |= 1 << in
 	}
@@ -150,9 +150,14 @@ func TestArbitrationOffMeshReleases(t *testing.T) {
 }
 
 // TestFlitLayout pins the 4-byte flit handle: every buffer slot holds one
-// and every link crossing moves one.
+// and every link crossing moves one. It also pins the 104-byte router,
+// whose rings keep only a front index and count while their slots live in
+// the network's slot array.
 func TestFlitLayout(t *testing.T) {
 	if size := unsafe.Sizeof(flit(0)); size != 4 {
 		t.Errorf("flit is %d bytes, want 4", size)
+	}
+	if size := unsafe.Sizeof(router{}); size != 104 {
+		t.Errorf("router is %d bytes, want 104", size)
 	}
 }

@@ -87,17 +87,33 @@ func BenchmarkNoCStepAllocs(b *testing.B) {
 	}
 }
 
-// BenchmarkMeasureWindow times a full measurement window (the per-mapping-
-// event cost in the runtime engine) on the saturated benchFlows fixture.
-func BenchmarkMeasureWindow(b *testing.B) {
+// resultAllocs is what Measure's Result costs: the struct and its three
+// slices.
+const resultAllocs = 4
+
+// BenchmarkWindowAllocs times a full measurement window as the engine runs
+// it at every mapping event, on its one reused network and the saturated
+// benchFlows fixture, and pins what the window allocates: once the network
+// is warm, Reset, the warmup and Measure allocate only the Result.
+func BenchmarkWindowAllocs(b *testing.B) {
 	env := &Env{PSN: make([]float64, 60)}
-	for i := 0; i < b.N; i++ {
-		n, err := NewNetwork(Config{}, PANR{}, benchFlows(), env)
-		if err != nil {
+	flows := benchFlows()
+	n := &Network{}
+	window := func() {
+		if err := n.Reset(Config{}, PANR{}, flows, env); err != nil {
 			b.Fatal(err)
 		}
 		n.Run(1500)
 		n.Measure(8000)
+	}
+	window() // grow the packet table to its high-water mark
+	if allocs := testing.AllocsPerRun(5, window); allocs > resultAllocs {
+		b.Fatalf("warm window allocates %.1f times, want at most %d (the Result)", allocs, resultAllocs)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		window()
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 
 	"parm/internal/geom"
 )
@@ -86,6 +85,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// Validate returns the error NewNetwork and Reset report for a config
+// field out of range, or nil. Zero fields take their defaults first.
+func (c Config) Validate() error { return c.withDefaults().validate() }
+
 // validate rejects configurations the simulator cannot run. It checks the
 // config after withDefaults, so zero fields already hold their defaults.
 func (c Config) validate() error {
@@ -132,7 +135,9 @@ func (e *Env) psnAt(t geom.TileID) float64 {
 	return e.PSN[t]
 }
 
-// Network is one NoC simulation instance.
+// Network is one NoC simulation instance. Reset reinitialises it for a new
+// window, reusing its storage, so a caller that measures many windows keeps
+// one Network.
 type Network struct {
 	cfg     Config
 	mesh    geom.Mesh
@@ -141,6 +146,11 @@ type Network struct {
 	routers []router
 	flows   []Flow
 	stats   []FlowStats
+
+	// slots holds every input ring's flit handles, BufferFlits per (tile,
+	// port) in tile-major order (ringBase); routers keep only each ring's
+	// front index and count.
+	slots []flit
 
 	// per-flow injection state. acc[i] is the fractional flit credit
 	// accumulated from Rate; the active path replays it ahead of the clock
@@ -152,9 +162,11 @@ type Network struct {
 	// so packets enter the local port contiguously.
 	partialPkt  []int32
 	partialLeft []int
-	injectRR    []int // round-robin pointer over flows per source tile
-	flowsBySrc  [][]int
-	srcTiles    []int // tiles with at least one flow source, ascending
+	injectRR    []int // round-robin position in each tile's srcFlows run
+	// srcFlows lists the flows each tile sources, ascending, tile after
+	// tile; tile t's run is srcFlows[srcOff[t]:srcOff[t+1]].
+	srcFlows []int
+	srcOff   []int
 
 	// packets is the packet table flit handles point into; free lists its
 	// released slots.
@@ -170,12 +182,20 @@ type Network struct {
 	wake          wakeHeap
 	rated         []int // tiles that received flits this cycle (deduplicated)
 
-	// nbr[t][p] is the tile one hop from t through cardinal port p, or -1
-	// off the mesh; built once so traversal never recomputes coordinates.
-	nbr [][4]int32
+	// coord[t] is tile t's mesh coordinate and nbr[t][p] the tile one hop
+	// from t through cardinal port p, or -1 off the mesh. Reset builds both
+	// once per mesh size, so routing and traversal never divide by the
+	// mesh width.
+	coord []geom.Coord
+	nbr   [][4]int32
 
 	// per-cycle scratch, reused to avoid allocation in the hot loop
 	arrivalScratch []pendingArrival
+
+	// Measure's start-of-window snapshots, kept so a window allocates only
+	// the Result it returns.
+	startForwarded []int
+	startStats     []FlowStats
 
 	// faults, when non-nil, injects noise-induced packet losses at ejection
 	// (SetFaultModel). pendingRecovery[f] counts flow f's retransmissions
@@ -187,81 +207,117 @@ type Network struct {
 }
 
 // NewNetwork builds a network for the given routing algorithm, flow set,
-// and environment. It returns an error for a config field out of range
-// (non-positive mesh dimensions or more than MaxInt32 tiles, negative
-// buffer, packet or stage sizes, RateEWMA outside (0,1], a NaN or negative
-// threshold, an unknown Stepping, buffers too large for the packet table),
-// for more than MaxInt32 flows, or when a flow references a tile outside
-// the mesh or has a negative, NaN or infinite rate.
+// and environment: a zero Network after Reset, which lists the errors.
 func NewNetwork(cfg Config, alg Algorithm, flows []Flow, env *Env) (*Network, error) {
-	cfg = cfg.withDefaults()
-	if alg == nil {
-		return nil, fmt.Errorf("noc: nil routing algorithm")
-	}
-	if err := cfg.validate(); err != nil {
+	n := &Network{}
+	if err := n.Reset(cfg, alg, flows, env); err != nil {
 		return nil, err
 	}
+	return n, nil
+}
+
+// Reset reinitialises n exactly as NewNetwork would build it for the given
+// routing algorithm, flow set and environment, reusing n's storage: a warm
+// network of the same mesh allocates nothing. It clears the fault model.
+// The network keeps flows and env, so callers must not change them while it
+// runs.
+//
+// It returns an error, and leaves n unchanged, for a config field out of
+// range (non-positive mesh dimensions or more than MaxInt32 tiles, negative
+// buffer, packet or stage sizes, RateEWMA outside (0,1], a NaN or negative
+// threshold, an unknown Stepping, buffers too large for the packet table),
+// a nil algorithm, more than MaxInt32 flows, or a flow that references a
+// tile outside the mesh or has a negative, NaN or infinite rate.
+func (n *Network) Reset(cfg Config, alg Algorithm, flows []Flow, env *Env) error {
+	cfg = cfg.withDefaults()
+	if alg == nil {
+		return fmt.Errorf("noc: nil routing algorithm")
+	}
+	if err := cfg.validate(); err != nil {
+		return err
+	}
 	if int64(len(flows)) > math.MaxInt32 {
-		return nil, fmt.Errorf("noc: %d flows exceed %d", len(flows), math.MaxInt32)
+		return fmt.Errorf("noc: %d flows exceed %d", len(flows), math.MaxInt32)
 	}
 	mesh := geom.NewMesh(cfg.Width, cfg.Height)
-	n := &Network{
-		cfg:           cfg,
-		mesh:          mesh,
-		alg:           alg,
-		env:           env,
-		routers:       make([]router, mesh.NumTiles()),
-		flows:         flows,
-		stats:         make([]FlowStats, len(flows)),
-		acc:           make([]float64, len(flows)),
-		staged:        make([]int, len(flows)),
-		partialPkt:    make([]int32, mesh.NumTiles()),
-		partialLeft:   make([]int, mesh.NumTiles()),
-		injectRR:      make([]int, mesh.NumTiles()),
-		flowsBySrc:    make([][]int, mesh.NumTiles()),
-		activeRouters: newTileSet(mesh.NumTiles()),
-		activeTiles:   newTileSet(mesh.NumTiles()),
-		stagedFlows:   make([]int, mesh.NumTiles()),
-		// Preallocated to their steady-state bounds so the cycle loop never
-		// grows them: at most one arrival per (tile, port) per cycle, one
-		// rated entry per tile per cycle, one live wakeup per flow.
-		rated:          make([]int, 0, mesh.NumTiles()),
-		wake:           make(wakeHeap, 0, len(flows)),
-		arrivalScratch: make([]pendingArrival, 0, mesh.NumTiles()*geom.NumPorts),
-		nbr:            make([][4]int32, mesh.NumTiles()),
-	}
-	// One backing array for every input buffer keeps the rings contiguous.
-	bufs := make([]flit, mesh.NumTiles()*geom.NumPorts*cfg.BufferFlits)
-	for i := range n.routers {
-		n.routers[i].recvCycle = -1
-		for p := range n.routers[i].route {
-			n.routers[i].route[p] = portUnrouted
-			off := (i*geom.NumPorts + p) * cfg.BufferFlits
-			n.routers[i].inputs[p].buf = bufs[off : off+cfg.BufferFlits]
-		}
-		for p := range n.nbr[i] {
-			n.nbr[i][p] = -1
-			if next, ok := mesh.Neighbor(geom.TileID(i), indexDir[p]); ok {
-				n.nbr[i][p] = int32(next)
-			}
-		}
-		n.partialPkt[i] = -1
-	}
 	for i, f := range flows {
 		if !mesh.ValidTile(f.Src) || !mesh.ValidTile(f.Dst) {
-			return nil, fmt.Errorf("noc: flow %d endpoints (%d,%d) outside mesh", i, f.Src, f.Dst)
+			return fmt.Errorf("noc: flow %d endpoints (%d,%d) outside mesh", i, f.Src, f.Dst)
 		}
 		if f.Rate < 0 || math.IsNaN(f.Rate) || math.IsInf(f.Rate, 0) {
-			return nil, fmt.Errorf("noc: flow %d has invalid rate %g", i, f.Rate)
-		}
-		if f.Src != f.Dst {
-			if len(n.flowsBySrc[f.Src]) == 0 {
-				n.srcTiles = append(n.srcTiles, int(f.Src))
-			}
-			n.flowsBySrc[f.Src] = append(n.flowsBySrc[f.Src], i)
+			return fmt.Errorf("noc: flow %d has invalid rate %g", i, f.Rate)
 		}
 	}
-	sort.Ints(n.srcTiles)
+
+	tiles := mesh.NumTiles()
+	if mesh != n.mesh {
+		n.mesh = mesh
+		n.coord = resized(n.coord, tiles)
+		n.nbr = resized(n.nbr, tiles)
+		for i := range n.nbr {
+			n.coord[i] = mesh.CoordOf(geom.TileID(i))
+			for p := range n.nbr[i] {
+				n.nbr[i][p] = -1
+				if next, ok := mesh.Neighbor(geom.TileID(i), indexDir[p]); ok {
+					n.nbr[i][p] = int32(next)
+				}
+			}
+		}
+	}
+	n.cfg, n.alg, n.flows, n.env = cfg, alg, flows, env
+	n.faults = nil
+	n.cycle = 0
+
+	n.routers = resized(n.routers, tiles)
+	for i := range n.routers {
+		n.routers[i] = idleRouter()
+	}
+	n.slots = resized(n.slots, tiles*geom.NumPorts*cfg.BufferFlits)
+
+	n.stats = resized(n.stats, len(flows))
+	n.acc = resized(n.acc, len(flows))
+	n.staged = resized(n.staged, len(flows))
+	n.partialPkt = resized(n.partialPkt, tiles)
+	for i := range n.partialPkt {
+		n.partialPkt[i] = -1
+	}
+	n.partialLeft = resized(n.partialLeft, tiles)
+	n.injectRR = resized(n.injectRR, tiles)
+	n.stagedFlows = resized(n.stagedFlows, tiles)
+	n.activeRouters.reset(tiles)
+	n.activeTiles.reset(tiles)
+	n.packets = n.packets[:0]
+	n.free = n.free[:0]
+	// Sized to their steady-state bounds so the cycle loop never grows
+	// them: at most one arrival per (tile, port) per cycle, one rated entry
+	// per tile per cycle, one live wakeup per flow.
+	n.rated = emptied(n.rated, tiles)
+	n.arrivalScratch = emptied(n.arrivalScratch, tiles*geom.NumPorts)
+	n.wake = emptied(n.wake, len(flows))
+
+	// Counting sort of the flows by source tile, stable in flow order:
+	// count each tile's flows into srcOff[t+1], turn the counts into run
+	// starts, place each flow at its tile's cursor, then shift the cursors
+	// (now run ends) back to starts.
+	n.srcOff = resized(n.srcOff, tiles+1)
+	for _, f := range flows {
+		if f.Src != f.Dst {
+			n.srcOff[f.Src+1]++
+		}
+	}
+	for t := 1; t <= tiles; t++ {
+		n.srcOff[t] += n.srcOff[t-1]
+	}
+	n.srcFlows = resized(n.srcFlows, n.srcOff[tiles])
+	for i, f := range flows {
+		if f.Src != f.Dst {
+			n.srcFlows[n.srcOff[f.Src]] = i
+			n.srcOff[f.Src]++
+		}
+	}
+	copy(n.srcOff[1:], n.srcOff[:tiles])
+	n.srcOff[0] = 0
+
 	if cfg.Stepping == SteppingActive {
 		for i, f := range flows {
 			if f.Src != f.Dst {
@@ -269,22 +325,40 @@ func NewNetwork(cfg Config, alg Algorithm, flows []Flow, env *Env) (*Network, er
 			}
 		}
 	}
-	return n, nil
+	return nil
 }
 
-// Mesh returns the mesh geometry.
-func (n *Network) Mesh() geom.Mesh { return n.mesh }
+// resized returns s with length size and every element zero, reusing its
+// storage when the capacity allows.
+func resized[S ~[]E, E any](s S, size int) S {
+	if cap(s) < size {
+		return make(S, size)
+	}
+	s = s[:size]
+	clear(s)
+	return s
+}
+
+// emptied returns s with length zero and capacity at least c, reusing its
+// storage when the capacity allows.
+func emptied[S ~[]E, E any](s S, c int) S {
+	if cap(s) < c {
+		return make(S, 0, c)
+	}
+	return s[:0]
+}
 
 // SetFaultModel installs fm as the network's packet-loss model: every
 // packet reaching its destination is checked against the worst PSN sensor
 // reading on its route, and dropped packets are retransmitted from the
 // source NIC while its stage queue has room. Call before the first Step.
-// A nil model (the default) delivers every packet and leaves the hot loop
-// untouched.
+// Reset clears the model, so a reused network needs it installed again for
+// every window. A nil model (the default) delivers every packet and leaves
+// the hot loop untouched.
 func (n *Network) SetFaultModel(fm FaultModel) {
 	n.faults = fm
-	if fm != nil && n.pendingRecovery == nil {
-		n.pendingRecovery = make([]int, len(n.flows))
+	if fm != nil {
+		n.pendingRecovery = resized(n.pendingRecovery, len(n.flows))
 	}
 }
 
@@ -351,8 +425,10 @@ func (n *Network) stepDense() {
 	}
 	// One flit per cycle enters each source tile's local input port (only
 	// tiles with flows can ever inject).
-	for _, t := range n.srcTiles {
-		n.injectAtTile(t)
+	for t := range n.routers {
+		if n.srcOff[t+1] > n.srcOff[t] {
+			n.injectAtTile(t)
+		}
 	}
 	arrivals := n.arrivalScratch[:0]
 	for t := range n.routers {
@@ -504,7 +580,7 @@ func (n *Network) injectAtTile(t int) {
 	if fi < 0 {
 		return
 	}
-	r.inputs[portLocal].push(n.flitToInject(t, fi))
+	n.push(t, portLocal, n.flitToInject(t, fi))
 	r.occ |= 1 << portLocal
 	n.activeRouters.set(t)
 	n.noteReceive(r, t)
@@ -519,14 +595,15 @@ func (n *Network) pickInjection(t int) int {
 	if slot := n.partialPkt[t]; slot >= 0 {
 		return int(n.packets[slot].flow)
 	}
-	flows := n.flowsBySrc[t]
-	if len(flows) == 0 {
-		return -1
-	}
-	for k := 0; k < len(flows); k++ {
-		fi := flows[(n.injectRR[t]+k)%len(flows)]
+	flows := n.srcFlows[n.srcOff[t]:n.srcOff[t+1]]
+	i := n.injectRR[t]
+	for range flows {
+		fi := flows[i]
+		if i++; i == len(flows) {
+			i = 0
+		}
 		if n.staged[fi] > 0 {
-			n.injectRR[t] = (n.injectRR[t] + k + 1) % len(flows)
+			n.injectRR[t] = i
 			return fi
 		}
 	}
@@ -583,6 +660,52 @@ func (n *Network) openPacket(fi int) int32 {
 	return int32(len(n.packets) - 1)
 }
 
+// ringBase returns the index in n.slots of the first slot of input port p
+// of router t.
+//
+//parm:hot
+func (n *Network) ringBase(t, p int) int { return (t*geom.NumPorts + p) * n.cfg.BufferFlits }
+
+// tailSlot returns the index in n.slots just past the last flit of input
+// port p of router t.
+//
+//parm:hot
+func (n *Network) tailSlot(t, p int) int {
+	q := n.routers[t].inputs[p]
+	i := int(q.head + q.n)
+	if i >= n.cfg.BufferFlits {
+		i -= n.cfg.BufferFlits
+	}
+	return n.ringBase(t, p) + i
+}
+
+// push appends f to input port p of router t.
+//
+//parm:hot
+func (n *Network) push(t, p int, f flit) {
+	n.slots[n.tailSlot(t, p)] = f
+	n.routers[t].inputs[p].n++
+}
+
+// pop removes the front flit of input p of router r (tile t) as it crosses
+// the switch.
+//
+//parm:hot
+func (n *Network) pop(r *router, t, p int) flit {
+	q := &r.inputs[p]
+	f := n.slots[n.ringBase(t, p)+int(q.head)]
+	if q.head++; int(q.head) == n.cfg.BufferFlits {
+		q.head = 0
+	}
+	q.n--
+	if q.n == 0 {
+		r.occ &^= 1 << p
+	}
+	r.route[p] = portUnrouted
+	r.forwarded++
+	return f
+}
+
 // stepRouter runs one cycle of router t: route computation for unrouted
 // head flits at its input fronts, output arbitration, and switch traversal
 // of at most one flit per output port, appending link crossings to
@@ -607,8 +730,7 @@ func (n *Network) stepRouter(t int, arrivals []pendingArrival) []pendingArrival 
 		p := bits.TrailingZeros8(m)
 		out := r.route[p]
 		if out == portUnrouted {
-			q := &r.inputs[p]
-			f := q.buf[q.head]
+			f := n.slots[n.ringBase(t, p)+int(r.inputs[p].head)]
 			if !f.isHead() {
 				continue // body and tail flits follow their worm's channel
 			}
@@ -658,7 +780,7 @@ func (n *Network) stepRouter(t int, arrivals []pendingArrival) []pendingArrival 
 		}
 		if out == portLocal {
 			// Ejection: infinite sink.
-			f := r.pop(in)
+			f := n.pop(r, t, in)
 			n.eject(f)
 			if f.isTail() {
 				r.owned &^= 1 << out
@@ -675,27 +797,26 @@ func (n *Network) stepRouter(t int, arrivals []pendingArrival) []pendingArrival 
 		// Credit check. This output is the only writer of the downstream
 		// input, so the count alone tells whether a slot is free; pops by
 		// routers earlier in the sweep have already freed theirs.
-		dstPort := oppositePort[out]
-		dq := &n.routers[next].inputs[dstPort]
-		if dq.n >= n.cfg.BufferFlits {
+		dstPort := int(oppositePort[out])
+		if n.routers[next].inputs[dstPort].len() >= n.cfg.BufferFlits {
 			continue
 		}
-		f := r.pop(in)
+		f := n.pop(r, t, in)
 		// The handle lands just past the downstream tail. The count stays
 		// put until applyArrivals, so routers later in the sweep do not see
 		// the flit, and their pops move head and count together, keeping
 		// this slot just past the tail.
-		dq.buf[dq.tail()] = f
+		n.slots[n.tailSlot(int(next), dstPort)] = f
 		if n.faults != nil && f.isHead() {
 			pk := &n.packets[f.slot()]
 			if p := n.env.psnAt(geom.TileID(next)); p > pk.noise {
 				pk.noise = p
 			}
 		}
-		// Bounded by the scratch capacity NewNetwork preallocated: one
+		// Bounded by the scratch capacity Reset reserved: one
 		// arrival per (tile, port) per cycle.
 		//parm:alloc
-		arrivals = append(arrivals, pendingArrival{to: next, port: dstPort})
+		arrivals = append(arrivals, pendingArrival{to: next, port: uint8(dstPort)})
 		if f.isTail() {
 			r.owned &^= 1 << out
 		}
@@ -769,7 +890,7 @@ func (n *Network) noteReceive(r *router, t int) {
 	if r.recvCycle != n.cycle {
 		r.recvCycle = n.cycle
 		r.recvCount = 0
-		// Bounded by the rated capacity NewNetwork preallocated: one entry
+		// Bounded by the rated capacity Reset reserved: one entry
 		// per tile per cycle.
 		//parm:alloc
 		n.rated = append(n.rated, t)
@@ -865,14 +986,14 @@ type Result struct {
 
 // Measure runs the network for the given number of cycles from its current
 // state and returns aggregate statistics. A window of no cycles reports
-// zero router utilization.
+// zero router utilization. The Result shares no storage with the network.
 func (n *Network) Measure(cycles int) *Result {
-	startForwarded := make([]int, len(n.routers))
+	n.startForwarded = n.startForwarded[:0]
 	for i := range n.routers {
-		startForwarded[i] = n.routers[i].forwarded
+		n.startForwarded = append(n.startForwarded, n.routers[i].forwarded)
 	}
-	startStats := make([]FlowStats, len(n.stats))
-	copy(startStats, n.stats)
+	n.startStats = append(n.startStats[:0], n.stats...)
+	startForwarded, startStats := n.startForwarded, n.startStats
 
 	n.Run(cycles)
 

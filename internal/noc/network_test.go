@@ -49,7 +49,8 @@ func TestNewNetworkRejectsBadRate(t *testing.T) {
 }
 
 // Out-of-range config fields are errors from NewNetwork (and so from
-// AnalyticMeasure), not panics, wedged worms, or silent acceptance.
+// AnalyticMeasure) and from Config.Validate, not panics, wedged worms, or
+// silent acceptance.
 func TestNewNetworkRejectsBadConfig(t *testing.T) {
 	flows := []Flow{{Src: 0, Dst: 5, Rate: 0.1}}
 	for _, tc := range []struct {
@@ -76,11 +77,17 @@ func TestNewNetworkRejectsBadConfig(t *testing.T) {
 		if _, _, err := AnalyticMeasure(tc.cfg, XY{}, flows, &Env{}, 100); err == nil {
 			t.Errorf("%s: AnalyticMeasure accepted %+v", tc.name, tc.cfg)
 		}
+		if tc.cfg.Validate() == nil {
+			t.Errorf("%s: Validate accepted %+v", tc.name, tc.cfg)
+		}
 	}
 	// The boundaries of the valid ranges still build.
 	for _, cfg := range []Config{{RateEWMA: 1}, {FlitsPerPacket: 1}, {BufferFlits: 1}, {Stepping: SteppingDense}} {
 		if _, err := NewNetwork(cfg, XY{}, flows, &Env{}); err != nil {
 			t.Errorf("%+v rejected: %v", cfg, err)
+		}
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("Validate rejected %+v: %v", cfg, err)
 		}
 	}
 }

@@ -46,35 +46,21 @@ func dirIndex(d geom.Dir) int {
 // cardinal output p enters the neighbouring router.
 var oppositePort = [4]uint8{portWest, portEast, portSouth, portNorth}
 
-// fifo is one input buffer: a fixed-capacity ring of flit handles. A ring
-// keeps the hot loop allocation-free — the slice-and-append FIFO it replaces
-// leaked front capacity on every pop and forced a reallocation per packet.
-type fifo struct {
-	buf  []flit
-	head int
-	n    int
+// ring is one input buffer: a fixed-capacity ring of flit handles whose
+// BufferFlits slots live in the network's slot array (Network.ringBase). The
+// router keeps only the ring's front index and flit count, so its five
+// rings sit next to the rest of its 104 bytes of state, and Reset rebuilds
+// no per-buffer slice header.
+type ring struct {
+	head, n int32
 }
 
-func (q *fifo) len() int { return q.n }
-
-// tail returns the ring index just past the last flit.
-func (q *fifo) tail() int {
-	i := q.head + q.n
-	if i >= len(q.buf) {
-		i -= len(q.buf)
-	}
-	return i
-}
-
-func (q *fifo) push(f flit) {
-	q.buf[q.tail()] = f
-	q.n++
-}
+func (q ring) len() int { return int(q.n) }
 
 // router is one 5-port input-buffered wormhole router.
 type router struct {
-	// inputs[p] is the FIFO of flits waiting at input port p.
-	inputs [geom.NumPorts]fifo
+	// inputs[p] is the ring of flits waiting at input port p.
+	inputs [geom.NumPorts]ring
 	// route[p] is the output port computed for the head at input p's front:
 	// portUnrouted until its route is computed (and for body and tail
 	// flits), portNone when the algorithm named no port. Every pop resets it.
@@ -112,25 +98,6 @@ func (r *router) occupancy(p int, capacity int) float64 {
 	return float64(r.inputs[p].len()) / float64(capacity)
 }
 
-// pop removes input p's front flit as it crosses the switch.
-//
-//parm:hot
-func (r *router) pop(p int) flit {
-	q := &r.inputs[p]
-	f := q.buf[q.head]
-	q.head++
-	if q.head == len(q.buf) {
-		q.head = 0
-	}
-	q.n--
-	if q.n == 0 {
-		r.occ &^= 1 << p
-	}
-	r.route[p] = portUnrouted
-	r.forwarded++
-	return f
-}
-
 // pendingArrival is a link crossing this cycle into input port of router
 // to. Traversal has already written the handle just past that ring's tail;
 // applyArrivals bumps the count after all routers have been stepped, so a
@@ -138,4 +105,14 @@ func (r *router) pop(p int) flit {
 type pendingArrival struct {
 	to   int32
 	port uint8
+}
+
+// idleRouter is a router as Reset leaves it: empty rings, no route computed,
+// no channel held, and no receive sampled yet.
+func idleRouter() router {
+	r := router{recvCycle: -1}
+	for p := range r.route {
+		r.route[p] = portUnrouted
+	}
+	return r
 }

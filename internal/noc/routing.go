@@ -33,8 +33,7 @@ func (XY) Name() string { return "XY" }
 
 // Route implements Algorithm.
 func (XY) Route(ctx RouteCtx) geom.Dir {
-	m := ctx.Net.Mesh()
-	cs, cd := m.CoordOf(ctx.At), m.CoordOf(ctx.Dst)
+	cs, cd := ctx.Net.coord[ctx.At], ctx.Net.coord[ctx.Dst]
 	switch {
 	case cd.X > cs.X:
 		return geom.East
@@ -56,11 +55,12 @@ func (XY) Route(ctx RouteCtx) geom.Dir {
 // directions. A zero count means the flit has arrived. The fixed-size
 // return keeps route computation off the heap — it runs once per packet
 // inside the cycle loop, and the permitted set never exceeds two entries
-// (East plus one of North/South).
+// (East plus one of North/South). Coordinates come from the network's
+// table, so no call divides by the mesh width.
 //
 //parm:hot
-func westFirstPermitted(m geom.Mesh, src, dst geom.TileID) (dirs [3]geom.Dir, n int) {
-	cs, cd := m.CoordOf(src), m.CoordOf(dst)
+func westFirstPermitted(net *Network, src, dst geom.TileID) (dirs [3]geom.Dir, n int) {
+	cs, cd := net.coord[src], net.coord[dst]
 	if cd.X < cs.X {
 		dirs[0] = geom.West
 		return dirs, 1
@@ -90,7 +90,7 @@ func (WestFirst) Name() string { return "WestFirst" }
 
 // Route implements Algorithm.
 func (WestFirst) Route(ctx RouteCtx) geom.Dir {
-	dirs, cnt := westFirstPermitted(ctx.Net.Mesh(), ctx.At, ctx.Dst)
+	dirs, cnt := westFirstPermitted(ctx.Net, ctx.At, ctx.Dst)
 	if cnt == 0 {
 		return geom.Local
 	}
@@ -109,7 +109,7 @@ func (ICON) Name() string { return "ICON" }
 
 // Route implements Algorithm.
 func (ICON) Route(ctx RouteCtx) geom.Dir {
-	dirs, cnt := westFirstPermitted(ctx.Net.Mesh(), ctx.At, ctx.Dst)
+	dirs, cnt := westFirstPermitted(ctx.Net, ctx.At, ctx.Dst)
 	switch cnt {
 	case 0:
 		return geom.Local
@@ -136,7 +136,7 @@ func (PANR) Name() string { return "PANR" }
 
 // Route implements Algorithm.
 func (p PANR) Route(ctx RouteCtx) geom.Dir {
-	perm, cnt := westFirstPermitted(ctx.Net.Mesh(), ctx.At, ctx.Dst)
+	perm, cnt := westFirstPermitted(ctx.Net, ctx.At, ctx.Dst)
 	switch cnt {
 	case 0:
 		return geom.Local
@@ -168,7 +168,7 @@ func (p PANR) Route(ctx RouteCtx) geom.Dir {
 	// the voltage-emergency margin AND some alternative is genuinely below
 	// it; routing around quiet tiles buys no VE reduction, and detouring
 	// from one noisy tile to another pays the adaptivity tax for nothing.
-	if defN, ok := ctx.Net.Mesh().Neighbor(ctx.At, def); ok {
+	if defN, ok := ctx.Net.neighbor(ctx.At, def); ok {
 		defPSN := ctx.Net.SensorPSN(defN)
 		if defPSN < 0.04 {
 			return def
@@ -178,7 +178,7 @@ func (p PANR) Route(ctx RouteCtx) geom.Dir {
 			if d == def {
 				continue
 			}
-			n, ok := ctx.Net.Mesh().Neighbor(ctx.At, d)
+			n, ok := ctx.Net.neighbor(ctx.At, d)
 			if ok && ctx.Net.SensorPSN(n) < 0.04 && ctx.Net.IncomingRate(n) < 0.35 {
 				quietAltExists = true
 				break
@@ -207,11 +207,22 @@ func (p PANR) Route(ctx RouteCtx) geom.Dir {
 	})
 }
 
+// neighbor returns the tile one hop from t in direction d, read from the
+// neighbour table, and false off the mesh. Like geom.Mesh.Neighbor, a
+// direction that names no cardinal port stays at t.
+func (n *Network) neighbor(t geom.TileID, d geom.Dir) (geom.TileID, bool) {
+	if p := dirIndex(d); p >= 0 && p < portLocal {
+		next := n.nbr[t][p]
+		return geom.TileID(next), next >= 0
+	}
+	return t, true
+}
+
 // pickWithHysteresis returns the default direction unless an alternative's
 // score beats the default's by more than margin (and is the minimum among
 // such alternatives).
 func pickWithHysteresis(ctx RouteCtx, dirs []geom.Dir, def geom.Dir, margin float64, score func(geom.TileID) float64) geom.Dir {
-	defN, ok := ctx.Net.Mesh().Neighbor(ctx.At, def)
+	defN, ok := ctx.Net.neighbor(ctx.At, def)
 	if !ok {
 		return def
 	}
@@ -222,7 +233,7 @@ func pickWithHysteresis(ctx RouteCtx, dirs []geom.Dir, def geom.Dir, margin floa
 		if d == def {
 			continue
 		}
-		n, ok := ctx.Net.Mesh().Neighbor(ctx.At, d)
+		n, ok := ctx.Net.neighbor(ctx.At, d)
 		if !ok {
 			continue
 		}
@@ -240,7 +251,7 @@ func minBy(ctx RouteCtx, dirs []geom.Dir, score func(geom.TileID) float64) geom.
 	best := dirs[0]
 	bestScore := 0.0
 	for i, d := range dirs {
-		n, ok := ctx.Net.Mesh().Neighbor(ctx.At, d)
+		n, ok := ctx.Net.neighbor(ctx.At, d)
 		if !ok {
 			continue // permitted dirs are always in-mesh; defensive
 		}

@@ -40,13 +40,15 @@ func TestDirIndexRoundTrip(t *testing.T) {
 }
 
 // West-first turn model invariants: a packet needing to travel west goes
-// west only; otherwise every permitted direction is productive.
+// west only; otherwise every permitted direction is productive. The
+// network's coordinate and neighbour tables match the mesh arithmetic.
 func TestWestFirstPermittedProperties(t *testing.T) {
-	m := geom.NewMesh(10, 6)
+	n := mkNet(t, XY{}, nil, &Env{})
+	m := n.mesh
 	f := func(a, b uint8) bool {
 		src := geom.TileID(int(a) % 60)
 		dst := geom.TileID(int(b) % 60)
-		perm, cnt := westFirstPermitted(m, src, dst)
+		perm, cnt := westFirstPermitted(n, src, dst)
 		dirs := perm[:cnt]
 		cs, cd := m.CoordOf(src), m.CoordOf(dst)
 		if src == dst {
@@ -73,6 +75,18 @@ func TestWestFirstPermittedProperties(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
+	for src := geom.TileID(0); int(src) < m.NumTiles(); src++ {
+		if n.coord[src] != m.CoordOf(src) {
+			t.Errorf("tile %d: coordinate table %v, mesh %v", src, n.coord[src], m.CoordOf(src))
+		}
+		for d := geom.DirInvalid; d <= geom.Local; d++ {
+			got, gotOK := n.neighbor(src, d)
+			want, wantOK := m.Neighbor(src, d)
+			if gotOK != wantOK || (wantOK && got != want) {
+				t.Errorf("tile %d dir %v: neighbour table (%d,%v), mesh (%d,%v)", src, d, got, gotOK, want, wantOK)
+			}
+		}
+	}
 }
 
 // Every algorithm must return a productive (distance-reducing) direction,
@@ -86,7 +100,7 @@ func TestAllAlgorithmsProductive(t *testing.T) {
 	}
 	for _, alg := range []Algorithm{XY{}, WestFirst{}, ICON{}, PANR{}} {
 		n := mkNet(t, alg, flows, env)
-		m := n.Mesh()
+		m := n.mesh
 		for src := geom.TileID(0); int(src) < 60; src++ {
 			for dst := geom.TileID(0); int(dst) < 60; dst++ {
 				ctx := RouteCtx{Net: n, At: src, Dst: dst, InDir: geom.Local}
