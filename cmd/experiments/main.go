@@ -24,7 +24,6 @@ import (
 	"parm/internal/expr"
 	"parm/internal/obs"
 	"parm/internal/obs/obshttp"
-	"parm/internal/reliability"
 	"parm/internal/report"
 )
 
@@ -33,11 +32,9 @@ func main() {
 	log.SetPrefix("experiments: ")
 
 	var (
-		figs    = flag.String("fig", "all", "comma-separated figures, from: "+strings.Join(figNames, ", ")+"; reliability is opt-in (not part of all)")
+		figs    = flag.String("fig", "all", "comma-separated figures, from: "+strings.Join(figNames, ", "))
 		numApps = flag.Int("apps", 20, "applications per sequence for Figs 6-8")
 		seed    = flag.Int64("seed", 42, "workload generation seed")
-		trials  = flag.Int("trials", 20, "Monte-Carlo fault trials per scheme (with -fig reliability)")
-		relOut  = flag.String("relout", "", "write the reliability campaign result as JSON to this file (with -fig reliability)")
 		csv     = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		quiet   = flag.Bool("q", false, "suppress progress output")
 		nocMode = flag.String("noc", "cycle", "NoC measurement mode: cycle (exact) or auto (analytic fast path below saturation)")
@@ -53,7 +50,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	want, err := checkFlags(*figs, *numApps, *trials)
+	want, err := checkFlags(*figs, *numApps)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -150,28 +147,6 @@ func main() {
 	if all || want["profiles"] {
 		emit(expr.BenchmarkProfileTable())
 	}
-	if want["reliability"] {
-		// Opt-in: 4 schemes x trials full engine runs with fault injection
-		// (which forces fresh NoC measurements) is far heavier than the
-		// figure sweeps, so "all" does not include it.
-		if !*quiet {
-			fmt.Fprintf(os.Stderr, "reliability: %d trials x 4 schemes, seed %d\n", *trials, *seed)
-		}
-		res, err := reliability.Run(reliability.Config{
-			Trials:    *trials,
-			Seed:      *seed,
-			Telemetry: opt.Telemetry,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		emit(res.Table())
-		if *relOut != "" {
-			if err := writeFile(*relOut, res.WriteJSON); err != nil {
-				log.Fatal(err)
-			}
-		}
-	}
 	if opt.Telemetry != nil && *metricsOut != "" {
 		if err := writeFile(*metricsOut, opt.Telemetry.WriteSnapshot); err != nil {
 			log.Fatal(err)
@@ -192,17 +167,14 @@ func main() {
 	}
 }
 
-// figNames are the -fig values; "all" selects every one but reliability.
-var figNames = []string{"1", "3a", "3b", "6", "7", "8", "overhead", "darksilicon", "profiles", "reliability", "all"}
+// figNames are the -fig values; "all" selects every one.
+var figNames = []string{"1", "3a", "3b", "6", "7", "8", "overhead", "darksilicon", "profiles", "all"}
 
 // checkFlags validates the flags that shape the runs and returns the set of
 // selected figures, so that a bad value fails before anything is simulated.
-func checkFlags(figs string, numApps, trials int) (map[string]bool, error) {
+func checkFlags(figs string, numApps int) (map[string]bool, error) {
 	if numApps < 1 {
 		return nil, fmt.Errorf("-apps %d: need at least one application", numApps)
-	}
-	if trials < 1 {
-		return nil, fmt.Errorf("-trials %d: need at least one trial", trials)
 	}
 	want := map[string]bool{}
 	for _, f := range strings.Split(figs, ",") {

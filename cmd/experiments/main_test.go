@@ -5,25 +5,23 @@ import "testing"
 func TestCheckFlags(t *testing.T) {
 	for _, tc := range []struct {
 		figs          string
-		apps, trials  int
+		apps          int
 		ok            bool
 		wantSelection []string
 	}{
-		{"all", 20, 20, true, []string{"all"}},
-		{"1, 3a,3b", 20, 20, true, []string{"1", "3a", "3b"}},
-		{"reliability", 1, 1, true, []string{"reliability"}},
-		{"6", 0, 20, false, nil},
-		{"6", -3, 20, false, nil},
-		{"reliability", 20, 0, false, nil},
-		{"reliability", 20, -2, false, nil},
-		{"9", 20, 20, false, nil},
-		{"3c", 20, 20, false, nil},
-		{"6,", 20, 20, false, nil},
-		{"", 20, 20, false, nil},
+		{"all", 20, true, []string{"all"}},
+		{"1, 3a,3b", 20, true, []string{"1", "3a", "3b"}},
+		{"6", 0, false, nil},
+		{"6", -3, false, nil},
+		{"reliability", 20, false, nil},
+		{"9", 20, false, nil},
+		{"3c", 20, false, nil},
+		{"6,", 20, false, nil},
+		{"", 20, false, nil},
 	} {
-		want, err := checkFlags(tc.figs, tc.apps, tc.trials)
+		want, err := checkFlags(tc.figs, tc.apps)
 		if (err == nil) != tc.ok {
-			t.Errorf("checkFlags(%q, %d, %d) error = %v, want ok=%v", tc.figs, tc.apps, tc.trials, err, tc.ok)
+			t.Errorf("checkFlags(%q, %d) error = %v, want ok=%v", tc.figs, tc.apps, err, tc.ok)
 			continue
 		}
 		if len(want) != len(tc.wantSelection) {

@@ -28,7 +28,7 @@ func main() {
 
 	var (
 		mapper   = flag.String("mapper", "PARM", "mapping framework: PARM or HM")
-		routing  = flag.String("routing", "PANR", "NoC routing: XY, WestFirst, ICON, or PANR")
+		routing  = flag.String("routing", "PANR", "NoC routing: XY, ICON, or PANR")
 		workload = flag.String("workload", "mixed", "workload kind: compute, comm, or mixed")
 		numApps  = flag.Int("apps", 20, "number of applications in the sequence")
 		gap      = flag.Float64("gap", 0.1, "inter-application arrival gap in seconds")

@@ -1,6 +1,6 @@
 // Noccompare: drive the cycle-level NoC simulator directly with a synthetic
-// hotspot traffic pattern and compare the four routing schemes of the paper
-// (XY, west-first, ICON, PANR) on latency, throughput, and — the quantity
+// hotspot traffic pattern and compare the three routing schemes of the paper
+// (XY, ICON, PANR) on latency, throughput, and — the quantity
 // PANR optimizes — switching activity at the routers of noisy tiles.
 package main
 
@@ -40,7 +40,7 @@ func main() {
 
 	t := report.NewTable("routing schemes under hotspot traffic (10k-cycle window)",
 		"scheme", "delivered(flits)", "avgLatency(cyc)", "stalledCyc", "hotTileActivity")
-	for _, alg := range []noc.Algorithm{noc.XY{}, noc.WestFirst{}, noc.ICON{}, noc.PANR{}} {
+	for _, alg := range []noc.Algorithm{noc.XY{}, noc.ICON{}, noc.PANR{}} {
 		n, err := noc.NewNetwork(noc.Config{}, alg, flows, env)
 		if err != nil {
 			log.Fatal(err)

@@ -1,7 +1,7 @@
 // Package poolgo enforces the concurrency discipline of the simulation
 // packages: the simulation pipeline is single-threaded by construction, and
-// goroutine fan-out lives above it (expr's experiment cells, reliability's
-// trials), where each worker owns a private engine.
+// goroutine fan-out lives above it (expr's experiment cells), where each
+// worker owns a private engine.
 //
 // It reports two things:
 //

@@ -48,35 +48,13 @@ type Config struct {
 	// reference mode for determinism tests and benchmarks). The chip-side
 	// counterpart is Chip.DisablePSNCache.
 	DisableNoCCache bool
-	// VEModel selects how voltage emergencies become completion-time
-	// penalties. The zero value VELegacy keeps the closed-form expected
-	// penalty every recorded experiment table was produced with; VERollback
-	// replays a seeded fault plan through an explicit checkpoint/rollback
-	// executor (DESIGN.md §10).
-	VEModel VEMode
-	// FaultSeed seeds the VERollback fault plan and, when NoCFaultInjection
-	// is set, the NoC packet-drop model. Zero selects 1. Runs with the same
-	// seed replay bit-identically.
-	FaultSeed int64
-	// NoCFaultInjection installs a seeded noise-proportional packet-drop
-	// model in every NoC measurement, populating the per-flow drop,
-	// retransmission, recovery and loss counters aggregated in
-	// Metrics.NoCFaults. It forces DisableNoCCache: a memoized measurement
-	// would skip the drop model's random draws and desynchronize the
-	// stream.
-	NoCFaultInjection bool
-	// NoCDropScale and NoCDropCap parameterize the drop model: probability
-	// scale per unit of threshold exceedance and its cap. Zero selects the
-	// noc.NewNoiseDropModel defaults (0.5 and 0.75).
-	NoCDropScale, NoCDropCap float64
 	// NoCMode selects the NoC measurement strategy (DESIGN.md §11). The
 	// zero value NoCModeCycle keeps cycle-accurate simulation with
 	// exact-input memoization — metrics stay byte-identical to the recorded
 	// experiments. NoCModeAuto quantizes the memo key so near-repeat mapper
 	// states hit the cache and answers uncongested windows with the
 	// closed-form analytic model, falling back to cycle simulation when any
-	// link's offered load exceeds NoC.SatLinkLoad; fault injection always
-	// forces the cycle path.
+	// link's offered load exceeds NoC.SatLinkLoad.
 	NoCMode NoCMode
 }
 
@@ -115,20 +93,6 @@ func ParseNoCMode(s string) (NoCMode, error) {
 	}
 }
 
-// VEMode selects the engine's voltage-emergency penalty model.
-type VEMode int
-
-const (
-	// VELegacy charges the closed-form penalty: an exceedance-proportional
-	// VE count clamped at 8 (legacyVECount), each costing the expected
-	// sched.RollbackPenalty. Deterministic given the PSN trajectory.
-	VELegacy VEMode = iota
-	// VERollback draws per-sample VE counts from a seeded sched.FaultPlan
-	// and charges the actual lost work through a per-app sched.Executor:
-	// rollback to the last checkpoint watermark plus restart overhead.
-	VERollback
-)
-
 // validate rejects Config values that withDefaults would otherwise
 // silently replace or misread: NaN, infinite or negative times, rates and
 // cycle counts, and unknown mode enums. Zero stays valid everywhere and
@@ -143,8 +107,6 @@ func (c Config) validate() error {
 		{"WarmupCycles", float64(c.WarmupCycles)},
 		{"RouterHz", c.RouterHz},
 		{"MaxSimTime", c.MaxSimTime},
-		{"NoCDropScale", c.NoCDropScale},
-		{"NoCDropCap", c.NoCDropCap},
 	} {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) || f.v < 0 {
 			return fmt.Errorf("core: Config.%s = %g, want a finite value >= 0", f.name, f.v)
@@ -152,9 +114,6 @@ func (c Config) validate() error {
 	}
 	if c.NoCMode != NoCModeCycle && c.NoCMode != NoCModeAuto {
 		return fmt.Errorf("core: unknown %v", c.NoCMode)
-	}
-	if c.VEModel != VELegacy && c.VEModel != VERollback {
-		return fmt.Errorf("core: unknown VEModel %d", int(c.VEModel))
 	}
 	return nil
 }
@@ -177,12 +136,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SensorBits == 0 {
 		c.SensorBits = 6
-	}
-	if c.FaultSeed == 0 {
-		c.FaultSeed = 1
-	}
-	if c.NoCFaultInjection {
-		c.DisableNoCCache = true
 	}
 	return c
 }
@@ -277,8 +230,6 @@ type runningApp struct {
 	completionTime float64
 	ves            int
 	avgLat         float64
-	// exec tracks checkpointed progress in VERollback mode; nil in VELegacy.
-	exec *sched.Executor
 }
 
 // Engine simulates one framework executing one workload on one chip.
@@ -321,13 +272,6 @@ type Engine struct {
 	flowsBuf []noc.Flow
 	idsBuf   []int
 	quantBuf []noc.Flow
-
-	// faultPlan supplies VERollback emergencies; nocFaults, when non-nil,
-	// is installed in every NoC measurement (NoCFaultInjection) and
-	// nocFaultAgg accumulates its per-flow counters across measurements.
-	faultPlan   *sched.FaultPlan
-	nocFaults   noc.FaultModel
-	nocFaultAgg NoCFaultStats
 
 	outcomes map[int]*AppOutcome
 	metrics  Metrics
@@ -383,15 +327,6 @@ func NewEngine(cfg Config, fw Framework) (*Engine, error) {
 	if err := e.cfg.NoC.Validate(); err != nil {
 		return nil, fmt.Errorf("core: Config.NoC: %w", err)
 	}
-	if cfg.VEModel == VERollback {
-		e.faultPlan = sched.NewFaultPlan(cfg.FaultSeed)
-	}
-	if cfg.NoCFaultInjection {
-		// Offset the seed so the two fault streams are independent even
-		// though they share one configuration knob.
-		e.nocFaults = noc.NewNoiseDropModel(cfg.FaultSeed+1, pdn.VEThreshold,
-			cfg.NoCDropScale, cfg.NoCDropCap)
-	}
 	return e, nil
 }
 
@@ -423,7 +358,6 @@ func (e *Engine) Run(w *appmodel.Workload) (*Metrics, error) {
 		return nil, fmt.Errorf("core: empty workload")
 	}
 	e.metrics = Metrics{Framework: e.fw.Name, Workload: w.Kind.String()}
-	e.nocFaultAgg = NoCFaultStats{}
 	e.arrivalsLeft = len(w.Apps)
 	apps := make(map[int]*appmodel.App, len(w.Apps))
 	for _, a := range w.Apps {
@@ -480,14 +414,8 @@ func (e *Engine) Run(w *appmodel.Workload) (*Metrics, error) {
 			e.metrics.Unfinished++
 		}
 		e.metrics.TotalVEs += o.VEs
-		e.metrics.TotalRollbacks += o.Rollbacks
-		e.metrics.TotalRollbackDelayS += o.RollbackDelayS
 		e.metrics.TotalEnergyJ += o.EnergyJ
 		e.metrics.Apps = append(e.metrics.Apps, *o)
-	}
-	if e.cfg.NoCFaultInjection {
-		agg := e.nocFaultAgg
-		e.metrics.NoCFaults = &agg
 	}
 	if e.psnActiveTime > 0 {
 		e.metrics.AvgPSN = e.psnTimeIntegral / e.psnActiveTime
@@ -818,12 +746,7 @@ func (e *Engine) commit(app *appmodel.App, vdd power.Volts, dop int, p *mapping.
 	if err != nil {
 		return err
 	}
-	if e.cfg.VEModel == VERollback {
-		ra.exec = sched.NewExecutor(ra.freq, makespan, e.now)
-		ra.completionTime = ra.exec.CompletionTime()
-	} else {
-		ra.completionTime = e.now + makespan
-	}
+	ra.completionTime = e.now + makespan
 	e.push(ra.completionTime, evCompletion, app.ID)
 
 	o := e.outcomes[app.ID]
@@ -853,11 +776,6 @@ func (e *Engine) complete(ra *runningApp) error {
 	o.VEs = ra.ves
 	o.EnergyJ = float64(ra.power) * (e.now - ra.mappedAt)
 	o.DeadlineMet = e.now <= ra.app.AbsDeadline()+1e-9
-	if ra.exec != nil {
-		o.Rollbacks = ra.exec.Rollbacks()
-		o.Checkpoints = ra.exec.Checkpoints()
-		o.RollbackDelayS = ra.exec.DelayS()
-	}
 	if e.now > e.metrics.TotalTime {
 		e.metrics.TotalTime = e.now
 	}
@@ -1016,14 +934,13 @@ func (e *Engine) measurementFor(flows []noc.Flow) (*noc.Result, error) {
 }
 
 // simulateWindow produces one measurement window for the flow list. In
-// NoCModeAuto with no fault model installed it first tries the analytic
-// closed form and accepts it for uncongested windows (no resource's offered
-// load above NoC.SatLinkLoad). Everything else — NoCModeCycle, fault
-// injection, and saturated windows under NoCModeAuto — runs the
-// cycle-accurate warmup+measure on the engine's network, reset for the
-// window.
+// NoCModeAuto it first tries the analytic closed form and accepts it for
+// uncongested windows (no resource's offered load above NoC.SatLinkLoad).
+// Everything else — NoCModeCycle and saturated windows under NoCModeAuto —
+// runs the cycle-accurate warmup+measure on the engine's network, reset for
+// the window.
 func (e *Engine) simulateWindow(flows []noc.Flow) (*noc.Result, error) {
-	if e.cfg.NoCMode != NoCModeCycle && e.nocFaults == nil {
+	if e.cfg.NoCMode != NoCModeCycle {
 		res, rep, err := noc.AnalyticMeasure(e.cfg.NoC, e.fw.Routing, flows, &e.env, e.cfg.WindowCycles)
 		if err != nil {
 			return nil, err
@@ -1043,23 +960,8 @@ func (e *Engine) simulateWindow(flows []noc.Flow) (*noc.Result, error) {
 	if err := net.Reset(e.cfg.NoC, e.fw.Routing, flows, &e.env); err != nil {
 		return nil, err
 	}
-	if e.nocFaults != nil {
-		net.SetFaultModel(e.nocFaults)
-	}
 	net.Run(e.cfg.WarmupCycles)
 	res := net.Measure(e.cfg.WindowCycles)
-	if e.nocFaults != nil {
-		for i := range res.Flows {
-			fs := &res.Flows[i]
-			e.nocFaultAgg.Delivered += fs.DeliveredPackets
-			e.nocFaultAgg.Dropped += fs.DroppedPackets
-			e.nocFaultAgg.Retransmitted += fs.RetransmittedPackets
-			e.nocFaultAgg.Recovered += fs.RecoveredPackets
-			e.nocFaultAgg.Lost += fs.LostPackets
-			e.tel.nocDropped.Add(uint64(fs.DroppedPackets))
-			e.tel.nocRecovered.Add(uint64(fs.RecoveredPackets))
-		}
-	}
 	e.tel.nocWindows.Inc()
 	e.tel.warmupCyc.Add(uint64(e.cfg.WarmupCycles))
 	e.tel.measuredCyc.Add(uint64(res.Cycles))
@@ -1170,10 +1072,6 @@ func (e *Engine) periodicSample() error {
 			if peak <= pdn.VEThreshold {
 				continue
 			}
-			if e.cfg.VEModel == VERollback {
-				e.injectRollbackVEs(id, ra, peak)
-				continue
-			}
 			n := legacyVECount(peak)
 			e.tel.ves.Add(uint64(n))
 			e.timeline.Record(obs.TimelineEvent{Name: "ve", TS: e.now, App: id, Arg: int64(n)})
@@ -1198,31 +1096,6 @@ func legacyVECount(peak float64) int {
 		n = 8
 	}
 	return n
-}
-
-// injectRollbackVEs runs one application's VERollback path for an
-// over-threshold sample: draw the emergency count from the fault plan
-// (consuming randomness exactly once per over-threshold app, in the
-// caller's sorted-ID order), roll the executor back, and reschedule the
-// completion. A zero draw is a residual VE that corrupted nothing; the
-// plan's randomness is still consumed so later draws stay aligned.
-func (e *Engine) injectRollbackVEs(id int, ra *runningApp, peak float64) {
-	n := e.faultPlan.Draw(peak/pdn.VEThreshold - 1)
-	if n == 0 {
-		return
-	}
-	e.tel.ves.Add(uint64(n))
-	e.tel.rollbacks.Add(uint64(n))
-	e.timeline.Record(obs.TimelineEvent{Name: "ve", TS: e.now, App: id, Arg: int64(n)})
-	ra.ves += n
-	ra.completionTime = ra.exec.InjectVEs(e.now, n)
-	e.push(ra.completionTime, evCompletion, id)
-	// Keep outcomes current for apps that never finish.
-	o := e.outcomes[id]
-	o.VEs = ra.ves
-	o.Rollbacks = ra.exec.Rollbacks()
-	o.Checkpoints = ra.exec.Checkpoints()
-	o.RollbackDelayS = ra.exec.DelayS()
 }
 
 // samplePSN solves the PDN for all active domains, updates sensors and

@@ -477,96 +477,3 @@ func TestUnfinishedOutcomesStayCurrent(t *testing.T) {
 		t.Error("truncated run reports zero total VEs")
 	}
 }
-
-// VERollback accounting: per-app rollbacks match VEs (each drawn emergency
-// is one rollback), totals aggregate, and the explicit delay is visible.
-func TestRollbackModeAccounting(t *testing.T) {
-	cfg := Config{SoftDeadlines: true, VEModel: VERollback, FaultSeed: 3}
-	m := runOne(t, cfg, MustCombo("HM", "XY"), veHeavyWorkload(t))
-	if m.TotalRollbacks == 0 {
-		t.Skip("no rollbacks at this seed; accounting not exercised")
-	}
-	sumR, sumD := 0, 0.0
-	for _, o := range m.Apps {
-		if o.Rollbacks != o.VEs {
-			t.Errorf("app %d rollbacks %d != VEs %d", o.App.ID, o.Rollbacks, o.VEs)
-		}
-		if o.Rollbacks > 0 && o.RollbackDelayS <= 0 {
-			t.Errorf("app %d has %d rollbacks but zero delay", o.App.ID, o.Rollbacks)
-		}
-		if o.State == StateCompleted && o.Checkpoints == 0 {
-			t.Errorf("completed app %d committed no checkpoints", o.App.ID)
-		}
-		sumR += o.Rollbacks
-		sumD += o.RollbackDelayS
-	}
-	if sumR != m.TotalRollbacks {
-		t.Errorf("per-app rollbacks %d != total %d", sumR, m.TotalRollbacks)
-	}
-	if math.Abs(sumD-m.TotalRollbackDelayS) > 1e-12 {
-		t.Errorf("per-app delay %g != total %g", sumD, m.TotalRollbackDelayS)
-	}
-	if m.TotalVEs != m.TotalRollbacks {
-		t.Errorf("VEs %d != rollbacks %d in rollback mode", m.TotalVEs, m.TotalRollbacks)
-	}
-}
-
-// VELegacy stays the zero value: the recorded experiment tables depend on
-// the default model staying byte-compatible.
-func TestVELegacyIsDefault(t *testing.T) {
-	if VELegacy != 0 {
-		t.Fatal("VELegacy is not the zero VEMode")
-	}
-	var cfg Config
-	if cfg.VEModel != VELegacy {
-		t.Fatal("zero config does not select VELegacy")
-	}
-}
-
-// The rollback fault plan is part of the determinism contract: a fixed
-// FaultSeed replays bit-identically across reruns, with NoC fault
-// injection enabled too.
-func TestRollbackModeByteIdentical(t *testing.T) {
-	run := func() []byte {
-		cfg := Config{
-			SoftDeadlines:     true,
-			VEModel:           VERollback,
-			FaultSeed:         9,
-			NoCFaultInjection: true,
-		}
-		w := genWorkload(t, appmodel.WorkloadCompute, 6, 0.04, 12)
-		m := runOne(t, cfg, MustCombo("HM", "XY"), w)
-		var buf bytes.Buffer
-		if err := m.WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	base := run()
-	if rerun := run(); !bytes.Equal(rerun, base) {
-		t.Error("two rollback-mode runs diverged")
-	}
-}
-
-// NoC fault injection populates the aggregate counters and keeps the
-// internal bookkeeping consistent: every drop is either retransmitted or
-// lost, and recoveries never exceed retransmissions.
-func TestNoCFaultInjectionAccounting(t *testing.T) {
-	cfg := Config{SoftDeadlines: true, NoCFaultInjection: true, FaultSeed: 5}
-	m := runOne(t, cfg, MustCombo("HM", "XY"), veHeavyWorkload(t))
-	if m.NoCFaults == nil {
-		t.Fatal("NoCFaults nil with fault injection enabled")
-	}
-	f := m.NoCFaults
-	if f.Retransmitted+f.Lost != f.Dropped {
-		t.Errorf("retransmitted %d + lost %d != dropped %d", f.Retransmitted, f.Lost, f.Dropped)
-	}
-	if f.Recovered > f.Retransmitted {
-		t.Errorf("recovered %d > retransmitted %d", f.Recovered, f.Retransmitted)
-	}
-	// Without fault injection the section is absent.
-	m2 := runOne(t, Config{SoftDeadlines: true}, MustCombo("HM", "XY"), veHeavyWorkload(t))
-	if m2.NoCFaults != nil {
-		t.Error("NoCFaults populated without fault injection")
-	}
-}

@@ -38,7 +38,7 @@ type Framework struct {
 
 // Combo builds the framework combining the given mapper policy and routing
 // scheme, named like the paper ("HM+XY"). mapperName must be "PARM" or
-// "HM"; routingName one of "XY", "ICON", "PANR", "WestFirst".
+// "HM"; routingName one of "XY", "ICON", "PANR".
 func Combo(mapperName, routingName string) (Framework, error) {
 	alg, ok := noc.AlgorithmByName(routingName)
 	if !ok {

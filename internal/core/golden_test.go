@@ -33,9 +33,7 @@ type engineGoldenCase struct {
 }
 
 // engineGoldenCases covers the six evaluation frameworks on one 8-app mixed
-// sequence, and PARM+PANR with NoC packet faults and checkpoint/rollback VEs
-// on the same sequence, so the fault path's per-packet noise bookkeeping is
-// anchored too.
+// sequence.
 func engineGoldenCases(t *testing.T) map[string]engineGoldenCase {
 	t.Helper()
 	w := genWorkload(t, appmodel.WorkloadMixed, 8, 0.05, 42)
@@ -43,22 +41,10 @@ func engineGoldenCases(t *testing.T) map[string]engineGoldenCase {
 	for _, fw := range EvaluationFrameworks() {
 		cases[fw.Name] = engineGoldenCase{fw: fw, cfg: Config{SoftDeadlines: true}, w: w}
 	}
-	cases["PARM+PANR/faults"] = engineGoldenCase{
-		fw: MustCombo("PARM", "PANR"),
-		cfg: Config{
-			SoftDeadlines:     true,
-			VEModel:           VERollback,
-			FaultSeed:         7,
-			NoCFaultInjection: true,
-		},
-		w: w,
-	}
 	return cases
 }
 
-// TestEngineGolden checks every case against the recorded digests. The fault
-// case must also have dropped packets, or it would not exercise the path it
-// is there for.
+// TestEngineGolden checks every case against the recorded digests.
 func TestEngineGolden(t *testing.T) {
 	cases := engineGoldenCases(t)
 	names := make([]string, 0, len(cases))
@@ -71,9 +57,6 @@ func TestEngineGolden(t *testing.T) {
 	for _, name := range names {
 		gc := cases[name]
 		m := runOne(t, gc.cfg, gc.fw, gc.w)
-		if gc.cfg.NoCFaultInjection && (m.NoCFaults == nil || m.NoCFaults.Dropped == 0) {
-			t.Errorf("%s: no NoC packet was dropped", name)
-		}
 		var buf bytes.Buffer
 		if err := m.WriteJSON(&buf); err != nil {
 			t.Fatal(err)

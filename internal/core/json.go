@@ -8,36 +8,22 @@ import (
 // metricsJSON is the machine-readable form of a run's metrics
 // (cmd/parmsim -json).
 type metricsJSON struct {
-	Framework         string  `json:"framework"`
-	Workload          string  `json:"workload"`
-	TotalTimeS        float64 `json:"total_time_s"`
-	PeakPSN           float64 `json:"peak_psn"`
-	AvgPSN            float64 `json:"avg_psn"`
-	Completed         int     `json:"completed"`
-	Dropped           int     `json:"dropped"`
-	Unfinished        int     `json:"unfinished"`
-	TotalVEs          int     `json:"total_ves"`
-	TotalEnergyJ      float64 `json:"total_energy_j"`
-	MeanPacketLatency float64 `json:"mean_packet_latency_cycles"`
-	// Explicit rollback totals (VERollback mode); omitted under VELegacy so
-	// legacy output stays byte-identical.
-	TotalRollbacks      int           `json:"total_rollbacks,omitempty"`
-	TotalRollbackDelayS float64       `json:"total_rollback_delay_s,omitempty"`
-	Apps                []outcomeJSON `json:"apps"`
+	Framework         string        `json:"framework"`
+	Workload          string        `json:"workload"`
+	TotalTimeS        float64       `json:"total_time_s"`
+	PeakPSN           float64       `json:"peak_psn"`
+	AvgPSN            float64       `json:"avg_psn"`
+	Completed         int           `json:"completed"`
+	Dropped           int           `json:"dropped"`
+	Unfinished        int           `json:"unfinished"`
+	TotalVEs          int           `json:"total_ves"`
+	TotalEnergyJ      float64       `json:"total_energy_j"`
+	MeanPacketLatency float64       `json:"mean_packet_latency_cycles"`
+	Apps              []outcomeJSON `json:"apps"`
 	// Measurement-cache counters, present only when the run collected them
 	// (Engine.CollectCacheStats) so default output stays unchanged.
 	PDNCache *pdnCacheJSON `json:"pdn_cache,omitempty"`
 	NoCMemo  *nocMemoJSON  `json:"noc_memo,omitempty"`
-	// Packet-fault totals, present only under Config.NoCFaultInjection.
-	NoCFaults *nocFaultsJSON `json:"noc_faults,omitempty"`
-}
-
-type nocFaultsJSON struct {
-	Delivered     int `json:"delivered"`
-	Dropped       int `json:"dropped"`
-	Retransmitted int `json:"retransmitted"`
-	Recovered     int `json:"recovered"`
-	Lost          int `json:"lost"`
 }
 
 type pdnCacheJSON struct {
@@ -64,10 +50,6 @@ type outcomeJSON struct {
 	VEs         int     `json:"ves"`
 	EnergyJ     float64 `json:"energy_j"`
 	DeadlineMet bool    `json:"deadline_met"`
-	// Rollback-mode fields, omitted when zero (always zero under VELegacy).
-	Rollbacks      int     `json:"rollbacks,omitempty"`
-	Checkpoints    int     `json:"checkpoints,omitempty"`
-	RollbackDelayS float64 `json:"rollback_delay_s,omitempty"`
 }
 
 // WriteJSON emits the metrics as indented JSON.
@@ -84,9 +66,6 @@ func (m *Metrics) WriteJSON(w io.Writer) error {
 		TotalVEs:          m.TotalVEs,
 		TotalEnergyJ:      m.TotalEnergyJ,
 		MeanPacketLatency: m.MeanPacketLatency,
-
-		TotalRollbacks:      m.TotalRollbacks,
-		TotalRollbackDelayS: m.TotalRollbackDelayS,
 	}
 	if m.PDNCache != nil {
 		doc.PDNCache = &pdnCacheJSON{
@@ -100,15 +79,6 @@ func (m *Metrics) WriteJSON(w io.Writer) error {
 	if m.NoCMemo != nil {
 		doc.NoCMemo = &nocMemoJSON{Hits: m.NoCMemo.Hits, Misses: m.NoCMemo.Misses}
 	}
-	if m.NoCFaults != nil {
-		doc.NoCFaults = &nocFaultsJSON{
-			Delivered:     m.NoCFaults.Delivered,
-			Dropped:       m.NoCFaults.Dropped,
-			Retransmitted: m.NoCFaults.Retransmitted,
-			Recovered:     m.NoCFaults.Recovered,
-			Lost:          m.NoCFaults.Lost,
-		}
-	}
 	for _, o := range m.Apps {
 		oj := outcomeJSON{
 			ID:          o.App.ID,
@@ -120,10 +90,6 @@ func (m *Metrics) WriteJSON(w io.Writer) error {
 			VEs:         o.VEs,
 			EnergyJ:     o.EnergyJ,
 			DeadlineMet: o.DeadlineMet,
-
-			Rollbacks:      o.Rollbacks,
-			Checkpoints:    o.Checkpoints,
-			RollbackDelayS: o.RollbackDelayS,
 		}
 		if o.State == StateCompleted {
 			oj.TurnaroundS = o.CompletedAt - o.App.Arrival

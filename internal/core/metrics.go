@@ -51,15 +51,6 @@ type AppOutcome struct {
 	// AvgPacketLatency is the mean NoC packet latency in cycles measured
 	// for the app's flows at mapping time.
 	AvgPacketLatency float64
-	// Rollbacks, Checkpoints and RollbackDelayS report the explicit
-	// checkpoint/rollback accounting: emergencies absorbed, checkpoints
-	// committed, and the completion-time delay (lost work plus restart
-	// overhead) in seconds. Populated only in VERollback mode; zero under
-	// VELegacy, where the penalty is the closed form and VEs is the whole
-	// story.
-	Rollbacks      int
-	Checkpoints    int
-	RollbackDelayS float64
 	// EnergyJ is the energy the app consumed in joules (reserved power
 	// times residence time; zero when never mapped).
 	EnergyJ float64
@@ -82,10 +73,6 @@ type Metrics struct {
 	Completed, Dropped, Unfinished int
 	// TotalVEs counts voltage emergencies across the run.
 	TotalVEs int
-	// TotalRollbacks and TotalRollbackDelayS aggregate the per-app explicit
-	// rollback accounting (VERollback mode only; zero under VELegacy).
-	TotalRollbacks      int
-	TotalRollbackDelayS float64
 	// Samples is the number of PSN samples taken.
 	Samples int
 	// MeanPacketLatency averages the per-app NoC packet latency over
@@ -104,19 +91,6 @@ type Metrics struct {
 	// serialized only when present.
 	PDNCache *pdn.CacheStats
 	NoCMemo  *NoCMemoStats
-
-	// NoCFaults aggregates the packet-fault counters of every NoC
-	// measurement window in the run. Nil unless Config.NoCFaultInjection is
-	// set, so default output is unchanged.
-	NoCFaults *NoCFaultStats
-}
-
-// NoCFaultStats sums, across the run's NoC measurement windows, the packets
-// delivered intact, dropped to supply-noise corruption, retransmitted by
-// the source NIC, recovered (a delivery repaying a retransmission debt),
-// and lost for good.
-type NoCFaultStats struct {
-	Delivered, Dropped, Retransmitted, Recovered, Lost int
 }
 
 // NoCMemoStats counts NoC measurements served from the engine's measurement

@@ -33,9 +33,6 @@ func TestConfigDefaults(t *testing.T) {
 	if c.SensorBits != 6 {
 		t.Errorf("SensorBits = %d, want 6", c.SensorBits)
 	}
-	if c.FaultSeed != 1 {
-		t.Errorf("FaultSeed = %d, want 1", c.FaultSeed)
-	}
 	if c.NoCMode != NoCModeCycle {
 		t.Errorf("NoCMode = %v, want cycle", c.NoCMode)
 	}
@@ -54,7 +51,7 @@ func TestConfigValidation(t *testing.T) {
 	}{
 		{"zero", Config{}, true},
 		{"explicit", Config{SamplePeriod: 0.02, WindowCycles: 4000, WarmupCycles: 500, RouterHz: 2e9,
-			MaxSimTime: 10, NoCDropScale: 0.3, NoCDropCap: 0.5, NoCMode: NoCModeAuto, VEModel: VERollback}, true},
+			MaxSimTime: 10, NoCMode: NoCModeAuto}, true},
 		{"nan-sample-period", Config{SamplePeriod: nan}, false},
 		{"inf-sample-period", Config{SamplePeriod: inf}, false},
 		{"negative-sample-period", Config{SamplePeriod: -0.01}, false},
@@ -65,12 +62,9 @@ func TestConfigValidation(t *testing.T) {
 		{"negative-router-hz", Config{RouterHz: -1e9}, false},
 		{"nan-max-sim-time", Config{MaxSimTime: nan}, false},
 		{"inf-max-sim-time", Config{MaxSimTime: inf}, false},
-		{"nan-drop-scale", Config{NoCDropScale: nan}, false},
-		{"negative-drop-cap", Config{NoCDropCap: -0.5}, false},
 		{"deleted-analytic-mode", Config{NoCMode: 2}, false},
 		{"unknown-noc-mode", Config{NoCMode: 7}, false},
 		{"negative-noc-mode", Config{NoCMode: -1}, false},
-		{"unknown-ve-model", Config{VEModel: 9}, false},
 	} {
 		_, err := NewEngine(tc.cfg, fw)
 		if (err == nil) != tc.ok {

@@ -42,13 +42,8 @@ type telemetry struct {
 
 	// PSN / voltage-emergency accounting.
 	ves           *obs.Counter   // engine/ves: VE rollbacks charged
-	rollbacks     *obs.Counter   // engine/rollbacks: explicit executor rollbacks (VERollback)
 	sensorSamples *obs.Counter   // chip/sensor/samples: per-tile sensor records
 	domainVEs     []*obs.Counter // chip/domain/NN/ves: samples with the domain over threshold
-
-	// NoC fault injection (NoCFaultInjection runs only).
-	nocDropped   *obs.Counter // noc/faults/dropped
-	nocRecovered *obs.Counter // noc/faults/recovered
 }
 
 // init registers every engine metric in r. scheme names the routing
@@ -78,10 +73,7 @@ func (t *telemetry) init(r *obs.Registry, scheme string, numDomains int) {
 	t.events = r.Counter("engine/events")
 	t.simTime = r.FloatGauge("engine/sim_time_s")
 	t.ves = r.Counter("engine/ves")
-	t.rollbacks = r.Counter("engine/rollbacks")
 	t.sensorSamples = r.Counter("chip/sensor/samples")
-	t.nocDropped = r.Counter("noc/faults/dropped")
-	t.nocRecovered = r.Counter("noc/faults/recovered")
 	t.domainVEs = make([]*obs.Counter, numDomains)
 	for d := range t.domainVEs {
 		t.domainVEs[d] = r.Counter(fmt.Sprintf("chip/domain/%02d/ves", d))

@@ -152,12 +152,17 @@ func TestArbitrationOffMeshReleases(t *testing.T) {
 // TestFlitLayout pins the 4-byte flit handle: every buffer slot holds one
 // and every link crossing moves one. It also pins the 104-byte router,
 // whose rings keep only a front index and count while their slots live in
-// the network's slot array.
+// the network's slot array, and the 16-byte packet-table entry (injection
+// cycle, flow and destination), so a per-packet field is a deliberate
+// change.
 func TestFlitLayout(t *testing.T) {
 	if size := unsafe.Sizeof(flit(0)); size != 4 {
 		t.Errorf("flit is %d bytes, want 4", size)
 	}
 	if size := unsafe.Sizeof(router{}); size != 104 {
 		t.Errorf("router is %d bytes, want 104", size)
+	}
+	if size := unsafe.Sizeof(packet{}); size != 16 {
+		t.Errorf("packet is %d bytes, want 16", size)
 	}
 }

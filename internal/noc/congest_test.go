@@ -30,7 +30,7 @@ func TestCongestionDifferentiation(t *testing.T) {
 			env.PSN[t] = 0.07
 		}
 	}
-	for _, alg := range []Algorithm{XY{}, WestFirst{}, ICON{}, PANR{}} {
+	for _, alg := range []Algorithm{XY{}, ICON{}, PANR{}} {
 		n, err := NewNetwork(Config{}, alg, flows, env)
 		if err != nil {
 			t.Fatal(err)

@@ -1,8 +1,9 @@
 // Package noc is a cycle-level simulator of the 2D-mesh wormhole
 // network-on-chip that connects the CMP tiles (paper §3.1), together with
-// the four routing schemes evaluated in §5.2: deterministic XY, adaptive
-// west-first, ICON (NoC-activity-aware, core-agnostic, modeling ref [22]),
-// and the paper's PANR (PSN- and congestion-aware, Algorithm 3).
+// the three routing schemes evaluated in §5.2: deterministic XY, ICON
+// (NoC-activity-aware, core-agnostic, modeling ref [22]), and the paper's
+// PANR (PSN- and congestion-aware, Algorithm 3). ICON and PANR choose among
+// the directions the west-first turn model permits.
 //
 // Routers are input-buffered with credit-based flow control and single-VC
 // wormhole switching: a head flit acquires an output port, body flits
@@ -49,13 +50,9 @@ const maxPackets = 1 << 30
 // packet is the state a packet's flits share. The head takes a table slot
 // at injection and the tail frees it at ejection.
 type packet struct {
-	// noise is the worst PSN sensor reading on the head's route so far, for
-	// the fault model's corruption check; zero when no fault model is
-	// installed.
-	noise float64
-	born  int   // cycle the head was injected
-	flow  int32 // index into the simulation's flow table
-	dst   int32 // destination tile
+	born int   // cycle the head was injected
+	flow int32 // index into the simulation's flow table
+	dst  int32 // destination tile
 }
 
 // Flow is one traffic stream: the mapped image of an APG edge. Src and Dst
@@ -84,21 +81,6 @@ type FlowStats struct {
 	TotalPacketLatency int
 	// StalledCycles counts cycles injection was blocked by backpressure.
 	StalledCycles int
-
-	// The remaining counters are populated only when a fault model is
-	// installed (Network.SetFaultModel); they are always zero otherwise.
-	//
-	// DroppedPackets counts packets that reached the destination corrupted
-	// by supply noise and were discarded.
-	DroppedPackets int
-	// RetransmittedPackets counts dropped packets the source NIC re-staged.
-	RetransmittedPackets int
-	// RecoveredPackets counts deliveries that repaid an earlier drop's
-	// retransmission debt.
-	RecoveredPackets int
-	// LostPackets counts dropped packets that could not be retransmitted
-	// (stage queue full): unrecoverable losses.
-	LostPackets int
 }
 
 // AvgPacketLatency returns the mean packet latency in cycles, or 0 when

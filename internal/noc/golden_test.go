@@ -27,35 +27,26 @@ var updateMeasureGolden = flag.Bool("update", false, "rewrite testdata/measure_g
 const measureGoldenPath = "testdata/measure_golden.json"
 
 // goldenCase is one fixture of the anchor: a flow set under one routing
-// scheme, environment and optional fault model.
+// scheme and environment.
 type goldenCase struct {
 	cfg   Config
 	alg   Algorithm
 	flows []Flow
 	env   *Env
-	newFM func() FaultModel
 }
 
-// measureGoldenCases covers every equivalence fixture under all four routing
-// schemes, the two faulted variants, and PANR under noisy sensor readings —
-// uniform, so the congestion branch sees PSN tie-breaks, and patterned, so
-// the quiet-alternative detours of Algorithm 3 are taken.
+// measureGoldenCases covers every equivalence fixture under all three
+// routing schemes, and PANR under noisy sensor readings — uniform, so the
+// congestion branch sees PSN tie-breaks, and patterned, so the
+// quiet-alternative detours of Algorithm 3 are taken.
 func measureGoldenCases() map[string]goldenCase {
 	cases := make(map[string]goldenCase)
 	for fxName, fx := range equivFixtures() {
-		for _, alg := range []Algorithm{XY{}, WestFirst{}, ICON{}, PANR{}} {
+		for _, alg := range []Algorithm{XY{}, ICON{}, PANR{}} {
 			cases[fxName+"/"+alg.Name()] = goldenCase{
 				cfg: fx.cfg, alg: alg, flows: fx.flows, env: &Env{PSN: make([]float64, 60)},
 			}
 		}
-	}
-	cases["faulted/deterministic"] = goldenCase{
-		alg: PANR{}, flows: benchFlows(), env: noisyEnv(0.08),
-		newFM: func() FaultModel { return dropAbove{threshold: 0.05} },
-	}
-	cases["faulted/seeded-rng"] = goldenCase{
-		alg: PANR{}, flows: benchFlows(), env: noisyEnv(0.08),
-		newFM: func() FaultModel { return NewNoiseDropModel(17, 0.05, 0, 0) },
 	}
 	cases["noisy/saturated/PANR"] = goldenCase{alg: PANR{}, flows: benchFlows(), env: noisyEnv(0.08)}
 	patterned := &Env{PSN: make([]float64, 60)}
@@ -80,9 +71,6 @@ func measureDigest(t *testing.T, gc goldenCase, s Stepping) string {
 	n, err := NewNetwork(cfg, gc.alg, gc.flows, gc.env)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if gc.newFM != nil {
-		n.SetFaultModel(gc.newFM())
 	}
 	n.Run(1500)
 	res := n.Measure(6000)

@@ -197,12 +197,6 @@ type Network struct {
 	startForwarded []int
 	startStats     []FlowStats
 
-	// faults, when non-nil, injects noise-induced packet losses at ejection
-	// (SetFaultModel). pendingRecovery[f] counts flow f's retransmissions
-	// still owed a delivery.
-	faults          FaultModel
-	pendingRecovery []int
-
 	cycle int
 }
 
@@ -218,7 +212,7 @@ func NewNetwork(cfg Config, alg Algorithm, flows []Flow, env *Env) (*Network, er
 
 // Reset reinitialises n exactly as NewNetwork would build it for the given
 // routing algorithm, flow set and environment, reusing n's storage: a warm
-// network of the same mesh allocates nothing. It clears the fault model.
+// network of the same mesh allocates nothing.
 // The network keeps flows and env, so callers must not change them while it
 // runs.
 //
@@ -265,7 +259,6 @@ func (n *Network) Reset(cfg Config, alg Algorithm, flows []Flow, env *Env) error
 		}
 	}
 	n.cfg, n.alg, n.flows, n.env = cfg, alg, flows, env
-	n.faults = nil
 	n.cycle = 0
 
 	n.routers = resized(n.routers, tiles)
@@ -346,20 +339,6 @@ func emptied[S ~[]E, E any](s S, c int) S {
 		return make(S, 0, c)
 	}
 	return s[:0]
-}
-
-// SetFaultModel installs fm as the network's packet-loss model: every
-// packet reaching its destination is checked against the worst PSN sensor
-// reading on its route, and dropped packets are retransmitted from the
-// source NIC while its stage queue has room. Call before the first Step.
-// Reset clears the model, so a reused network needs it installed again for
-// every window. A nil model (the default) delivers every packet and leaves
-// the hot loop untouched.
-func (n *Network) SetFaultModel(fm FaultModel) {
-	n.faults = fm
-	if fm != nil {
-		n.pendingRecovery = resized(n.pendingRecovery, len(n.flows))
-	}
 }
 
 // IncomingRate returns the EWMA incoming flit rate of tile t's router,
@@ -619,10 +598,6 @@ func (n *Network) flitToInject(t, fi int) flit {
 	if n.partialPkt[t] < 0 {
 		slot := n.openPacket(fi)
 		n.decStaged(fi)
-		if n.faults != nil {
-			// Path-noise accounting starts at the injection router.
-			n.packets[slot].noise = n.env.psnAt(geom.TileID(t))
-		}
 		if n.cfg.FlitsPerPacket == 1 {
 			return newFlit(slot, KindHeadTail)
 		}
@@ -807,12 +782,6 @@ func (n *Network) stepRouter(t int, arrivals []pendingArrival) []pendingArrival 
 		// the flit, and their pops move head and count together, keeping
 		// this slot just past the tail.
 		n.slots[n.tailSlot(int(next), dstPort)] = f
-		if n.faults != nil && f.isHead() {
-			pk := &n.packets[f.slot()]
-			if p := n.env.psnAt(geom.TileID(next)); p > pk.noise {
-				pk.noise = p
-			}
-		}
 		// Bounded by the scratch capacity Reset reserved: one
 		// arrival per (tile, port) per cycle.
 		//parm:alloc
@@ -828,11 +797,7 @@ func (n *Network) stepRouter(t int, arrivals []pendingArrival) []pendingArrival 
 }
 
 // eject records delivery statistics for a flit leaving the network; the
-// tail closes the packet and frees its table slot. With a fault model
-// installed, the tail also checks the packet for corruption against the
-// head's accumulated path noise: a dropped packet is retransmitted from the
-// source NIC while its stage queue has room, and a later delivery of the
-// flow repays the debt as a recovery.
+// tail closes the packet and frees its table slot.
 //
 //parm:hot
 func (n *Network) eject(f flit) {
@@ -846,23 +811,6 @@ func (n *Network) eject(f flit) {
 	// Amortized zero-alloc: the free list never outgrows the table.
 	//parm:alloc
 	n.free = append(n.free, slot)
-	if n.faults != nil {
-		if n.faults.DropPacket(pk.noise) {
-			st.DroppedPackets++
-			if n.staged[pk.flow] < n.cfg.StagedPackets {
-				n.incStaged(int(pk.flow))
-				n.pendingRecovery[pk.flow]++
-				st.RetransmittedPackets++
-			} else {
-				st.LostPackets++
-			}
-			return
-		}
-		if n.pendingRecovery[pk.flow] > 0 {
-			n.pendingRecovery[pk.flow]--
-			st.RecoveredPackets++
-		}
-	}
 	st.DeliveredPackets++
 	st.TotalPacketLatency += n.cycle - pk.born + 1
 }
@@ -1005,15 +953,11 @@ func (n *Network) Measure(cycles int) *Result {
 	}
 	for i := range n.stats {
 		res.Flows[i] = FlowStats{
-			InjectedFlits:        n.stats[i].InjectedFlits - startStats[i].InjectedFlits,
-			DeliveredFlits:       n.stats[i].DeliveredFlits - startStats[i].DeliveredFlits,
-			DeliveredPackets:     n.stats[i].DeliveredPackets - startStats[i].DeliveredPackets,
-			TotalPacketLatency:   n.stats[i].TotalPacketLatency - startStats[i].TotalPacketLatency,
-			StalledCycles:        n.stats[i].StalledCycles - startStats[i].StalledCycles,
-			DroppedPackets:       n.stats[i].DroppedPackets - startStats[i].DroppedPackets,
-			RetransmittedPackets: n.stats[i].RetransmittedPackets - startStats[i].RetransmittedPackets,
-			RecoveredPackets:     n.stats[i].RecoveredPackets - startStats[i].RecoveredPackets,
-			LostPackets:          n.stats[i].LostPackets - startStats[i].LostPackets,
+			InjectedFlits:      n.stats[i].InjectedFlits - startStats[i].InjectedFlits,
+			DeliveredFlits:     n.stats[i].DeliveredFlits - startStats[i].DeliveredFlits,
+			DeliveredPackets:   n.stats[i].DeliveredPackets - startStats[i].DeliveredPackets,
+			TotalPacketLatency: n.stats[i].TotalPacketLatency - startStats[i].TotalPacketLatency,
+			StalledCycles:      n.stats[i].StalledCycles - startStats[i].StalledCycles,
 		}
 	}
 	for i := range n.routers {

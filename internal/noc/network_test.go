@@ -305,7 +305,7 @@ func TestNoDeadlockUnderLoad(t *testing.T) {
 		}
 	}
 	env := &Env{PSN: make([]float64, 60)}
-	for _, alg := range []Algorithm{XY{}, WestFirst{}, ICON{}, PANR{}} {
+	for _, alg := range []Algorithm{XY{}, ICON{}, PANR{}} {
 		n, err := NewNetwork(Config{BufferFlits: 4}, alg, flows, env)
 		if err != nil {
 			t.Fatal(err)

@@ -16,13 +16,11 @@ type resetWindow struct {
 	alg   Algorithm
 	flows []Flow
 	env   *Env
-	newFM func() FaultModel
 }
 
-// resetWindows lists every equivalence fixture under all four routing
-// schemes, then two faulted windows in a row and an unfaulted one on the same
-// flows and noise, then two windows on a 4x4 mesh, a 4-flit-buffer 10x6 mesh
-// and the default 10x6 mesh again.
+// resetWindows lists every equivalence fixture under all three routing
+// schemes, then PANR under uniform noise, then two windows on a 4x4 mesh, a
+// 4-flit-buffer 10x6 mesh and the default 10x6 mesh again.
 func resetWindows() []resetWindow {
 	var ws []resetWindow
 	fixtures := equivFixtures()
@@ -33,19 +31,14 @@ func resetWindows() []resetWindow {
 	sort.Strings(names)
 	for _, name := range names {
 		fx := fixtures[name]
-		for _, alg := range []Algorithm{XY{}, WestFirst{}, ICON{}, PANR{}} {
+		for _, alg := range []Algorithm{XY{}, ICON{}, PANR{}} {
 			ws = append(ws, resetWindow{name: name + "/" + alg.Name(), cfg: fx.cfg, alg: alg, flows: fx.flows, env: &Env{PSN: make([]float64, 60)}})
 		}
 	}
-	noisy := noisyEnv(0.08)
 	// Two flows share each source, so the injection round robin matters.
 	small := []Flow{{Src: 0, Dst: 15, Rate: 0.3}, {Src: 0, Dst: 10, Rate: 0.25}, {Src: 12, Dst: 3, Rate: 0.2}, {Src: 12, Dst: 6, Rate: 0.35}}
 	return append(ws,
-		resetWindow{name: "faulted/deterministic", alg: PANR{}, flows: benchFlows(), env: noisy,
-			newFM: func() FaultModel { return dropAbove{threshold: 0.05} }},
-		resetWindow{name: "faulted/seeded-rng", alg: PANR{}, flows: benchFlows(), env: noisy,
-			newFM: func() FaultModel { return NewNoiseDropModel(17, 0.05, 0, 0) }},
-		resetWindow{name: "unfaulted/noisy", alg: PANR{}, flows: benchFlows(), env: noisy},
+		resetWindow{name: "noisy/PANR", alg: PANR{}, flows: benchFlows(), env: noisyEnv(0.08)},
 		resetWindow{name: "mesh4x4/PANR", cfg: Config{Width: 4, Height: 4}, alg: PANR{}, flows: small, env: &Env{PSN: make([]float64, 16)}},
 		resetWindow{name: "mesh4x4/XY", cfg: Config{Width: 4, Height: 4}, alg: XY{}, flows: small, env: &Env{PSN: make([]float64, 16)}},
 		resetWindow{name: "buffer4", cfg: Config{BufferFlits: 4}, alg: ICON{}, flows: benchFlows(), env: &Env{PSN: make([]float64, 60)}},
@@ -67,7 +60,7 @@ type resetState struct {
 	Wake                       wakeHeap
 	Acc                        []uint64
 	Staged, PartialLeft, RR    []int
-	StagedFlows, Recovery      []int
+	StagedFlows                []int
 	PartialPkt                 []int32
 	ActiveRouters, ActiveTiles []uint64
 	SrcFlows, SrcOff           []int
@@ -79,9 +72,6 @@ func cloned[T any](s []T) []T { return append([]T{}, s...) }
 // runResetWindow runs w's warmup and measurement on n and returns what it
 // left behind.
 func runResetWindow(n *Network, w resetWindow) resetState {
-	if w.newFM != nil {
-		n.SetFaultModel(w.newFM())
-	}
 	n.Run(1500)
 	st := resetState{
 		Res:           n.Measure(6000),
@@ -99,9 +89,6 @@ func runResetWindow(n *Network, w resetWindow) resetState {
 		SrcFlows:      cloned(n.srcFlows),
 		SrcOff:        cloned(n.srcOff),
 		Cycle:         n.cycle,
-	}
-	if n.faults != nil {
-		st.Recovery = cloned(n.pendingRecovery)
 	}
 	for _, a := range n.acc {
 		st.Acc = append(st.Acc, math.Float64bits(a))
@@ -123,11 +110,10 @@ func runResetWindow(n *Network, w resetWindow) resetState {
 }
 
 // TestResetMatchesNew resets one network through a sequence of windows —
-// every routing scheme, faulted and unfaulted, and three mesh and buffer
+// every routing scheme, quiet and noisy sensors, and three mesh and buffer
 // shapes — and requires each window to leave exactly the state, Result and
-// IncomingRate bits of a fresh NewNetwork. A fault model, retransmission
-// debt, packet table, wake heap or rate carried over from the previous
-// window shows up as a difference.
+// IncomingRate bits of a fresh NewNetwork. A packet table, wake heap or rate
+// carried over from the previous window shows up as a difference.
 func TestResetMatchesNew(t *testing.T) {
 	reused := &Network{}
 	for _, w := range resetWindows() {

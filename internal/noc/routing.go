@@ -80,23 +80,6 @@ func westFirstPermitted(net *Network, src, dst geom.TileID) (dirs [3]geom.Dir, n
 	return dirs, n
 }
 
-// WestFirst is minimal adaptive west-first routing with a deterministic
-// tie-break (first permitted direction in E,N,S order). It is the base
-// scheme PANR builds on.
-type WestFirst struct{}
-
-// Name implements Algorithm.
-func (WestFirst) Name() string { return "WestFirst" }
-
-// Route implements Algorithm.
-func (WestFirst) Route(ctx RouteCtx) geom.Dir {
-	dirs, cnt := westFirstPermitted(ctx.Net, ctx.At, ctx.Dst)
-	if cnt == 0 {
-		return geom.Local
-	}
-	return dirs[0]
-}
-
 // ICON models the NoC-noise-aware routing of ref [22] (IcoNoClast): among
 // the deadlock-free permitted directions it always picks the neighbor whose
 // router shows the least switching activity (incoming data rate), spreading
@@ -148,7 +131,8 @@ func (p PANR) Route(ctx RouteCtx) geom.Dir {
 	if b <= 0 {
 		b = ctx.Net.cfg.OccupancyThreshold
 	}
-	// The default is the dimension-ordered (XY-like) choice; the adaptive
+	// The default is the dimension-ordered choice: dirs[0] is exactly XY's
+	// direction (TestWestFirstPermittedProperties); the adaptive
 	// alternative is taken only when its metric is meaningfully better.
 	// Without this hysteresis every worm herds onto the momentarily
 	// quietest tile, and a single-VC wormhole network loses more to worm
@@ -265,14 +249,12 @@ func minBy(ctx RouteCtx, dirs []geom.Dir, score func(geom.TileID) float64) geom.
 }
 
 // AlgorithmByName returns the routing scheme for a CLI name, or false for
-// an unknown name. Recognized: "XY", "WestFirst", "ICON", "PANR"
+// an unknown name. Recognized: "XY", "ICON", "PANR"
 // (case-sensitive, as printed by Name).
 func AlgorithmByName(name string) (Algorithm, bool) {
 	switch name {
 	case "XY":
 		return XY{}, true
-	case "WestFirst":
-		return WestFirst{}, true
 	case "ICON":
 		return ICON{}, true
 	case "PANR":

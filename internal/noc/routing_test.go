@@ -17,14 +17,16 @@ func mkNet(t *testing.T, alg Algorithm, flows []Flow, env *Env) *Network {
 }
 
 func TestAlgorithmByName(t *testing.T) {
-	for _, name := range []string{"XY", "WestFirst", "ICON", "PANR"} {
+	for _, name := range []string{"XY", "ICON", "PANR"} {
 		alg, ok := AlgorithmByName(name)
 		if !ok || alg.Name() != name {
 			t.Errorf("AlgorithmByName(%q) = %v, %v", name, alg, ok)
 		}
 	}
-	if _, ok := AlgorithmByName("bogus"); ok {
-		t.Error("unknown algorithm accepted")
+	for _, name := range []string{"bogus", "WestFirst"} {
+		if _, ok := AlgorithmByName(name); ok {
+			t.Errorf("unknown algorithm %q accepted", name)
+		}
 	}
 }
 
@@ -40,9 +42,30 @@ func TestDirIndexRoundTrip(t *testing.T) {
 }
 
 // West-first turn model invariants: a packet needing to travel west goes
-// west only; otherwise every permitted direction is productive. The
-// network's coordinate and neighbour tables match the mesh arithmetic.
+// west only; otherwise every permitted direction is productive. The first
+// permitted direction is XY's, which PANR and ICON take as their
+// dimension-ordered default. The network's coordinate and neighbour tables
+// match the mesh arithmetic.
 func TestWestFirstPermittedProperties(t *testing.T) {
+	for _, sz := range []struct{ w, h int }{{10, 6}, {4, 4}} {
+		n, err := NewNetwork(Config{Width: sz.w, Height: sz.h}, XY{}, nil, &Env{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for src := geom.TileID(0); int(src) < n.mesh.NumTiles(); src++ {
+			for dst := geom.TileID(0); int(dst) < n.mesh.NumTiles(); dst++ {
+				perm, cnt := westFirstPermitted(n, src, dst)
+				first := geom.Local
+				if cnt > 0 {
+					first = perm[0]
+				}
+				if xy := (XY{}).Route(RouteCtx{Net: n, At: src, Dst: dst}); first != xy {
+					t.Errorf("%dx%d: westFirstPermitted(%d,%d)[0] = %v, XY routes %v", sz.w, sz.h, src, dst, first, xy)
+				}
+			}
+		}
+	}
+
 	n := mkNet(t, XY{}, nil, &Env{})
 	m := n.mesh
 	f := func(a, b uint8) bool {
@@ -98,7 +121,7 @@ func TestAllAlgorithmsProductive(t *testing.T) {
 	for i := range env.PSN {
 		env.PSN[i] = float64((i*13)%7) * 0.01
 	}
-	for _, alg := range []Algorithm{XY{}, WestFirst{}, ICON{}, PANR{}} {
+	for _, alg := range []Algorithm{XY{}, ICON{}, PANR{}} {
 		n := mkNet(t, alg, flows, env)
 		m := n.mesh
 		for src := geom.TileID(0); int(src) < 60; src++ {

@@ -8,7 +8,7 @@ import (
 )
 
 func TestSmokeTraffic(t *testing.T) {
-	for _, alg := range []Algorithm{XY{}, WestFirst{}, ICON{}, PANR{}} {
+	for _, alg := range []Algorithm{XY{}, ICON{}, PANR{}} {
 		flows := []Flow{
 			{App: 0, Src: 0, Dst: 9, Rate: 0.3},
 			{App: 0, Src: 9, Dst: 0, Rate: 0.3},

@@ -6,18 +6,6 @@ import (
 	"parm/internal/appmodel"
 )
 
-// BenchmarkSchedule times the EDF list scheduler on a DoP-32 graph.
-func BenchmarkSchedule(b *testing.B) {
-	g := appmodel.Benchmarks()[0].Graph(32)
-	cfg := Config{Freq: 2e9, Checkpointing: true, AppDeadline: 0.1}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Schedule(g, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkSPMDMakespan times the SPMD execution-time model used per
 // mapping decision in the runtime engine.
 func BenchmarkSPMDMakespan(b *testing.B) {

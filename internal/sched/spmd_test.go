@@ -3,6 +3,7 @@ package sched
 import (
 	"math"
 	"testing"
+	"testing/quick"
 
 	"parm/internal/appmodel"
 	"parm/internal/pdn"
@@ -120,5 +121,32 @@ func TestSPMDMakespanMatchesEstimate(t *testing.T) {
 		if math.Abs(got-est)/est > 1e-12 {
 			t.Errorf("%s: runtime %g != estimate %g", bench.Name, got, est)
 		}
+	}
+}
+
+// Property: an added uniform comm delay never shortens the makespan.
+func TestMakespanMonotoneInDelay(t *testing.T) {
+	g := appmodel.Benchmarks()[0].Graph(16)
+	f := func(dRaw uint8) bool {
+		d := float64(dRaw) * 1e-9
+		m0, err0 := SPMDMakespan(g, Config{Freq: 1e9})
+		m1, err1 := SPMDMakespan(g, Config{Freq: 1e9, Delay: func(appmodel.Edge) float64 { return d }})
+		return err0 == nil && err1 == nil && m1 >= m0
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestConstants(t *testing.T) {
+	if RollbackPenalty(1e9) <= CheckpointPeriod/2 {
+		t.Error("rollback penalty missing restart overhead")
+	}
+	if RollbackPenalty(0) != 0 || CheckpointOverheadFrac(0) != 0 {
+		t.Error("zero frequency not handled")
+	}
+	// Checkpoint overhead at 1 GHz: 256 cycles per 1 ms = 0.0256%.
+	if f := CheckpointOverheadFrac(1e9); math.Abs(f-256e-6) > 1e-12 {
+		t.Errorf("checkpoint overhead = %g", f)
 	}
 }
