@@ -14,7 +14,7 @@
 //
 //   - cmd/parmsim runs one workload under a chosen framework;
 //   - cmd/experiments regenerates every figure of the paper's evaluation;
-//   - examples/ contains runnable walkthroughs of each subsystem;
+//   - example_test.go is a checked quickstart: one PARM mapping;
 //   - bench_test.go holds the per-figure benchmark harness.
 //
 // See DESIGN.md for the system inventory and per-experiment index, and

@@ -1,7 +1,4 @@
-// Quickstart: map a single application with the PARM framework and inspect
-// what the runtime chose — supply voltage, degree of parallelism, the
-// power-supply domains it claimed, and the resulting power supply noise.
-package main
+package parm_test
 
 import (
 	"fmt"
@@ -12,9 +9,10 @@ import (
 	"parm/internal/power"
 )
 
-func main() {
-	log.SetFlags(0)
-
+// Map a single application with the PARM framework and inspect what the
+// runtime chose: supply voltage, degree of parallelism, and the resulting
+// power supply noise.
+func Example() {
 	// The platform of the paper: 10x6 mesh at 7nm FinFET, 65 W dark
 	// silicon power budget, Vdd levels 0.4-0.8 V.
 	node := power.MustParams(power.Node7)
@@ -49,4 +47,13 @@ func main() {
 	fmt.Printf("average PSN: %.2f%%\n", m.AvgPSN*100)
 	fmt.Printf("voltage emergencies: %d\n", m.TotalVEs)
 	fmt.Printf("mean NoC packet latency: %.1f cycles\n", m.MeanPacketLatency)
+	// Output:
+	// application: app0(fft), deadline 61.6 ms
+	// outcome:     completed
+	// operating point: Vdd=0.5 V (f=1.72 GHz), DoP=32 threads
+	// turnaround:  45.7 ms (deadline met: true)
+	// peak PSN:    4.71% of Vdd (voltage-emergency margin is 5%)
+	// average PSN: 2.87%
+	// voltage emergencies: 0
+	// mean NoC packet latency: 12.5 cycles
 }

@@ -106,16 +106,6 @@ func (p *Pass) Suppressed(f *ast.File, pos token.Pos, name string) bool {
 	return false
 }
 
-// FileOf returns the *ast.File of the pass containing pos, or nil.
-func (p *Pass) FileOf(pos token.Pos) *ast.File {
-	for _, f := range p.Files {
-		if f.FileStart <= pos && pos < f.FileEnd {
-			return f
-		}
-	}
-	return nil
-}
-
 // IsFloat reports whether t's underlying type has a floating-point or
 // complex basic kind.
 func IsFloat(t types.Type) bool {

@@ -1,6 +1,6 @@
 // Package hotalloc enforces the allocation-free discipline of the
 // measurement hot paths: inside any loop of a function marked //parm:hot
-// (the PSN solver's RK4 stepping and the NoC ring-buffer cycle loop), no
+// (the PSN solver's phasor solve and the NoC ring-buffer cycle loop), no
 // statement may allocate. The ROADMAP's "fast as the hardware allows" goal
 // rests on these paths staying at 0 allocs/op — the companion
 // BenchmarkPSNStepAllocs / BenchmarkNoCStepAllocs guards assert the same

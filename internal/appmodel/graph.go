@@ -62,15 +62,6 @@ func (g *APG) EdgesBySortedVolume() []Edge {
 	return out
 }
 
-// TotalVolume returns the sum of all edge volumes in bytes.
-func (g *APG) TotalVolume() float64 {
-	s := 0.0
-	for _, e := range g.Edges {
-		s += e.Volume
-	}
-	return s
-}
-
 // Validate checks APG structural invariants: task IDs are 0..n-1 in order,
 // edges reference valid tasks, no self-loops, and the graph is acyclic with
 // all edges pointing from lower to higher stage (Src < Dst by

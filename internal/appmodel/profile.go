@@ -47,57 +47,11 @@ func routerUtilEstimate(k Kind) float64 {
 	return 0.15
 }
 
-// ComputeCycles returns an aggregate cycle count of benchmark b at the
-// given DoP under a flat Amdahl model: serial + parallel share of the
-// slowest task + synchronization overhead growing with DoP. The runtime
-// WCET estimate uses the APG critical path (CriticalPathCycles), which this
-// lower-bounds.
-func (b Benchmark) ComputeCycles(dop int) float64 {
-	total := b.WorkGCycles * 1e9
-	serial := total * b.SerialFrac
-	parallel := total - serial
-	sync := b.SyncKCyclesPerTask * 1e3 * float64(dop)
-	// The slowest task carries up to +15% imbalance (see Graph).
-	return serial + parallel/float64(dop)*1.15 + sync
-}
-
 // EdgeCommCycles returns the profile-time estimate of one edge's serialized
 // transfer in cycles: its flit count at the assumed effective per-flow NoC
 // throughput. The runtime replaces this with NoC-measured values.
 func EdgeCommCycles(e Edge) float64 {
 	return e.Volume / FlitBytes / estFlitsPerCycle
-}
-
-// CriticalPathCycles returns the longest path through g in cycles, where
-// each task contributes its work plus syncCycles of barrier overhead and
-// each edge contributes commCycles(e). With one dedicated core per task
-// (the platform's mapping model) this equals the schedule makespan. A nil
-// commCycles means zero-cost communication.
-func (g *APG) CriticalPathCycles(syncCycles float64, commCycles func(Edge) float64) float64 {
-	n := g.NumTasks()
-	ready := make([]float64, n)
-	best := 0.0
-	// Edges satisfy Src < Dst, so one forward sweep over tasks suffices.
-	succ := make([][]Edge, n)
-	for _, e := range g.Edges {
-		succ[e.Src] = append(succ[e.Src], e)
-	}
-	for i := 0; i < n; i++ {
-		finish := ready[i] + g.Tasks[i].WorkCycles + syncCycles
-		if finish > best {
-			best = finish
-		}
-		for _, e := range succ[i] {
-			c := 0.0
-			if commCycles != nil {
-				c = commCycles(e)
-			}
-			if arr := finish + c; arr > ready[e.Dst] {
-				ready[e.Dst] = arr
-			}
-		}
-	}
-	return best
 }
 
 // SyncCyclesPerTask returns the per-task barrier/synchronization overhead
@@ -140,13 +94,47 @@ func (g *APG) SPMDTimeEstimate(coreHz, syncCycles float64) float64 {
 
 // wcetCache and powerCache memoize WCETEstimate and PowerEstimate:
 // Algorithm 1 evaluates them for the (Vdd, DoP) combinations of every
-// scheduling attempt, and each uncached call builds an APG. Profiles are
-// deterministic, so caching is safe; the caches hold scalars only, never a
-// graph.
+// scheduling attempt. Profiles are deterministic, so caching is safe.
+// estimateGraphs holds the APG an uncached estimate reads, one per table
+// benchmark and DoP, so a miss at a new Vdd builds no graph: without it each
+// miss built a graph and its RNG, and a run's allocation depended on how
+// many estimates earlier runs in the process had left cached.
 var (
-	wcetCache  sync.Map // estimateKey -> float64
-	powerCache sync.Map // estimateKey -> power.Watts
+	wcetCache      sync.Map // estimateKey -> float64
+	powerCache     sync.Map // estimateKey -> power.Watts
+	estimateGraphs sync.Map // graphKey -> *APG, read-only
 )
+
+// graphKey names one table benchmark's APG at one DoP.
+type graphKey struct {
+	bench string
+	dop   int
+}
+
+// estimateGraph returns b's APG at dop for the estimates, which only read
+// it. Only table benchmarks are cached, so a Benchmark with changed fields
+// (or a NaN one, which would never match its key) is built afresh.
+func (b Benchmark) estimateGraph(dop int) *APG {
+	if !tableBench(&b) {
+		return b.Graph(dop)
+	}
+	key := graphKey{bench: b.Name, dop: dop}
+	if g, ok := estimateGraphs.Load(key); ok {
+		return g.(*APG)
+	}
+	g, _ := estimateGraphs.LoadOrStore(key, b.Graph(dop))
+	return g.(*APG)
+}
+
+// tableBench reports whether b is its name's benchTable entry.
+func tableBench(b *Benchmark) bool {
+	for i := range benchTable {
+		if benchTable[i].Name == b.Name {
+			return benchTable[i] == *b
+		}
+	}
+	return false
+}
 
 // estimateKey holds the inputs of a cached estimate. Only a node's table
 // parameters (power.Params) are cached, so the Node stands for all of them.
@@ -188,7 +176,7 @@ func (b Benchmark) computeWCET(p power.NodeParams, vdd power.Volts, dop int) flo
 	if f <= 0 {
 		return inf()
 	}
-	return b.Graph(dop).SPMDTimeEstimate(f, b.SyncCyclesPerTask(dop))
+	return b.estimateGraph(dop).SPMDTimeEstimate(f, b.SyncCyclesPerTask(dop))
 }
 
 // PowerEstimate returns the profiled total power of benchmark b mapped at
@@ -210,7 +198,7 @@ func (b Benchmark) PowerEstimate(p power.NodeParams, vdd power.Volts, dop int) p
 func (b Benchmark) computePower(p power.NodeParams, vdd power.Volts, dop int) power.Watts {
 	ru := routerUtilEstimate(b.Kind)
 	total := power.Watts(0)
-	for _, t := range b.Graph(dop).Tasks {
+	for _, t := range b.estimateGraph(dop).Tasks {
 		total += p.TilePower(vdd, ActivityFactor(t.Activity), ru)
 	}
 	return total

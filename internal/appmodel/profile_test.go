@@ -117,6 +117,31 @@ func TestEstimateCachesKeyOnNodeParams(t *testing.T) {
 	}
 }
 
+// An uncached estimate reads its table benchmark's APG from the per-DoP
+// graph cache, so a new operating point builds no graph; a benchmark that
+// differs from its table entry gets its own graph, never the entry's.
+func TestEstimateGraphCache(t *testing.T) {
+	p := np7()
+	p.FMax *= 2 // not the node's table parameters: every call is uncached
+	b, err := BenchmarkByName("fft")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const vdd, dop = 0.7, 24
+	if n := testing.AllocsPerRun(10, func() { b.WCETEstimate(p, vdd, dop) }); n > 1 {
+		t.Errorf("uncached WCETEstimate allocates %g times per call, want at most 1 (the per-task times)", n)
+	}
+	heavier := b
+	heavier.WorkGCycles *= 2
+	want := heavier.Graph(dop).SPMDTimeEstimate(p.Frequency(vdd), heavier.SyncCyclesPerTask(dop))
+	if got := heavier.WCETEstimate(p, vdd, dop); got != want {
+		t.Errorf("WCETEstimate of a changed fft = %g s, want %g s from its own graph", got, want)
+	}
+	if want == b.WCETEstimate(p, vdd, dop) {
+		t.Errorf("doubling fft's work left its WCET at %g s", want)
+	}
+}
+
 // The SPMD estimate lower-bounds at the slowest thread's compute time.
 func TestSPMDTimeEstimateBounds(t *testing.T) {
 	b := Benchmarks()[0]
@@ -135,31 +160,6 @@ func TestSPMDTimeEstimateBounds(t *testing.T) {
 	// Adding sync overhead increases the estimate.
 	if g.SPMDTimeEstimate(f, 1e6) <= est {
 		t.Error("sync overhead did not increase estimate")
-	}
-}
-
-func TestCriticalPathCycles(t *testing.T) {
-	g := &APG{
-		Bench: "t",
-		Tasks: []Task{
-			{ID: 0, Activity: pdn.High, WorkCycles: 100},
-			{ID: 1, Activity: pdn.High, WorkCycles: 50},
-			{ID: 2, Activity: pdn.Low, WorkCycles: 80},
-		},
-		Edges: []Edge{{Src: 0, Dst: 1, Volume: 0}, {Src: 1, Dst: 2, Volume: 0}},
-	}
-	// Chain with zero comm: 100 + 50 + 80.
-	if got := g.CriticalPathCycles(0, nil); got != 230 {
-		t.Errorf("critical path = %g, want 230", got)
-	}
-	// Per-task sync adds 3x10.
-	if got := g.CriticalPathCycles(10, nil); got != 260 {
-		t.Errorf("critical path with sync = %g, want 260", got)
-	}
-	// Comm delay on each edge adds 2x5.
-	comm := func(Edge) float64 { return 5 }
-	if got := g.CriticalPathCycles(0, comm); got != 240 {
-		t.Errorf("critical path with comm = %g, want 240", got)
 	}
 }
 

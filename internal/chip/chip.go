@@ -191,20 +191,6 @@ func (c *Chip) Domain(d DomainID) *Domain {
 	return &c.domains[d]
 }
 
-// DomainOf returns the domain containing tile t.
-func (c *Chip) DomainOf(t geom.TileID) DomainID { return c.tileDomain[t] }
-
-// SlotOf returns the pdn slot index (0..3) of tile t within its domain.
-func (c *Chip) SlotOf(t geom.TileID) int {
-	d := &c.domains[c.tileDomain[t]]
-	for s, dt := range d.Tiles {
-		if dt == t {
-			return s
-		}
-	}
-	panic(fmt.Sprintf("chip: tile %d not in its own domain", t)) // unreachable
-}
-
 // FreeDomains returns the IDs of all unoccupied domains in ascending order.
 func (c *Chip) FreeDomains() []DomainID {
 	var out []DomainID
@@ -267,28 +253,6 @@ func (c *Chip) ReleaseApp(app int) int {
 		}
 	}
 	return n
-}
-
-// ActiveDomains returns the IDs of occupied domains in ascending order.
-func (c *Chip) ActiveDomains() []DomainID {
-	var out []DomainID
-	for i := range c.domains {
-		if c.domains[i].Occupied() {
-			out = append(out, DomainID(i))
-		}
-	}
-	return out
-}
-
-// AppTiles returns the tiles occupied by app in ascending tile order.
-func (c *Chip) AppTiles(app int) []geom.TileID {
-	var out []geom.TileID
-	for t := range c.occupants {
-		if c.occupants[t].App == app {
-			out = append(out, geom.TileID(t))
-		}
-	}
-	return out
 }
 
 // activityFactor mirrors appmodel.ActivityFactor without importing it

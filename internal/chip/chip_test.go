@@ -26,8 +26,8 @@ func TestDefaultsMatchPaperPlatform(t *testing.T) {
 	if c.NumDomains() != 15 {
 		t.Errorf("%d domains, want 15", c.NumDomains())
 	}
-	if c.Budget.Limit() != 65 {
-		t.Errorf("DsPB %g, want 65", c.Budget.Limit())
+	if c.Budget.Available() != 65 {
+		t.Errorf("DsPB %g, want 65", c.Budget.Available())
 	}
 	if c.Node.Node != power.Node7 {
 		t.Errorf("node %v, want 7nm", c.Node.Node)
@@ -82,11 +82,8 @@ func TestDomainTiling(t *testing.T) {
 				t.Errorf("tile %d in domains %d and %d", tile, prev, d)
 			}
 			seen[tile] = DomainID(d)
-			if c.DomainOf(tile) != DomainID(d) {
-				t.Errorf("DomainOf(%d) = %d, want %d", tile, c.DomainOf(tile), d)
-			}
-			if c.SlotOf(tile) != slot {
-				t.Errorf("SlotOf(%d) = %d, want %d", tile, c.SlotOf(tile), slot)
+			if c.tileDomain[tile] != DomainID(d) {
+				t.Errorf("tile %d (slot %d) maps to domain %d, want %d", tile, slot, c.tileDomain[tile], d)
 			}
 		}
 		// Slot geometry matches pdn.DomainDistance: slots 0-1 adjacent,
@@ -143,14 +140,18 @@ func TestAssignPlaceReleaseLifecycle(t *testing.T) {
 	if occ.App != 42 || occ.Task != 0 || occ.Class != pdn.High || occ.CoreActivity != 0.9 {
 		t.Errorf("occupant = %+v", occ)
 	}
-	if got := c.AppTiles(42); len(got) != 1 || got[0] != tile {
-		t.Errorf("AppTiles = %v", got)
+	for tt := 0; tt < c.Mesh.NumTiles(); tt++ {
+		if got := c.Occupant(geom.TileID(tt)).App == 42; got != (geom.TileID(tt) == tile) {
+			t.Errorf("tile %d occupied by app 42: %v", tt, got)
+		}
 	}
 	if got := len(c.FreeDomains()); got != 14 {
 		t.Errorf("FreeDomains = %d, want 14", got)
 	}
-	if got := c.ActiveDomains(); len(got) != 1 || got[0] != 3 {
-		t.Errorf("ActiveDomains = %v", got)
+	for d := 0; d < c.NumDomains(); d++ {
+		if got := c.Domain(DomainID(d)).Occupied(); got != (d == 3) {
+			t.Errorf("domain %d occupied: %v", d, got)
+		}
 	}
 
 	if n := c.ReleaseApp(42); n != 1 {

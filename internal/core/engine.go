@@ -333,10 +333,6 @@ func NewEngine(cfg Config, fw Framework) (*Engine, error) {
 // Chip exposes the platform for inspection (examples, tests).
 func (e *Engine) Chip() *chip.Chip { return e.chip }
 
-// NoCCacheStats reports how many NoC measurements were served from the memo
-// versus simulated cycle by cycle.
-func (e *Engine) NoCCacheStats() (hits, misses int) { return e.nocHits, e.nocMisses }
-
 // CollectCacheStats attaches the run's measurement-cache counters (the pdn
 // domain-solve cache and the NoC measurement memo) to m. Opt-in so default
 // output stays unchanged; see Metrics.PDNCache.

@@ -100,7 +100,6 @@ func TestNewEngineRejectsBadNoCConfig(t *testing.T) {
 		{"RateEWMA above 1", noc.Config{RateEWMA: 2}},
 		{"negative BufferFlits", noc.Config{BufferFlits: -1}},
 		{"negative OccupancyThreshold", noc.Config{OccupancyThreshold: -1}},
-		{"unknown Stepping", noc.Config{Stepping: 7}},
 	} {
 		if _, err := NewEngine(Config{NoC: tc.cfg}, MustCombo("PARM", "PANR")); err == nil {
 			t.Errorf("%s: NewEngine accepted %+v", tc.name, tc.cfg)
@@ -354,9 +353,6 @@ func TestMetricsAggregation(t *testing.T) {
 	}
 	if m.Completed+m.Dropped+m.Unfinished != 6 {
 		t.Error("outcome counts do not sum")
-	}
-	if m.SuccessRate() != float64(m.Completed)/6 {
-		t.Error("SuccessRate wrong")
 	}
 	if m.Framework != "PARM+PANR" || m.Workload != "mixed" {
 		t.Errorf("labels: %s / %s", m.Framework, m.Workload)

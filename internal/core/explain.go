@@ -41,17 +41,6 @@ func (e *Engine) ExplainSelection(app *appmodel.App) []SelectionStep {
 	return steps
 }
 
-// ChosenStep returns the step Algorithm 1 would commit, or nil when the
-// application cannot currently be mapped.
-func ChosenStep(steps []SelectionStep) *SelectionStep {
-	for i := range steps {
-		if steps[i].Chosen {
-			return &steps[i]
-		}
-	}
-	return nil
-}
-
 // ExplainOnEmptyChip builds a fresh engine around the framework and explains
 // the app on an empty chip at its arrival time — the cmd/parmsim -explain
 // entry point.

@@ -133,7 +133,7 @@ func TestExplainSelectionMatchesEngine(t *testing.T) {
 			o := m.Apps[0]
 			mapped := o.DoP > 0
 
-			chosen := ChosenStep(steps)
+			chosen := chosenStep(steps)
 			if (chosen != nil) != tc.want || mapped != tc.want {
 				t.Fatalf("explain chose %+v, engine mapped = %v; want a choice = %v", chosen, mapped, tc.want)
 			}
@@ -171,12 +171,45 @@ func TestExplainSelectionMatchesEngine(t *testing.T) {
 	}
 }
 
-func TestChosenStepNil(t *testing.T) {
-	if ChosenStep(nil) != nil {
-		t.Error("nil steps produced a chosen step")
+// chosenStep returns the step Algorithm 1 would commit, or nil when the
+// application cannot currently be mapped.
+func chosenStep(steps []SelectionStep) *SelectionStep {
+	for i := range steps {
+		if steps[i].Chosen {
+			return &steps[i]
+		}
 	}
-	if ChosenStep([]SelectionStep{{Vdd: 0.4}}) != nil {
-		t.Error("unchosen step returned")
+	return nil
+}
+
+// An explanation marks at most one step chosen, the last one: the scan ends
+// at the candidate Algorithm 1 commits, and an app no candidate can host
+// under a hard deadline has no chosen step.
+func TestChosenStepNil(t *testing.T) {
+	app := *genWorkload(t, appmodel.WorkloadMixed, 1, 0.1, 31).Apps[0]
+	app.Arrival = 0
+	for _, tc := range []struct {
+		deadline float64
+		want     int
+	}{{app.RelDeadline, 1}, {1e-6, 0}} {
+		a := app
+		a.RelDeadline = tc.deadline
+		steps, err := ExplainOnEmptyChip(Config{}, MustCombo("PARM", "PANR"), &a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chosen := 0
+		for i, st := range steps {
+			if st.Chosen {
+				chosen++
+				if i != len(steps)-1 {
+					t.Errorf("deadline %g: step %d of %d chosen, want the last", tc.deadline, i, len(steps))
+				}
+			}
+		}
+		if chosen != tc.want {
+			t.Errorf("deadline %g: %d chosen steps, want %d", tc.deadline, chosen, tc.want)
+		}
 	}
 }
 

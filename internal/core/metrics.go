@@ -98,11 +98,3 @@ type Metrics struct {
 type NoCMemoStats struct {
 	Hits, Misses int
 }
-
-// SuccessRate returns the fraction of applications completed.
-func (m *Metrics) SuccessRate() float64 {
-	if len(m.Apps) == 0 {
-		return 0
-	}
-	return float64(m.Completed) / float64(len(m.Apps))
-}

@@ -123,7 +123,7 @@ func TestPipelineCachedMatchesUncached(t *testing.T) {
 	if eng.Chip().PSNCacheStats().Hits == 0 {
 		t.Error("PSN solve cache never hit")
 	}
-	if _, misses := eng.NoCCacheStats(); misses == 0 {
+	if eng.nocMisses == 0 {
 		t.Error("NoC memo never populated")
 	}
 }

@@ -65,17 +65,6 @@ func (tr *Trace) WriteCSV(w io.Writer) error {
 	return nil
 }
 
-// MaxPeak returns the largest chip peak in the trace.
-func (tr *Trace) MaxPeak() float64 {
-	m := 0.0
-	for _, p := range tr.Points {
-		if p.ChipPeak > m {
-			m = p.ChipPeak
-		}
-	}
-	return m
-}
-
 // EnableTrace turns on time-series recording for the next Run. The returned
 // trace is filled in as the simulation progresses.
 func (e *Engine) EnableTrace() *Trace {

@@ -12,7 +12,6 @@ import (
 	"runtime"
 
 	"parm/internal/appmodel"
-	"parm/internal/chip"
 	"parm/internal/core"
 	"parm/internal/noc"
 	"parm/internal/obs"
@@ -401,10 +400,4 @@ func OverheadTable() *report.Table {
 	t.AddRow("sensor network area (um^2)", o.SensorNetworkAreaUm2)
 	t.AddRow("hop selection latency (cycles, masked)", o.HopSelectionCycles)
 	return t
-}
-
-// DefaultChipConfig returns the paper's platform configuration (§5.1):
-// 10x6 mesh at 7nm, DsPB 65 W.
-func DefaultChipConfig() chip.Config {
-	return chip.Config{Width: 10, Height: 6, Node: power.MustParams(power.Node7), DsPB: 65}
 }

@@ -8,6 +8,7 @@ import (
 	"parm/internal/appmodel"
 	"parm/internal/core"
 	"parm/internal/pdn"
+	"parm/internal/power"
 )
 
 func cellVal(t *testing.T, s string) float64 {
@@ -173,10 +174,16 @@ func TestRunMetricsErrors(t *testing.T) {
 	}
 }
 
+// The figure experiments run on the paper's platform (§5.1) by default: a
+// 10x6 mesh at 7nm with a 65 W DsPB.
 func TestDefaultChipConfig(t *testing.T) {
-	cfg := DefaultChipConfig()
-	if cfg.Width != 10 || cfg.Height != 6 || cfg.DsPB != 65 {
-		t.Errorf("config = %+v", cfg)
+	eng, err := core.NewEngine(Options{}.withDefaults().Engine, core.MustCombo("PARM", "PANR"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := eng.Chip()
+	if c.Mesh.Width != 10 || c.Mesh.Height != 6 || c.Budget.Available() != 65 || c.Node.Node != power.Node7 {
+		t.Errorf("platform %dx%d, %g W, %v; want 10x6, 65 W, 7nm", c.Mesh.Width, c.Mesh.Height, float64(c.Budget.Available()), c.Node.Node)
 	}
 }
 
@@ -184,7 +191,7 @@ func TestDefaultChipConfig(t *testing.T) {
 // managed (staggered) equivalent stays below it — the central premise that
 // runtime management pays off.
 func TestManagementPremise(t *testing.T) {
-	p := DefaultChipConfig().Node
+	p := power.MustParams(power.Node7)
 	unmanaged, err := pdn.SimulateDomain(pdn.Config{Params: p, Vdd: p.VNTC}, highLoads(p, p.VNTC, false))
 	if err != nil {
 		t.Fatal(err)

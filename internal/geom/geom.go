@@ -141,47 +141,10 @@ func (m Mesh) Neighbor(id TileID, d Dir) (TileID, bool) {
 	return m.TileAt(n), true
 }
 
-// Neighbors returns the in-mesh neighbors of id in CardinalDirs order.
-func (m Mesh) Neighbors(id TileID) []TileID {
-	out := make([]TileID, 0, 4)
-	for _, d := range CardinalDirs {
-		if n, ok := m.Neighbor(id, d); ok {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
 // ManhattanDist returns the Manhattan (hop) distance between tiles a and b.
 func (m Mesh) ManhattanDist(a, b TileID) int {
 	ca, cb := m.CoordOf(a), m.CoordOf(b)
 	return abs(ca.X-cb.X) + abs(ca.Y-cb.Y)
-}
-
-// ManhattanCoord returns the Manhattan distance between coordinates a and b.
-func ManhattanCoord(a, b Coord) int {
-	return abs(a.X-b.X) + abs(a.Y-b.Y)
-}
-
-// DirsToward returns the (1 or 2) cardinal directions that reduce the
-// Manhattan distance from src to dst, in deterministic E,W,N,S order.
-// It returns nil when src == dst.
-func (m Mesh) DirsToward(src, dst TileID) []Dir {
-	cs, cd := m.CoordOf(src), m.CoordOf(dst)
-	var out []Dir
-	if cd.X > cs.X {
-		out = append(out, East)
-	}
-	if cd.X < cs.X {
-		out = append(out, West)
-	}
-	if cd.Y > cs.Y {
-		out = append(out, North)
-	}
-	if cd.Y < cs.Y {
-		out = append(out, South)
-	}
-	return out
 }
 
 func abs(v int) int {

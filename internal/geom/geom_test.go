@@ -155,7 +155,13 @@ func TestNeighborsCountByPosition(t *testing.T) {
 	m := NewMesh(10, 6)
 	counts := map[int]int{}
 	for id := TileID(0); int(id) < m.NumTiles(); id++ {
-		counts[len(m.Neighbors(id))]++
+		n := 0
+		for _, d := range CardinalDirs {
+			if _, ok := m.Neighbor(id, d); ok {
+				n++
+			}
+		}
+		counts[n]++
 	}
 	// 4 corners with 2 neighbors, 2*(8+4)=24 edge tiles with 3, rest 4.
 	if counts[2] != 4 || counts[3] != 24 || counts[4] != 32 {
@@ -203,41 +209,53 @@ func TestManhattanProperties(t *testing.T) {
 	}
 }
 
+// The productive directions toward a destination — the cardinal neighbours
+// one hop closer — are one per coordinate that differs, and every other
+// in-mesh neighbour is one hop farther.
 func TestDirsToward(t *testing.T) {
 	m := NewMesh(10, 6)
-	if dirs := m.DirsToward(0, 0); dirs != nil {
-		t.Errorf("DirsToward(0,0) = %v, want nil", dirs)
-	}
-	// Every returned direction must strictly reduce the distance.
-	reduces := func(a, b int) bool {
+	toward := func(a, b int) bool {
 		src := TileID(((a % 60) + 60) % 60)
 		dst := TileID(((b % 60) + 60) % 60)
 		d0 := m.ManhattanDist(src, dst)
-		for _, d := range m.DirsToward(src, dst) {
+		cs, cd := m.CoordOf(src), m.CoordOf(dst)
+		want := 0
+		if cs.X != cd.X {
+			want++
+		}
+		if cs.Y != cd.Y {
+			want++
+		}
+		closer := 0
+		for _, d := range CardinalDirs {
 			n, ok := m.Neighbor(src, d)
-			if !ok || m.ManhattanDist(n, dst) != d0-1 {
+			if !ok {
+				continue
+			}
+			switch m.ManhattanDist(n, dst) {
+			case d0 - 1:
+				closer++
+			case d0 + 1:
+			default:
 				return false
 			}
 		}
-		return true
+		return closer == want
 	}
-	if err := quick.Check(reduces, nil); err != nil {
+	if err := quick.Check(toward, nil); err != nil {
 		t.Error(err)
-	}
-	// Number of productive directions is 0, 1, or 2.
-	if got := len(m.DirsToward(0, 59)); got != 2 {
-		t.Errorf("DirsToward(0,59) count = %d, want 2", got)
-	}
-	if got := len(m.DirsToward(0, 9)); got != 1 {
-		t.Errorf("DirsToward(0,9) count = %d, want 1", got)
 	}
 }
 
+// ManhattanDist is the coordinate distance |dx| + |dy|.
 func TestManhattanCoord(t *testing.T) {
-	if d := ManhattanCoord(Coord{1, 2}, Coord{4, 0}); d != 5 {
-		t.Errorf("ManhattanCoord = %d, want 5", d)
-	}
-	if d := ManhattanCoord(Coord{-2, 3}, Coord{2, -3}); d != 10 {
-		t.Errorf("ManhattanCoord = %d, want 10", d)
+	m := NewMesh(10, 6)
+	for _, c := range []struct {
+		a, b Coord
+		want int
+	}{{Coord{1, 2}, Coord{4, 0}, 5}, {Coord{0, 5}, Coord{9, 0}, 14}, {Coord{3, 3}, Coord{3, 3}, 0}} {
+		if d := m.ManhattanDist(m.TileAt(c.a), m.TileAt(c.b)); d != c.want {
+			t.Errorf("ManhattanDist(%v, %v) = %d, want %d", c.a, c.b, d, c.want)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package mapping
 
 import (
+	"math"
 	"testing"
 
 	"parm/internal/appmodel"
@@ -228,7 +229,7 @@ func TestHMScattersPARMClusters(t *testing.T) {
 			for j := i + 1; j < len(p.Domains); j++ {
 				ci := c.Domain(p.Domains[i]).Center()
 				cj := c.Domain(p.Domains[j]).Center()
-				sum += float64(geom.ManhattanCoord(ci, cj)) / 2
+				sum += (math.Abs(float64(ci.X-cj.X)) + math.Abs(float64(ci.Y-cj.Y))) / 2
 				n++
 			}
 		}

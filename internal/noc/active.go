@@ -6,8 +6,8 @@ package noc
 // per-cycle demand accrual for dormant flows.
 
 // tileSet is a fixed-capacity bitset over tile indices. Iteration is in
-// ascending tile order — the same order the dense reference sweeps routers,
-// which the switch-traversal credit chain depends on (an upstream router
+// ascending tile order — the order a full sweep visits routers in, which
+// the switch-traversal credit chain depends on (an upstream router
 // observes the pops its downstream neighbors performed earlier in the same
 // ascending sweep).
 type tileSet struct {

@@ -43,18 +43,13 @@ func maxTraceHops(m geom.Mesh) int { return m.Width + m.Height + 2 }
 // must not be used.
 func AnalyticMeasure(cfg Config, alg Algorithm, flows []Flow, env *Env, cycles int) (*Result, AnalyticReport, error) {
 	cfg = cfg.withDefaults()
-	// The throwaway network supplies RouteCtx's view of an idle fabric; it
-	// is never stepped, so occupancy and incoming rates read as zero, and
-	// under dense stepping it books no accrual wakeups.
-	idle := cfg
-	if idle.Stepping == SteppingActive {
-		idle.Stepping = SteppingDense
-	}
-	n, err := NewNetwork(idle, alg, flows, env)
+	mesh, err := checkInputs(cfg, alg, flows)
 	if err != nil {
 		return nil, AnalyticReport{}, err
 	}
-	mesh := n.mesh
+	// The route view supplies RouteCtx's picture of an idle fabric: zero
+	// occupancy and incoming rates, and the actual PSN environment.
+	n := newRouteView(cfg, mesh, env)
 	numTiles := mesh.NumTiles()
 	lp := dirIndex(geom.Local)
 

@@ -59,31 +59,24 @@ func BenchmarkNetworkStep(b *testing.B) {
 }
 
 // BenchmarkNoCStepAllocs pins the //parm:hot contract dynamically: once the
-// mesh reaches steady state (ring buffers filled, wake heap and packet-start
-// logs at their working sizes), a cycle step must run allocation-free under
-// both stepping strategies. hotalloc enforces the same property statically.
+// mesh reaches steady state (ring buffers filled, wake heap and packet table
+// at their working sizes), a cycle step must run allocation-free. hotalloc
+// enforces the same property statically.
 func BenchmarkNoCStepAllocs(b *testing.B) {
-	for _, tc := range []struct {
-		name     string
-		stepping Stepping
-	}{{"active", SteppingActive}, {"dense", SteppingDense}} {
-		b.Run(tc.name, func(b *testing.B) {
-			env := &Env{PSN: make([]float64, 60)}
-			n, err := NewNetwork(Config{Stepping: tc.stepping}, PANR{}, benchFlows(), env)
-			if err != nil {
-				b.Fatal(err)
-			}
-			n.Run(8000) // fill buffers and grow per-flow logs to steady state
-			allocs := testing.AllocsPerRun(1000, n.Step)
-			if allocs != 0 {
-				b.Fatalf("steady-state Step allocates %.3f times per run, want 0", allocs)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				n.Step()
-			}
-		})
+	env := &Env{PSN: make([]float64, 60)}
+	n, err := NewNetwork(Config{}, PANR{}, benchFlows(), env)
+	if err != nil {
+		b.Fatal(err)
+	}
+	n.Run(8000) // fill buffers and grow the packet table to steady state
+	allocs := testing.AllocsPerRun(1000, n.Step)
+	if allocs != 0 {
+		b.Fatalf("steady-state Step allocates %.3f times per run, want 0", allocs)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n.Step()
 	}
 }
 
@@ -118,26 +111,15 @@ func BenchmarkWindowAllocs(b *testing.B) {
 }
 
 // BenchmarkSparseWindow compares the window strategies on the Fig 6-shaped
-// sparse fixture: the dense reference sweep, the active-set cycle path, and
-// the analytic closed form. parmbench's fig6_mixed_auto against
-// fig6_mixed_cycle shows what they add up to over a whole engine run.
+// sparse fixture: the active-set cycle path and the analytic closed form.
+// parmbench's fig6_mixed_auto against fig6_mixed_cycle shows what they add
+// up to over a whole engine run.
 func BenchmarkSparseWindow(b *testing.B) {
 	flows := sparseFlows()
-	b.Run("dense", func(b *testing.B) {
-		env := &Env{PSN: make([]float64, 60)}
-		for i := 0; i < b.N; i++ {
-			n, err := NewNetwork(Config{Stepping: SteppingDense}, PANR{}, flows, env)
-			if err != nil {
-				b.Fatal(err)
-			}
-			n.Run(1500)
-			n.Measure(8000)
-		}
-	})
 	b.Run("active", func(b *testing.B) {
 		env := &Env{PSN: make([]float64, 60)}
 		for i := 0; i < b.N; i++ {
-			n, err := NewNetwork(Config{Stepping: SteppingActive}, PANR{}, flows, env)
+			n, err := NewNetwork(Config{}, PANR{}, flows, env)
 			if err != nil {
 				b.Fatal(err)
 			}

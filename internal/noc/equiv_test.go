@@ -1,18 +1,21 @@
 package noc
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"parm/internal/geom"
 )
 
-// This file pins the equivalence contract of DESIGN.md §11: the active-set
-// stepping path (bitsets, wakeup heap, lazy EWMA decay) must be cycle-exact
-// against the dense reference sweep — same Measure results, same observable
-// rate estimates, bit for bit — and the analytic closed form must stay within
-// its documented drift bounds on uncongested fixtures.
+// This file pins the equivalence contract of DESIGN.md §11: the production
+// cycle loop (bitsets, wakeup heap, lazy EWMA decay, packet table) must be
+// cycle-exact against the naive reference simulator of reference_test.go —
+// same Measure results, same observable rate estimates, bit for bit — and
+// the analytic closed form must stay within its documented drift bounds on
+// uncongested fixtures.
 
 // equivFixtures covers the regimes the engine produces: Fig 6-shaped sparse
 // traffic, the saturated bench fixture, a hotspot, single-flit packets, an
@@ -62,101 +65,145 @@ func noisyEnv(psn float64) *Env {
 	return e
 }
 
-// measureBoth runs the same fixture under both stepping strategies and
-// returns the two networks after an identical warmup+measure schedule.
-func measureBoth(t *testing.T, cfg Config, alg Algorithm, flows []Flow, env *Env) (a, d *Network, ra, rd *Result) {
+// The equivalence suite's schedule: a warmup, then one measurement window.
+const (
+	equivWarmup = 1500
+	equivWindow = 6000
+)
+
+// measureBoth runs the same fixture on the production network and on the
+// reference simulator, with the equivalence suite's warmup+measure
+// schedule.
+func measureBoth(t *testing.T, cfg Config, alg Algorithm, flows []Flow, env *Env) (n *Network, ref *refSim, rn, rr *Result) {
 	t.Helper()
-	mk := func(s Stepping) (*Network, *Result) {
-		c := cfg
-		c.Stepping = s
-		n, err := NewNetwork(c, alg, flows, env)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n.Run(1500)
-		return n, n.Measure(6000)
+	n, err := NewNetwork(cfg, alg, flows, env)
+	if err != nil {
+		t.Fatal(err)
 	}
-	a, ra = mk(SteppingActive)
-	d, rd = mk(SteppingDense)
-	return a, d, ra, rd
+	n.Run(equivWarmup)
+	rn = n.Measure(equivWindow)
+	ref = newRefSim(cfg, alg, flows, env)
+	ref.run(equivWarmup)
+	rr = ref.measure(equivWindow)
+	return n, ref, rn, rr
 }
 
-// requireIdentical asserts two runs are observably bit-identical: Measure
-// results via DeepEqual and every router's IncomingRate estimate bitwise
-// (//parm:floateq — this is an exactness check, not a tolerance check).
-func requireIdentical(t *testing.T, name string, a, d *Network, ra, rd *Result) {
+// requireIdentical asserts the two runs are observably bit-identical:
+// Measure results via DeepEqual and every router's IncomingRate estimate
+// bitwise (//parm:floateq — this is an exactness check, not a tolerance
+// check).
+func requireIdentical(t *testing.T, name string, n *Network, ref *refSim, rn, rr *Result) {
 	t.Helper()
-	if !reflect.DeepEqual(ra, rd) {
-		t.Errorf("%s: active Measure diverged from dense:\nactive: %+v\ndense:  %+v", name, ra, rd)
+	if !reflect.DeepEqual(rn, rr) {
+		t.Errorf("%s: Measure diverged from the reference:\nnetwork:   %+v\nreference: %+v", name, rn, rr)
 	}
-	for tile := 0; tile < 60 && tile < len(a.routers); tile++ {
-		ia, id := a.IncomingRate(geom.TileID(tile)), d.IncomingRate(geom.TileID(tile))
+	for tile, want := range ref.rates() {
+		got := n.IncomingRate(geom.TileID(tile))
 		//parm:floateq
-		if ia != id {
-			t.Errorf("%s: tile %d IncomingRate active=%g dense=%g (diff %g)", name, tile, ia, id, ia-id)
+		if got != want {
+			t.Errorf("%s: tile %d IncomingRate network=%g reference=%g (diff %g)", name, tile, got, want, got-want)
 		}
 	}
+}
+
+// randomEquivCase is a seeded random flow set on one mesh size, with
+// sensor readings drawn across PANR's quiet/noisy boundary.
+type randomEquivCase struct {
+	cfg   Config
+	flows []Flow
+	env   *Env
+}
+
+// randomEquivCases returns the seeded random cases: flow sets on 2x2, 3x3
+// and 10x6 meshes, dense enough to congest the small meshes.
+func randomEquivCases() map[string]randomEquivCase {
+	cases := make(map[string]randomEquivCase)
+	for _, m := range []struct{ w, h, flows int }{{2, 2, 4}, {3, 3, 8}, {10, 6, 24}} {
+		for seed := int64(1); seed <= 3; seed++ {
+			rng := rand.New(rand.NewSource(seed*100 + int64(m.w)))
+			tiles := m.w * m.h
+			env := &Env{PSN: make([]float64, tiles)}
+			for i := range env.PSN {
+				env.PSN[i] = 0.08 * rng.Float64()
+			}
+			name := fmt.Sprintf("random%dx%d/seed%d", m.w, m.h, seed)
+			cases[name] = randomEquivCase{
+				cfg:   Config{Width: m.w, Height: m.h},
+				flows: randomFlows(rng, tiles, m.flows, 0.05, 0.45),
+				env:   env,
+			}
+		}
+	}
+	return cases
 }
 
 // TestActiveDenseEquivalence is the headline exactness test: for every
-// routing scheme and fixture, the event-driven path and the dense reference
-// produce bit-identical measurements and rate estimates.
+// routing scheme, on every equivalence fixture and on seeded random flow
+// sets over three mesh sizes, the production loop and the reference
+// simulator produce bit-identical measurements and rate estimates.
 func TestActiveDenseEquivalence(t *testing.T) {
 	for fxName, fx := range equivFixtures() {
 		for _, alg := range []Algorithm{XY{}, ICON{}, PANR{}} {
 			name := fxName + "/" + alg.Name()
-			env := &Env{PSN: make([]float64, 60)}
-			a, d, ra, rd := measureBoth(t, fx.cfg, alg, fx.flows, env)
-			requireIdentical(t, name, a, d, ra, rd)
+			n, ref, rn, rr := measureBoth(t, fx.cfg, alg, fx.flows, &Env{PSN: make([]float64, 60)})
+			requireIdentical(t, name, n, ref, rn, rr)
+		}
+	}
+	for caseName, rc := range randomEquivCases() {
+		for _, alg := range []Algorithm{XY{}, ICON{}, PANR{}} {
+			name := caseName + "/" + alg.Name()
+			n, ref, rn, rr := measureBoth(t, rc.cfg, alg, rc.flows, rc.env)
+			requireIdentical(t, name, n, ref, rn, rr)
 		}
 	}
 }
 
-// TestActiveDenseLockstep steps both strategies cycle by cycle and compares
-// after every single cycle, so a divergence is caught at the cycle it first
-// appears rather than smeared over a window. Staged-packet counts are
-// compared every cycle too: they move exactly at accrual crossings, which
-// the active path reaches by scheduled wakeups and the dense path by
-// per-cycle adds.
+// TestActiveDenseLockstep steps the production loop and the reference
+// cycle by cycle and compares after every single cycle, so a divergence is
+// caught at the cycle it first appears rather than smeared over a window.
+// Staged-packet counts are compared every cycle too: they move exactly at
+// accrual crossings, which the production loop reaches by scheduled
+// wakeups and the reference by per-cycle adds.
 func TestActiveDenseLockstep(t *testing.T) {
 	type lockstepCase struct {
+		cfg   Config
 		alg   Algorithm
 		flows []Flow
+		env   *Env
 	}
-	cases := map[string]lockstepCase{"sparse/PANR": {PANR{}, sparseFlows()[:25]}}
+	zero := &Env{PSN: make([]float64, 60)}
+	cases := map[string]lockstepCase{"sparse/PANR": {Config{}, PANR{}, sparseFlows()[:25], zero}}
 	for _, alg := range []Algorithm{XY{}, ICON{}, PANR{}} {
-		cases["rounding/"+alg.Name()] = lockstepCase{alg, roundingFlows()}
+		cases["rounding/"+alg.Name()] = lockstepCase{Config{}, alg, roundingFlows(), zero}
 	}
-	env := &Env{PSN: make([]float64, 60)}
+	rc := randomEquivCases()["random3x3/seed1"]
+	cases["random3x3/seed1/PANR"] = lockstepCase{rc.cfg, PANR{}, rc.flows, rc.env}
 	for name, tc := range cases {
-		mk := func(s Stepping) *Network {
-			n, err := NewNetwork(Config{Stepping: s}, tc.alg, tc.flows, env)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return n
+		n, err := NewNetwork(tc.cfg, tc.alg, tc.flows, tc.env)
+		if err != nil {
+			t.Fatal(err)
 		}
-		a, d := mk(SteppingActive), mk(SteppingDense)
+		ref := newRefSim(tc.cfg, tc.alg, tc.flows, tc.env)
 		for c := 0; c < 3000; c++ {
-			a.Step()
-			d.Step()
-			for tile := 0; tile < 60; tile++ {
-				ia, id := a.IncomingRate(geom.TileID(tile)), d.IncomingRate(geom.TileID(tile))
+			n.Step()
+			ref.step()
+			for tile, want := range ref.rates() {
+				got := n.IncomingRate(geom.TileID(tile))
 				//parm:floateq
-				if ia != id {
-					t.Fatalf("%s cycle %d tile %d: IncomingRate active=%g dense=%g", name, c, tile, ia, id)
+				if got != want {
+					t.Fatalf("%s cycle %d tile %d: IncomingRate network=%g reference=%g", name, c, tile, got, want)
 				}
 			}
-			if !reflect.DeepEqual(a.staged, d.staged) {
-				t.Fatalf("%s cycle %d: staged packets active=%v dense=%v", name, c, a.staged, d.staged)
+			if !reflect.DeepEqual(n.staged, ref.staged) {
+				t.Fatalf("%s cycle %d: staged packets network=%v reference=%v", name, c, n.staged, ref.staged)
 			}
 			if c%500 == 499 {
-				if !reflect.DeepEqual(a.stats, d.stats) {
-					t.Fatalf("%s cycle %d: flow stats diverged\nactive: %+v\ndense:  %+v", name, c, a.stats, d.stats)
+				if !reflect.DeepEqual(n.stats, ref.stats) {
+					t.Fatalf("%s cycle %d: flow stats diverged\nnetwork:   %+v\nreference: %+v", name, c, n.stats, ref.stats)
 				}
-				for tile := range a.routers {
-					if a.routers[tile].forwarded != d.routers[tile].forwarded {
-						t.Fatalf("%s cycle %d tile %d: forwarded active=%d dense=%d", name, c, tile, a.routers[tile].forwarded, d.routers[tile].forwarded)
+				for tile := range n.routers {
+					if n.routers[tile].forwarded != ref.routers[tile].forwarded {
+						t.Fatalf("%s cycle %d tile %d: forwarded network=%d reference=%d", name, c, tile, n.routers[tile].forwarded, ref.routers[tile].forwarded)
 					}
 				}
 			}
@@ -165,7 +212,7 @@ func TestActiveDenseLockstep(t *testing.T) {
 }
 
 // TestWakeupsStageOrStall pins the exact-crossing wakeups: every wakeup the
-// active path pops stages or stalls a packet of its flow, unless it was
+// production loop pops stages or stalls a packet of its flow, unless it was
 // booked wakeLookahead cycles after the flow's previous one. The rounding
 // fixture's slowest flow must reach that bound.
 func TestWakeupsStageOrStall(t *testing.T) {

@@ -8,23 +8,6 @@ import (
 	"parm/internal/geom"
 )
 
-// Stepping selects the cycle-loop implementation.
-type Stepping int
-
-const (
-	// SteppingActive is the event-driven default: only routers holding
-	// flits and tiles with staged or mid-packet injections are visited each
-	// cycle, dormant flows accrue demand via scheduled wakeups, and fully
-	// idle stretches are skipped in one jump (DESIGN.md §11).
-	SteppingActive Stepping = iota
-	// SteppingDense is the reference loop: every flow and every router is
-	// ticked every cycle, as the pre-fast-path simulator did. It shares the
-	// per-tile micro-step helpers with the active path and exists for the
-	// cycle-exact equivalence tests; both implementations produce
-	// bit-identical metrics.
-	SteppingDense
-)
-
 // Config parameterizes the NoC simulation.
 type Config struct {
 	// Width and Height are the mesh dimensions. Zero selects 10x6.
@@ -45,9 +28,6 @@ type Config struct {
 	// experiment was calibrated against (TestConfigDefaults pins doc and
 	// code together).
 	RateEWMA float64
-	// Stepping selects the cycle-loop implementation; the zero value is the
-	// event-driven active-set path, SteppingDense the full-sweep reference.
-	Stepping Stepping
 	// SatLinkLoad is the per-link offered load (flits per cycle, injection
 	// and ejection ports included) above which AnalyticMeasure declares the
 	// network congested and callers must fall back to cycle simulation.
@@ -114,8 +94,6 @@ func (c Config) validate() error {
 		return fmt.Errorf("noc: invalid OccupancyThreshold %g", c.OccupancyThreshold)
 	case math.IsNaN(c.SatLinkLoad) || c.SatLinkLoad < 0:
 		return fmt.Errorf("noc: invalid SatLinkLoad %g", c.SatLinkLoad)
-	case c.Stepping != SteppingActive && c.Stepping != SteppingDense:
-		return fmt.Errorf("noc: unknown Stepping %d", c.Stepping)
 	}
 	return nil
 }
@@ -153,8 +131,8 @@ type Network struct {
 	slots []flit
 
 	// per-flow injection state. acc[i] is the fractional flit credit
-	// accumulated from Rate; the active path replays it ahead of the clock
-	// up to the cycle before the next wakeup (scheduleWake).
+	// accumulated from Rate, replayed ahead of the clock up to the cycle
+	// before the next wakeup (scheduleWake).
 	acc    []float64
 	staged []int // whole packets waiting at the source NIC
 	// partialPkt[t] is the packet-table slot of the packet mid-injection at
@@ -219,45 +197,17 @@ func NewNetwork(cfg Config, alg Algorithm, flows []Flow, env *Env) (*Network, er
 // It returns an error, and leaves n unchanged, for a config field out of
 // range (non-positive mesh dimensions or more than MaxInt32 tiles, negative
 // buffer, packet or stage sizes, RateEWMA outside (0,1], a NaN or negative
-// threshold, an unknown Stepping, buffers too large for the packet table),
-// a nil algorithm, more than MaxInt32 flows, or a flow that references a
-// tile outside the mesh or has a negative, NaN or infinite rate.
+// threshold, buffers too large for the packet table), a nil algorithm, more
+// than MaxInt32 flows, or a flow that references a tile outside the mesh or
+// has a negative, NaN or infinite rate.
 func (n *Network) Reset(cfg Config, alg Algorithm, flows []Flow, env *Env) error {
 	cfg = cfg.withDefaults()
-	if alg == nil {
-		return fmt.Errorf("noc: nil routing algorithm")
-	}
-	if err := cfg.validate(); err != nil {
+	mesh, err := checkInputs(cfg, alg, flows)
+	if err != nil {
 		return err
 	}
-	if int64(len(flows)) > math.MaxInt32 {
-		return fmt.Errorf("noc: %d flows exceed %d", len(flows), math.MaxInt32)
-	}
-	mesh := geom.NewMesh(cfg.Width, cfg.Height)
-	for i, f := range flows {
-		if !mesh.ValidTile(f.Src) || !mesh.ValidTile(f.Dst) {
-			return fmt.Errorf("noc: flow %d endpoints (%d,%d) outside mesh", i, f.Src, f.Dst)
-		}
-		if f.Rate < 0 || math.IsNaN(f.Rate) || math.IsInf(f.Rate, 0) {
-			return fmt.Errorf("noc: flow %d has invalid rate %g", i, f.Rate)
-		}
-	}
-
 	tiles := mesh.NumTiles()
-	if mesh != n.mesh {
-		n.mesh = mesh
-		n.coord = resized(n.coord, tiles)
-		n.nbr = resized(n.nbr, tiles)
-		for i := range n.nbr {
-			n.coord[i] = mesh.CoordOf(geom.TileID(i))
-			for p := range n.nbr[i] {
-				n.nbr[i][p] = -1
-				if next, ok := mesh.Neighbor(geom.TileID(i), indexDir[p]); ok {
-					n.nbr[i][p] = int32(next)
-				}
-			}
-		}
-	}
+	n.setMesh(mesh)
 	n.cfg, n.alg, n.flows, n.env = cfg, alg, flows, env
 	n.cycle = 0
 
@@ -311,14 +261,71 @@ func (n *Network) Reset(cfg Config, alg Algorithm, flows []Flow, env *Env) error
 	copy(n.srcOff[1:], n.srcOff[:tiles])
 	n.srcOff[0] = 0
 
-	if cfg.Stepping == SteppingActive {
-		for i, f := range flows {
-			if f.Src != f.Dst {
-				n.scheduleWake(i, -1)
-			}
+	for i, f := range flows {
+		if f.Src != f.Dst {
+			n.scheduleWake(i, -1)
 		}
 	}
 	return nil
+}
+
+// checkInputs returns the mesh of cfg (defaults applied), or the error Reset
+// reports for cfg, alg and flows.
+func checkInputs(cfg Config, alg Algorithm, flows []Flow) (geom.Mesh, error) {
+	if alg == nil {
+		return geom.Mesh{}, fmt.Errorf("noc: nil routing algorithm")
+	}
+	if err := cfg.validate(); err != nil {
+		return geom.Mesh{}, err
+	}
+	if int64(len(flows)) > math.MaxInt32 {
+		return geom.Mesh{}, fmt.Errorf("noc: %d flows exceed %d", len(flows), math.MaxInt32)
+	}
+	mesh := geom.NewMesh(cfg.Width, cfg.Height)
+	for i, f := range flows {
+		if !mesh.ValidTile(f.Src) || !mesh.ValidTile(f.Dst) {
+			return geom.Mesh{}, fmt.Errorf("noc: flow %d endpoints (%d,%d) outside mesh", i, f.Src, f.Dst)
+		}
+		if f.Rate < 0 || math.IsNaN(f.Rate) || math.IsInf(f.Rate, 0) {
+			return geom.Mesh{}, fmt.Errorf("noc: flow %d has invalid rate %g", i, f.Rate)
+		}
+	}
+	return mesh, nil
+}
+
+// setMesh builds the coordinate and neighbour tables of mesh, unless n
+// already holds them.
+func (n *Network) setMesh(mesh geom.Mesh) {
+	if mesh == n.mesh {
+		return
+	}
+	tiles := mesh.NumTiles()
+	n.mesh = mesh
+	n.coord = resized(n.coord, tiles)
+	n.nbr = resized(n.nbr, tiles)
+	for i := range n.nbr {
+		n.coord[i] = mesh.CoordOf(geom.TileID(i))
+		for p := range n.nbr[i] {
+			n.nbr[i][p] = -1
+			if next, ok := mesh.Neighbor(geom.TileID(i), indexDir[p]); ok {
+				n.nbr[i][p] = int32(next)
+			}
+		}
+	}
+}
+
+// newRouteView returns the network an Algorithm reads when routing on an
+// idle fabric: cfg (defaults applied) and its mesh tables, empty routers
+// with zero incoming rates, and env. It holds no flows and is never
+// stepped.
+func newRouteView(cfg Config, mesh geom.Mesh, env *Env) *Network {
+	n := &Network{cfg: cfg, env: env}
+	n.setMesh(mesh)
+	n.routers = make([]router, mesh.NumTiles())
+	for i := range n.routers {
+		n.routers[i] = idleRouter()
+	}
+	return n
 }
 
 // resized returns s with length size and every element zero, reusing its
@@ -352,18 +359,13 @@ func (n *Network) IncomingRate(t geom.TileID) float64 {
 // SensorPSN returns the environment's PSN reading at tile t.
 func (n *Network) SensorPSN(t geom.TileID) float64 { return n.env.psnAt(t) }
 
-// Step advances the simulation by one cycle. The active path visits only
-// tiles with injection work and routers holding flits; every micro-step it
-// performs is identical, in the same ascending-tile order, to what the
-// dense reference sweep would have done — the skipped tiles are exactly
-// those for which the dense body is a no-op.
+// Step advances the simulation by one cycle. It visits only tiles with
+// injection work and routers holding flits, in ascending tile order; the
+// skipped tiles are exactly those for which a full sweep of every tile
+// would do nothing (the test reference simulator is that sweep).
 //
 //parm:hot
 func (n *Network) Step() {
-	if n.cfg.Stepping == SteppingDense {
-		n.stepDense()
-		return
-	}
 	n.processWakeups()
 	// Injection sweep over tiles with staged packets or a mid-packet worm.
 	for wi, w := range n.activeTiles.words {
@@ -391,46 +393,15 @@ func (n *Network) Step() {
 	n.cycle++
 }
 
-// stepDense is the reference cycle: every flow accrues and every router is
-// swept, whether or not it has work. It shares the per-tile micro-step
-// helpers with the active path, so the equivalence tests compare genuinely
-// different sweep structures over identical building blocks.
-func (n *Network) stepDense() {
-	for i := range n.flows {
-		if n.flows[i].Src == n.flows[i].Dst {
-			continue // local communication bypasses the NoC
-		}
-		n.advanceAccrual(i)
-	}
-	// One flit per cycle enters each source tile's local input port (only
-	// tiles with flows can ever inject).
-	for t := range n.routers {
-		if n.srcOff[t+1] > n.srcOff[t] {
-			n.injectAtTile(t)
-		}
-	}
-	arrivals := n.arrivalScratch[:0]
-	for t := range n.routers {
-		if n.routers[t].occ == 0 {
-			continue // no flits: routing, arbitration and traversal are no-ops
-		}
-		arrivals = n.stepRouter(t, arrivals)
-	}
-	n.applyArrivals(arrivals)
-	n.arrivalScratch = arrivals[:0]
-	n.foldRatesDense()
-	n.cycle++
-}
-
-// Run advances the simulation by the given number of cycles. On the active
-// path, stretches where no router holds a flit and no tile has injection
-// work are skipped in one jump to the next flow wakeup: no per-cycle state
-// changes in between (rate decay and demand accrual are lazy, credits are
-// clear between cycles), so the jump is exact.
+// Run advances the simulation by the given number of cycles. Stretches
+// where no router holds a flit and no tile has injection work are skipped
+// in one jump to the next flow wakeup: no per-cycle state changes in
+// between (rate decay and demand accrual are lazy, credits are clear
+// between cycles), so the jump is exact.
 func (n *Network) Run(cycles int) {
 	end := n.cycle + cycles
 	for n.cycle < end {
-		if n.cfg.Stepping == SteppingActive && n.activeRouters.empty() && n.activeTiles.empty() {
+		if n.activeRouters.empty() && n.activeTiles.empty() {
 			next := end
 			if len(n.wake) > 0 && n.wake[0].cycle < next {
 				next = n.wake[0].cycle
@@ -460,9 +431,9 @@ func (n *Network) processWakeups() {
 
 // advanceAccrual accrues one cycle of flow i's demand: one floating-point
 // add, then a staging (or, with the stage queue full, a stall) for each
-// FlitsPerPacket of credit. The dense loop calls it every cycle; the active
-// path only on crossing cycles, after scheduleWake replayed the same adds
-// in the same order, so both keep the same float trajectory bit for bit.
+// FlitsPerPacket of credit. It runs only on crossing cycles, after
+// scheduleWake replayed the same adds in the same order, so the float
+// trajectory is bit for bit that of adding the rate every cycle.
 //
 //parm:hot
 func (n *Network) advanceAccrual(i int) {
@@ -899,22 +870,6 @@ func (n *Network) foldRates() {
 		r := &n.routers[t]
 		n.catchUpRate(r, n.cycle-1)
 		r.incomingRate = ewmaStep(r.incomingRate, alpha, float64(r.recvCount))
-		r.rateCycle = n.cycle + 1
-	}
-	n.rated = n.rated[:0]
-}
-
-// foldRatesDense advances every router's incoming-rate EWMA eagerly, as the
-// reference loop did each cycle.
-func (n *Network) foldRatesDense() {
-	alpha := n.cfg.RateEWMA
-	for t := range n.routers {
-		r := &n.routers[t]
-		sample := 0.0
-		if r.recvCycle == n.cycle {
-			sample = float64(r.recvCount)
-		}
-		r.incomingRate = ewmaStep(r.incomingRate, alpha, sample)
 		r.rateCycle = n.cycle + 1
 	}
 	n.rated = n.rated[:0]

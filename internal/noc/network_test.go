@@ -67,7 +67,6 @@ func TestNewNetworkRejectsBadConfig(t *testing.T) {
 		{"negative OccupancyThreshold", Config{OccupancyThreshold: -0.5}},
 		{"NaN SatLinkLoad", Config{SatLinkLoad: math.NaN()}},
 		{"negative SatLinkLoad", Config{SatLinkLoad: -1}},
-		{"unknown Stepping", Config{Stepping: Stepping(7)}},
 		{"tile count beyond int32", Config{Width: 1 << 16, Height: 1 << 16}},
 		{"packet table beyond flit handles", Config{Width: 1 << 12, Height: 1 << 12, BufferFlits: 1 << 6}},
 	} {
@@ -82,7 +81,7 @@ func TestNewNetworkRejectsBadConfig(t *testing.T) {
 		}
 	}
 	// The boundaries of the valid ranges still build.
-	for _, cfg := range []Config{{RateEWMA: 1}, {FlitsPerPacket: 1}, {BufferFlits: 1}, {Stepping: SteppingDense}} {
+	for _, cfg := range []Config{{RateEWMA: 1}, {FlitsPerPacket: 1}, {BufferFlits: 1}} {
 		if _, err := NewNetwork(cfg, XY{}, flows, &Env{}); err != nil {
 			t.Errorf("%+v rejected: %v", cfg, err)
 		}
@@ -134,9 +133,6 @@ func TestConfigDefaults(t *testing.T) {
 	}
 	if c.SatLinkLoad != 0.6 {
 		t.Errorf("SatLinkLoad = %g, want 0.6", c.SatLinkLoad)
-	}
-	if c.Stepping != SteppingActive {
-		t.Errorf("Stepping = %d, want SteppingActive", c.Stepping)
 	}
 }
 

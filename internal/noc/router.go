@@ -85,7 +85,7 @@ type router struct {
 	// incomingRate is an exponentially weighted moving average of received
 	// flits per cycle; adaptive routing reads it from neighbors. rateCycle
 	// is the first cycle not yet folded into it — idle-cycle decay is
-	// applied lazily (catchUpRate), eagerly under SteppingDense.
+	// applied lazily (catchUpRate).
 	incomingRate float64
 	rateCycle    int
 }

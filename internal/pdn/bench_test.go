@@ -20,25 +20,25 @@ func BenchmarkSimulateDomain(b *testing.B) {
 	}
 }
 
-// BenchmarkDomainSolve times the cache-miss solve path of every solver mode
-// over the default measurement window, through a Solver with warm scratch
-// and electrical caches (the steady state of the runtime pipeline when a
-// load signature misses the solve cache). The acceptance bar for the exact
-// fast path is phasor >= 5x faster than rk4 here.
+// BenchmarkDomainSolve times one uncached solve of the phasor path and of
+// its two test references over the default measurement window, with warm
+// scratch and electrical caches (the steady state of the runtime pipeline
+// when a load signature misses the solve cache). The acceptance bar for the
+// phasor path is >= 5x faster than rk4 here.
 func BenchmarkDomainSolve(b *testing.B) {
 	p := power.MustParams(power.Node7)
-	loads := BuildLoads(occupantsForBench(p))
-	for _, m := range []Mode{ModeRK4, ModeExpm, ModePhasor} {
-		b.Run(m.String(), func(b *testing.B) {
-			cfg := Config{Params: p, Vdd: 0.5, Mode: m}
-			s := NewSolver(nil) // uncached: every iteration solves in full
-			if _, err := s.SimulateDomain(cfg, loads); err != nil {
+	loads := QuantizeLoads(BuildLoads(occupantsForBench(p)))
+	for _, m := range []string{"rk4", "expm", "phasor"} {
+		b.Run(m, func(b *testing.B) {
+			cfg := Config{Params: p, Vdd: 0.5}
+			s := newRefSolver()
+			if _, err := s.solve(m, cfg, loads); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := s.SimulateDomain(cfg, loads); err != nil {
+				if _, err := s.solve(m, cfg, loads); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -65,58 +65,13 @@ type TileLoad struct {
 	BurstHz float64
 }
 
-// Mode selects the transient solver algorithm. The domain circuit is
-// linear time-invariant, so ModeExpm and ModePhasor solve it exactly;
-// ModeRK4 is the numerical-integration reference they are cross-checked
-// against (TestModesAgree). All modes measure the same sampling grid and
-// are individually deterministic (bit-identical results for identical
-// inputs).
-type Mode uint8
-
-const (
-	// ModeAuto resolves to ModePhasor, the fastest exact path.
-	ModeAuto Mode = iota
-	// ModeRK4 integrates the transient with classic Runge-Kutta 4.
-	ModeRK4
-	// ModeExpm steps the exact discrete solution x_{k+1} = Φ·x_k + forced
-	// response, with Φ = exp(A·h) from scaling-and-squaring + Padé.
-	ModeExpm
-	// ModePhasor evaluates the periodic steady state directly on the
-	// sampling grid from per-harmonic complex admittance solves, with no
-	// time stepping at all.
-	ModePhasor
-)
-
-// String returns "auto", "rk4", "expm" or "phasor".
-func (m Mode) String() string {
-	switch m {
-	case ModeRK4:
-		return "rk4"
-	case ModeExpm:
-		return "expm"
-	case ModePhasor:
-		return "phasor"
-	default:
-		return "auto"
-	}
-}
-
-// resolved maps ModeAuto to the concrete default algorithm. Solve-cache
-// keys store the resolved mode, so auto and its target share cache entries.
-func (m Mode) resolved() Mode {
-	if m == ModeAuto {
-		return ModePhasor
-	}
-	return m
-}
-
 // Config parameterizes one transient domain simulation.
 type Config struct {
 	// Params supplies the per-technology-node electrical constants.
 	Params power.NodeParams
 	// Vdd is the regulator output voltage.
 	Vdd power.Volts
-	// Dt is the integration step. Zero selects 20 ps.
+	// Dt is the sampling step. Zero selects 20 ps.
 	Dt power.Seconds
 	// Duration is the simulated window. Zero selects 60 ns.
 	Duration power.Seconds
@@ -124,9 +79,6 @@ type Config struct {
 	// waveform. Zero selects 125 MHz, near the package LC resonance where
 	// droop is worst.
 	BurstHz float64
-	// Mode selects the solver algorithm. The zero value (ModeAuto) selects
-	// the phasor steady-state fast path.
-	Mode Mode
 }
 
 func (c Config) withDefaults() Config {
@@ -139,7 +91,6 @@ func (c Config) withDefaults() Config {
 	if c.BurstHz <= 0 {
 		c.BurstHz = 125e6
 	}
-	c.Mode = c.Mode.resolved()
 	return c
 }
 
@@ -152,7 +103,7 @@ type Result struct {
 	AvgPSN [DomainTiles]float64
 	// MinVoltage is the lowest instantaneous voltage per tile.
 	MinVoltage [DomainTiles]power.Volts
-	// Steps is the number of integration steps taken.
+	// Steps is the number of sampling steps in the window.
 	Steps int
 }
 
@@ -178,32 +129,30 @@ func (r Result) DomainAvg() float64 {
 
 // circuit holds the assembled element values for one domain simulation.
 type circuit struct {
-	rb, lb  float64              // bump branch
-	cb      float64              // package-side decap at bump node
-	rv      float64              // via resistance bump node -> each tile node
-	rg      float64              // grid resistance between adjacent tile nodes
-	cd      float64              // decap at each tile node
-	vs      float64              // source voltage
-	gv, gg  float64              // conductances 1/rv, 1/rg
-	burstW  [DomainTiles]float64 // per-tile burst angular frequency
-	loads   [DomainTiles]TileLoad
-	harm3rd bool // include 3rd harmonic in the burst waveform
+	rb, lb float64              // bump branch
+	cb     float64              // package-side decap at bump node
+	rv     float64              // via resistance bump node -> each tile node
+	rg     float64              // grid resistance between adjacent tile nodes
+	cd     float64              // decap at each tile node
+	vs     float64              // source voltage
+	gv, gg float64              // conductances 1/rv, 1/rg
+	burstW [DomainTiles]float64 // per-tile burst angular frequency
+	loads  [DomainTiles]TileLoad
 }
 
 func newCircuit(cfg Config, loads [DomainTiles]TileLoad) circuit {
 	p := cfg.Params
 	c := circuit{
-		rb:      p.RBump,
-		lb:      p.LBump,
-		cb:      p.CDecap * 2, // package decap is lumped, larger than tile decap
-		rv:      p.RGrid * 1.5,
-		rg:      p.RGrid,
-		cd:      p.CDecap,
-		vs:      float64(cfg.Vdd),
-		gv:      1 / (p.RGrid * 1.5),
-		gg:      1 / p.RGrid,
-		loads:   loads,
-		harm3rd: true,
+		rb:    p.RBump,
+		lb:    p.LBump,
+		cb:    p.CDecap * 2, // package decap is lumped, larger than tile decap
+		rv:    p.RGrid * 1.5,
+		rg:    p.RGrid,
+		cd:    p.CDecap,
+		vs:    float64(cfg.Vdd),
+		gv:    1 / (p.RGrid * 1.5),
+		gg:    1 / p.RGrid,
+		loads: loads,
 	}
 	for i, ld := range loads {
 		hz := ld.BurstHz
@@ -215,36 +164,15 @@ func newCircuit(cfg Config, loads [DomainTiles]TileLoad) circuit {
 	return c
 }
 
-// current returns tile slot i's instantaneous current draw at time t. The
-// switching waveform is a smoothed square wave (fundamental + optional 3rd
-// harmonic), which has the sharp di/dt edges that excite inductive droop.
-func (c *circuit) current(i int, t float64) float64 {
-	ld := c.loads[i]
-	if ld.IAvg <= 0 {
-		return 0
-	}
-	ph := c.burstW[i]*t + ld.Phase
-	s := math.Sin(ph)
-	if c.harm3rd {
-		s += math.Sin(3*ph) / 3
-	}
-	// Normalize so the swing stays within ±1 (max of sin + sin3/3 ≈ 1.155).
-	s /= 1.155
-	return ld.IAvg * (1 + ld.Activity*s)
-}
-
 // dcUnknowns is the DC operating-point system size: the bump node voltage
 // plus one voltage per tile node.
 const dcUnknowns = 1 + DomainTiles
 
-// solverScratch holds every buffer one domain solve reuses across calls:
-// the per-tile current tables and the DC operating-point system. A Solver
-// threads one scratch through consecutive solves so the warm path performs
-// no allocation at all (BenchmarkPSNStepAllocs pins 0 allocs/op).
+// solverScratch holds the DC operating-point system one domain solve reuses
+// across calls. A Solver threads one scratch through consecutive solves so
+// the warm path performs no allocation at all (BenchmarkPSNStepAllocs pins 0
+// allocs/op).
 type solverScratch struct {
-	// table holds the per-tile current waveforms; rows grow once to the
-	// longest window seen and are reused thereafter.
-	table [DomainTiles][]float64
 	// dcRows backs the DC conductance matrix; dcA holds the row slices the
 	// pivoting solver permutes in place.
 	dcRows [dcUnknowns][dcUnknowns]float64
@@ -253,107 +181,12 @@ type solverScratch struct {
 	dcX    [dcUnknowns]float64
 }
 
-// currentTable precomputes every tile's current waveform on the half-step
-// grid the RK4 integrator samples (t, t+h/2, t+h), using a sine rotation
-// recurrence so the hot loop performs no trig calls. Entry [i][k] is tile
-// i's current at time k*h/2. The scratch rows are reused (and grown only
-// when the window lengthens) instead of allocating fresh tables.
-//
-//parm:hot
-func (c *circuit) currentTable(h float64, steps int, scratch *solverScratch) [DomainTiles][]float64 {
-	var out [DomainTiles][]float64
-	n := 2*steps + 2
-	for i := 0; i < DomainTiles; i++ {
-		if cap(scratch.table[i]) >= n {
-			out[i] = scratch.table[i][:n]
-			for k := range out[i] {
-				out[i][k] = 0
-			}
-		} else {
-			// First call (or a longer window): grow once, reuse forever.
-			//parm:alloc
-			out[i] = make([]float64, n)
-			scratch.table[i] = out[i]
-		}
-		ld := c.loads[i]
-		if ld.IAvg <= 0 {
-			continue
-		}
-		// Oscillator states for the fundamental and (optionally) the 3rd
-		// harmonic, advanced by rotation: sin/cos(θ+Δ) from sin/cos(θ).
-		d1 := c.burstW[i] * h / 2
-		s1, c1 := math.Sin(ld.Phase), math.Cos(ld.Phase)
-		sd1, cd1 := math.Sin(d1), math.Cos(d1)
-		s3, c3 := math.Sin(3*ld.Phase), math.Cos(3*ld.Phase)
-		sd3, cd3 := math.Sin(3*d1), math.Cos(3*d1)
-		for k := 0; k < n; k++ {
-			s := s1
-			if c.harm3rd {
-				s += s3 / 3
-			}
-			out[i][k] = ld.IAvg * (1 + ld.Activity*s/1.155)
-			s1, c1 = s1*cd1+c1*sd1, c1*cd1-s1*sd1
-			s3, c3 = s3*cd3+c3*sd3, c3*cd3-s3*sd3
-		}
-	}
-	return out
-}
-
 // state is the circuit state vector: inductor current, bump node voltage,
 // and the four tile node voltages.
 type state struct {
 	il float64
 	vb float64
 	vt [DomainTiles]float64
-}
-
-// deriv computes the time derivative of the state, with tile currents given
-// by cur (one value per tile, already evaluated at the step's time point).
-//
-//parm:hot
-func (c *circuit) deriv(s state, cur *[DomainTiles]float64) state {
-	var d state
-	// Inductor: L di/dt = Vs - Rb*iL - vB
-	d.il = (c.vs - c.rb*s.il - s.vb) / c.lb
-	// Bump node: Cb dvB/dt = iL - sum_i (vB - vTi)/Rv
-	sumV := 0.0
-	for i := 0; i < DomainTiles; i++ {
-		sumV += (s.vb - s.vt[i]) * c.gv
-	}
-	d.vb = (s.il - sumV) / c.cb
-	// Tile nodes: Cd dvTi/dt = (vB-vTi)/Rv + sum_adj (vTj-vTi)/Rg - Ii(t)
-	for i := 0; i < DomainTiles; i++ {
-		sum := (s.vb - s.vt[i]) * c.gv
-		for j := 0; j < DomainTiles; j++ {
-			if domainAdjacency[i][j] {
-				sum += (s.vt[j] - s.vt[i]) * c.gg
-			}
-		}
-		sum -= cur[i]
-		d.vt[i] = sum / c.cd
-	}
-	return d
-}
-
-// derivAt evaluates deriv with currents taken analytically at time t; used
-// by tests to cross-check the tabulated fast path.
-func (c *circuit) derivAt(s state, t float64) state {
-	var cur [DomainTiles]float64
-	for i := range cur {
-		cur[i] = c.current(i, t)
-	}
-	return c.deriv(s, &cur)
-}
-
-//parm:hot
-func addScaled(a state, b state, h float64) state {
-	var out state
-	out.il = a.il + h*b.il
-	out.vb = a.vb + h*b.vb
-	for i := range a.vt {
-		out.vt[i] = a.vt[i] + h*b.vt[i]
-	}
-	return out
 }
 
 // dcOperatingPoint solves the resistive DC network with the average tile
@@ -424,9 +257,6 @@ func validate(cfg Config, loads [DomainTiles]TileLoad) error {
 	if p.RBump <= 0 || p.LBump <= 0 || p.RGrid <= 0 || p.CDecap <= 0 {
 		return fmt.Errorf("pdn: non-physical node parameters %+v", p)
 	}
-	if cfg.Mode > ModePhasor {
-		return fmt.Errorf("pdn: unknown solver mode %d", cfg.Mode)
-	}
 	for i, ld := range loads {
 		if ld.IAvg < 0 || ld.Activity < 0 || ld.Activity > 1 {
 			return fmt.Errorf("pdn: invalid load %d: %+v", i, ld)
@@ -435,9 +265,10 @@ func validate(cfg Config, loads [DomainTiles]TileLoad) error {
 	return nil
 }
 
-// SimulateDomain runs a transient simulation of one 4-tile domain and
-// returns the observed PSN. It returns an error for non-physical
-// configurations (non-positive Vdd or element values).
+// SimulateDomain solves one 4-tile domain's periodic steady state on the
+// sampling grid (simulatePhasor) and returns the observed PSN. It returns an
+// error for non-physical configurations (non-positive Vdd or element
+// values).
 //
 // This is the exact-input path used by the figure experiments; the runtime
 // measurement pipeline goes through Solver.SimulateDomain, which quantizes
@@ -447,94 +278,5 @@ func SimulateDomain(cfg Config, loads [DomainTiles]TileLoad) (Result, error) {
 	if err := validate(cfg, loads); err != nil {
 		return Result{}, err
 	}
-	return simulate(cfg, loads, &solverScratch{}, nil)
-}
-
-// simulate dispatches one validated, defaulted solve to the algorithm
-// selected by cfg.Mode. scratch supplies the reusable buffers; caches (nil
-// for the one-shot path) memoizes the load-independent electrical
-// factorizations the exact modes reuse across solves.
-func simulate(cfg Config, loads [DomainTiles]TileLoad, scratch *solverScratch, caches *ltiCaches) (Result, error) {
-	switch cfg.Mode {
-	case ModeExpm:
-		return simulateExpm(cfg, loads, scratch, caches)
-	case ModePhasor:
-		return simulatePhasor(cfg, loads, scratch, caches)
-	default:
-		return simulateRK4(cfg, loads, scratch)
-	}
-}
-
-// simulateRK4 is the numerical-integration reference path: classic RK4
-// over the tabulated current waveforms. The exact modes are cross-checked
-// against it. cfg must have defaults applied and inputs validated.
-//
-//parm:hot
-func simulateRK4(cfg Config, loads [DomainTiles]TileLoad, scratch *solverScratch) (Result, error) {
-	c := newCircuit(cfg, loads)
-	st, err := c.dcOperatingPoint(scratch)
-	if err != nil {
-		return Result{}, err
-	}
-
-	vdd := float64(cfg.Vdd)
-	var res Result
-	for i := range res.MinVoltage {
-		res.MinVoltage[i] = cfg.Vdd
-	}
-	steps := int(cfg.Duration / cfg.Dt)
-	if steps < 1 {
-		steps = 1
-	}
-	// Skip a short settle window before recording, so the measurement
-	// reflects steady switching noise rather than the modulation turn-on.
-	settle := steps / 8
-	var sumPSN [DomainTiles]float64
-	recorded := 0
-
-	h := float64(cfg.Dt)
-	table := c.currentTable(h, steps, scratch)
-	var cur0, curH, cur1 [DomainTiles]float64
-	for n := 0; n < steps; n++ {
-		for i := 0; i < DomainTiles; i++ {
-			cur0[i] = table[i][2*n]
-			curH[i] = table[i][2*n+1]
-			cur1[i] = table[i][2*n+2]
-		}
-		// Classic RK4 step.
-		k1 := c.deriv(st, &cur0)
-		k2 := c.deriv(addScaled(st, k1, h/2), &curH)
-		k3 := c.deriv(addScaled(st, k2, h/2), &curH)
-		k4 := c.deriv(addScaled(st, k3, h), &cur1)
-		st.il += h / 6 * (k1.il + 2*k2.il + 2*k3.il + k4.il)
-		st.vb += h / 6 * (k1.vb + 2*k2.vb + 2*k3.vb + k4.vb)
-		for i := range st.vt {
-			st.vt[i] += h / 6 * (k1.vt[i] + 2*k2.vt[i] + 2*k3.vt[i] + k4.vt[i])
-		}
-		if n < settle {
-			continue
-		}
-		recorded++
-		for i := range st.vt {
-			v := st.vt[i]
-			if power.Volts(v) < res.MinVoltage[i] {
-				res.MinVoltage[i] = power.Volts(v)
-			}
-			droop := (vdd - v) / vdd
-			if droop < 0 {
-				droop = 0 // overshoot above Vdd is not supply droop
-			}
-			sumPSN[i] += droop
-			if droop > res.PeakPSN[i] {
-				res.PeakPSN[i] = droop
-			}
-		}
-	}
-	for i := range sumPSN {
-		if recorded > 0 {
-			res.AvgPSN[i] = sumPSN[i] / float64(recorded)
-		}
-	}
-	res.Steps = steps
-	return res, nil
+	return simulatePhasor(cfg, loads, &solverScratch{}, nil)
 }

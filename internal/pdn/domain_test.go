@@ -267,7 +267,7 @@ func TestCurrentTableMatchesAnalytic(t *testing.T) {
 	loads := BuildLoads(highOcc(p, 0.5, true))
 	c := newCircuit(Config{Params: p, Vdd: 0.5, BurstHz: 125e6}.withDefaults(), loads)
 	h := 20e-12
-	table := c.currentTable(h, 100, &solverScratch{})
+	table := c.currentTable(h, 100, &[DomainTiles][]float64{})
 	for k := 0; k <= 200; k++ {
 		tm := float64(k) * h / 2
 		for i := 0; i < DomainTiles; i++ {

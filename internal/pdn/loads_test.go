@@ -104,8 +104,8 @@ func TestSensorQuantization(t *testing.T) {
 	}
 	s.Record(0, 0.05)
 	got := s.Read(0)
-	if math.Abs(got-0.05) > s.Resolution() {
-		t.Errorf("quantized 0.05 to %g (resolution %g)", got, s.Resolution())
+	if res := 0.20 / 63; math.Abs(got-0.05) > res {
+		t.Errorf("quantized 0.05 to %g (resolution %g)", got, res)
 	}
 	// Quantization is idempotent: re-recording a read value returns it.
 	s.Record(1, got)
@@ -152,11 +152,28 @@ func TestSensorOutOfRangeRecords(t *testing.T) {
 	}
 }
 
+// maxQuantError returns the largest |Read - recorded| of a sensor over a
+// sweep of its full scale.
+func maxQuantError(s *Sensor, fullScale float64) float64 {
+	worst := 0.0
+	for k := 0; k <= 1000; k++ {
+		v := fullScale * float64(k) / 1000
+		s.Record(0, v)
+		worst = math.Max(worst, math.Abs(s.Read(0)-v))
+	}
+	return worst
+}
+
+// A sensor rounds to the nearest of its 2^bits-1 steps over the full scale,
+// so its error is at most half a step, and more bits read closer.
 func TestSensorResolutionScalesWithBits(t *testing.T) {
-	coarse := NewSensor(1, 4, 0.20)
-	fine := NewSensor(1, 8, 0.20)
-	if fine.Resolution() >= coarse.Resolution() {
-		t.Error("more bits did not improve resolution")
+	coarse := maxQuantError(NewSensor(1, 4, 0.20), 0.20)
+	fine := maxQuantError(NewSensor(1, 8, 0.20), 0.20)
+	if fine >= coarse {
+		t.Errorf("8-bit error %g not below 4-bit error %g", fine, coarse)
+	}
+	if half := 0.20 / 15 / 2; coarse > half*(1+1e-9) {
+		t.Errorf("4-bit error %g exceeds half a step %g", coarse, half)
 	}
 }
 

@@ -4,15 +4,11 @@
 // tile, so it admits an exact solution: the homogeneous part evolves by the
 // matrix exponential Φ = exp(A·h) per step, and each sinusoid contributes a
 // particular solution obtained from one complex phasor solve. lti.go holds
-// the numerical kernels (state matrix assembly, dense 6x6 matrix
-// exponential, complex LU); phasor.go builds the harmonic decomposition and
-// runs the exact stepping / steady-state measurement loops.
+// the numerical kernels (state matrix assembly, complex LU); phasor.go
+// builds the harmonic decomposition and runs the steady-state measurement
+// loop. The matrix exponential and the stepping loops that use it are test
+// references (reference_test.go).
 package pdn
-
-import (
-	"fmt"
-	"math"
-)
 
 // ltiStates is the order of the domain state vector: inductor current, bump
 // node voltage, and one voltage per tile node.
@@ -46,168 +42,6 @@ func (c *circuit) ltiMatrix() [ltiStates][ltiStates]float64 {
 		}
 	}
 	return a
-}
-
-// Padé [13/13] numerator coefficients for the matrix exponential
-// (Higham, "The scaling and squaring method for the matrix exponential
-// revisited", 2005).
-var padeCoef = [14]float64{
-	64764752532480000, 32382376266240000, 7771770303897600, 1187353796428800,
-	129060195264000, 10559470521600, 670442572800, 33522128640,
-	1323241920, 40840800, 960960, 16380, 182, 1,
-}
-
-// expmTheta13 is the 1-norm bound under which the [13/13] Padé approximant
-// reaches double-precision accuracy without scaling.
-const expmTheta13 = 5.371920351148152
-
-// expm6 computes Φ = exp(M) for a dense 6x6 matrix by scaling-and-squaring
-// with a [13/13] Padé approximant. It shares SolveLinear's finiteness
-// contract: a nil error implies every entry of Φ is finite; non-finite
-// inputs, a singular Padé denominator, or overflow during squaring are
-// rejected with an error instead of handing back NaN/Inf silently
-// (FuzzExpm pins the property).
-func expm6(m *[ltiStates][ltiStates]float64) ([ltiStates][ltiStates]float64, error) {
-	var phi [ltiStates][ltiStates]float64
-	norm := 0.0 // 1-norm: max column sum of absolute values
-	for col := 0; col < ltiStates; col++ {
-		sum := 0.0
-		for row := 0; row < ltiStates; row++ {
-			v := m[row][col]
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return phi, fmt.Errorf("pdn: non-finite state matrix entry [%d][%d]", row, col)
-			}
-			sum += abs(v)
-		}
-		if sum > norm {
-			norm = sum
-		}
-	}
-	// Scale M by 2^-s so the Padé approximant is accurate, then square s
-	// times. exp of any finite matrix is finite mathematically, but the
-	// squaring can overflow float64 when exp(M) itself exceeds its range;
-	// the final finiteness check below rejects that case.
-	s := 0
-	if norm > expmTheta13 {
-		s = int(math.Ceil(math.Log2(norm / expmTheta13)))
-	}
-	a := *m
-	if s > 0 {
-		inv := math.Ldexp(1, -s)
-		for i := range a {
-			for j := range a[i] {
-				a[i][j] *= inv
-			}
-		}
-	}
-
-	// Powers of the scaled matrix.
-	a2 := mul6(&a, &a)
-	a4 := mul6(&a2, &a2)
-	a6 := mul6(&a2, &a4)
-
-	// U = A·(A6·(b13·A6 + b11·A4 + b9·A2) + b7·A6 + b5·A4 + b3·A2 + b1·I)
-	// V =    A6·(b12·A6 + b10·A4 + b8·A2) + b6·A6 + b4·A4 + b2·A2 + b0·I
-	var w, v [ltiStates][ltiStates]float64
-	for i := 0; i < ltiStates; i++ {
-		for j := 0; j < ltiStates; j++ {
-			w[i][j] = padeCoef[13]*a6[i][j] + padeCoef[11]*a4[i][j] + padeCoef[9]*a2[i][j]
-			v[i][j] = padeCoef[12]*a6[i][j] + padeCoef[10]*a4[i][j] + padeCoef[8]*a2[i][j]
-		}
-	}
-	w = mul6(&a6, &w)
-	v = mul6(&a6, &v)
-	for i := 0; i < ltiStates; i++ {
-		for j := 0; j < ltiStates; j++ {
-			w[i][j] += padeCoef[7]*a6[i][j] + padeCoef[5]*a4[i][j] + padeCoef[3]*a2[i][j]
-			v[i][j] += padeCoef[6]*a6[i][j] + padeCoef[4]*a4[i][j] + padeCoef[2]*a2[i][j]
-		}
-		w[i][i] += padeCoef[1]
-		v[i][i] += padeCoef[0]
-	}
-	u := mul6(&a, &w)
-
-	// Φ = (V - U)^-1 (V + U), solved column by column.
-	var den, num [ltiStates][ltiStates]float64
-	for i := 0; i < ltiStates; i++ {
-		for j := 0; j < ltiStates; j++ {
-			den[i][j] = v[i][j] - u[i][j]
-			num[i][j] = v[i][j] + u[i][j]
-		}
-	}
-	if err := solve6(&den, &num, &phi); err != nil {
-		return phi, fmt.Errorf("pdn: Padé denominator: %w", err)
-	}
-	for k := 0; k < s; k++ {
-		phi = mul6(&phi, &phi)
-	}
-	for i := range phi {
-		for j := range phi[i] {
-			if math.IsNaN(phi[i][j]) || math.IsInf(phi[i][j], 0) {
-				return phi, fmt.Errorf("pdn: matrix exponential overflow (1-norm %g)", norm)
-			}
-		}
-	}
-	return phi, nil
-}
-
-// mul6 returns the 6x6 matrix product a·b.
-func mul6(a, b *[ltiStates][ltiStates]float64) [ltiStates][ltiStates]float64 {
-	var out [ltiStates][ltiStates]float64
-	for i := 0; i < ltiStates; i++ {
-		for k := 0; k < ltiStates; k++ {
-			f := a[i][k]
-			if f == 0 {
-				continue
-			}
-			for j := 0; j < ltiStates; j++ {
-				out[i][j] += f * b[k][j]
-			}
-		}
-	}
-	return out
-}
-
-// solve6 solves a·x = b for the 6x6 unknown matrix x by Gaussian
-// elimination with partial pivoting. a and b are consumed as workspace.
-func solve6(a, b, x *[ltiStates][ltiStates]float64) error {
-	n := ltiStates
-	for col := 0; col < n; col++ {
-		pivot := col
-		for r := col + 1; r < n; r++ {
-			if abs(a[r][col]) > abs(a[pivot][col]) {
-				pivot = r
-			}
-		}
-		if a[pivot][col] == 0 {
-			return ErrSingular
-		}
-		a[col], a[pivot] = a[pivot], a[col]
-		b[col], b[pivot] = b[pivot], b[col]
-		inv := 1 / a[col][col]
-		for r := col + 1; r < n; r++ {
-			f := a[r][col] * inv
-			if f == 0 {
-				continue
-			}
-			for c := col; c < n; c++ {
-				a[r][c] -= f * a[col][c]
-			}
-			for c := 0; c < n; c++ {
-				b[r][c] -= f * b[col][c]
-			}
-		}
-	}
-	for r := n - 1; r >= 0; r-- {
-		for c := 0; c < n; c++ {
-			sum := b[r][c]
-			for k := r + 1; k < n; k++ {
-				sum -= a[r][k] * x[k][c]
-			}
-			x[r][c] = sum / a[r][r]
-		}
-	}
-	return nil
 }
 
 // cluFactor is the pivoted LU factorization of the complex admittance

@@ -33,12 +33,13 @@ func ltiTestLoads(p power.NodeParams, vdd power.Volts) map[string][DomainTiles]T
 	}
 }
 
-// Cross-check of the exact solver modes against the RK4 reference, across
-// every technology node and the load-signature grid. The expm mode solves
-// the same initial-value problem as RK4 exactly, so it must agree to the
-// integrator's truncation error; the phasor mode drops the decaying
-// start-up transient, so it is held to the looser steady-state bound the
-// acceptance criterion names (1e-3 absolute on PeakPSN).
+// Cross-check of the phasor solver against the RK4 and expm test
+// references, across every technology node and the load-signature grid.
+// The expm reference solves the same initial-value problem as RK4 exactly,
+// so it must agree to the integrator's truncation error; the phasor path
+// drops the decaying start-up transient, so it is held to the looser
+// steady-state bound (1e-3 absolute on PeakPSN). The phasor result is the
+// production SimulateDomain's, bit for bit.
 func TestModesAgree(t *testing.T) {
 	const (
 		expmTol       = 1e-6 // rk4 truncation at h=20ps
@@ -51,14 +52,18 @@ func TestModesAgree(t *testing.T) {
 			loads := ltiTestLoads(p, vdd)
 			for _, name := range []string{"idle", "dcOnly", "single", "aligned", "staggered", "mixed", "lopsided"} {
 				ld := loads[name]
-				run := func(m Mode) Result {
-					r, err := SimulateDomain(Config{Params: p, Vdd: vdd, Mode: m}, ld)
+				cfg := Config{Params: p, Vdd: vdd}
+				run := func(m string) Result {
+					r, err := newRefSolver().solve(m, cfg, ld)
 					if err != nil {
-						t.Fatalf("%v %s %v: %v", n, name, m, err)
+						t.Fatalf("%v %s %s: %v", n, name, m, err)
 					}
 					return r
 				}
-				rk4, expm, ph := run(ModeRK4), run(ModeExpm), run(ModePhasor)
+				rk4, expm, ph := run("rk4"), run("expm"), run("phasor")
+				if prod, err := SimulateDomain(cfg, ld); err != nil || prod != ph {
+					t.Errorf("%v %s: SimulateDomain differs from the phasor solve (%v)", n, name, err)
+				}
 				for i := 0; i < DomainTiles; i++ {
 					if d := math.Abs(rk4.PeakPSN[i] - expm.PeakPSN[i]); d > expmTol {
 						t.Errorf("%v %s vdd=%.2f tile %d: |rk4-expm| peak dev %.3g > %g",
@@ -82,92 +87,50 @@ func TestModesAgree(t *testing.T) {
 	}
 }
 
-// Every mode is individually deterministic: repeated identical solves are
-// bit-identical, through a Solver (cached and uncached) and the one-shot
-// path alike.
+// Every solver is individually deterministic: repeated identical solves
+// are bit-identical, for the references and for the production path through
+// a Solver (cached and uncached) and the one-shot path alike.
 func TestModesDeterministic(t *testing.T) {
 	p := power.MustParams(power.Node7)
 	loads := ltiTestLoads(p, 0.5)["mixed"]
-	for _, m := range []Mode{ModeRK4, ModeExpm, ModePhasor} {
-		cfg := Config{Params: p, Vdd: 0.5, Mode: m}
-		ref, err := SimulateDomain(cfg, loads)
+	cfg := Config{Params: p, Vdd: 0.5}
+	for _, m := range []string{"rk4", "expm", "phasor"} {
+		ref, err := newRefSolver().solve(m, cfg, loads)
 		if err != nil {
 			t.Fatal(err)
 		}
-		again, err := SimulateDomain(cfg, loads)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ref != again {
-			t.Errorf("%v: repeated one-shot solves differ", m)
-		}
-		// The Solver path quantizes the load signature before solving, so it
-		// is compared against itself (cache hit vs miss), not the one-shot.
-		s := NewSolver(NewSolveCache())
-		sref, err := s.SimulateDomain(cfg, loads)
-		if err != nil {
-			t.Fatal(err)
-		}
-		uncached := NewSolver(nil)
+		s := newRefSolver()
 		for rep := 0; rep < 3; rep++ {
-			r, err := s.SimulateDomain(cfg, loads)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if r != sref {
-				t.Errorf("%v rep %d: cached solver result drifted", m, rep)
-			}
-			if r2, err := uncached.SimulateDomain(cfg, loads); err != nil || r2 != sref {
-				t.Errorf("%v rep %d: uncached solver differs from cached (%v)", m, rep, err)
+			if again, err := s.solve(m, cfg, loads); err != nil || again != ref {
+				t.Errorf("%s rep %d: repeated solves differ (%v)", m, rep, err)
 			}
 		}
 	}
-}
-
-// ModeAuto resolves to the phasor fast path and shares its cache entries.
-func TestModeAutoIsPhasor(t *testing.T) {
-	p := power.MustParams(power.Node7)
-	loads := ltiTestLoads(p, 0.5)["aligned"]
-	auto, err := SimulateDomain(Config{Params: p, Vdd: 0.5}, loads)
+	ref, err := SimulateDomain(cfg, loads)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ph, err := SimulateDomain(Config{Params: p, Vdd: 0.5, Mode: ModePhasor}, loads)
-	if err != nil {
-		t.Fatal(err)
+	if again, err := SimulateDomain(cfg, loads); err != nil || again != ref {
+		t.Errorf("repeated one-shot solves differ (%v)", err)
 	}
-	if auto != ph {
-		t.Error("ModeAuto result differs from ModePhasor")
-	}
+	// The Solver path quantizes the load signature before solving, so it is
+	// compared against itself (cache hit vs miss), not the one-shot.
 	s := NewSolver(NewSolveCache())
-	if _, err := s.SimulateDomain(Config{Params: p, Vdd: 0.5}, loads); err != nil {
+	sref, err := s.SimulateDomain(cfg, loads)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.SimulateDomain(Config{Params: p, Vdd: 0.5, Mode: ModePhasor}, loads); err != nil {
-		t.Fatal(err)
-	}
-	if st := s.cache.Stats(); st.Hits != 1 || st.Entries != 1 {
-		t.Errorf("auto and phasor use distinct cache entries: %+v", st)
-	}
-	if ModeRK4.resolved() != ModeRK4 {
-		t.Error("resolved() rewrote an explicit mode")
-	}
-}
-
-// Unknown mode values are rejected, not silently defaulted.
-func TestUnknownModeRejected(t *testing.T) {
-	p := power.MustParams(power.Node7)
-	if _, err := SimulateDomain(Config{Params: p, Vdd: 0.5, Mode: Mode(99)}, [DomainTiles]TileLoad{}); err == nil {
-		t.Error("Mode(99) accepted")
-	}
-}
-
-func TestModeString(t *testing.T) {
-	for m, want := range map[Mode]string{
-		ModeAuto: "auto", ModeRK4: "rk4", ModeExpm: "expm", ModePhasor: "phasor",
-	} {
-		if got := m.String(); got != want {
-			t.Errorf("Mode(%d).String() = %q, want %q", m, got, want)
+	uncached := NewSolver(nil)
+	for rep := 0; rep < 3; rep++ {
+		r, err := s.SimulateDomain(cfg, loads)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r != sref {
+			t.Errorf("rep %d: cached solver result drifted", rep)
+		}
+		if r2, err := uncached.SimulateDomain(cfg, loads); err != nil || r2 != sref {
+			t.Errorf("rep %d: uncached solver differs from cached (%v)", rep, err)
 		}
 	}
 }
@@ -177,7 +140,7 @@ func TestModeString(t *testing.T) {
 func TestPhasorDCOnly(t *testing.T) {
 	p := power.MustParams(power.Node7)
 	loads := [DomainTiles]TileLoad{{IAvg: 0.3}, {IAvg: 0.3}, {IAvg: 0.3}, {IAvg: 0.3}}
-	res, err := SimulateDomain(Config{Params: p, Vdd: 0.5, Mode: ModePhasor}, loads)
+	res, err := SimulateDomain(Config{Params: p, Vdd: 0.5}, loads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,26 +299,20 @@ func TestAdmittanceFactorization(t *testing.T) {
 	}
 }
 
-// The per-solver electrical caches hit across load signatures and Vdd: a
-// second solve at a different Vdd and load reuses the factorizations.
+// The per-solver admittance factorizations hit across load signatures and
+// Vdd: a second solve at a different Vdd and load reuses them.
 func TestLTICacheReuse(t *testing.T) {
 	p := power.MustParams(power.Node7)
 	s := NewSolver(nil)
-	if _, err := s.SimulateDomain(Config{Params: p, Vdd: 0.5, Mode: ModeExpm}, ltiTestLoads(p, 0.5)["mixed"]); err != nil {
+	if _, err := s.SimulateDomain(Config{Params: p, Vdd: 0.5}, ltiTestLoads(p, 0.5)["mixed"]); err != nil {
 		t.Fatal(err)
 	}
-	nPhi, nFac := len(s.lti.phi), len(s.lti.factor)
-	if nPhi != 1 {
-		t.Fatalf("expected one cached propagator, got %d", nPhi)
-	}
+	nFac := len(s.lti.factor)
 	if nFac == 0 {
 		t.Fatal("no cached admittance factorizations")
 	}
-	if _, err := s.SimulateDomain(Config{Params: p, Vdd: 0.7, Mode: ModeExpm}, ltiTestLoads(p, 0.7)["staggered"]); err != nil {
+	if _, err := s.SimulateDomain(Config{Params: p, Vdd: 0.7}, ltiTestLoads(p, 0.7)["staggered"]); err != nil {
 		t.Fatal(err)
-	}
-	if len(s.lti.phi) != nPhi {
-		t.Errorf("Vdd change grew the propagator cache: %d -> %d", nPhi, len(s.lti.phi))
 	}
 	// staggered High tiles burst at the same two harmonic frequencies the
 	// mixed signature already used, so no new factorizations either.

@@ -60,8 +60,5 @@ func (s *Sensor) Read(i int) float64 {
 	return s.readings[i]
 }
 
-// Resolution returns the quantization step of the sensor in PSN fraction.
-func (s *Sensor) Resolution() float64 { return s.fullScale / s.levels }
-
 // NumTiles returns the number of tiles covered by the sensor bank.
 func (s *Sensor) NumTiles() int { return len(s.readings) }

@@ -30,34 +30,24 @@ var ErrSingular = errors.New("pdn: singular linear system")
 // ErrIllConditioned is returned when elimination survives the pivot test but
 // the computed solution overflows or degenerates to NaN/Inf — the system is
 // too ill-conditioned for the result to mean anything. With this guard,
-// SolveLinear never hands back a non-finite voltage with a nil error
+// solveLinearInto never hands back a non-finite voltage with a nil error
 // (FuzzSolveLinear pins the property).
 var ErrIllConditioned = errors.New("pdn: ill-conditioned linear system")
 
-// SolveLinear solves the dense linear system a·x = b in place using Gaussian
-// elimination with partial pivoting and returns x. Both a and b are
-// modified. It returns ErrSingular when no unique solution exists.
-//
-// The systems in this package are tiny (≤ 8 unknowns: DC operating points of
-// a domain), so a dense direct solve is the right tool.
-func SolveLinear(a [][]float64, b []float64) ([]float64, error) {
-	if len(a) == 0 || len(b) != len(a) {
-		return nil, fmt.Errorf("pdn: bad system shape %dx%d vs %d", len(a), len(a), len(b))
-	}
-	x := make([]float64, len(a))
-	if err := solveLinearInto(x, a, b); err != nil {
-		return nil, err
-	}
-	return x, nil
-}
-
-// solveLinearInto is the allocation-free core of SolveLinear: it eliminates
-// in place and writes the solution to x, which must have length len(a). The
-// DC operating-point path threads a scratch x through it every solve.
+// solveLinearInto solves the dense linear system a·x = b by Gaussian
+// elimination with partial pivoting, eliminating in place (a and b are
+// modified) and writing the solution to x. It returns ErrSingular when no
+// unique solution exists and an error when the shapes disagree. The systems
+// in this package are tiny (the 5-unknown DC operating point of a domain),
+// so a dense direct solve is the right tool; that path threads a scratch x
+// through it every solve, so it allocates nothing.
 //
 //parm:hot
 func solveLinearInto(x []float64, a [][]float64, b []float64) error {
 	n := len(a)
+	if len(b) != n || len(x) != n {
+		return fmt.Errorf("pdn: bad system shape %dx%d vs %d", n, n, len(b))
+	}
 	// Singularity is judged relative to the matrix's own scale: conductance
 	// matrices built from nano-Henry bumps or pico-Farad decaps can be
 	// well-conditioned while every entry is far below any fixed absolute

@@ -7,11 +7,20 @@ import (
 	"testing/quick"
 )
 
+// solveLinear runs solveLinearInto on a fresh solution vector.
+func solveLinear(a [][]float64, b []float64) ([]float64, error) {
+	x := make([]float64, len(a))
+	if err := solveLinearInto(x, a, b); err != nil {
+		return nil, err
+	}
+	return x, nil
+}
+
 func TestSolveLinearKnownSystem(t *testing.T) {
 	// 2x + y = 5; x + 3y = 10 -> x = 1, y = 3.
 	a := [][]float64{{2, 1}, {1, 3}}
 	b := []float64{5, 10}
-	x, err := SolveLinear(a, b)
+	x, err := solveLinear(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +32,7 @@ func TestSolveLinearKnownSystem(t *testing.T) {
 func TestSolveLinearIdentity(t *testing.T) {
 	a := [][]float64{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}}
 	b := []float64{4, -2, 7}
-	x, err := SolveLinear(a, b)
+	x, err := solveLinear(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +47,7 @@ func TestSolveLinearNeedsPivoting(t *testing.T) {
 	// Zero on the diagonal requires partial pivoting.
 	a := [][]float64{{0, 1}, {1, 0}}
 	b := []float64{2, 3}
-	x, err := SolveLinear(a, b)
+	x, err := solveLinear(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +59,7 @@ func TestSolveLinearNeedsPivoting(t *testing.T) {
 func TestSolveLinearSingular(t *testing.T) {
 	a := [][]float64{{1, 2}, {2, 4}}
 	b := []float64{1, 2}
-	if _, err := SolveLinear(a, b); err == nil {
+	if _, err := solveLinear(a, b); err == nil {
 		t.Error("singular system solved without error")
 	}
 }
@@ -62,7 +71,7 @@ func TestSolveLinearTinyMagnitude(t *testing.T) {
 	const s = 1e-20
 	a := [][]float64{{2 * s, 1 * s}, {1 * s, 3 * s}}
 	b := []float64{5 * s, 10 * s}
-	x, err := SolveLinear(a, b)
+	x, err := solveLinear(a, b)
 	if err != nil {
 		t.Fatalf("tiny well-conditioned system rejected: %v", err)
 	}
@@ -76,7 +85,7 @@ func TestSolveLinearTinyMagnitude(t *testing.T) {
 func TestSolveLinearSingularLargeScale(t *testing.T) {
 	a := [][]float64{{1e20, 2e20}, {2e20, 4e20}}
 	b := []float64{1e20, 2e20}
-	if _, err := SolveLinear(a, b); err == nil {
+	if _, err := solveLinear(a, b); err == nil {
 		t.Error("rank-deficient large-scale system solved without error")
 	}
 }
@@ -84,19 +93,19 @@ func TestSolveLinearSingularLargeScale(t *testing.T) {
 func TestSolveLinearZeroMatrix(t *testing.T) {
 	a := [][]float64{{0, 0}, {0, 0}}
 	b := []float64{1, 2}
-	if _, err := SolveLinear(a, b); err == nil {
+	if _, err := solveLinear(a, b); err == nil {
 		t.Error("zero matrix solved without error")
 	}
 }
 
 func TestSolveLinearShapeErrors(t *testing.T) {
-	if _, err := SolveLinear(nil, nil); err == nil {
+	if _, err := solveLinear(nil, nil); err == nil {
 		t.Error("empty system accepted")
 	}
-	if _, err := SolveLinear([][]float64{{1, 2}}, []float64{1}); err == nil {
+	if _, err := solveLinear([][]float64{{1, 2}}, []float64{1}); err == nil {
 		t.Error("non-square matrix accepted")
 	}
-	if _, err := SolveLinear([][]float64{{1}}, []float64{1, 2}); err == nil {
+	if _, err := solveLinear([][]float64{{1}}, []float64{1, 2}); err == nil {
 		t.Error("mismatched rhs accepted")
 	}
 }
@@ -126,7 +135,7 @@ func TestSolveLinearResidualProperty(t *testing.T) {
 			b[i] = rng.Float64()*10 - 5
 			borig[i] = b[i]
 		}
-		x, err := SolveLinear(a, b)
+		x, err := solveLinear(a, b)
 		if err != nil {
 			return false
 		}

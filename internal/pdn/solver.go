@@ -33,7 +33,7 @@ func quantize(v, q float64) float64 { return math.Round(v/q) * q }
 // QuantizeLoads snaps a 4-tile load signature to the solver's input grids.
 // Solver.SimulateDomain applies it before every solve, cached or not, so a
 // cached result is always the exact transient solution of the inputs the
-// uncached path would integrate.
+// uncached path would solve.
 func QuantizeLoads(loads [DomainTiles]TileLoad) [DomainTiles]TileLoad {
 	for i := range loads {
 		loads[i].IAvg = quantize(loads[i].IAvg, iavgQuantum)
@@ -53,7 +53,6 @@ type solveKey struct {
 	dt       power.Seconds
 	duration power.Seconds
 	burstHz  float64
-	mode     Mode // resolved (never ModeAuto), so auto and phasor share entries
 	loads    [DomainTiles]TileLoad
 }
 
@@ -140,15 +139,14 @@ func (c *SolveCache) Stats() CacheStats {
 type Solver struct {
 	cache   *SolveCache
 	scratch solverScratch
-	// lti memoizes the load-independent electrical factorizations (step
-	// propagators, admittance LUs) the exact solver modes reuse across
-	// solves — these hit even when the solve cache misses on a new load
-	// signature.
+	// lti memoizes the load-independent admittance factorizations the
+	// phasor solve reuses — these hit even when the solve cache misses on a
+	// new load signature.
 	lti ltiCaches
 }
 
 // NewSolver returns a Solver backed by cache. A nil cache disables
-// memoization (every call integrates) but keeps the scratch-buffer reuse
+// memoization (every call solves) but keeps the scratch-buffer reuse
 // and the input quantization, so cached and uncached solvers produce
 // bit-identical results for the same inputs.
 func NewSolver(cache *SolveCache) *Solver {
@@ -157,8 +155,8 @@ func NewSolver(cache *SolveCache) *Solver {
 
 // SimulateDomain is the memoizing counterpart of the package-level
 // SimulateDomain: it quantizes the load signature (QuantizeLoads), then
-// returns the cached transient result for the (node params, Vdd, window,
-// loads) key, integrating only on a miss.
+// returns the cached result for the (node params, Vdd, window, loads) key,
+// solving only on a miss.
 func (s *Solver) SimulateDomain(cfg Config, loads [DomainTiles]TileLoad) (Result, error) {
 	cfg = cfg.withDefaults()
 	if err := validate(cfg, loads); err != nil {
@@ -166,7 +164,7 @@ func (s *Solver) SimulateDomain(cfg Config, loads [DomainTiles]TileLoad) (Result
 	}
 	loads = QuantizeLoads(loads)
 	if s.cache == nil {
-		return simulate(cfg, loads, &s.scratch, &s.lti)
+		return simulatePhasor(cfg, loads, &s.scratch, &s.lti)
 	}
 	key := solveKey{
 		params:   cfg.Params,
@@ -174,13 +172,12 @@ func (s *Solver) SimulateDomain(cfg Config, loads [DomainTiles]TileLoad) (Result
 		dt:       cfg.Dt,
 		duration: cfg.Duration,
 		burstHz:  cfg.BurstHz,
-		mode:     cfg.Mode,
 		loads:    loads,
 	}
 	if r, ok := s.cache.lookup(key); ok {
 		return r, nil
 	}
-	r, err := simulate(cfg, loads, &s.scratch, &s.lti)
+	r, err := simulatePhasor(cfg, loads, &s.scratch, &s.lti)
 	if err != nil {
 		return Result{}, err
 	}

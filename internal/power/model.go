@@ -92,9 +92,6 @@ func NewBudget(limit Watts) *Budget {
 	return &Budget{limit: limit}
 }
 
-// Limit returns the budget limit in watts.
-func (b *Budget) Limit() Watts { return b.limit }
-
 // Used returns the currently reserved power in watts.
 func (b *Budget) Used() Watts { return b.used }
 

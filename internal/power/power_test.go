@@ -208,7 +208,7 @@ func TestVddLevels(t *testing.T) {
 
 func TestBudgetBasics(t *testing.T) {
 	b := NewBudget(65)
-	if b.Limit() != 65 || b.Used() != 0 || b.Available() != 65 {
+	if b.limit != 65 || b.Used() != 0 || b.Available() != 65 {
 		t.Fatal("fresh budget wrong")
 	}
 	if !b.Reserve(30) {
@@ -254,7 +254,7 @@ func TestBudgetNeverExceedsLimit(t *testing.T) {
 		for _, a := range amounts {
 			a = math.Mod(math.Abs(a), 60)
 			b.Reserve(Watts(a))
-			if b.Used() > b.Limit()+1e-9 {
+			if b.Used() > b.limit+1e-9 {
 				return false
 			}
 		}
