@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"os"
 
 	"parm/internal/appmodel"
@@ -50,6 +51,9 @@ func main() {
 	)
 	flag.Parse()
 
+	if err := checkFlags(*dspb); err != nil {
+		log.Fatal(err)
+	}
 	fw, err := core.Combo(*mapper, *routing)
 	if err != nil {
 		log.Fatal(err)
@@ -251,6 +255,16 @@ func main() {
 			log.Fatal(err)
 		}
 	}
+}
+
+// checkFlags validates the flags that shape the run, so that a bad value
+// fails before anything is simulated. A zero -dspb would otherwise select
+// the chip's 65 W default.
+func checkFlags(dspb float64) error {
+	if !(dspb > 0) || math.IsInf(dspb, 1) {
+		return fmt.Errorf("-dspb %g: want a positive finite power budget in watts", dspb)
+	}
+	return nil
 }
 
 // writeFile creates path and streams write into it, folding the close error

@@ -64,33 +64,29 @@ type Config struct {
 	// so the 2x2 domains tile the mesh exactly. Zero selects the paper's
 	// 10x6 layout.
 	Width, Height int
-	// Node supplies the technology-node electrical constants. A zero value
-	// selects 7nm.
-	Node power.NodeParams
 	// DsPB is the dark-silicon power budget. Zero selects 65 W; New
 	// rejects negative, NaN and infinite values.
 	DsPB power.Watts
-	// VddStep is the supply voltage granularity. Zero selects 0.1 V; New
-	// rejects negative, NaN and infinite values.
-	VddStep power.Volts
 	// DisablePSNCache turns off the domain-solve memoization, forcing
 	// every sample to integrate every active domain (uncached reference
 	// mode for determinism tests and benchmarks).
 	DisablePSNCache bool
 }
 
+// The chip's technology node and supply-voltage granularity are fixed
+// platform constants (DESIGN.md §5): the paper evaluates one 7nm chip with
+// 0.1 V regulator steps.
+const (
+	techNode = power.Node7
+	vddStep  = power.Volts(0.1)
+)
+
 func (c Config) withDefaults() Config {
 	if c.Width == 0 && c.Height == 0 {
 		c.Width, c.Height = 10, 6
 	}
-	if c.Node.Node == 0 {
-		c.Node = power.MustParams(power.Node7)
-	}
 	if c.DsPB == 0 {
 		c.DsPB = 65
-	}
-	if c.VddStep == 0 {
-		c.VddStep = 0.1
 	}
 	return c
 }
@@ -105,6 +101,7 @@ func positiveFinite(v float64) bool {
 // mapping, unmapping and sampling all run on the engine's goroutine.
 type Chip struct {
 	Mesh geom.Mesh
+	// Node holds the 7nm electrical constants.
 	Node power.NodeParams
 	// Budget is the dark-silicon power budget ledger.
 	Budget *power.Budget
@@ -129,8 +126,8 @@ type Chip struct {
 }
 
 // New builds a chip from cfg. It returns an error when the mesh dimensions
-// are not positive and even, or when DsPB or VddStep is not a positive
-// finite number.
+// are not positive and even, or when DsPB is not a positive finite
+// number.
 func New(cfg Config) (*Chip, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Width <= 0 || cfg.Height <= 0 || cfg.Width%2 != 0 || cfg.Height%2 != 0 {
@@ -139,15 +136,13 @@ func New(cfg Config) (*Chip, error) {
 	if !positiveFinite(float64(cfg.DsPB)) {
 		return nil, fmt.Errorf("chip: DsPB must be a positive finite power, got %g W", float64(cfg.DsPB))
 	}
-	if !positiveFinite(float64(cfg.VddStep)) {
-		return nil, fmt.Errorf("chip: VddStep must be a positive finite voltage, got %g V", float64(cfg.VddStep))
-	}
 	m := geom.NewMesh(cfg.Width, cfg.Height)
+	params := power.MustParams(techNode)
 	c := &Chip{
 		Mesh:       m,
-		Node:       cfg.Node,
+		Node:       params,
 		Budget:     power.NewBudget(cfg.DsPB),
-		Vdds:       cfg.Node.VddLevels(cfg.VddStep),
+		Vdds:       params.VddLevels(vddStep),
 		tileDomain: make([]DomainID, m.NumTiles()),
 		occupants:  make([]Occupant, m.NumTiles()),
 	}

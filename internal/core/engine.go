@@ -18,22 +18,10 @@ import (
 // Config parameterizes a simulation run.
 type Config struct {
 	// Chip configures the CMP platform (defaults: 10x6 mesh, 7nm, 65 W).
+	// The NoC mesh is the chip's.
 	Chip chip.Config
-	// NoC configures the network simulator.
-	NoC noc.Config
-	// SamplePeriod is the PSN sampling interval in seconds (paper §5.1
-	// samples periodically and at map/unmap events). Zero selects 10 ms.
-	SamplePeriod float64
-	// WindowCycles is the NoC measurement window length. Zero selects 8000.
-	WindowCycles int
-	// WarmupCycles precede each measurement window. Zero selects 1500.
-	WarmupCycles int
-	// RouterHz is the NoC clock for cycle-to-seconds conversion (paper
-	// §4.4: hop selection at 1 GHz). Zero selects 1 GHz.
-	RouterHz float64
-	// MaxSimTime is a safety cap on simulated time. Zero selects 300 s.
-	MaxSimTime float64
-	// SensorBits is the PSN sensor quantization. Zero selects 6 bits.
+	// SensorBits is the PSN sensor quantization, at most 16 bits. Zero
+	// selects 6 bits.
 	SensorBits uint
 	// SoftDeadlines makes deadlines advisory: the (Vdd, DoP) selection
 	// still targets the application's relative deadline, but applications
@@ -54,9 +42,27 @@ type Config struct {
 	// experiments. NoCModeAuto quantizes the memo key so near-repeat mapper
 	// states hit the cache and answers uncongested windows with the
 	// closed-form analytic model, falling back to cycle simulation when any
-	// link's offered load exceeds NoC.SatLinkLoad.
+	// link's offered load exceeds the NoC's saturation threshold.
 	NoCMode NoCMode
 }
+
+// The engine's timing parameters are fixed platform constants (DESIGN.md
+// §5). NoC cycles convert to seconds at appmodel.RouterHz, the clock
+// Algorithm 1's WCET estimate uses (paper §4.4: hop selection at 1 GHz).
+const (
+	// samplePeriod is the PSN sampling interval in seconds (paper §5.1
+	// samples periodically and at map/unmap events).
+	samplePeriod = 0.01
+	// windowCycles is the NoC measurement window length in cycles.
+	windowCycles = 8000
+	// warmupCycles precede each measurement window.
+	warmupCycles = 1500
+	// maxSimTime is the safety cap on simulated time, in seconds.
+	maxSimTime = 300
+	// maxSensorBits is the finest PSN sensor quantization pdn.NewSensor
+	// accepts.
+	maxSensorBits = 16
+)
 
 // NoCMode selects how NoC measurement windows are produced.
 type NoCMode int
@@ -93,24 +99,13 @@ func ParseNoCMode(s string) (NoCMode, error) {
 	}
 }
 
-// validate rejects Config values that withDefaults would otherwise
-// silently replace or misread: NaN, infinite or negative times, rates and
-// cycle counts, and unknown mode enums. Zero stays valid everywhere and
-// selects the documented default.
+// validate rejects Config values that withDefaults would otherwise misread
+// or a later constructor would panic on: a sensor finer than 16 bits and
+// unknown mode enums. Zero stays valid everywhere and selects the
+// documented default.
 func (c Config) validate() error {
-	for _, f := range []struct {
-		name string
-		v    float64
-	}{
-		{"SamplePeriod", c.SamplePeriod},
-		{"WindowCycles", float64(c.WindowCycles)},
-		{"WarmupCycles", float64(c.WarmupCycles)},
-		{"RouterHz", c.RouterHz},
-		{"MaxSimTime", c.MaxSimTime},
-	} {
-		if math.IsNaN(f.v) || math.IsInf(f.v, 0) || f.v < 0 {
-			return fmt.Errorf("core: Config.%s = %g, want a finite value >= 0", f.name, f.v)
-		}
+	if c.SensorBits > maxSensorBits {
+		return fmt.Errorf("core: Config.SensorBits = %d, want at most %d", c.SensorBits, maxSensorBits)
 	}
 	if c.NoCMode != NoCModeCycle && c.NoCMode != NoCModeAuto {
 		return fmt.Errorf("core: unknown %v", c.NoCMode)
@@ -119,21 +114,6 @@ func (c Config) validate() error {
 }
 
 func (c Config) withDefaults() Config {
-	if c.SamplePeriod <= 0 {
-		c.SamplePeriod = 0.01
-	}
-	if c.WindowCycles <= 0 {
-		c.WindowCycles = 8000
-	}
-	if c.WarmupCycles <= 0 {
-		c.WarmupCycles = 1500
-	}
-	if c.RouterHz <= 0 {
-		c.RouterHz = 1e9
-	}
-	if c.MaxSimTime <= 0 {
-		c.MaxSimTime = 300
-	}
 	if c.SensorBits == 0 {
 		c.SensorBits = 6
 	}
@@ -236,6 +216,11 @@ type runningApp struct {
 type Engine struct {
 	cfg Config
 	fw  Framework
+	// nocCfg is the NoC configuration of the chip's mesh.
+	nocCfg noc.Config
+	// simTimeCap stops the run at this simulated time: maxSimTime, lowered
+	// only by tests.
+	simTimeCap float64
 
 	chip    *chip.Chip
 	now     float64
@@ -300,6 +285,12 @@ func NewEngine(cfg Config, fw Framework) (*Engine, error) {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
+	// Reject a mesh the NoC cannot simulate before the chip allocates it,
+	// rather than at the first window. Chip and NoC default a zero mesh to
+	// the same 10x6.
+	if err := (noc.Config{Width: cfg.Chip.Width, Height: cfg.Chip.Height}).Validate(); err != nil {
+		return nil, fmt.Errorf("core: Config.Chip: %w", err)
+	}
 	c, err := chip.New(cfg.Chip)
 	if err != nil {
 		return nil, err
@@ -311,21 +302,14 @@ func NewEngine(cfg Config, fw Framework) (*Engine, error) {
 	e := &Engine{
 		cfg:        cfg,
 		fw:         fw,
+		nocCfg:     noc.Config{Width: c.Mesh.Width, Height: c.Mesh.Height},
+		simTimeCap: maxSimTime,
 		chip:       c,
 		running:    make(map[int]*runningApp),
 		env:        noc.Env{PSN: make([]float64, n)},
 		sensor:     pdn.NewSensor(n, cfg.SensorBits, 0.20),
 		routerUtil: make([]float64, n),
 		outcomes:   make(map[int]*AppOutcome),
-	}
-	e.cfg.NoC.Width = cfg.Chip.Width
-	e.cfg.NoC.Height = cfg.Chip.Height
-	if e.cfg.NoC.Width == 0 {
-		e.cfg.NoC.Width, e.cfg.NoC.Height = c.Mesh.Width, c.Mesh.Height
-	}
-	// Reject a bad NoC config here rather than at the first window.
-	if err := e.cfg.NoC.Validate(); err != nil {
-		return nil, fmt.Errorf("core: Config.NoC: %w", err)
 	}
 	return e, nil
 }
@@ -368,7 +352,7 @@ func (e *Engine) Run(w *appmodel.Workload) (*Metrics, error) {
 
 	for e.events.Len() > 0 {
 		ev := e.events.pop()
-		if ev.t > e.cfg.MaxSimTime {
+		if ev.t > e.simTimeCap {
 			break
 		}
 		e.now = ev.t
@@ -720,7 +704,7 @@ func (e *Engine) commit(app *appmodel.App, vdd power.Volts, dop int, p *mapping.
 		if src == dst || edge.Volume <= 0 {
 			continue
 		}
-		rate := edge.Volume / appmodel.FlitBytes / (wcet * e.cfg.RouterHz)
+		rate := edge.Volume / appmodel.FlitBytes / (wcet * appmodel.RouterHz)
 		ra.flows = append(ra.flows, noc.Flow{App: app.ID, Src: src, Dst: dst, Rate: rate})
 		ra.flowEdges = append(ra.flowEdges, edge)
 	}
@@ -931,13 +915,14 @@ func (e *Engine) measurementFor(flows []noc.Flow) (*noc.Result, error) {
 
 // simulateWindow produces one measurement window for the flow list. In
 // NoCModeAuto it first tries the analytic closed form and accepts it for
-// uncongested windows (no resource's offered load above NoC.SatLinkLoad).
+// uncongested windows (no resource's offered load above the NoC's
+// saturation threshold of 0.6 flits per cycle).
 // Everything else — NoCModeCycle and saturated windows under NoCModeAuto —
 // runs the cycle-accurate warmup+measure on the engine's network, reset for
 // the window.
 func (e *Engine) simulateWindow(flows []noc.Flow) (*noc.Result, error) {
 	if e.cfg.NoCMode != NoCModeCycle {
-		res, rep, err := noc.AnalyticMeasure(e.cfg.NoC, e.fw.Routing, flows, &e.env, e.cfg.WindowCycles)
+		res, rep, err := noc.AnalyticMeasure(e.nocCfg, e.fw.Routing, flows, &e.env, windowCycles)
 		if err != nil {
 			return nil, err
 		}
@@ -953,13 +938,13 @@ func (e *Engine) simulateWindow(flows []noc.Flow) (*noc.Result, error) {
 		e.net = new(noc.Network)
 	}
 	net := e.net
-	if err := net.Reset(e.cfg.NoC, e.fw.Routing, flows, &e.env); err != nil {
+	if err := net.Reset(e.nocCfg, e.fw.Routing, flows, &e.env); err != nil {
 		return nil, err
 	}
-	net.Run(e.cfg.WarmupCycles)
-	res := net.Measure(e.cfg.WindowCycles)
+	net.Run(warmupCycles)
+	res := net.Measure(windowCycles)
 	e.tel.nocWindows.Inc()
-	e.tel.warmupCyc.Add(uint64(e.cfg.WarmupCycles))
+	e.tel.warmupCyc.Add(uint64(warmupCycles))
 	e.tel.measuredCyc.Add(uint64(res.Cycles))
 	return res, nil
 }
@@ -1013,11 +998,11 @@ func (e *Engine) measureNoC(forApp *runningApp) (sched.CommDelay, float64, error
 			// No packet completed in the window; approximate with the
 			// zero-load hop latency. The chip mesh and the NoC mesh have
 			// identical geometry (NewEngine copies the dimensions).
-			lat = float64(e.chip.Mesh.ManhattanDist(flow.Src, flow.Dst) + e.cfg.NoC.FlitsPerPacket)
+			lat = float64(e.chip.Mesh.ManhattanDist(flow.Src, flow.Dst) + noc.FlitsPerPacket)
 		}
 		totLat += lat
 		nLat++
-		delays[edgeKey{edge.Src, edge.Dst}] = (flits*cpf + lat) / e.cfg.RouterHz
+		delays[edgeKey{edge.Src, edge.Dst}] = (flits*cpf + lat) / appmodel.RouterHz
 	}
 	delayFn := func(edge appmodel.Edge) float64 {
 		return delays[edgeKey{edge.Src, edge.Dst}]
@@ -1078,7 +1063,7 @@ func (e *Engine) periodicSample() error {
 			e.push(ra.completionTime, evCompletion, id)
 		}
 	}
-	e.scheduleSample(e.now + e.cfg.SamplePeriod)
+	e.scheduleSample(e.now + samplePeriod)
 	return nil
 }
 

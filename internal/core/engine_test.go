@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"parm/internal/appmodel"
-	"parm/internal/noc"
+	"parm/internal/chip"
 	"parm/internal/obs"
 	"parm/internal/pdn"
 	"parm/internal/power"
@@ -90,20 +90,13 @@ func TestEngineRejectsBadInput(t *testing.T) {
 	}
 }
 
-// A NoC config the network rejects fails NewEngine, not the first window
-// of Run.
+// A chip mesh the NoC cannot simulate fails NewEngine before the chip is
+// built, not at the first window of Run: 8192x4096 tiles overflow the NoC
+// packet table, and building the chip would take gigabytes.
 func TestNewEngineRejectsBadNoCConfig(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		cfg  noc.Config
-	}{
-		{"RateEWMA above 1", noc.Config{RateEWMA: 2}},
-		{"negative BufferFlits", noc.Config{BufferFlits: -1}},
-		{"negative OccupancyThreshold", noc.Config{OccupancyThreshold: -1}},
-	} {
-		if _, err := NewEngine(Config{NoC: tc.cfg}, MustCombo("PARM", "PANR")); err == nil {
-			t.Errorf("%s: NewEngine accepted %+v", tc.name, tc.cfg)
-		}
+	cfg := Config{Chip: chip.Config{Width: 8192, Height: 4096}}
+	if _, err := NewEngine(cfg, MustCombo("PARM", "PANR")); err == nil {
+		t.Errorf("NewEngine accepted a %dx%d chip", cfg.Chip.Width, cfg.Chip.Height)
 	}
 }
 
@@ -452,8 +445,15 @@ func TestUnfinishedOutcomesStayCurrent(t *testing.T) {
 	if veApp < 0 {
 		t.Skip("no VEs at this seed")
 	}
-	cfg := Config{SoftDeadlines: true, MaxSimTime: veT + 1e-6}
-	m, _ := runWithTimeline(t, cfg, veHeavyWorkload(t))
+	eng, err := NewEngine(Config{SoftDeadlines: true}, MustCombo("HM", "XY"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.simTimeCap = veT + 1e-6
+	m, err := eng.Run(veHeavyWorkload(t))
+	if err != nil {
+		t.Fatal(err)
+	}
 	var o *AppOutcome
 	for i := range m.Apps {
 		if m.Apps[i].App.ID == veApp {
@@ -464,7 +464,7 @@ func TestUnfinishedOutcomesStayCurrent(t *testing.T) {
 		t.Fatalf("app %d missing from outcomes", veApp)
 	}
 	if o.State == StateCompleted {
-		t.Fatalf("app %d completed despite the cap at %g", veApp, cfg.MaxSimTime)
+		t.Fatalf("app %d completed despite the cap at %g", veApp, eng.simTimeCap)
 	}
 	if o.VEs == 0 {
 		t.Errorf("unfinished app %d lost its VE count", veApp)

@@ -11,25 +11,9 @@ import (
 )
 
 // TestConfigDefaults pins the withDefaults values the documentation promises,
-// so doc comments and code cannot drift apart (the WarmupCycles comment once
-// claimed 2000 while the code selected 1500).
+// so doc comments and code cannot drift apart.
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.WindowCycles != 8000 {
-		t.Errorf("WindowCycles = %d, want 8000", c.WindowCycles)
-	}
-	if c.WarmupCycles != 1500 {
-		t.Errorf("WarmupCycles = %d, want 1500", c.WarmupCycles)
-	}
-	if c.SamplePeriod != 0.01 {
-		t.Errorf("SamplePeriod = %g, want 0.01", c.SamplePeriod)
-	}
-	if c.RouterHz != 1e9 {
-		t.Errorf("RouterHz = %g, want 1e9", c.RouterHz)
-	}
-	if c.MaxSimTime != 300 {
-		t.Errorf("MaxSimTime = %g, want 300", c.MaxSimTime)
-	}
 	if c.SensorBits != 6 {
 		t.Errorf("SensorBits = %d, want 6", c.SensorBits)
 	}
@@ -39,10 +23,9 @@ func TestConfigDefaults(t *testing.T) {
 }
 
 // TestConfigValidation pins NewEngine's input contract: values that the
-// defaulting would silently replace or misread are errors, while zero still
-// selects the documented default.
+// defaulting would misread, or a constructor would panic on, are errors,
+// while zero still selects the documented default.
 func TestConfigValidation(t *testing.T) {
-	nan, inf := math.NaN(), math.Inf(1)
 	fw := MustCombo("PARM", "XY")
 	for _, tc := range []struct {
 		name string
@@ -50,18 +33,9 @@ func TestConfigValidation(t *testing.T) {
 		ok   bool
 	}{
 		{"zero", Config{}, true},
-		{"explicit", Config{SamplePeriod: 0.02, WindowCycles: 4000, WarmupCycles: 500, RouterHz: 2e9,
-			MaxSimTime: 10, NoCMode: NoCModeAuto}, true},
-		{"nan-sample-period", Config{SamplePeriod: nan}, false},
-		{"inf-sample-period", Config{SamplePeriod: inf}, false},
-		{"negative-sample-period", Config{SamplePeriod: -0.01}, false},
-		{"negative-window", Config{WindowCycles: -1}, false},
-		{"negative-warmup", Config{WarmupCycles: -1}, false},
-		{"nan-router-hz", Config{RouterHz: nan}, false},
-		{"neg-inf-router-hz", Config{RouterHz: math.Inf(-1)}, false},
-		{"negative-router-hz", Config{RouterHz: -1e9}, false},
-		{"nan-max-sim-time", Config{MaxSimTime: nan}, false},
-		{"inf-max-sim-time", Config{MaxSimTime: inf}, false},
+		{"explicit", Config{SensorBits: 8, NoCMode: NoCModeAuto}, true},
+		{"sensor-bits-16", Config{SensorBits: 16}, true},
+		{"sensor-bits-17", Config{SensorBits: 17}, false},
 		{"deleted-analytic-mode", Config{NoCMode: 2}, false},
 		{"unknown-noc-mode", Config{NoCMode: 7}, false},
 		{"negative-noc-mode", Config{NoCMode: -1}, false},

@@ -213,12 +213,8 @@ func Fig3b() (*report.Table, error) {
 // returns the metrics.
 func RunMetrics(opt Options, fw core.Framework, kind appmodel.WorkloadKind, gap float64) (*core.Metrics, error) {
 	opt = opt.withDefaults()
-	node := opt.Engine.Chip.Node
-	if node.Node == 0 {
-		node = power.MustParams(power.Node7)
-	}
 	w, err := appmodel.Generate(appmodel.WorkloadConfig{
-		Kind: kind, NumApps: opt.NumApps, ArrivalGap: gap, Node: node, Seed: opt.Seed,
+		Kind: kind, NumApps: opt.NumApps, ArrivalGap: gap, Node: power.MustParams(power.Node7), Seed: opt.Seed,
 	})
 	if err != nil {
 		return nil, err

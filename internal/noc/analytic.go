@@ -18,7 +18,7 @@ type AnalyticReport struct {
 	// NIC's injection port.
 	MaxLoad float64
 	// Saturated reports that some resource's offered load exceeded the
-	// configured SatLinkLoad threshold. The closed form is unreliable in
+	// satLinkLoad threshold (0.6 flits per cycle). The closed form is unreliable in
 	// that regime — backpressure, stalls, and adaptive rerouting dominate —
 	// so callers must fall back to cycle simulation.
 	Saturated bool
@@ -39,7 +39,7 @@ func maxTraceHops(m geom.Mesh) int { return m.Width + m.Height + 2 }
 // load. Per-flow latency is the wormhole zero-load latency (hops +
 // serialization) plus an M/D/1-style contention term per traversed output
 // port; throughput is the offered load. The report's Saturated flag tells
-// the caller when any resource exceeds cfg.SatLinkLoad and the closed form
+// the caller when any resource exceeds satLinkLoad and the closed form
 // must not be used.
 func AnalyticMeasure(cfg Config, alg Algorithm, flows []Flow, env *Env, cycles int) (*Result, AnalyticReport, error) {
 	cfg = cfg.withDefaults()
@@ -49,7 +49,7 @@ func AnalyticMeasure(cfg Config, alg Algorithm, flows []Flow, env *Env, cycles i
 	}
 	// The route view supplies RouteCtx's picture of an idle fabric: zero
 	// occupancy and incoming rates, and the actual PSN environment.
-	n := newRouteView(cfg, mesh, env)
+	n := newRouteView(mesh, env)
 	numTiles := mesh.NumTiles()
 	lp := dirIndex(geom.Local)
 
@@ -108,14 +108,14 @@ func AnalyticMeasure(cfg Config, alg Algorithm, flows []Flow, env *Env, cycles i
 			rep.MaxLoad = l
 		}
 	}
-	rep.Saturated = rep.MaxLoad > cfg.SatLinkLoad
+	rep.Saturated = rep.MaxLoad > satLinkLoad
 
 	// Closed-form window statistics. Throughput is the offered load (below
 	// saturation the network delivers what is injected); latency is
 	// zero-load serialization plus per-port contention. The M/D/1-style
 	// waiting term rho*fpp/(2*(1-rho)) models a head flit finding the port
 	// busy with a competing worm of fpp flits.
-	fpp := cfg.FlitsPerPacket
+	fpp := FlitsPerPacket
 	res := &Result{
 		Cycles:          cycles,
 		Flows:           make([]FlowStats, len(flows)),
@@ -154,7 +154,7 @@ func AnalyticMeasure(cfg Config, alg Algorithm, flows []Flow, env *Env, cycles i
 }
 
 // waitMD1 is the M/D/1-style waiting term for a port offered rho flits/cycle
-// by worms of fpp flits. rho is clamped at 0.95: above SatLinkLoad the model
+// by worms of fpp flits. rho is clamped at 0.95: above satLinkLoad the model
 // is out of its validity range anyway (NoCModeAuto falls back to cycle
 // simulation there), and the clamp keeps AnalyticMeasure's answer for a
 // saturated window finite and monotone instead of diverging as rho -> 1.

@@ -17,30 +17,23 @@ import (
 // the analytic closed form must stay within its documented drift bounds on
 // uncongested fixtures.
 
-// equivFixtures covers the regimes the engine produces: Fig 6-shaped sparse
-// traffic, the saturated bench fixture, a hotspot, single-flit packets, an
-// empty-then-bursty corner with one dominant flow, and rates whose running
+// equivFixtures covers the regimes the engine produces on the default 10x6
+// mesh: Fig 6-shaped sparse traffic, the saturated bench fixture, a hotspot,
+// an empty-then-bursty corner with one dominant flow, and rates whose running
 // sums straddle FlitsPerPacket under rounding (0.1, 1/3, 0.2 and 0.7 are
 // inexact in binary, 1.0 saturates the injection port) next to one whose
 // next crossing lies past the wakeup lookahead bound.
-func equivFixtures() map[string]struct {
-	cfg   Config
-	flows []Flow
-} {
+func equivFixtures() map[string][]Flow {
 	hotspot := make([]Flow, 0, 8)
 	for i := 1; i <= 8; i++ {
 		hotspot = append(hotspot, Flow{App: i, Src: geom.TileID(i * 6), Dst: 30, Rate: 0.15})
 	}
-	return map[string]struct {
-		cfg   Config
-		flows []Flow
-	}{
-		"sparse":    {Config{}, sparseFlows()},
-		"saturated": {Config{}, benchFlows()},
-		"hotspot":   {Config{}, hotspot},
-		"fpp1":      {Config{FlitsPerPacket: 1}, sparseFlows()[:20]},
-		"single":    {Config{}, []Flow{{Src: 0, Dst: 59, Rate: 0.3}}},
-		"rounding":  {Config{}, roundingFlows()},
+	return map[string][]Flow{
+		"sparse":    sparseFlows(),
+		"saturated": benchFlows(),
+		"hotspot":   hotspot,
+		"single":    {{Src: 0, Dst: 59, Rate: 0.3}},
+		"rounding":  roundingFlows(),
 	}
 }
 
@@ -61,6 +54,20 @@ func noisyEnv(psn float64) *Env {
 	e := &Env{PSN: make([]float64, 60)}
 	for i := range e.PSN {
 		e.PSN[i] = psn
+	}
+	return e
+}
+
+// patternedEnv returns a 10x6 Env whose every third tile reads 0.08 and the
+// rest 0.01, so PANR's quiet-alternative detours are taken.
+func patternedEnv() *Env {
+	e := &Env{PSN: make([]float64, 60)}
+	for i := range e.PSN {
+		if i%3 == 0 {
+			e.PSN[i] = 0.08
+		} else {
+			e.PSN[i] = 0.01
+		}
 	}
 	return e
 }
@@ -142,10 +149,10 @@ func randomEquivCases() map[string]randomEquivCase {
 // sets over three mesh sizes, the production loop and the reference
 // simulator produce bit-identical measurements and rate estimates.
 func TestActiveDenseEquivalence(t *testing.T) {
-	for fxName, fx := range equivFixtures() {
+	for fxName, flows := range equivFixtures() {
 		for _, alg := range []Algorithm{XY{}, ICON{}, PANR{}} {
 			name := fxName + "/" + alg.Name()
-			n, ref, rn, rr := measureBoth(t, fx.cfg, alg, fx.flows, &Env{PSN: make([]float64, 60)})
+			n, ref, rn, rr := measureBoth(t, Config{}, alg, flows, &Env{PSN: make([]float64, 60)})
 			requireIdentical(t, name, n, ref, rn, rr)
 		}
 	}
@@ -216,12 +223,12 @@ func TestActiveDenseLockstep(t *testing.T) {
 // booked wakeLookahead cycles after the flow's previous one. The rounding
 // fixture's slowest flow must reach that bound.
 func TestWakeupsStageOrStall(t *testing.T) {
-	for name, fx := range equivFixtures() {
-		n, err := NewNetwork(fx.cfg, PANR{}, fx.flows, &Env{PSN: make([]float64, 60)})
+	for name, flows := range equivFixtures() {
+		n, err := NewNetwork(Config{}, PANR{}, flows, &Env{PSN: make([]float64, 60)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		last := make([]int, len(fx.flows)) // cycle of each flow's previous wakeup
+		last := make([]int, len(flows)) // cycle of each flow's previous wakeup
 		for i := range last {
 			last[i] = -1
 		}
@@ -338,7 +345,7 @@ func TestAnalyticZeroLoadExact(t *testing.T) {
 }
 
 // TestAnalyticSaturationDetection checks the guard the auto mode relies on:
-// a hotspot whose ejection port is offered more than SatLinkLoad must be
+// a hotspot whose ejection port is offered more than satLinkLoad must be
 // flagged, a sparse fixture must not.
 func TestAnalyticSaturationDetection(t *testing.T) {
 	env := &Env{PSN: make([]float64, 60)}
@@ -352,7 +359,7 @@ func TestAnalyticSaturationDetection(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !rep.Saturated {
-		t.Errorf("hotspot not flagged saturated (MaxLoad %g, threshold %g)", rep.MaxLoad, cfg.SatLinkLoad)
+		t.Errorf("hotspot not flagged saturated (MaxLoad %g, threshold %g)", rep.MaxLoad, satLinkLoad)
 	}
 	if rep.MaxLoad < 1.0 {
 		t.Errorf("hotspot MaxLoad = %g, want >= 1.0 (8 flows x 0.2 on one ejection port)", rep.MaxLoad)

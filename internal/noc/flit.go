@@ -19,12 +19,12 @@ import "parm/internal/geom"
 // FlitKind distinguishes the positions of a flit inside a packet.
 type FlitKind uint8
 
-// Flit kinds. Single-flit packets use KindHeadTail.
+// Flit kinds. Every packet is FlitsPerPacket flits: a head, body flits and
+// a tail.
 const (
 	KindHead FlitKind = iota
 	KindBody
 	KindTail
-	KindHeadTail
 )
 
 // flit is one flow-control unit in flight: a 4-byte handle packing the
@@ -38,11 +38,11 @@ func newFlit(slot int32, k FlitKind) flit { return flit(uint32(slot)<<2 | uint32
 func (f flit) slot() int32    { return int32(f >> 2) }
 func (f flit) kind() FlitKind { return FlitKind(f & 3) }
 
-// isHead reports whether f opens its packet (KindHead or KindHeadTail).
-func (f flit) isHead() bool { return f.kind() == KindHead || f.kind() == KindHeadTail }
+// isHead reports whether f opens its packet.
+func (f flit) isHead() bool { return f.kind() == KindHead }
 
-// isTail reports whether f closes its packet (KindTail or KindHeadTail).
-func (f flit) isTail() bool { return f.kind() >= KindTail }
+// isTail reports whether f closes its packet.
+func (f flit) isTail() bool { return f.kind() == KindTail }
 
 // maxPackets bounds the packet table: slots must fit the handle's 30 bits.
 const maxPackets = 1 << 30

@@ -45,23 +45,15 @@ type goldenCase struct {
 // random flow sets under all three schemes.
 func measureGoldenCases() map[string]goldenCase {
 	cases := make(map[string]goldenCase)
-	for fxName, fx := range equivFixtures() {
+	for fxName, flows := range equivFixtures() {
 		for _, alg := range []Algorithm{XY{}, ICON{}, PANR{}} {
 			cases[fxName+"/"+alg.Name()] = goldenCase{
-				cfg: fx.cfg, alg: alg, flows: fx.flows, env: &Env{PSN: make([]float64, 60)},
+				alg: alg, flows: flows, env: &Env{PSN: make([]float64, 60)},
 			}
 		}
 	}
 	cases["noisy/saturated/PANR"] = goldenCase{alg: PANR{}, flows: benchFlows(), env: noisyEnv(0.08)}
-	patterned := &Env{PSN: make([]float64, 60)}
-	for i := range patterned.PSN {
-		if i%3 == 0 {
-			patterned.PSN[i] = 0.08
-		} else {
-			patterned.PSN[i] = 0.01
-		}
-	}
-	cases["noisy/patterned/PANR"] = goldenCase{alg: PANR{}, flows: benchFlows(), env: patterned}
+	cases["noisy/patterned/PANR"] = goldenCase{alg: PANR{}, flows: benchFlows(), env: patternedEnv()}
 	for _, seed := range deviatingSeeds {
 		flows := deviatingFlows(seed)
 		for _, alg := range []Algorithm{XY{}, ICON{}, PANR{}} {

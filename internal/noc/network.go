@@ -12,28 +12,31 @@ import (
 type Config struct {
 	// Width and Height are the mesh dimensions. Zero selects 10x6.
 	Width, Height int
-	// BufferFlits is the input buffer capacity per port. Zero selects 8.
-	BufferFlits int
-	// FlitsPerPacket is the packet size. Zero selects 5 (head + 4 payload).
-	FlitsPerPacket int
-	// StagedPackets bounds the per-flow source queue; when full, demand is
-	// counted as stalled cycles instead of growing without bound. Zero
-	// selects 4.
-	StagedPackets int
-	// OccupancyThreshold is PANR's buffer-occupancy threshold B as a
-	// fraction; zero selects 0.5 (paper §5.1).
-	OccupancyThreshold float64
-	// RateEWMA is the smoothing constant of the incoming-data-rate
-	// estimator in (0,1]; zero selects 0.05, the value every recorded
-	// experiment was calibrated against (TestConfigDefaults pins doc and
-	// code together).
-	RateEWMA float64
-	// SatLinkLoad is the per-link offered load (flits per cycle, injection
-	// and ejection ports included) above which AnalyticMeasure declares the
-	// network congested and callers must fall back to cycle simulation.
-	// Zero selects 0.6 (DESIGN.md §11 derives the value).
-	SatLinkLoad float64
 }
+
+// The router and NIC parameters are fixed platform constants (DESIGN.md
+// §5): every recorded experiment runs with these values.
+const (
+	// bufferFlits is the input buffer capacity per port, in flits.
+	bufferFlits = 8
+	// FlitsPerPacket is the packet size: a head and four payload flits.
+	FlitsPerPacket = 5
+	// stagedPackets bounds the per-flow source queue; when full, demand is
+	// counted as stalled cycles instead of growing without bound.
+	stagedPackets = 4
+	// occupancyThreshold is PANR's buffer-occupancy threshold B, as a
+	// fraction (paper §5.1: 50 %).
+	occupancyThreshold = 0.5
+	// rateEWMA is the smoothing constant of the incoming-data-rate
+	// estimator, the value every recorded experiment was calibrated
+	// against.
+	rateEWMA = 0.05
+	// satLinkLoad is the per-link offered load (flits per cycle, injection
+	// and ejection ports included) above which AnalyticMeasure declares the
+	// network congested and callers must fall back to cycle simulation
+	// (DESIGN.md §11 derives the value).
+	satLinkLoad = 0.6
+)
 
 func (c Config) withDefaults() Config {
 	// Each dimension defaults independently, so a config that sets only one
@@ -44,33 +47,15 @@ func (c Config) withDefaults() Config {
 	if c.Height == 0 {
 		c.Height = 6
 	}
-	if c.BufferFlits == 0 {
-		c.BufferFlits = 8
-	}
-	if c.FlitsPerPacket == 0 {
-		c.FlitsPerPacket = 5
-	}
-	if c.StagedPackets == 0 {
-		c.StagedPackets = 4
-	}
-	if c.OccupancyThreshold == 0 {
-		c.OccupancyThreshold = 0.5
-	}
-	if c.RateEWMA == 0 {
-		c.RateEWMA = 0.05
-	}
-	if c.SatLinkLoad == 0 {
-		c.SatLinkLoad = 0.6
-	}
 	return c
 }
 
-// Validate returns the error NewNetwork and Reset report for a config
-// field out of range, or nil. Zero fields take their defaults first.
+// Validate returns the error NewNetwork and Reset report for a mesh out of
+// range, or nil. Zero dimensions take their defaults first.
 func (c Config) Validate() error { return c.withDefaults().validate() }
 
-// validate rejects configurations the simulator cannot run. It checks the
-// config after withDefaults, so zero fields already hold their defaults.
+// validate rejects meshes the simulator cannot run. It checks the config
+// after withDefaults, so zero fields already hold their defaults.
 func (c Config) validate() error {
 	switch {
 	case c.Width <= 0 || c.Height <= 0:
@@ -78,22 +63,10 @@ func (c Config) validate() error {
 	case c.Width > math.MaxInt32/c.Height:
 		// Packets carry tile indices as int32.
 		return fmt.Errorf("noc: mesh %dx%d exceeds %d tiles", c.Width, c.Height, math.MaxInt32)
-	case c.BufferFlits < 0:
-		return fmt.Errorf("noc: negative BufferFlits %d", c.BufferFlits)
-	case c.BufferFlits > (maxPackets/(c.Width*c.Height)-1)/geom.NumPorts:
+	case bufferFlits > (maxPackets/(c.Width*c.Height)-1)/geom.NumPorts:
 		// In flight, a packet holds a buffer slot or is mid-injection at its
 		// source tile, and flit handles address at most maxPackets packets.
-		return fmt.Errorf("noc: %dx%d mesh of %d-flit buffers exceeds %d packets in flight", c.Width, c.Height, c.BufferFlits, maxPackets)
-	case c.FlitsPerPacket < 0:
-		return fmt.Errorf("noc: negative FlitsPerPacket %d", c.FlitsPerPacket)
-	case c.StagedPackets < 0:
-		return fmt.Errorf("noc: negative StagedPackets %d", c.StagedPackets)
-	case !(c.RateEWMA > 0 && c.RateEWMA <= 1):
-		return fmt.Errorf("noc: RateEWMA %g outside (0,1]", c.RateEWMA)
-	case math.IsNaN(c.OccupancyThreshold) || c.OccupancyThreshold < 0:
-		return fmt.Errorf("noc: invalid OccupancyThreshold %g", c.OccupancyThreshold)
-	case math.IsNaN(c.SatLinkLoad) || c.SatLinkLoad < 0:
-		return fmt.Errorf("noc: invalid SatLinkLoad %g", c.SatLinkLoad)
+		return fmt.Errorf("noc: %dx%d mesh of %d-flit buffers exceeds %d packets in flight", c.Width, c.Height, bufferFlits, maxPackets)
 	}
 	return nil
 }
@@ -117,7 +90,6 @@ func (e *Env) psnAt(t geom.TileID) float64 {
 // window, reusing its storage, so a caller that measures many windows keeps
 // one Network.
 type Network struct {
-	cfg     Config
 	mesh    geom.Mesh
 	alg     Algorithm
 	env     *Env
@@ -125,7 +97,7 @@ type Network struct {
 	flows   []Flow
 	stats   []FlowStats
 
-	// slots holds every input ring's flit handles, BufferFlits per (tile,
+	// slots holds every input ring's flit handles, bufferFlits per (tile,
 	// port) in tile-major order (ringBase); routers keep only each ring's
 	// front index and count.
 	slots []flit
@@ -194,10 +166,9 @@ func NewNetwork(cfg Config, alg Algorithm, flows []Flow, env *Env) (*Network, er
 // The network keeps flows and env, so callers must not change them while it
 // runs.
 //
-// It returns an error, and leaves n unchanged, for a config field out of
-// range (non-positive mesh dimensions or more than MaxInt32 tiles, negative
-// buffer, packet or stage sizes, RateEWMA outside (0,1], a NaN or negative
-// threshold, buffers too large for the packet table), a nil algorithm, more
+// It returns an error, and leaves n unchanged, for a mesh out of range
+// (non-positive dimensions, more than MaxInt32 tiles, or too many tiles for
+// the packet table to address every buffered flit), a nil algorithm, more
 // than MaxInt32 flows, or a flow that references a tile outside the mesh or
 // has a negative, NaN or infinite rate.
 func (n *Network) Reset(cfg Config, alg Algorithm, flows []Flow, env *Env) error {
@@ -208,14 +179,14 @@ func (n *Network) Reset(cfg Config, alg Algorithm, flows []Flow, env *Env) error
 	}
 	tiles := mesh.NumTiles()
 	n.setMesh(mesh)
-	n.cfg, n.alg, n.flows, n.env = cfg, alg, flows, env
+	n.alg, n.flows, n.env = alg, flows, env
 	n.cycle = 0
 
 	n.routers = resized(n.routers, tiles)
 	for i := range n.routers {
 		n.routers[i] = idleRouter()
 	}
-	n.slots = resized(n.slots, tiles*geom.NumPorts*cfg.BufferFlits)
+	n.slots = resized(n.slots, tiles*geom.NumPorts*bufferFlits)
 
 	n.stats = resized(n.stats, len(flows))
 	n.acc = resized(n.acc, len(flows))
@@ -315,11 +286,10 @@ func (n *Network) setMesh(mesh geom.Mesh) {
 }
 
 // newRouteView returns the network an Algorithm reads when routing on an
-// idle fabric: cfg (defaults applied) and its mesh tables, empty routers
-// with zero incoming rates, and env. It holds no flows and is never
-// stepped.
-func newRouteView(cfg Config, mesh geom.Mesh, env *Env) *Network {
-	n := &Network{cfg: cfg, env: env}
+// idle fabric: the mesh tables, empty routers with zero incoming rates, and
+// env. It holds no flows and is never stepped.
+func newRouteView(mesh geom.Mesh, env *Env) *Network {
+	n := &Network{env: env}
 	n.setMesh(mesh)
 	n.routers = make([]router, mesh.NumTiles())
 	for i := range n.routers {
@@ -437,13 +407,13 @@ func (n *Network) processWakeups() {
 //
 //parm:hot
 func (n *Network) advanceAccrual(i int) {
-	fpp := float64(n.cfg.FlitsPerPacket)
+	fpp := float64(FlitsPerPacket)
 	n.acc[i] += n.flows[i].Rate
 	for n.acc[i] >= fpp {
 		// A stall drops the accrued packet's credit: the source is
 		// backpressured and the demand is deferred.
 		n.acc[i] -= fpp
-		if n.staged[i] >= n.cfg.StagedPackets {
+		if n.staged[i] >= stagedPackets {
 			n.stats[i].StalledCycles++
 			break
 		}
@@ -468,7 +438,7 @@ func (n *Network) scheduleWake(i, cycle int) {
 	if rate <= 0 {
 		return // never crosses
 	}
-	fpp := float64(n.cfg.FlitsPerPacket)
+	fpp := float64(FlitsPerPacket)
 	acc := n.acc[i]
 	for k := 1; k < wakeLookahead && acc+rate < fpp; k++ {
 		acc += rate
@@ -523,7 +493,7 @@ func (n *Network) updateTileActivity(t int) {
 //parm:hot
 func (n *Network) injectAtTile(t int) {
 	r := &n.routers[t]
-	if r.inputs[portLocal].len() >= n.cfg.BufferFlits {
+	if r.inputs[portLocal].len() >= bufferFlits {
 		return
 	}
 	fi := n.pickInjection(t)
@@ -569,11 +539,8 @@ func (n *Network) flitToInject(t, fi int) flit {
 	if n.partialPkt[t] < 0 {
 		slot := n.openPacket(fi)
 		n.decStaged(fi)
-		if n.cfg.FlitsPerPacket == 1 {
-			return newFlit(slot, KindHeadTail)
-		}
 		n.partialPkt[t] = slot
-		n.partialLeft[t] = n.cfg.FlitsPerPacket - 1
+		n.partialLeft[t] = FlitsPerPacket - 1
 		n.activeTiles.set(t)
 		return newFlit(slot, KindHead)
 	}
@@ -610,7 +577,7 @@ func (n *Network) openPacket(fi int) int32 {
 // of router t.
 //
 //parm:hot
-func (n *Network) ringBase(t, p int) int { return (t*geom.NumPorts + p) * n.cfg.BufferFlits }
+func (n *Network) ringBase(t, p int) int { return (t*geom.NumPorts + p) * bufferFlits }
 
 // tailSlot returns the index in n.slots just past the last flit of input
 // port p of router t.
@@ -619,8 +586,8 @@ func (n *Network) ringBase(t, p int) int { return (t*geom.NumPorts + p) * n.cfg.
 func (n *Network) tailSlot(t, p int) int {
 	q := n.routers[t].inputs[p]
 	i := int(q.head + q.n)
-	if i >= n.cfg.BufferFlits {
-		i -= n.cfg.BufferFlits
+	if i >= bufferFlits {
+		i -= bufferFlits
 	}
 	return n.ringBase(t, p) + i
 }
@@ -640,7 +607,7 @@ func (n *Network) push(t, p int, f flit) {
 func (n *Network) pop(r *router, t, p int) flit {
 	q := &r.inputs[p]
 	f := n.slots[n.ringBase(t, p)+int(q.head)]
-	if q.head++; int(q.head) == n.cfg.BufferFlits {
+	if q.head++; q.head == bufferFlits {
 		q.head = 0
 	}
 	q.n--
@@ -685,7 +652,7 @@ func (n *Network) stepRouter(t int, arrivals []pendingArrival) []pendingArrival 
 				At:             geom.TileID(t),
 				Dst:            geom.TileID(n.packets[f.slot()].dst),
 				InDir:          indexDir[p],
-				InputOccupancy: r.occupancy(p, n.cfg.BufferFlits),
+				InputOccupancy: r.occupancy(p),
 			})
 			out = portNone
 			if port := dirIndex(d); port >= 0 {
@@ -744,7 +711,7 @@ func (n *Network) stepRouter(t int, arrivals []pendingArrival) []pendingArrival 
 		// input, so the count alone tells whether a slot is free; pops by
 		// routers earlier in the sweep have already freed theirs.
 		dstPort := int(oppositePort[out])
-		if n.routers[next].inputs[dstPort].len() >= n.cfg.BufferFlits {
+		if n.routers[next].inputs[dstPort].len() >= bufferFlits {
 			continue
 		}
 		f := n.pop(r, t, in)
@@ -836,16 +803,15 @@ func (n *Network) catchUpRate(r *router, through int) {
 	if r.rateCycle > through {
 		return
 	}
-	// Exact shortcut, not a tolerance: ewmaStep(0, alpha, 0) == 0.
+	// Exact shortcut, not a tolerance: ewmaStep(0, rateEWMA, 0) == 0.
 	//parm:floateq
 	if r.incomingRate == 0 {
 		r.rateCycle = through + 1
 		return
 	}
-	alpha := n.cfg.RateEWMA
 	rate := r.incomingRate
 	for c := r.rateCycle; c <= through; c++ {
-		next := ewmaStep(rate, alpha, 0)
+		next := ewmaStep(rate, rateEWMA, 0)
 		// Deep-subnormal rates reach a rounding fixed point where the decay
 		// is exactly idempotent; the remaining replay is then a no-op. Exact
 		// comparison, not a tolerance.
@@ -865,11 +831,10 @@ func (n *Network) catchUpRate(r *router, through int) {
 //
 //parm:hot
 func (n *Network) foldRates() {
-	alpha := n.cfg.RateEWMA
 	for _, t := range n.rated {
 		r := &n.routers[t]
 		n.catchUpRate(r, n.cycle-1)
-		r.incomingRate = ewmaStep(r.incomingRate, alpha, float64(r.recvCount))
+		r.incomingRate = ewmaStep(r.incomingRate, rateEWMA, float64(r.recvCount))
 		r.rateCycle = n.cycle + 1
 	}
 	n.rated = n.rated[:0]

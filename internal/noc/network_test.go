@@ -48,27 +48,22 @@ func TestNewNetworkRejectsBadRate(t *testing.T) {
 	}
 }
 
-// Out-of-range config fields are errors from NewNetwork (and so from
-// AnalyticMeasure) and from Config.Validate, not panics, wedged worms, or
-// silent acceptance.
+// Meshes the simulator cannot address are errors from NewNetwork (and so
+// from AnalyticMeasure) and from Config.Validate, not panics or silent
+// acceptance. Validation runs before any allocation, so the huge meshes
+// here cost nothing.
 func TestNewNetworkRejectsBadConfig(t *testing.T) {
 	flows := []Flow{{Src: 0, Dst: 5, Rate: 0.1}}
 	for _, tc := range []struct {
 		name string
 		cfg  Config
 	}{
-		{"negative BufferFlits", Config{BufferFlits: -1}},
-		{"negative FlitsPerPacket", Config{FlitsPerPacket: -1}},
-		{"negative StagedPackets", Config{StagedPackets: -1}},
-		{"negative RateEWMA", Config{RateEWMA: -0.1}},
-		{"RateEWMA above 1", Config{RateEWMA: 1.5}},
-		{"NaN RateEWMA", Config{RateEWMA: math.NaN()}},
-		{"NaN OccupancyThreshold", Config{OccupancyThreshold: math.NaN()}},
-		{"negative OccupancyThreshold", Config{OccupancyThreshold: -0.5}},
-		{"NaN SatLinkLoad", Config{SatLinkLoad: math.NaN()}},
-		{"negative SatLinkLoad", Config{SatLinkLoad: -1}},
 		{"tile count beyond int32", Config{Width: 1 << 16, Height: 1 << 16}},
-		{"packet table beyond flit handles", Config{Width: 1 << 12, Height: 1 << 12, BufferFlits: 1 << 6}},
+		// 2^25 tiles leave 2^30/2^25 = 32 packet handles per tile, fewer
+		// than the 5*8 buffer slots plus one injecting packet each needs.
+		{"packet table beyond flit handles", Config{Width: 8192, Height: 4096}},
+		// The first mesh past the bound: 2^30/26188825 = 40 handles.
+		{"one tile past the packet bound", Config{Width: 26188825, Height: 1}},
 	} {
 		if _, err := NewNetwork(tc.cfg, XY{}, flows, &Env{}); err == nil {
 			t.Errorf("%s: NewNetwork accepted %+v", tc.name, tc.cfg)
@@ -80,14 +75,10 @@ func TestNewNetworkRejectsBadConfig(t *testing.T) {
 			t.Errorf("%s: Validate accepted %+v", tc.name, tc.cfg)
 		}
 	}
-	// The boundaries of the valid ranges still build.
-	for _, cfg := range []Config{{RateEWMA: 1}, {FlitsPerPacket: 1}, {BufferFlits: 1}} {
-		if _, err := NewNetwork(cfg, XY{}, flows, &Env{}); err != nil {
-			t.Errorf("%+v rejected: %v", cfg, err)
-		}
-		if err := cfg.Validate(); err != nil {
-			t.Errorf("Validate rejected %+v: %v", cfg, err)
-		}
+	// The last mesh inside the bound (2^30/26188824 = 41 handles per tile)
+	// validates; it is not built.
+	if err := (Config{Width: 26188824, Height: 1}).Validate(); err != nil {
+		t.Errorf("Validate rejected the largest addressable mesh: %v", err)
 	}
 }
 
@@ -109,30 +100,11 @@ func TestMeasureZeroCycles(t *testing.T) {
 }
 
 // TestConfigDefaults pins the withDefaults values the documentation
-// promises, so doc comments and code cannot drift apart again (the RateEWMA
-// comment once claimed 0.02 while the code selected 0.05).
+// promises, so doc comments and code cannot drift apart.
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
 	if c.Width != 10 || c.Height != 6 {
 		t.Errorf("default mesh = %dx%d, want 10x6", c.Width, c.Height)
-	}
-	if c.BufferFlits != 8 {
-		t.Errorf("BufferFlits = %d, want 8", c.BufferFlits)
-	}
-	if c.FlitsPerPacket != 5 {
-		t.Errorf("FlitsPerPacket = %d, want 5", c.FlitsPerPacket)
-	}
-	if c.StagedPackets != 4 {
-		t.Errorf("StagedPackets = %d, want 4", c.StagedPackets)
-	}
-	if c.OccupancyThreshold != 0.5 {
-		t.Errorf("OccupancyThreshold = %g, want 0.5", c.OccupancyThreshold)
-	}
-	if c.RateEWMA != 0.05 {
-		t.Errorf("RateEWMA = %g, want 0.05", c.RateEWMA)
-	}
-	if c.SatLinkLoad != 0.6 {
-		t.Errorf("SatLinkLoad = %g, want 0.6", c.SatLinkLoad)
 	}
 }
 
@@ -204,13 +176,14 @@ func TestFlitConservation(t *testing.T) {
 		if fs.DeliveredFlits != fs.InjectedFlits {
 			t.Errorf("flow %d: injected %d, delivered %d", i, fs.InjectedFlits, fs.DeliveredFlits)
 		}
-		if fs.DeliveredFlits%n.cfg.FlitsPerPacket != 0 {
+		if fs.DeliveredFlits%FlitsPerPacket != 0 {
 			t.Errorf("flow %d: partial packet delivered", i)
 		}
 	}
 }
 
-// Input buffers never exceed their configured capacity.
+// Input buffers never exceed their capacity, and the congested fixture
+// fills some buffer to it.
 func TestBufferBound(t *testing.T) {
 	flows := []Flow{
 		{Src: 0, Dst: 59, Rate: 0.9},
@@ -218,20 +191,25 @@ func TestBufferBound(t *testing.T) {
 		{Src: 20, Dst: 59, Rate: 0.9},
 		{Src: 50, Dst: 9, Rate: 0.9},
 	}
-	cfg := Config{BufferFlits: 4}
-	n, err := NewNetwork(cfg, XY{}, flows, &Env{})
+	n, err := NewNetwork(Config{}, XY{}, flows, &Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	fullest := 0
 	for c := 0; c < 3000; c++ {
 		n.Step()
 		for r := range n.routers {
 			for p := range n.routers[r].inputs {
-				if got := n.routers[r].inputs[p].len(); got > 4 {
-					t.Fatalf("cycle %d: router %d port %d holds %d flits (cap 4)", c, r, p, got)
+				got := n.routers[r].inputs[p].len()
+				if got > bufferFlits {
+					t.Fatalf("cycle %d: router %d port %d holds %d flits (cap %d)", c, r, p, got, bufferFlits)
 				}
+				fullest = max(fullest, got)
 			}
 		}
+	}
+	if fullest != bufferFlits {
+		t.Errorf("fullest buffer held %d flits, want the capacity %d", fullest, bufferFlits)
 	}
 }
 
@@ -302,7 +280,7 @@ func TestNoDeadlockUnderLoad(t *testing.T) {
 	}
 	env := &Env{PSN: make([]float64, 60)}
 	for _, alg := range []Algorithm{XY{}, ICON{}, PANR{}} {
-		n, err := NewNetwork(Config{BufferFlits: 4}, alg, flows, env)
+		n, err := NewNetwork(Config{}, alg, flows, env)
 		if err != nil {
 			t.Fatal(err)
 		}

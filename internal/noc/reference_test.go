@@ -15,7 +15,6 @@ import (
 // folded eagerly. The routing algorithm reads a route view (newRouteView)
 // whose routers the reference fills with its own rates before each sweep.
 type refSim struct {
-	cfg     Config
 	mesh    geom.Mesh
 	alg     Algorithm
 	flows   []Flow
@@ -88,11 +87,10 @@ func newRefSim(cfg Config, alg Algorithm, flows []Flow, env *Env) *refSim {
 	mesh := geom.NewMesh(cfg.Width, cfg.Height)
 	tiles := mesh.NumTiles()
 	s := &refSim{
-		cfg:     cfg,
 		mesh:    mesh,
 		alg:     alg,
 		flows:   flows,
-		view:    newRouteView(cfg, mesh, env),
+		view:    newRouteView(mesh, env),
 		routers: make([]refRouter, tiles),
 		acc:     make([]float64, len(flows)),
 		staged:  make([]int, len(flows)),
@@ -118,7 +116,7 @@ func newRefSim(cfg Config, alg Algorithm, flows []Flow, env *Env) *refSim {
 // sweep (route computation, arbitration, traversal), link arrivals, and the
 // incoming-rate fold.
 func (s *refSim) step() {
-	fpp := float64(s.cfg.FlitsPerPacket)
+	fpp := float64(FlitsPerPacket)
 	for i, f := range s.flows {
 		if f.Src == f.Dst {
 			continue // local communication bypasses the NoC
@@ -126,7 +124,7 @@ func (s *refSim) step() {
 		s.acc[i] += f.Rate
 		for s.acc[i] >= fpp {
 			s.acc[i] -= fpp
-			if s.staged[i] >= s.cfg.StagedPackets {
+			if s.staged[i] >= stagedPackets {
 				s.stats[i].StalledCycles++
 				break
 			}
@@ -148,7 +146,7 @@ func (s *refSim) step() {
 		r.in[a.port] = append(r.in[a.port], a.f)
 		r.recv++
 	}
-	alpha := s.cfg.RateEWMA
+	alpha := rateEWMA
 	for t := range s.routers {
 		r := &s.routers[t]
 		r.rate = (1-alpha)*r.rate + alpha*float64(r.recv)
@@ -162,7 +160,7 @@ func (s *refSim) step() {
 // with a staged packet at or after the round-robin position.
 func (s *refSim) inject(t int) {
 	r := &s.routers[t]
-	if len(r.in[refLocal]) >= s.cfg.BufferFlits {
+	if len(r.in[refLocal]) >= bufferFlits {
 		return
 	}
 	w := &s.inj[t]
@@ -184,8 +182,8 @@ func (s *refSim) inject(t int) {
 			return
 		}
 		s.staged[fi]--
-		*w = refInjection{flow: fi, born: s.cycle, left: s.cfg.FlitsPerPacket - 1}
-		f = refFlit{flow: fi, born: s.cycle, head: true, tail: w.left == 0, route: refUnrouted}
+		*w = refInjection{flow: fi, born: s.cycle, left: FlitsPerPacket - 1}
+		f = refFlit{flow: fi, born: s.cycle, head: true, route: refUnrouted}
 	}
 	r.in[refLocal] = append(r.in[refLocal], f)
 	r.recv++
@@ -210,7 +208,7 @@ func (s *refSim) sweep(t int, arrivals []refArrival) []refArrival {
 				At:             geom.TileID(t),
 				Dst:            s.flows[f.flow].Dst,
 				InDir:          refPorts[p],
-				InputOccupancy: float64(len(r.in[p])) / float64(s.cfg.BufferFlits),
+				InputOccupancy: float64(len(r.in[p])) / bufferFlits,
 			}))
 		}
 		wants[p] = f.route
@@ -250,7 +248,7 @@ func (s *refSim) sweep(t int, arrivals []refArrival) []refArrival {
 			continue
 		}
 		port := refPortOf(refPorts[out].Opposite())
-		if len(s.routers[next].in[port]) >= s.cfg.BufferFlits {
+		if len(s.routers[next].in[port]) >= bufferFlits {
 			continue
 		}
 		f := r.pop(in)

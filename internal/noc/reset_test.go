@@ -19,8 +19,8 @@ type resetWindow struct {
 }
 
 // resetWindows lists every equivalence fixture under all three routing
-// schemes, then PANR under uniform noise, then two windows on a 4x4 mesh, a
-// 4-flit-buffer 10x6 mesh and the default 10x6 mesh again.
+// schemes, then PANR under uniform noise, then two windows on a 4x4 mesh and
+// the default 10x6 mesh again.
 func resetWindows() []resetWindow {
 	var ws []resetWindow
 	fixtures := equivFixtures()
@@ -30,9 +30,8 @@ func resetWindows() []resetWindow {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		fx := fixtures[name]
 		for _, alg := range []Algorithm{XY{}, ICON{}, PANR{}} {
-			ws = append(ws, resetWindow{name: name + "/" + alg.Name(), cfg: fx.cfg, alg: alg, flows: fx.flows, env: &Env{PSN: make([]float64, 60)}})
+			ws = append(ws, resetWindow{name: name + "/" + alg.Name(), alg: alg, flows: fixtures[name], env: &Env{PSN: make([]float64, 60)}})
 		}
 	}
 	// Two flows share each source, so the injection round robin matters.
@@ -41,7 +40,6 @@ func resetWindows() []resetWindow {
 		resetWindow{name: "noisy/PANR", alg: PANR{}, flows: benchFlows(), env: noisyEnv(0.08)},
 		resetWindow{name: "mesh4x4/PANR", cfg: Config{Width: 4, Height: 4}, alg: PANR{}, flows: small, env: &Env{PSN: make([]float64, 16)}},
 		resetWindow{name: "mesh4x4/XY", cfg: Config{Width: 4, Height: 4}, alg: XY{}, flows: small, env: &Env{PSN: make([]float64, 16)}},
-		resetWindow{name: "buffer4", cfg: Config{BufferFlits: 4}, alg: ICON{}, flows: benchFlows(), env: &Env{PSN: make([]float64, 60)}},
 		resetWindow{name: "mesh10x6", alg: PANR{}, flows: sparseFlows(), env: &Env{PSN: make([]float64, 60)}},
 	)
 }
@@ -98,7 +96,7 @@ func runResetWindow(n *Network, w resetWindow) resetState {
 			q := n.routers[t].inputs[p]
 			ring := []flit{}
 			for k := 0; k < q.len(); k++ {
-				ring = append(ring, n.slots[n.ringBase(t, p)+(int(q.head)+k)%n.cfg.BufferFlits])
+				ring = append(ring, n.slots[n.ringBase(t, p)+(int(q.head)+k)%bufferFlits])
 			}
 			st.Rings = append(st.Rings, ring)
 		}
@@ -110,8 +108,8 @@ func runResetWindow(n *Network, w resetWindow) resetState {
 }
 
 // TestResetMatchesNew resets one network through a sequence of windows —
-// every routing scheme, quiet and noisy sensors, and three mesh and buffer
-// shapes — and requires each window to leave exactly the state, Result and
+// every routing scheme, quiet and noisy sensors, and two mesh shapes —
+// and requires each window to leave exactly the state, Result and
 // IncomingRate bits of a fresh NewNetwork. A packet table, wake heap or rate
 // carried over from the previous window shows up as a difference.
 func TestResetMatchesNew(t *testing.T) {
@@ -142,14 +140,14 @@ func TestResetErrorLeavesNetwork(t *testing.T) {
 	flows := []Flow{{Src: 0, Dst: 59, Rate: 0.3}}
 	n := mkNet(t, XY{}, flows, &Env{})
 	n.Run(100)
-	cfg, cycle, stats := n.cfg, n.cycle, cloned(n.stats)
-	if err := n.Reset(Config{RateEWMA: 2}, XY{}, flows, &Env{}); err == nil {
-		t.Fatal("Reset accepted RateEWMA 2")
+	cycle, stats := n.cycle, cloned(n.stats)
+	if err := n.Reset(Config{Width: -1}, XY{}, flows, &Env{}); err == nil {
+		t.Fatal("Reset accepted a -1x6 mesh")
 	}
 	if err := n.Reset(Config{Width: 4}, XY{}, []Flow{{Src: 0, Dst: 59}}, &Env{}); err == nil {
 		t.Fatal("Reset accepted a flow off a 4x6 mesh")
 	}
-	if n.cfg != cfg || n.cycle != cycle || n.mesh != geom.NewMesh(10, 6) || !reflect.DeepEqual(n.stats, stats) {
-		t.Errorf("failed Reset changed the network: cfg %+v, cycle %d, mesh %v", n.cfg, n.cycle, n.mesh)
+	if n.cycle != cycle || n.mesh != geom.NewMesh(10, 6) || !reflect.DeepEqual(n.stats, stats) {
+		t.Errorf("failed Reset changed the network: cycle %d, mesh %v", n.cycle, n.mesh)
 	}
 }

@@ -47,7 +47,7 @@ func dirIndex(d geom.Dir) int {
 var oppositePort = [4]uint8{portWest, portEast, portSouth, portNorth}
 
 // ring is one input buffer: a fixed-capacity ring of flit handles whose
-// BufferFlits slots live in the network's slot array (Network.ringBase). The
+// bufferFlits slots live in the network's slot array (Network.ringBase). The
 // router keeps only the ring's front index and flit count, so its five
 // rings sit next to the rest of its 104 bytes of state, and Reset rebuilds
 // no per-buffer slice header.
@@ -91,11 +91,8 @@ type router struct {
 }
 
 // occupancy returns the fill fraction of input port p's buffer.
-func (r *router) occupancy(p int, capacity int) float64 {
-	if capacity <= 0 {
-		return 0
-	}
-	return float64(r.inputs[p].len()) / float64(capacity)
+func (r *router) occupancy(p int) float64 {
+	return float64(r.inputs[p].len()) / bufferFlits
 }
 
 // pendingArrival is a link crossing this cycle into input port of router

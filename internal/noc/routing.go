@@ -110,7 +110,7 @@ func (ICON) Route(ctx RouteCtx) geom.Dir {
 // otherwise the neighbor with the least PSN sensor reading.
 type PANR struct {
 	// Threshold overrides the buffer-occupancy threshold B; zero uses the
-	// network's configured value (default 0.5).
+	// paper's 0.5 (occupancyThreshold).
 	Threshold float64
 }
 
@@ -129,7 +129,7 @@ func (p PANR) Route(ctx RouteCtx) geom.Dir {
 	dirs := perm[:cnt]
 	b := p.Threshold
 	if b <= 0 {
-		b = ctx.Net.cfg.OccupancyThreshold
+		b = occupancyThreshold
 	}
 	// The default is the dimension-ordered choice: dirs[0] is exactly XY's
 	// direction (TestWestFirstPermittedProperties); the adaptive

@@ -1,6 +1,8 @@
 package noc
 
 import (
+	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -231,6 +233,35 @@ func TestPANRCustomThreshold(t *testing.T) {
 	// the quiet, idle north neighbor.
 	if d := (PANR{Threshold: 0.9}).Route(RouteCtx{Net: n, At: 0, Dst: 59, InputOccupancy: 0.6}); d != geom.North {
 		t.Errorf("custom threshold ignored: %v", d)
+	}
+	// The zero Threshold is the paper's B = 0.5, which the recorded B
+	// ablation sets explicitly: both must measure bit for bit alike on the
+	// noisy fixtures and on the deviating flow sets. Only the latter take
+	// PANR's congested branch at an occupancy B decides: a default of 0.25,
+	// 0.375, 0.625 or 0.75 leaves the noisy fixtures unchanged.
+	quiet := &Env{PSN: make([]float64, 60)}
+	for name, fx := range map[string]struct {
+		flows []Flow
+		env   *Env
+	}{
+		"noisy/saturated": {benchFlows(), noisyEnv(0.08)},
+		"noisy/patterned": {benchFlows(), patternedEnv()},
+		"deviating/seed3": {deviatingFlows(3), quiet},
+		"deviating/seed8": {deviatingFlows(8), quiet},
+	} {
+		var res [2]*Result
+		var rates [2][]uint64
+		for i, alg := range []Algorithm{PANR{}, PANR{Threshold: 0.5}} {
+			n := mkNet(t, alg, fx.flows, fx.env)
+			n.Run(1500)
+			res[i] = n.Measure(6000)
+			for tile := range n.routers {
+				rates[i] = append(rates[i], math.Float64bits(n.IncomingRate(geom.TileID(tile))))
+			}
+		}
+		if !reflect.DeepEqual(res[0], res[1]) || !reflect.DeepEqual(rates[0], rates[1]) {
+			t.Errorf("%s: PANR{} and PANR{Threshold: 0.5} measure differently", name)
+		}
 	}
 }
 

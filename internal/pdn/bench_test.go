@@ -51,7 +51,7 @@ func BenchmarkDomainSolve(b *testing.B) {
 func BenchmarkDCOperatingPoint(b *testing.B) {
 	p := power.MustParams(power.Node7)
 	loads := BuildLoads(occupantsForBench(p))
-	c := newCircuit(Config{Params: p, Vdd: 0.5}.withDefaults(), loads)
+	c := newCircuit(Config{Params: p, Vdd: 0.5}, loads)
 	var scratch solverScratch
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -60,7 +60,7 @@ type TileLoad struct {
 	// staggering of same-class threads is expressed by spreading phases.
 	Phase float64
 	// BurstHz overrides the fundamental switching frequency for this tile.
-	// Zero uses Config.BurstHz. Different activity classes burst at
+	// Zero uses defaultBurstHz. Different activity classes burst at
 	// different frequencies.
 	BurstHz float64
 }
@@ -71,28 +71,20 @@ type Config struct {
 	Params power.NodeParams
 	// Vdd is the regulator output voltage.
 	Vdd power.Volts
-	// Dt is the sampling step. Zero selects 20 ps.
-	Dt power.Seconds
-	// Duration is the simulated window. Zero selects 60 ns.
-	Duration power.Seconds
-	// BurstHz is the fundamental frequency of the workload switching
-	// waveform. Zero selects 125 MHz, near the package LC resonance where
-	// droop is worst.
-	BurstHz float64
 }
 
-func (c Config) withDefaults() Config {
-	if c.Dt <= 0 {
-		c.Dt = 20e-12
-	}
-	if c.Duration <= 0 {
-		c.Duration = 60e-9
-	}
-	if c.BurstHz <= 0 {
-		c.BurstHz = 125e6
-	}
-	return c
-}
+// The sampling grid and the default switching frequency are fixed platform
+// constants (DESIGN.md §5).
+const (
+	// sampleDt is the sampling step.
+	sampleDt power.Seconds = 20e-12
+	// sampleWindow is the simulated window.
+	sampleWindow power.Seconds = 60e-9
+	// defaultBurstHz is the fundamental frequency of the workload switching
+	// waveform of a tile load that sets none: 125 MHz, near the package LC
+	// resonance where droop is worst.
+	defaultBurstHz = 125e6
+)
 
 // Result reports the PSN observed at each tile of the domain over the
 // simulated window. PSN values are fractions of Vdd (0.05 == 5 %).
@@ -157,7 +149,7 @@ func newCircuit(cfg Config, loads [DomainTiles]TileLoad) circuit {
 	for i, ld := range loads {
 		hz := ld.BurstHz
 		if hz <= 0 {
-			hz = cfg.BurstHz
+			hz = defaultBurstHz
 		}
 		c.burstW[i] = 2 * math.Pi * hz
 	}
@@ -248,7 +240,7 @@ func (c *circuit) dcOperatingPoint(scr *solverScratch) (state, error) {
 }
 
 // validate rejects non-physical configurations (non-positive Vdd or element
-// values, out-of-range loads). cfg must already have defaults applied.
+// values, out-of-range loads).
 func validate(cfg Config, loads [DomainTiles]TileLoad) error {
 	if cfg.Vdd <= 0 {
 		return fmt.Errorf("pdn: non-positive Vdd %g", float64(cfg.Vdd))
@@ -274,7 +266,6 @@ func validate(cfg Config, loads [DomainTiles]TileLoad) error {
 // measurement pipeline goes through Solver.SimulateDomain, which quantizes
 // the load signature and memoizes repeated solves.
 func SimulateDomain(cfg Config, loads [DomainTiles]TileLoad) (Result, error) {
-	cfg = cfg.withDefaults()
 	if err := validate(cfg, loads); err != nil {
 		return Result{}, err
 	}

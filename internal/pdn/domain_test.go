@@ -265,7 +265,7 @@ func TestPSNMonotonicInCurrent(t *testing.T) {
 func TestCurrentTableMatchesAnalytic(t *testing.T) {
 	p := node7()
 	loads := BuildLoads(highOcc(p, 0.5, true))
-	c := newCircuit(Config{Params: p, Vdd: 0.5, BurstHz: 125e6}.withDefaults(), loads)
+	c := newCircuit(Config{Params: p, Vdd: 0.5}, loads)
 	h := 20e-12
 	table := c.currentTable(h, 100, &[DomainTiles][]float64{})
 	for k := 0; k <= 200; k++ {
@@ -284,7 +284,7 @@ func TestCurrentTableMatchesAnalytic(t *testing.T) {
 func TestDerivConsistency(t *testing.T) {
 	p := node7()
 	loads := BuildLoads(highOcc(p, 0.5, false))
-	c := newCircuit(Config{Params: p, Vdd: 0.5, BurstHz: 125e6}.withDefaults(), loads)
+	c := newCircuit(Config{Params: p, Vdd: 0.5}, loads)
 	st, err := c.dcOperatingPoint(&solverScratch{})
 	if err != nil {
 		t.Fatal(err)

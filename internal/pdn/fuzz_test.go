@@ -72,10 +72,10 @@ func FuzzExpm(f *testing.F) {
 	seed()
 	seed(1, 0, 0, 0, 0, 0, 0, 1)
 	{
-		cfg := Config{Params: power.MustParams(power.Node7), Vdd: 0.5}.withDefaults()
+		cfg := Config{Params: power.MustParams(power.Node7), Vdd: 0.5}
 		c := newCircuit(cfg, [DomainTiles]TileLoad{})
 		a := c.ltiMatrix()
-		h := float64(cfg.Dt)
+		h := float64(sampleDt)
 		flat := make([]float64, 0, ltiStates*ltiStates)
 		for i := range a {
 			for j := range a[i] {

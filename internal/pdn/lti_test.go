@@ -172,7 +172,7 @@ func mulVec6(m *[ltiStates][ltiStates]float64, v [ltiStates]float64) [ltiStates]
 func TestLTIMatrixMatchesDeriv(t *testing.T) {
 	p := power.MustParams(power.Node7)
 	loads := ltiTestLoads(p, 0.5)["mixed"]
-	c := newCircuit(Config{Params: p, Vdd: 0.5}.withDefaults(), loads)
+	c := newCircuit(Config{Params: p, Vdd: 0.5}, loads)
 	a := c.ltiMatrix()
 	st := state{il: 0.7, vb: 0.48, vt: [DomainTiles]float64{0.47, 0.46, 0.45, 0.44}}
 	tm := 2.3e-9
@@ -234,7 +234,7 @@ func TestExpm6(t *testing.T) {
 	}
 
 	p := power.MustParams(power.Node7)
-	c := newCircuit(Config{Params: p, Vdd: 0.5}.withDefaults(), [DomainTiles]TileLoad{})
+	c := newCircuit(Config{Params: p, Vdd: 0.5}, [DomainTiles]TileLoad{})
 	a := c.ltiMatrix()
 	h := 20e-12
 	var ah, a2h [ltiStates][ltiStates]float64
@@ -276,7 +276,7 @@ func TestExpm6(t *testing.T) {
 // compare.
 func TestAdmittanceFactorization(t *testing.T) {
 	p := power.MustParams(power.Node7)
-	c := newCircuit(Config{Params: p, Vdd: 0.5}.withDefaults(), [DomainTiles]TileLoad{})
+	c := newCircuit(Config{Params: p, Vdd: 0.5}, [DomainTiles]TileLoad{})
 	a := c.ltiMatrix()
 	omega := 2 * math.Pi * 125e6
 	var fac cluFactor

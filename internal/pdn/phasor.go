@@ -202,12 +202,9 @@ func simulatePhasor(cfg Config, loads [DomainTiles]TileLoad, scratch *solverScra
 		return Result{}, err
 	}
 
-	steps := int(cfg.Duration / cfg.Dt)
-	if steps < 1 {
-		steps = 1
-	}
+	steps := int(sampleWindow / sampleDt)
 	settle := steps / 8
-	h := float64(cfg.Dt)
+	h := float64(sampleDt)
 
 	// Per-harmonic oscillators z_k = e^{jω_k t}, advanced by one complex
 	// rotation per grid point; per-tile response coefficients split into

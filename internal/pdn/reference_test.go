@@ -24,10 +24,9 @@ type refSolver struct {
 
 func newRefSolver() *refSolver { return &refSolver{phis: make(phiCache)} }
 
-// solve applies the package defaults and validation, then runs the named
+// solve applies the package validation, then runs the named
 // reference: "rk4", "expm", or "phasor" (the production path).
 func (s *refSolver) solve(mode string, cfg Config, loads [DomainTiles]TileLoad) (Result, error) {
-	cfg = cfg.withDefaults()
 	if err := validate(cfg, loads); err != nil {
 		return Result{}, err
 	}
@@ -159,17 +158,14 @@ func simulateRK4(cfg Config, loads [DomainTiles]TileLoad, scratch *solverScratch
 	for i := range res.MinVoltage {
 		res.MinVoltage[i] = cfg.Vdd
 	}
-	steps := int(cfg.Duration / cfg.Dt)
-	if steps < 1 {
-		steps = 1
-	}
+	steps := int(sampleWindow / sampleDt)
 	// Skip a short settle window before recording, so the measurement
 	// reflects steady switching noise rather than the modulation turn-on.
 	settle := steps / 8
 	var sumPSN [DomainTiles]float64
 	recorded := 0
 
-	h := float64(cfg.Dt)
+	h := float64(sampleDt)
 	table := c.currentTable(h, steps, tables)
 	var cur0, curH, cur1 [DomainTiles]float64
 	for n := 0; n < steps; n++ {
@@ -378,25 +374,20 @@ func solve6(a, b, x *[ltiStates][ltiStates]float64) error {
 	return nil
 }
 
-// phiKey identifies one cached step propagator Φ = exp(A·h): the state
-// matrix depends only on the technology node's element values, and h is the
-// integration step. Vdd and the load signature never enter A.
-type phiKey struct {
-	params power.NodeParams
-	dt     power.Seconds
-}
+// phiCache memoizes step propagators Φ = exp(A·h) across expm solves, h
+// being the sampling step sampleDt. The state matrix depends only on the
+// technology node's element values; Vdd and the load signature never
+// enter A.
+type phiCache map[power.NodeParams]*[ltiStates][ltiStates]float64
 
-// phiCache memoizes step propagators across expm solves.
-type phiCache map[phiKey]*[ltiStates][ltiStates]float64
-
-// phiFor returns the cached Φ = exp(A·dt) for the circuit, computing and
-// memoizing it on first use. A nil cache computes without storing.
-func (pc phiCache) phiFor(c *circuit, params power.NodeParams, dt power.Seconds) (*[ltiStates][ltiStates]float64, error) {
-	if phi, ok := pc[phiKey{params, dt}]; ok {
+// phiFor returns the cached Φ = exp(A·sampleDt) for the circuit, computing
+// and memoizing it on first use. A nil cache computes without storing.
+func (pc phiCache) phiFor(c *circuit, params power.NodeParams) (*[ltiStates][ltiStates]float64, error) {
+	if phi, ok := pc[params]; ok {
 		return phi, nil
 	}
 	a := c.ltiMatrix()
-	h := float64(dt)
+	h := float64(sampleDt)
 	for i := range a {
 		for j := range a[i] {
 			a[i][j] *= h
@@ -407,7 +398,7 @@ func (pc phiCache) phiFor(c *circuit, params power.NodeParams, dt power.Seconds)
 		return nil, err
 	}
 	if pc != nil {
-		pc[phiKey{params, dt}] = &phi
+		pc[params] = &phi
 	}
 	return &phi, nil
 }
@@ -429,17 +420,14 @@ func simulateExpm(cfg Config, loads [DomainTiles]TileLoad, scratch *solverScratc
 	if err := c.solvePhasors(cfg, &hs, caches); err != nil {
 		return Result{}, err
 	}
-	phi, err := phis.phiFor(&c, cfg.Params, cfg.Dt)
+	phi, err := phis.phiFor(&c, cfg.Params)
 	if err != nil {
 		return Result{}, err
 	}
 
-	steps := int(cfg.Duration / cfg.Dt)
-	if steps < 1 {
-		steps = 1
-	}
+	steps := int(sampleWindow / sampleDt)
 	settle := steps / 8
-	h := float64(cfg.Dt)
+	h := float64(sampleDt)
 
 	// Homogeneous state w(0) = x(0) - x_p(0): the DC initial condition
 	// minus the particular solution at t=0 leaves -Σ_k Re(X_k).

@@ -48,12 +48,9 @@ func QuantizeLoads(loads [DomainTiles]TileLoad) [DomainTiles]TileLoad {
 // configuration plus the quantized load signature. All fields are scalar,
 // so the struct is directly usable as a map key.
 type solveKey struct {
-	params   power.NodeParams
-	vdd      power.Volts
-	dt       power.Seconds
-	duration power.Seconds
-	burstHz  float64
-	loads    [DomainTiles]TileLoad
+	params power.NodeParams
+	vdd    power.Volts
+	loads  [DomainTiles]TileLoad
 }
 
 // maxCacheEntries bounds a SolveCache. Real runs see a few hundred distinct
@@ -155,10 +152,9 @@ func NewSolver(cache *SolveCache) *Solver {
 
 // SimulateDomain is the memoizing counterpart of the package-level
 // SimulateDomain: it quantizes the load signature (QuantizeLoads), then
-// returns the cached result for the (node params, Vdd, window, loads) key,
+// returns the cached result for the (node params, Vdd, loads) key,
 // solving only on a miss.
 func (s *Solver) SimulateDomain(cfg Config, loads [DomainTiles]TileLoad) (Result, error) {
-	cfg = cfg.withDefaults()
 	if err := validate(cfg, loads); err != nil {
 		return Result{}, err
 	}
@@ -166,14 +162,7 @@ func (s *Solver) SimulateDomain(cfg Config, loads [DomainTiles]TileLoad) (Result
 	if s.cache == nil {
 		return simulatePhasor(cfg, loads, &s.scratch, &s.lti)
 	}
-	key := solveKey{
-		params:   cfg.Params,
-		vdd:      cfg.Vdd,
-		dt:       cfg.Dt,
-		duration: cfg.Duration,
-		burstHz:  cfg.BurstHz,
-		loads:    loads,
-	}
+	key := solveKey{params: cfg.Params, vdd: cfg.Vdd, loads: loads}
 	if r, ok := s.cache.lookup(key); ok {
 		return r, nil
 	}
