@@ -54,7 +54,7 @@ func BenchmarkFig1TechNodePSN(b *testing.B) {
 func BenchmarkFig3aPSNvsVdd(b *testing.B) {
 	p := power.MustParams(power.Node7)
 	for i := 0; i < b.N; i++ {
-		for _, v := range p.VddLevels(0.1) {
+		for _, v := range p.VddLevels() {
 			var occ [pdn.DomainTiles]pdn.TileOccupant
 			for k := range occ {
 				occ[k] = pdn.TileOccupant{IAvg: p.TileCurrent(v, 0.9, 0.4), Class: pdn.High}

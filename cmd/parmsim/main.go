@@ -42,7 +42,7 @@ func main() {
 		loadPath = flag.String("load", "", "load the workload from a JSON file instead of generating it")
 		explain  = flag.Bool("explain", false, "print Algorithm 1's selection trace for the first application")
 		savePath = flag.String("save", "", "save the generated workload as JSON to this file")
-		nocMode  = flag.String("noc", "cycle", "NoC measurement mode: cycle (exact) or auto (analytic fast path below saturation)")
+		nocMode  = flag.String("noc", "cycle", "NoC measurement mode: cycle (exact) or auto (analytic fast path below saturation, 2000-cycle simulated fallback windows above it)")
 
 		metricsOut   = flag.String("metrics-out", "", "write the telemetry counter snapshot as JSON to this file")
 		timelineOut  = flag.String("timeline", "", "write the engine event timeline as Chrome trace JSON to this file (load at ui.perfetto.dev)")

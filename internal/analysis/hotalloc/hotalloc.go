@@ -3,7 +3,7 @@
 // (the PSN solver's phasor solve and the NoC ring-buffer cycle loop), no
 // statement may allocate. The ROADMAP's "fast as the hardware allows" goal
 // rests on these paths staying at 0 allocs/op — the companion
-// BenchmarkPSNStepAllocs / BenchmarkNoCStepAllocs guards assert the same
+// TestPSNStepAllocs / TestNoCStepAllocs guards assert the same
 // property dynamically with testing.AllocsPerRun.
 //
 // Loops are found flow-sensitively: the function body's control-flow graph

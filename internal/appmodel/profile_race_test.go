@@ -19,7 +19,7 @@ func TestWCETEstimateConcurrent(t *testing.T) {
 	fast.FMax *= 3
 	params := []power.NodeParams{p, fast}
 	benches := Benchmarks()[:4]
-	vdds := p.VddLevels(0.1)
+	vdds := p.VddLevels()
 	dops := DoPValues()
 	type wcetKey struct {
 		bench  string

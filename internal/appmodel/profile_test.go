@@ -28,7 +28,7 @@ func TestWCETMonotonicInVdd(t *testing.T) {
 	p := np7()
 	for _, b := range Benchmarks() {
 		prev := math.Inf(1)
-		for _, v := range p.VddLevels(0.1) {
+		for _, v := range p.VddLevels() {
 			w := b.WCETEstimate(p, v, 16)
 			if w >= prev {
 				t.Errorf("%s: WCET not decreasing at %.1fV", b.Name, v)
@@ -224,7 +224,7 @@ func TestWCETAlwaysPositive(t *testing.T) {
 	bs := Benchmarks()
 	f := func(bi, vi, di uint8) bool {
 		b := bs[int(bi)%len(bs)]
-		v := p.VddLevels(0.1)[int(vi)%5]
+		v := p.VddLevels()[int(vi)%5]
 		d := DoPValues()[int(di)%8]
 		w := b.WCETEstimate(p, v, d)
 		return w > 0 && w < 10

@@ -166,7 +166,7 @@ func TestDeadlinesAchievable(t *testing.T) {
 		}
 		for _, a := range w.Apps {
 			ok := false
-			for _, v := range p.VddLevels(0.1) {
+			for _, v := range p.VddLevels() {
 				for _, d := range DoPValues() {
 					if a.Bench.WCETEstimate(p, v, d) < a.RelDeadline {
 						ok = true

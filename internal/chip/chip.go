@@ -73,13 +73,9 @@ type Config struct {
 	DisablePSNCache bool
 }
 
-// The chip's technology node and supply-voltage granularity are fixed
-// platform constants (DESIGN.md §5): the paper evaluates one 7nm chip with
-// 0.1 V regulator steps.
-const (
-	techNode = power.Node7
-	vddStep  = power.Volts(0.1)
-)
+// The chip's technology node is a fixed platform constant (DESIGN.md §5):
+// the paper evaluates one 7nm chip.
+const techNode = power.Node7
 
 func (c Config) withDefaults() Config {
 	if c.Width == 0 && c.Height == 0 {
@@ -142,7 +138,7 @@ func New(cfg Config) (*Chip, error) {
 		Mesh:       m,
 		Node:       params,
 		Budget:     power.NewBudget(cfg.DsPB),
-		Vdds:       params.VddLevels(vddStep),
+		Vdds:       params.VddLevels(),
 		tileDomain: make([]DomainID, m.NumTiles()),
 		occupants:  make([]Occupant, m.NumTiles()),
 	}

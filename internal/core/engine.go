@@ -57,6 +57,12 @@ const (
 	windowCycles = 8000
 	// warmupCycles precede each measurement window.
 	warmupCycles = 1500
+	// fallbackWindowCycles is the measured length of NoCModeAuto's cycle
+	// windows (its congested fallbacks), after the same warmup. Chip-wide
+	// router activity, which the PDN reads, is then within 4.6% of a
+	// windowCycles window, and a sequential stopping rule bought no
+	// engine-level accuracy over this fixed floor (DESIGN.md §11).
+	fallbackWindowCycles = 2000
 	// maxSimTime is the safety cap on simulated time, in seconds.
 	maxSimTime = 300
 	// maxSensorBits is the finest PSN sensor quantization pdn.NewSensor
@@ -919,9 +925,12 @@ func (e *Engine) measurementFor(flows []noc.Flow) (*noc.Result, error) {
 // saturation threshold of 0.6 flits per cycle).
 // Everything else — NoCModeCycle and saturated windows under NoCModeAuto —
 // runs the cycle-accurate warmup+measure on the engine's network, reset for
-// the window.
+// the window; auto's fallbacks measure fallbackWindowCycles, not
+// windowCycles.
 func (e *Engine) simulateWindow(flows []noc.Flow) (*noc.Result, error) {
+	measure := windowCycles
 	if e.cfg.NoCMode != NoCModeCycle {
+		measure = fallbackWindowCycles
 		res, rep, err := noc.AnalyticMeasure(e.nocCfg, e.fw.Routing, flows, &e.env, windowCycles)
 		if err != nil {
 			return nil, err
@@ -942,7 +951,7 @@ func (e *Engine) simulateWindow(flows []noc.Flow) (*noc.Result, error) {
 		return nil, err
 	}
 	net.Run(warmupCycles)
-	res := net.Measure(windowCycles)
+	res := net.Measure(measure)
 	e.tel.nocWindows.Inc()
 	e.tel.warmupCyc.Add(uint64(warmupCycles))
 	e.tel.measuredCyc.Add(uint64(res.Cycles))

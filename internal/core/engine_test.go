@@ -138,7 +138,7 @@ func TestPARMPrefersLowVddHighDoP(t *testing.T) {
 	o := m.Apps[0]
 	p := node7()
 	// Verify no lower Vdd would meet the deadline at any DoP >= chosen.
-	for _, v := range p.VddLevels(0.1) {
+	for _, v := range p.VddLevels() {
 		if v >= o.Vdd {
 			break
 		}

@@ -81,7 +81,7 @@ func TestExplainHMSearchSpace(t *testing.T) {
 func TestExplainSelectionMatchesEngine(t *testing.T) {
 	p := node7()
 	knee := kneeBench()
-	vddLow := p.VddLevels(0.1)[0]
+	vddLow := p.VddLevels()[0]
 	w32 := knee.WCETEstimate(p, vddLow, 32)
 	minW := w32
 	for _, dop := range appmodel.DoPValues() {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -67,51 +68,71 @@ func TestParseNoCMode(t *testing.T) {
 	}
 }
 
-// TestNoCModesAgree runs one workload under both NoC modes and bounds the
-// drift the fast path may introduce. The cycle mode is the exact reference;
-// auto answers uncongested windows analytically and quantizes the memo key.
-// The bounds here are the engine-level drift contract documented in
-// DESIGN.md §11.
+// TestNoCModesAgree runs each workload kind under both NoC modes and bounds
+// the drift the fast path may introduce. The cycle mode is the exact
+// reference; auto answers uncongested windows analytically, measures its
+// congested fallbacks over fallbackWindowCycles and quantizes the memo key.
+// The bounds are the engine-level drift contract documented in DESIGN.md
+// §11. They hold only while both modes make the same drop decisions: under
+// hard deadlines on comm traffic one flipped drop reshapes the rest of the
+// run (seed 50 ends 45% earlier in auto mode), so there the contract is the
+// finished count and drops within one.
 func TestNoCModesAgree(t *testing.T) {
-	w := genWorkload(t, appmodel.WorkloadMixed, 12, 0.05, 7)
 	fw, err := Combo("PARM", "PANR")
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(mode NoCMode) *Metrics {
-		return runOne(t, Config{NoCMode: mode}, fw, w)
-	}
-	ref := run(NoCModeCycle)
-	if ref.Completed == 0 {
-		t.Fatal("reference run completed nothing")
-	}
-	// Drift bounds. Auto falls back to cycle simulation on every saturated
-	// window, so its drift comes only from sub-saturation model error plus
-	// memo quantization.
-	for _, tc := range []struct {
-		mode                    NoCMode
-		timeTol, latTol, psnTol float64
-	}{
-		{NoCModeAuto, 0.05, 0.35, 0.10},
-	} {
-		m := run(tc.mode)
-		if m.Completed+m.Dropped != ref.Completed+ref.Dropped {
-			t.Errorf("%v: %d apps finished, want %d", tc.mode, m.Completed+m.Dropped, ref.Completed+ref.Dropped)
-		}
-		// Drop decisions are discrete; allow at most one app to flip.
-		if d := m.Dropped - ref.Dropped; d < -1 || d > 1 {
-			t.Errorf("%v: Dropped = %d, cycle = %d (allowed drift 1)", tc.mode, m.Dropped, ref.Dropped)
-		}
-		if rel := math.Abs(m.TotalTime-ref.TotalTime) / ref.TotalTime; rel > tc.timeTol {
-			t.Errorf("%v: TotalTime = %g, cycle = %g (rel drift %.3f > %g)", tc.mode, m.TotalTime, ref.TotalTime, rel, tc.timeTol)
-		}
+	const (
+		timeTol = 0.05
 		// The closed form misses phase-locked worm collisions below
 		// saturation, so latency carries the loosest bound of the contract.
-		if rel := math.Abs(m.MeanPacketLatency-ref.MeanPacketLatency) / ref.MeanPacketLatency; rel > tc.latTol {
-			t.Errorf("%v: MeanPacketLatency = %g, cycle = %g (rel drift %.3f > %g)", tc.mode, m.MeanPacketLatency, ref.MeanPacketLatency, rel, tc.latTol)
-		}
-		if rel := math.Abs(m.AvgPSN-ref.AvgPSN) / ref.AvgPSN; rel > tc.psnTol {
-			t.Errorf("%v: AvgPSN = %g, cycle = %g (rel drift %.3f > %g)", tc.mode, m.AvgPSN, ref.AvgPSN, rel, tc.psnTol)
+		latTol = 0.35
+		psnTol = 0.10
+	)
+	for _, wc := range []struct {
+		name   string
+		kind   appmodel.WorkloadKind
+		soft   bool
+		bounds bool // whether the continuous drift bounds apply
+	}{
+		{"compute-soft", appmodel.WorkloadCompute, true, true},
+		{"comm-soft", appmodel.WorkloadComm, true, true},
+		{"mixed-soft", appmodel.WorkloadMixed, true, true},
+		{"mixed-hard", appmodel.WorkloadMixed, false, true},
+		{"comm-hard", appmodel.WorkloadComm, false, false},
+	} {
+		for _, seed := range []int64{7, 42, 50} {
+			t.Run(fmt.Sprintf("%s/seed%d", wc.name, seed), func(t *testing.T) {
+				t.Parallel()
+				w := genWorkload(t, wc.kind, 12, 0.05, seed)
+				ref := runOne(t, Config{SoftDeadlines: wc.soft}, fw, w)
+				if ref.Completed == 0 {
+					t.Fatal("reference run completed nothing")
+				}
+				m := runOne(t, Config{SoftDeadlines: wc.soft, NoCMode: NoCModeAuto}, fw, w)
+				if m.Completed+m.Dropped != ref.Completed+ref.Dropped {
+					t.Errorf("%d apps finished, cycle mode %d", m.Completed+m.Dropped, ref.Completed+ref.Dropped)
+				}
+				// Drop decisions are discrete; allow at most one app to flip.
+				if d := m.Dropped - ref.Dropped; d < -1 || d > 1 {
+					t.Errorf("Dropped = %d, cycle mode %d (allowed drift 1)", m.Dropped, ref.Dropped)
+				}
+				if !wc.bounds {
+					return
+				}
+				for _, q := range []struct {
+					name          string
+					got, ref, tol float64
+				}{
+					{"TotalTime", m.TotalTime, ref.TotalTime, timeTol},
+					{"MeanPacketLatency", m.MeanPacketLatency, ref.MeanPacketLatency, latTol},
+					{"AvgPSN", m.AvgPSN, ref.AvgPSN, psnTol},
+				} {
+					if rel := math.Abs(q.got-q.ref) / q.ref; !(rel <= q.tol) {
+						t.Errorf("%s = %g, cycle mode %g (rel drift %.3f > %g)", q.name, q.got, q.ref, rel, q.tol)
+					}
+				}
+			})
 		}
 	}
 }

@@ -34,7 +34,7 @@ func kneeBench() appmodel.Benchmark {
 func TestAlgorithm1ScansPastSyncKnee(t *testing.T) {
 	b := kneeBench()
 	p := node7()
-	vddLow := p.VddLevels(0.1)[0]
+	vddLow := p.VddLevels()[0]
 
 	// Establish the knee shape this test depends on, so a profile-model
 	// change fails loudly here instead of silently weakening the test.

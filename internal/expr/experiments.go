@@ -110,7 +110,7 @@ func Fig3a() (*report.Table, error) {
 	p := power.MustParams(power.Node7)
 	t := report.NewTable("Fig 3a: peak PSN (%) in a domain vs Vdd (7nm)",
 		"vdd(V)", "compute(%)", "comm(%)")
-	for _, v := range p.VddLevels(0.1) {
+	for _, v := range p.VddLevels() {
 		rc, err := pdn.SimulateDomain(pdn.Config{Params: p, Vdd: v}, highLoads(p, v, false))
 		if err != nil {
 			return nil, err

@@ -16,7 +16,7 @@ func DarkSiliconTable() *report.Table {
 	p := power.MustParams(power.Node7)
 	t := report.NewTable("Dark silicon at 7nm: tiles lit under the 65 W budget",
 		"vdd(V)", "f(GHz)", "tilePower(W)", "litTiles(of 60)", "darkFraction(%)")
-	for _, v := range p.VddLevels(0.1) {
+	for _, v := range p.VddLevels() {
 		tp := p.TilePower(v, appmodel.HighCoreActivity, 0.4)
 		lit := int(65 / tp)
 		if lit > 60 {

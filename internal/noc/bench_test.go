@@ -58,21 +58,32 @@ func BenchmarkNetworkStep(b *testing.B) {
 	}
 }
 
-// BenchmarkNoCStepAllocs pins the //parm:hot contract dynamically: once the
-// mesh reaches steady state (ring buffers filled, wake heap and packet table
-// at their working sizes), a cycle step must run allocation-free. hotalloc
-// enforces the same property statically.
-func BenchmarkNoCStepAllocs(b *testing.B) {
+// steadyNetwork returns a PANR network on benchFlows run to steady state:
+// ring buffers filled, wake heap and packet table at their working sizes.
+func steadyNetwork(tb testing.TB) *Network {
 	env := &Env{PSN: make([]float64, 60)}
 	n, err := NewNetwork(Config{}, PANR{}, benchFlows(), env)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	n.Run(8000) // fill buffers and grow the packet table to steady state
-	allocs := testing.AllocsPerRun(1000, n.Step)
-	if allocs != 0 {
-		b.Fatalf("steady-state Step allocates %.3f times per run, want 0", allocs)
+	n.Run(8000)
+	return n
+}
+
+// TestNoCStepAllocs pins the //parm:hot contract dynamically: once the mesh
+// reaches steady state, a cycle step must run allocation-free. hotalloc
+// enforces the same property statically, but only inside loops.
+func TestNoCStepAllocs(t *testing.T) {
+	n := steadyNetwork(t)
+	if allocs := testing.AllocsPerRun(1000, n.Step); allocs != 0 {
+		t.Fatalf("steady-state Step allocates %.3f times per run, want 0", allocs)
 	}
+}
+
+// BenchmarkNoCStepAllocs times the steady-state step TestNoCStepAllocs
+// pins at zero allocations.
+func BenchmarkNoCStepAllocs(b *testing.B) {
+	n := steadyNetwork(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -84,25 +95,36 @@ func BenchmarkNoCStepAllocs(b *testing.B) {
 // slices.
 const resultAllocs = 4
 
-// BenchmarkWindowAllocs times a full measurement window as the engine runs
-// it at every mapping event, on its one reused network and the saturated
-// benchFlows fixture, and pins what the window allocates: once the network
-// is warm, Reset, the warmup and Measure allocate only the Result.
-func BenchmarkWindowAllocs(b *testing.B) {
+// warmWindow returns a full measurement window as the engine runs it at
+// every mapping event, on one reused network and the saturated benchFlows
+// fixture, after one window has grown the packet table to its high-water
+// mark.
+func warmWindow(tb testing.TB) func() {
 	env := &Env{PSN: make([]float64, 60)}
 	flows := benchFlows()
 	n := &Network{}
 	window := func() {
 		if err := n.Reset(Config{}, PANR{}, flows, env); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		n.Run(1500)
 		n.Measure(8000)
 	}
-	window() // grow the packet table to its high-water mark
-	if allocs := testing.AllocsPerRun(5, window); allocs > resultAllocs {
-		b.Fatalf("warm window allocates %.1f times, want at most %d (the Result)", allocs, resultAllocs)
+	window()
+	return window
+}
+
+// TestWindowAllocs pins what a warm window allocates: Reset, the warmup and
+// Measure allocate only the Result.
+func TestWindowAllocs(t *testing.T) {
+	if allocs := testing.AllocsPerRun(5, warmWindow(t)); allocs > resultAllocs {
+		t.Fatalf("warm window allocates %.1f times, want at most %d (the Result)", allocs, resultAllocs)
 	}
+}
+
+// BenchmarkWindowAllocs times the warm window TestWindowAllocs pins.
+func BenchmarkWindowAllocs(b *testing.B) {
+	window := warmWindow(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -211,6 +211,29 @@ func TestPANRCongestionModeSwitch(t *testing.T) {
 	}
 }
 
+// TestPANRThresholdB pins B itself at a two-way choice where the branches
+// disagree: east (the default) is noisy and idle, north is quiet and
+// carries 0.3 flits/cycle. The quiet branch steers north, the congested one
+// keeps east. The test is occupancy > B, so 4 of 8 buffered flits is still
+// quiet and 5 of 8 is congested; a B of 0.375 or 0.625 flips one of them.
+func TestPANRThresholdB(t *testing.T) {
+	flows := []Flow{{Src: 0, Dst: 59, Rate: 0.01}}
+	env := &Env{PSN: make([]float64, 60)}
+	env.PSN[1] = 0.08
+	n := mkNet(t, PANR{}, flows, env)
+	n.routers[1].incomingRate = 0
+	n.routers[10].incomingRate = 0.3
+	for _, tc := range []struct {
+		flits int
+		want  geom.Dir
+	}{{4, geom.North}, {5, geom.East}} {
+		occ := float64(tc.flits) / bufferFlits
+		if d := (PANR{}).Route(RouteCtx{Net: n, At: 0, Dst: 59, InputOccupancy: occ}); d != tc.want {
+			t.Errorf("occupancy %d/%d: PANR chose %v, want %v", tc.flits, bufferFlits, d, tc.want)
+		}
+	}
+}
+
 // ICON follows router activity and ignores PSN entirely.
 func TestICONIgnoresPSN(t *testing.T) {
 	flows := []Flow{{Src: 0, Dst: 59, Rate: 0.01}}

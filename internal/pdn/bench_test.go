@@ -61,31 +61,39 @@ func BenchmarkDCOperatingPoint(b *testing.B) {
 	}
 }
 
-// BenchmarkPSNStepAllocs pins the //parm:hot contract dynamically: after one
-// warm-up solve grows the scratch buffers, a Solver's transient solve must
-// run allocation-free. hotalloc enforces the same property statically.
-func BenchmarkPSNStepAllocs(b *testing.B) {
+// warmSolve returns an uncached Solver's transient solve of a fully loaded
+// domain (every call takes the full integration path), after one warm-up
+// solve has grown the scratch buffers.
+func warmSolve(tb testing.TB) func() {
 	p := power.MustParams(power.Node7)
 	loads := BuildLoads(occupantsForBench(p))
 	cfg := Config{Params: p, Vdd: 0.5}
-	s := NewSolver(nil) // uncached: every call takes the full integration path
-	if _, err := s.SimulateDomain(cfg, loads); err != nil {
-		b.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(10, func() {
+	s := NewSolver(nil)
+	solve := func() {
 		if _, err := s.SimulateDomain(cfg, loads); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		b.Fatalf("warm PSN solve allocates %.1f times per run, want 0", allocs)
 	}
+	solve()
+	return solve
+}
+
+// TestPSNStepAllocs pins the //parm:hot contract dynamically: a warm
+// Solver's transient solve must run allocation-free. hotalloc enforces the
+// same property statically, but only inside loops.
+func TestPSNStepAllocs(t *testing.T) {
+	if allocs := testing.AllocsPerRun(10, warmSolve(t)); allocs != 0 {
+		t.Fatalf("warm PSN solve allocates %.1f times per run, want 0", allocs)
+	}
+}
+
+// BenchmarkPSNStepAllocs times the warm solve TestPSNStepAllocs pins.
+func BenchmarkPSNStepAllocs(b *testing.B) {
+	solve := warmSolve(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.SimulateDomain(cfg, loads); err != nil {
-			b.Fatal(err)
-		}
+		solve()
 	}
 }
 

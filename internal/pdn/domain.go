@@ -162,7 +162,7 @@ const dcUnknowns = 1 + DomainTiles
 
 // solverScratch holds the DC operating-point system one domain solve reuses
 // across calls. A Solver threads one scratch through consecutive solves so
-// the warm path performs no allocation at all (BenchmarkPSNStepAllocs pins 0
+// the warm path performs no allocation at all (TestPSNStepAllocs pins 0
 // allocs/op).
 type solverScratch struct {
 	// dcRows backs the DC conductance matrix; dcA holds the row slices the

@@ -99,7 +99,7 @@ func TestSimulateDomainBasicPhysics(t *testing.T) {
 func TestPSNIncreasesWithVdd(t *testing.T) {
 	p := node7()
 	prev := 0.0
-	for _, v := range p.VddLevels(0.1) {
+	for _, v := range p.VddLevels() {
 		res, err := SimulateDomain(Config{Params: p, Vdd: v}, BuildLoads(highOcc(p, v, false)))
 		if err != nil {
 			t.Fatal(err)

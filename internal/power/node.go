@@ -131,15 +131,15 @@ func MustParams(n Node) NodeParams {
 	return p
 }
 
+// vddStep is the regulator's supply-voltage grid (paper: 0.1 V steps).
+const vddStep Volts = 0.1
+
 // VddLevels returns the permissible supply voltages of node n in increasing
-// order: VNTC up to VNominal in the given step (paper: 0.4–0.8 V, 0.1 V
-// steps at 7nm).
-func (p NodeParams) VddLevels(step Volts) []Volts {
-	if step <= 0 {
-		step = 0.1
-	}
+// order: VNTC up to VNominal in vddStep increments (paper: 0.4–0.8 V at
+// 7nm).
+func (p NodeParams) VddLevels() []Volts {
 	var out []Volts
-	for v := p.VNTC; v <= p.VNominal+1e-9; v += step {
+	for v := p.VNTC; v <= p.VNominal+1e-9; v += vddStep {
 		out = append(out, round3(v))
 	}
 	return out

@@ -190,7 +190,7 @@ func TestRouterPowerShare(t *testing.T) {
 
 func TestVddLevels(t *testing.T) {
 	p := MustParams(Node7)
-	levels := p.VddLevels(0.1)
+	levels := p.VddLevels()
 	want := []float64{0.4, 0.5, 0.6, 0.7, 0.8}
 	if len(levels) != len(want) {
 		t.Fatalf("VddLevels = %v, want %v", levels, want)
@@ -199,10 +199,6 @@ func TestVddLevels(t *testing.T) {
 		if math.Abs(float64(levels[i])-want[i]) > 1e-9 {
 			t.Errorf("level %d = %g, want %g", i, levels[i], want[i])
 		}
-	}
-	// Zero step defaults to 0.1.
-	if got := p.VddLevels(0); len(got) != 5 {
-		t.Errorf("VddLevels(0) = %v", got)
 	}
 }
 

@@ -5,7 +5,7 @@ package power
 // JSON-transparent — but the type checker (and the unitsafe analyzer,
 // DESIGN.md §7) keeps volts, watts, and seconds from being interchanged
 // silently. Untyped constants convert implicitly, so call sites like
-// VddLevels(0.1) read naturally; converting between quantities requires an
+// NewBudget(65) read naturally; converting between quantities requires an
 // explicit float64(...) round-trip at the point of the physics.
 
 // Volts is a supply or threshold voltage.
