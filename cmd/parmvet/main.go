@@ -1,23 +1,20 @@
-// Command parmvet is the project's static-analysis suite: seven analyzers
-// that mechanically enforce the invariants the PARM measurement pipeline's
-// bit-identical-metrics guarantee rests on (see DESIGN.md §7), including
-// det, which flags every nondeterminism source outside internal/analysis
-// (§7.4).
+// Command parmvet is the project's static-analysis suite: four analyzers
+// that enforce the invariants the PARM measurement pipeline's
+// bit-identical-metrics guarantee rests on and that no test observes (see
+// DESIGN.md §7), including det, which flags every nondeterminism source
+// outside internal/analysis (§7.4).
 //
 // Usage:
 //
-//	go run ./cmd/parmvet [-json] [-run analyzer,...] [-baseline file | -baseline-write file] [packages]
+//	go run ./cmd/parmvet [-json] [-run analyzer,...] [packages]
 //
 // It prints findings sorted by (file, line, column, analyzer), one per line
 // in file:line:col form (or, with -json, one JSON object per line), and
 // exits nonzero when any analyzer fires. -run restricts the suite to a
-// comma-separated subset of analyzers. -baseline filters findings through
-// an accepted-findings JSON file and errors on stale entries (accepted
-// findings that no longer fire); -baseline-write regenerates that file from
-// the current run.
+// comma-separated subset of analyzers.
 // Suppressions are //parm:det (with a reason), //parm:floateq,
-// //parm:unitless, //parm:alloc, //parm:errok and //parm:obsreg comments
-// on or directly above the flagged line.
+// //parm:unitless and //parm:errok comments on or directly above the
+// flagged line.
 package main
 
 import (
@@ -45,10 +42,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	jsonOut := fs.Bool("json", false, "print findings as one JSON object per line")
 	runFilter := fs.String("run", "", "comma-separated analyzer names to run (default: all)")
-	baseline := fs.String("baseline", "", "filter findings through this accepted-findings JSON file; stale entries are an error")
-	baselineWrite := fs.String("baseline-write", "", "write the current findings to this baseline file and exit clean")
 	fs.Usage = func() {
-		fprintf(stderr, "usage: parmvet [-json] [-run analyzer,...] [-baseline file | -baseline-write file] [packages]\n\n")
+		fprintf(stderr, "usage: parmvet [-json] [-run analyzer,...] [packages]\n\n")
 		fprintf(stderr, "Analyzers:\n")
 		for _, r := range parmvet.Rules() {
 			fprintf(stderr, "  %-10s %s\n", r.Analyzer.Name, r.Analyzer.Doc)
@@ -75,30 +70,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// The driver returns findings sorted, but re-assert the emission
 	// contract here: both outputs promise (file, line, column, analyzer).
 	driver.Sort(findings)
-	if *baselineWrite != "" {
-		if err := driver.WriteBaseline(*baselineWrite, findings); err != nil {
-			fprintf(stderr, "parmvet: %v\n", err)
-			return 2
-		}
-		fprintf(stderr, "parmvet: wrote %d finding(s) to %s\n", len(findings), *baselineWrite)
-		return 0
-	}
-	if *baseline != "" {
-		entries, err := driver.LoadBaseline(*baseline)
-		if err != nil {
-			fprintf(stderr, "parmvet: %v\n", err)
-			return 2
-		}
-		var stale []driver.BaselineEntry
-		findings, stale = driver.ApplyBaseline(findings, entries)
-		if len(stale) > 0 {
-			for _, e := range stale {
-				fprintf(stderr, "parmvet: stale baseline entry: %s %s %q (%d unmatched)\n", e.File, e.Analyzer, e.Message, e.Count)
-			}
-			fprintf(stderr, "parmvet: baseline %s is stale; regenerate with -baseline-write\n", *baseline)
-			return 2
-		}
-	}
 	if err := writeFindings(stdout, findings, *jsonOut); err != nil {
 		fprintf(stderr, "parmvet: %v\n", err)
 		return 2

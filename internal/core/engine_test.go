@@ -205,8 +205,8 @@ func TestEngineDeterministic(t *testing.T) {
 
 // Byte-identical determinism: the fully serialized metrics of repeated
 // identical runs must match byte for byte — the contract the
-// sorted-iteration discipline (and the det and poolgo analyzers that
-// enforce it) protects. Stricter than
+// sorted-iteration discipline (and the det analyzer that enforces it)
+// protects. Stricter than
 // TestEngineDeterministic: every field of every outcome is covered.
 func TestEngineRunsByteIdentical(t *testing.T) {
 	run := func() []byte {

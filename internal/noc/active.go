@@ -22,8 +22,6 @@ func (s *tileSet) clear(t int) { s.words[t>>6] &^= 1 << uint(t&63) }
 
 // empty reports whether no tile is set. The scan is a handful of words even
 // on a 32x32 mesh, so idle cycles cost O(tiles/64), not O(tiles).
-//
-//parm:hot
 func (s *tileSet) empty() bool {
 	for _, w := range s.words {
 		if w != 0 {
@@ -53,11 +51,9 @@ func (h wakeHeap) less(i, j int) bool {
 	return h[i].flow < h[j].flow
 }
 
-//parm:hot
 func (h *wakeHeap) push(w flowWake) {
 	// Amortized zero-alloc: the heap grows to one live entry per flow during
 	// warmup and is stable afterwards.
-	//parm:alloc
 	*h = append(*h, w)
 	s := *h
 	i := len(s) - 1
@@ -71,7 +67,6 @@ func (h *wakeHeap) push(w flowWake) {
 	}
 }
 
-//parm:hot
 func (h *wakeHeap) pop() flowWake {
 	s := *h
 	top := s[0]

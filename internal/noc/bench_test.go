@@ -58,11 +58,26 @@ func BenchmarkNetworkStep(b *testing.B) {
 	}
 }
 
-// steadyNetwork returns a PANR network on benchFlows run to steady state:
-// ring buffers filled, wake heap and packet table at their working sizes.
-func steadyNetwork(tb testing.TB) *Network {
+// hotspotFlows is the congested fixture benchFlows is not: 24 flows at
+// rate 0.6 converge on tile 27, far past its one-flit-per-cycle ejection.
+// Sources back up until their stage queues are full and stall, and
+// traversal finds full downstream buffers, so a steady-state step takes the
+// stall and backpressure branches that the 0.1-rate benchFlows never
+// reaches.
+func hotspotFlows() []Flow {
+	var flows []Flow
+	for i := 0; i < 24; i++ {
+		flows = append(flows, Flow{App: i % 4, Src: geom.TileID(2 * i), Dst: 27, Rate: 0.6})
+	}
+	return flows
+}
+
+// steadyNetwork returns a network routing flows with alg, run to steady
+// state: ring buffers filled, wake heap and packet table at their working
+// sizes.
+func steadyNetwork(tb testing.TB, alg Algorithm, flows []Flow) *Network {
 	env := &Env{PSN: make([]float64, 60)}
-	n, err := NewNetwork(Config{}, PANR{}, benchFlows(), env)
+	n, err := NewNetwork(Config{}, alg, flows, env)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -70,20 +85,49 @@ func steadyNetwork(tb testing.TB) *Network {
 	return n
 }
 
-// TestNoCStepAllocs pins the //parm:hot contract dynamically: once the mesh
-// reaches steady state, a cycle step must run allocation-free. hotalloc
-// enforces the same property statically, but only inside loops.
+// stalledCycles totals the source stalls of every flow so far.
+func stalledCycles(n *Network) int {
+	total := 0
+	for _, st := range n.stats {
+		total += st.StalledCycles
+	}
+	return total
+}
+
+// TestNoCStepAllocs pins the cycle loop's zero-allocation contract: once the
+// mesh reaches steady state, a cycle step must run allocation-free, under
+// every routing scheme, on the lightly loaded benchFlows and on the
+// congested hotspotFlows. The hotspot case must also stall sources while it
+// is measured, or it no longer covers the stall branch.
 func TestNoCStepAllocs(t *testing.T) {
-	n := steadyNetwork(t)
-	if allocs := testing.AllocsPerRun(1000, n.Step); allocs != 0 {
-		t.Fatalf("steady-state Step allocates %.3f times per run, want 0", allocs)
+	fixtures := []struct {
+		name   string
+		flows  func() []Flow
+		stalls bool
+	}{
+		{"bench", benchFlows, false},
+		{"hotspot", hotspotFlows, true},
+	}
+	for _, fx := range fixtures {
+		for _, alg := range []Algorithm{XY{}, ICON{}, PANR{}} {
+			t.Run(fx.name+"/"+alg.Name(), func(t *testing.T) {
+				n := steadyNetwork(t, alg, fx.flows())
+				before := stalledCycles(n)
+				if allocs := testing.AllocsPerRun(1000, n.Step); allocs != 0 {
+					t.Fatalf("steady-state Step allocates %.3f times per run, want 0", allocs)
+				}
+				if fx.stalls && stalledCycles(n) == before {
+					t.Fatal("no source stalled while Step was measured; the fixture is not congested")
+				}
+			})
+		}
 	}
 }
 
 // BenchmarkNoCStepAllocs times the steady-state step TestNoCStepAllocs
 // pins at zero allocations.
 func BenchmarkNoCStepAllocs(b *testing.B) {
-	n := steadyNetwork(b)
+	n := steadyNetwork(b, PANR{}, benchFlows())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -96,8 +140,8 @@ func BenchmarkNoCStepAllocs(b *testing.B) {
 const resultAllocs = 4
 
 // warmWindow returns a full measurement window as the engine runs it at
-// every mapping event, on one reused network and the saturated benchFlows
-// fixture, after one window has grown the packet table to its high-water
+// every mapping event, on one reused network and the lightly loaded
+// benchFlows fixture, after one window has grown the packet table to its high-water
 // mark.
 func warmWindow(tb testing.TB) func() {
 	env := &Env{PSN: make([]float64, 60)}

@@ -18,7 +18,7 @@ import (
 // uncongested fixtures.
 
 // equivFixtures covers the regimes the engine produces on the default 10x6
-// mesh: Fig 6-shaped sparse traffic, the saturated bench fixture, a hotspot,
+// mesh: Fig 6-shaped sparse traffic, the moderately loaded bench fixture, a hotspot,
 // an empty-then-bursty corner with one dominant flow, and rates whose running
 // sums straddle FlitsPerPacket under rounding (0.1, 1/3, 0.2 and 0.7 are
 // inexact in binary, 1.0 saturates the injection port) next to one whose

@@ -333,8 +333,6 @@ func (n *Network) SensorPSN(t geom.TileID) float64 { return n.env.psnAt(t) }
 // injection work and routers holding flits, in ascending tile order; the
 // skipped tiles are exactly those for which a full sweep of every tile
 // would do nothing (the test reference simulator is that sweep).
-//
-//parm:hot
 func (n *Network) Step() {
 	n.processWakeups()
 	// Injection sweep over tiles with staged packets or a mid-packet worm.
@@ -389,8 +387,6 @@ func (n *Network) Run(cycles int) {
 // due, then books the next one. scheduleWake has already replayed the
 // flow's accrual up to the cycle before, so each wakeup stages or stalls a
 // packet unless it was booked at the lookahead bound.
-//
-//parm:hot
 func (n *Network) processWakeups() {
 	for len(n.wake) > 0 && n.wake[0].cycle <= n.cycle {
 		w := n.wake.pop()
@@ -404,8 +400,6 @@ func (n *Network) processWakeups() {
 // FlitsPerPacket of credit. It runs only on crossing cycles, after
 // scheduleWake replayed the same adds in the same order, so the float
 // trajectory is bit for bit that of adding the rate every cycle.
-//
-//parm:hot
 func (n *Network) advanceAccrual(i int) {
 	fpp := float64(FlitsPerPacket)
 	n.acc[i] += n.flows[i].Rate
@@ -431,8 +425,6 @@ const wakeLookahead = 1 << 12
 // while they stay below FlitsPerPacket, and the wakeup lands on the first
 // cycle that would reach it, or at most wakeLookahead cycles on. Accrual
 // below the threshold has no other effect, so running it early is exact.
-//
-//parm:hot
 func (n *Network) scheduleWake(i, cycle int) {
 	rate := n.flows[i].Rate
 	if rate <= 0 {
@@ -450,8 +442,6 @@ func (n *Network) scheduleWake(i, cycle int) {
 
 // incStaged stages one packet of flow fi and keeps the per-tile staged-flow
 // count and injection active set in sync.
-//
-//parm:hot
 func (n *Network) incStaged(fi int) {
 	n.staged[fi]++
 	if n.staged[fi] == 1 {
@@ -462,8 +452,6 @@ func (n *Network) incStaged(fi int) {
 }
 
 // decStaged consumes one staged packet of flow fi.
-//
-//parm:hot
 func (n *Network) decStaged(fi int) {
 	n.staged[fi]--
 	if n.staged[fi] == 0 {
@@ -478,8 +466,6 @@ func (n *Network) decStaged(fi int) {
 // updateTileActivity recomputes tile t's membership in the injection active
 // set: it has work while a packet is mid-injection or any of its flows has
 // staged packets.
-//
-//parm:hot
 func (n *Network) updateTileActivity(t int) {
 	if n.partialPkt[t] >= 0 || n.stagedFlows[t] > 0 {
 		n.activeTiles.set(t)
@@ -489,8 +475,6 @@ func (n *Network) updateTileActivity(t int) {
 }
 
 // injectAtTile moves at most one NIC flit into tile t's local input port.
-//
-//parm:hot
 func (n *Network) injectAtTile(t int) {
 	r := &n.routers[t]
 	if r.inputs[portLocal].len() >= bufferFlits {
@@ -509,8 +493,6 @@ func (n *Network) injectAtTile(t int) {
 
 // pickInjection selects which flow injects at tile t this cycle: the
 // in-progress packet if any, else round-robin over staged flows.
-//
-//parm:hot
 func (n *Network) pickInjection(t int) int {
 	if slot := n.partialPkt[t]; slot >= 0 {
 		return int(n.packets[slot].flow)
@@ -533,8 +515,6 @@ func (n *Network) pickInjection(t int) int {
 // flitToInject produces the next flit of flow fi's current packet at tile t
 // and updates the partial-packet bookkeeping. A head opens the packet's
 // table slot.
-//
-//parm:hot
 func (n *Network) flitToInject(t, fi int) flit {
 	if n.partialPkt[t] < 0 {
 		slot := n.openPacket(fi)
@@ -556,8 +536,6 @@ func (n *Network) flitToInject(t, fi int) flit {
 
 // openPacket takes a packet-table slot for a new packet of flow fi injected
 // this cycle.
-//
-//parm:hot
 func (n *Network) openPacket(fi int) int32 {
 	pk := packet{born: n.cycle, flow: int32(fi), dst: int32(n.flows[fi].Dst)}
 	if k := len(n.free) - 1; k >= 0 {
@@ -568,21 +546,16 @@ func (n *Network) openPacket(fi int) int32 {
 	}
 	// Amortized zero-alloc: the table grows to the in-flight packet
 	// high-water mark during warmup and is reused afterwards.
-	//parm:alloc
 	n.packets = append(n.packets, pk)
 	return int32(len(n.packets) - 1)
 }
 
 // ringBase returns the index in n.slots of the first slot of input port p
 // of router t.
-//
-//parm:hot
 func (n *Network) ringBase(t, p int) int { return (t*geom.NumPorts + p) * bufferFlits }
 
 // tailSlot returns the index in n.slots just past the last flit of input
 // port p of router t.
-//
-//parm:hot
 func (n *Network) tailSlot(t, p int) int {
 	q := n.routers[t].inputs[p]
 	i := int(q.head + q.n)
@@ -593,8 +566,6 @@ func (n *Network) tailSlot(t, p int) int {
 }
 
 // push appends f to input port p of router t.
-//
-//parm:hot
 func (n *Network) push(t, p int, f flit) {
 	n.slots[n.tailSlot(t, p)] = f
 	n.routers[t].inputs[p].n++
@@ -602,8 +573,6 @@ func (n *Network) push(t, p int, f flit) {
 
 // pop removes the front flit of input p of router r (tile t) as it crosses
 // the switch.
-//
-//parm:hot
 func (n *Network) pop(r *router, t, p int) flit {
 	q := &r.inputs[p]
 	f := n.slots[n.ringBase(t, p)+int(q.head)]
@@ -631,8 +600,6 @@ func (n *Network) pop(r *router, t, p int) flit {
 // computation reads neither — it reads the router's own input fronts and
 // occupancy, neighbour incoming rates (folded only at the end of the cycle)
 // and sensor PSN.
-//
-//parm:hot
 func (n *Network) stepRouter(t int, arrivals []pendingArrival) []pendingArrival {
 	r := &n.routers[t]
 	// One pass over the occupied inputs routes unrouted heads and builds,
@@ -722,7 +689,6 @@ func (n *Network) stepRouter(t int, arrivals []pendingArrival) []pendingArrival 
 		n.slots[n.tailSlot(int(next), dstPort)] = f
 		// Bounded by the scratch capacity Reset reserved: one
 		// arrival per (tile, port) per cycle.
-		//parm:alloc
 		arrivals = append(arrivals, pendingArrival{to: next, port: uint8(dstPort)})
 		if f.isTail() {
 			r.owned &^= 1 << out
@@ -736,8 +702,6 @@ func (n *Network) stepRouter(t int, arrivals []pendingArrival) []pendingArrival 
 
 // eject records delivery statistics for a flit leaving the network; the
 // tail closes the packet and frees its table slot.
-//
-//parm:hot
 func (n *Network) eject(f flit) {
 	slot := f.slot()
 	pk := n.packets[slot]
@@ -747,7 +711,6 @@ func (n *Network) eject(f flit) {
 		return
 	}
 	// Amortized zero-alloc: the free list never outgrows the table.
-	//parm:alloc
 	n.free = append(n.free, slot)
 	st.DeliveredPackets++
 	st.TotalPacketLatency += n.cycle - pk.born + 1
@@ -756,8 +719,6 @@ func (n *Network) eject(f flit) {
 // applyArrivals makes this cycle's link crossings visible: traversal wrote
 // each handle into its downstream ring already, so only counts, masks and
 // the active and rated sets change here.
-//
-//parm:hot
 func (n *Network) applyArrivals(arrivals []pendingArrival) {
 	for _, a := range arrivals {
 		r := &n.routers[a.to]
@@ -770,15 +731,12 @@ func (n *Network) applyArrivals(arrivals []pendingArrival) {
 
 // noteReceive counts a flit entering any of router r's input buffers this
 // cycle and enrolls the tile in the per-cycle rated list (once).
-//
-//parm:hot
 func (n *Network) noteReceive(r *router, t int) {
 	if r.recvCycle != n.cycle {
 		r.recvCycle = n.cycle
 		r.recvCount = 0
 		// Bounded by the rated capacity Reset reserved: one entry
 		// per tile per cycle.
-		//parm:alloc
 		n.rated = append(n.rated, t)
 	}
 	r.recvCount++
@@ -787,8 +745,6 @@ func (n *Network) noteReceive(r *router, t int) {
 // ewmaStep is the one incoming-rate update everybody shares. Keeping eager,
 // lazy, and catch-up updates on this exact expression guarantees they round
 // identically whether or not the compiler fuses the multiply-add.
-//
-//parm:hot
 func ewmaStep(rate, alpha, sample float64) float64 {
 	return (1-alpha)*rate + alpha*sample
 }
@@ -797,8 +753,6 @@ func ewmaStep(rate, alpha, sample float64) float64 {
 // given cycle. Every cycle with a receive is folded eagerly at its own end
 // (foldRates), so all pending cycles here sampled zero flits; a zero rate
 // then stays zero, which lets long-idle routers skip the replay outright.
-//
-//parm:hot
 func (n *Network) catchUpRate(r *router, through int) {
 	if r.rateCycle > through {
 		return
@@ -828,8 +782,6 @@ func (n *Network) catchUpRate(r *router, through int) {
 // foldRates advances the incoming-rate EWMA of every router that received
 // flits this cycle (the rated list); routers that received nothing keep a
 // pending decay that catchUpRate folds lazily on first read.
-//
-//parm:hot
 func (n *Network) foldRates() {
 	for _, t := range n.rated {
 		r := &n.routers[t]

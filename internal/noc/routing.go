@@ -57,8 +57,6 @@ func (XY) Route(ctx RouteCtx) geom.Dir {
 // inside the cycle loop, and the permitted set never exceeds two entries
 // (East plus one of North/South). Coordinates come from the network's
 // table, so no call divides by the mesh width.
-//
-//parm:hot
 func westFirstPermitted(net *Network, src, dst geom.TileID) (dirs [3]geom.Dir, n int) {
 	cs, cd := net.coord[src], net.coord[dst]
 	if cd.X < cs.X {
@@ -140,10 +138,10 @@ func (p PANR) Route(ctx RouteCtx) geom.Dir {
 	def := dirs[0]
 	if ctx.InputOccupancy > b {
 		// Congested: steer toward the neighbor with the least incoming
-		// data rate if it undercuts the default by 40% of a flit/cycle —
-		// a wide margin, because in a single-VC wormhole network an
-		// adaptive turn couples worms across dimensions and usually costs
-		// more than a mildly busier but straight path.
+		// data rate if its score undercuts the default's by more than 1.2
+		// flits/cycle — a wide margin, because in a single-VC wormhole
+		// network an adaptive turn couples worms across dimensions and
+		// usually costs more than a mildly busier but straight path.
 		return pickWithHysteresis(ctx, dirs, def, 1.2, func(n geom.TileID) float64 {
 			return ctx.Net.IncomingRate(n) + ctx.Net.SensorPSN(n)*1e-3
 		})

@@ -3,11 +3,12 @@
 // histograms, plus a bounded ring-buffer event timeline (timeline.go) that
 // exports Chrome trace-event JSON.
 //
-// The design contract, enforced by the obsreg analyzer and the
-// BenchmarkObsCounterAllocs guard, splits telemetry into two phases:
+// The design contract, held by TestCounterUpdatesZeroAlloc, splits
+// telemetry into two phases:
 //
 //   - Registration (Registry.Counter/Gauge/Histogram) allocates and takes a
-//     lock. It happens once, at startup, outside every //parm:hot loop.
+//     lock. It happens once, at startup, never on a per-cycle or per-solve
+//     path.
 //   - Updates (Inc/Add/Set/Observe) are single atomic operations on
 //     pre-registered metrics: 0 allocs/op, safe for concurrent use, cheap
 //     enough for the measurement hot paths.
@@ -43,8 +44,6 @@ type Counter struct {
 }
 
 // Inc adds one.
-//
-//parm:hot
 func (c *Counter) Inc() {
 	if c != nil {
 		c.v.Add(1)
@@ -52,8 +51,6 @@ func (c *Counter) Inc() {
 }
 
 // Add adds n.
-//
-//parm:hot
 func (c *Counter) Add(n uint64) {
 	if c != nil {
 		c.v.Add(n)
@@ -75,8 +72,6 @@ type Gauge struct {
 }
 
 // Set stores the current level.
-//
-//parm:hot
 func (g *Gauge) Set(v int64) {
 	if g != nil {
 		g.v.Store(v)
@@ -84,8 +79,6 @@ func (g *Gauge) Set(v int64) {
 }
 
 // Add shifts the level by d (use a negative d to decrease).
-//
-//parm:hot
 func (g *Gauge) Add(d int64) {
 	if g != nil {
 		g.v.Add(d)
@@ -108,8 +101,6 @@ type FloatGauge struct {
 }
 
 // Set stores the current level.
-//
-//parm:hot
 func (g *FloatGauge) Set(v float64) {
 	if g != nil {
 		g.bits.Store(math.Float64bits(v))
@@ -144,8 +135,6 @@ func newHistogram(bounds []float64) *Histogram {
 }
 
 // Observe records one value.
-//
-//parm:hot
 func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return
@@ -245,8 +234,8 @@ func NewRegistry() *Registry {
 }
 
 // Counter registers (or returns the already-registered) counter under name.
-// Registration locks and may allocate: call it at startup, never inside a
-// hot loop (the obsreg analyzer enforces this).
+// Registration locks and may allocate: call it at startup and keep the
+// handle, never on a per-cycle or per-solve path.
 func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil

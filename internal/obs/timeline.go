@@ -41,8 +41,6 @@ func NewTimeline(capacity int) *Timeline {
 }
 
 // Record appends ev, overwriting the oldest event when the buffer is full.
-//
-//parm:hot
 func (t *Timeline) Record(ev TimelineEvent) {
 	if t == nil {
 		return

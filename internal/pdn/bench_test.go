@@ -78,9 +78,9 @@ func warmSolve(tb testing.TB) func() {
 	return solve
 }
 
-// TestPSNStepAllocs pins the //parm:hot contract dynamically: a warm
-// Solver's transient solve must run allocation-free. hotalloc enforces the
-// same property statically, but only inside loops.
+// TestPSNStepAllocs pins the PSN solve's zero-allocation contract: a warm
+// Solver's transient solve (DC operating point, phasor solve, grid
+// sampling) must run allocation-free, inside loops or not.
 func TestPSNStepAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(10, warmSolve(t)); allocs != 0 {
 		t.Fatalf("warm PSN solve allocates %.1f times per run, want 0", allocs)

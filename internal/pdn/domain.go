@@ -185,8 +185,6 @@ type state struct {
 // currents, giving an initial condition free of artificial start-up droop.
 // The system lives entirely in scratch: matrix, right-hand side, and
 // solution are reused buffers, so the warm path allocates nothing.
-//
-//parm:hot
 func (c *circuit) dcOperatingPoint(scr *solverScratch) (state, error) {
 	// Unknowns: x[0]=vB, x[1..4]=vT0..vT3. iL = total current.
 	if scr.dcA[0] == nil {

@@ -155,7 +155,6 @@ func newPSNAccum(vdd float64) psnAccum {
 	return a
 }
 
-//parm:hot
 func (a *psnAccum) record(i int, v float64) {
 	if v < a.minV[i] {
 		a.minV[i] = v
@@ -188,8 +187,6 @@ func (a *psnAccum) result(steps int) Result {
 // Σ_k Re(X_k[2+i]·e^{jω_k t}) at the same instants t = (n+1)·h, n ∈
 // [settle, steps), that the RK4 loop records. The homogeneous start-up
 // transient (which the settle window exists to shed) is dropped entirely.
-//
-//parm:hot
 func simulatePhasor(cfg Config, loads [DomainTiles]TileLoad, scratch *solverScratch, caches *ltiCaches) (Result, error) {
 	c := newCircuit(cfg, loads)
 	st0, err := c.dcOperatingPoint(scratch)

@@ -41,8 +41,6 @@ var ErrIllConditioned = errors.New("pdn: ill-conditioned linear system")
 // in this package are tiny (the 5-unknown DC operating point of a domain),
 // so a dense direct solve is the right tool; that path threads a scratch x
 // through it every solve, so it allocates nothing.
-//
-//parm:hot
 func solveLinearInto(x []float64, a [][]float64, b []float64) error {
 	n := len(a)
 	if len(b) != n || len(x) != n {
