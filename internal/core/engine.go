@@ -867,21 +867,35 @@ func (e *Engine) quantizedFlows(flows []noc.Flow) []noc.Flow {
 	return q
 }
 
+// routingReadsPSN reports whether a NoC window under alg depends on the
+// sensor PSN. XY and ICON never read it (noc.TestMeasureIgnoresPSN), so
+// their windows are a function of the flows alone. Any other algorithm,
+// a wrapper around XY or ICON included, is assumed to read it.
+func routingReadsPSN(alg noc.Algorithm) bool {
+	switch alg.(type) {
+	case noc.XY, noc.ICON:
+		return false
+	}
+	return true
+}
+
 // measurementFor returns the NoC measurement for the given non-empty flow
-// list: the memoized result when both the flow list and the sensor PSN
-// environment match a remembered measurement (the simulation is a
-// deterministic function of the two), a fresh window otherwise. In
-// NoCModeCycle the memo key is the exact flow list; NoCModeAuto keys on
-// quantized rates so near-identical mapper states share a window.
+// list: the memoized result when the flow list matches a remembered
+// measurement, and so does the sensor PSN environment if the routing reads
+// it (the simulation is a deterministic function of the two), a fresh
+// window otherwise. In NoCModeCycle the memo key is the exact flow list;
+// NoCModeAuto keys on quantized rates so near-identical mapper states
+// share a window.
 func (e *Engine) measurementFor(flows []noc.Flow) (*noc.Result, error) {
 	key := flows
 	if e.cfg.NoCMode != NoCModeCycle {
 		key = e.quantizedFlows(flows)
 	}
 	if !e.cfg.DisableNoCCache {
+		readsPSN := routingReadsPSN(e.fw.Routing)
 		for i := range e.nocMemo {
 			m := &e.nocMemo[i]
-			if flowsEqual(m.flows, key) && floatsEqual(m.psn, e.env.PSN) {
+			if flowsEqual(m.flows, key) && (!readsPSN || floatsEqual(m.psn, e.env.PSN)) {
 				e.nocHits++
 				e.tel.nocHits.Inc()
 				return m.res, nil

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"parm/internal/appmodel"
@@ -202,5 +203,52 @@ func TestNoCMeasurementMemo(t *testing.T) {
 	if ref.nocHits != 0 || ref.nocMisses != 2 || len(ref.nocMemo) != 0 {
 		t.Errorf("disabled memo still active: hits=%d misses=%d entries=%d",
 			ref.nocHits, ref.nocMisses, len(ref.nocMemo))
+	}
+}
+
+// wrappedXY routes exactly as XY does, but the engine cannot see that.
+type wrappedXY struct{ noc.XY }
+
+// Under XY and ICON, which never read sensor PSN, the NoC memo keys on the
+// flow list alone: a changed PSN environment is served from the memo.
+// PANR, and any algorithm the engine does not recognise, wrapped XY
+// included, keeps PSN in the key.
+func TestNoCMemoKeyByRouting(t *testing.T) {
+	flows := []noc.Flow{
+		{App: 1, Src: 0, Dst: 25, Rate: 0.05},
+		{App: 1, Src: 25, Dst: 12, Rate: 0.02},
+	}
+	wrapped := MustCombo("PARM", "XY")
+	wrapped.Routing = wrappedXY{}
+	for _, tc := range []struct {
+		fw       Framework
+		wantHits int
+	}{
+		{MustCombo("PARM", "XY"), 1},
+		{MustCombo("PARM", "ICON"), 1},
+		{MustCombo("PARM", "PANR"), 0},
+		{wrapped, 0},
+	} {
+		eng, err := NewEngine(Config{}, tc.fw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r1, err := eng.measurementFor(flows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range eng.env.PSN {
+			eng.env.PSN[i] += 0.05
+		}
+		r2, err := eng.measurementFor(flows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if eng.nocHits != tc.wantHits {
+			t.Errorf("%T: %d memo hits after a PSN change, want %d", tc.fw.Routing, eng.nocHits, tc.wantHits)
+		}
+		if !reflect.DeepEqual(r1, r2) {
+			t.Errorf("%T: the window changed with PSN alone", tc.fw.Routing)
+		}
 	}
 }

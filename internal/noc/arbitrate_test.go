@@ -116,7 +116,7 @@ func TestArbitrationInvalidRouteNeverGranted(t *testing.T) {
 		t.Errorf("invalid-route worm moved: len %d, forwarded %d", r.inputs[portEast].len(), r.forwarded)
 	}
 	if r.owned != 0 {
-		t.Errorf("outputs %05b granted (owners %v)", r.owned, r.owner)
+		t.Errorf("outputs %05b granted (inputs %05b holding)", r.owned, r.held)
 	}
 	if r.rrPtr != [geom.NumPorts]uint8{} {
 		t.Errorf("round-robin pointers moved: %v", r.rrPtr)
@@ -138,7 +138,7 @@ func TestArbitrationOffMeshReleases(t *testing.T) {
 			t.Fatalf("cycle %d: west pointer %d, want %d (granted to east)", c, r.rrPtr[portWest], portEast+1)
 		}
 		if r.owned&(1<<portWest) != 0 {
-			t.Fatalf("cycle %d: off-mesh channel still held by %d", c, r.owner[portWest])
+			t.Fatalf("cycle %d: off-mesh channel still held (inputs %05b holding)", c, r.held)
 		}
 		if r.inputs[portEast].len() != 2 || r.forwarded != 0 {
 			t.Fatalf("cycle %d: off-mesh worm moved", c)
@@ -150,7 +150,7 @@ func TestArbitrationOffMeshReleases(t *testing.T) {
 }
 
 // TestFlitLayout pins the 4-byte flit handle: every buffer slot holds one
-// and every link crossing moves one. It also pins the 104-byte router,
+// and every link crossing moves one. It also pins the 64-byte router,
 // whose rings keep only a front index and count while their slots live in
 // the network's slot array, and the 16-byte packet-table entry (injection
 // cycle, flow and destination), so a per-packet field is a deliberate
@@ -159,8 +159,8 @@ func TestFlitLayout(t *testing.T) {
 	if size := unsafe.Sizeof(flit(0)); size != 4 {
 		t.Errorf("flit is %d bytes, want 4", size)
 	}
-	if size := unsafe.Sizeof(router{}); size != 104 {
-		t.Errorf("router is %d bytes, want 104", size)
+	if size := unsafe.Sizeof(router{}); size != 64 {
+		t.Errorf("router is %d bytes, want 64", size)
 	}
 	if size := unsafe.Sizeof(packet{}); size != 16 {
 		t.Errorf("packet is %d bytes, want 16", size)

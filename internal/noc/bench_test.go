@@ -73,7 +73,7 @@ func hotspotFlows() []Flow {
 }
 
 // steadyNetwork returns a network routing flows with alg, run to steady
-// state: ring buffers filled, wake heap and packet table at their working
+// state: ring buffers filled, wake calendar and packet table at their working
 // sizes.
 func steadyNetwork(tb testing.TB, alg Algorithm, flows []Flow) *Network {
 	env := &Env{PSN: make([]float64, 60)}

@@ -11,7 +11,7 @@ import (
 )
 
 // This file pins the equivalence contract of DESIGN.md §11: the production
-// cycle loop (bitsets, wakeup heap, lazy EWMA decay, packet table) must be
+// cycle loop (bitsets, wakeup calendar, rate folds, packet table) must be
 // cycle-exact against the naive reference simulator of reference_test.go —
 // same Measure results, same observable rate estimates, bit for bit — and
 // the analytic closed form must stay within its documented drift bounds on
@@ -218,10 +218,193 @@ func TestActiveDenseLockstep(t *testing.T) {
 	}
 }
 
+// TestActiveDenseLockstepJumps advances the sparse fixture by Run chunks of
+// seeded random length, so Run's idle jumps (the rate decay replayed over
+// the skipped cycles, the calendar's next-wakeup lookup) start and end
+// mid-test, and at every chunk end compares every tile's IncomingRate and
+// the staged counts with the reference, and the flow stats at the end. The
+// fixture must go idle at some chunk start and be idle at some chunk end,
+// or no jump is checked.
+func TestActiveDenseLockstepJumps(t *testing.T) {
+	zero := &Env{PSN: make([]float64, 60)}
+	for _, alg := range []Algorithm{XY{}, ICON{}, PANR{}} {
+		n, err := NewNetwork(Config{}, alg, sparseFlows(), zero)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := newRefSim(Config{}, alg, sparseFlows(), zero)
+		rng := rand.New(rand.NewSource(7))
+		idleStarts, idleEnds := 0, 0
+		for n.cycle < 12000 {
+			if n.activeRouters.empty() && n.activeTiles.empty() {
+				idleStarts++
+			}
+			k := 1 + rng.Intn(120)
+			n.Run(k)
+			ref.run(k)
+			if n.activeRouters.empty() && n.activeTiles.empty() {
+				idleEnds++
+			}
+			for tile, want := range ref.rates() {
+				got := n.IncomingRate(geom.TileID(tile))
+				//parm:floateq
+				if got != want {
+					t.Fatalf("%s cycle %d tile %d: IncomingRate network=%g reference=%g", alg.Name(), n.cycle, tile, got, want)
+				}
+			}
+			if !reflect.DeepEqual(n.staged, ref.staged) {
+				t.Fatalf("%s cycle %d: staged packets network=%v reference=%v", alg.Name(), n.cycle, n.staged, ref.staged)
+			}
+		}
+		if !reflect.DeepEqual(n.stats, ref.stats) {
+			t.Errorf("%s: flow stats diverged\nnetwork:   %+v\nreference: %+v", alg.Name(), n.stats, ref.stats)
+		}
+		if idleStarts == 0 || idleEnds == 0 {
+			t.Errorf("%s: %d chunks started idle and %d ended idle; the jumps are not exercised", alg.Name(), idleStarts, idleEnds)
+		}
+	}
+}
+
+// TestMeasureIgnoresPSN pins what lets the engine key its NoC memo on the
+// flows alone under XY and ICON: on every equivalence fixture and the
+// deviating flow sets, their windows measure bit for bit alike under zero
+// and patterned sensor PSN. PANR must tell the two apart on some fixture,
+// or the patterned readings would not be a different input.
+func TestMeasureIgnoresPSN(t *testing.T) {
+	fixtures := equivFixtures()
+	for _, seed := range deviatingSeeds {
+		fixtures[fmt.Sprintf("deviating/seed%d", seed)] = deviatingFlows(seed)
+	}
+	panrDiffers := false
+	for name, flows := range fixtures {
+		for _, alg := range []Algorithm{XY{}, ICON{}, PANR{}} {
+			var res [2]*Result
+			var rates [2][]uint64
+			for i, env := range []*Env{{PSN: make([]float64, 60)}, patternedEnv()} {
+				n, err := NewNetwork(Config{}, alg, flows, env)
+				if err != nil {
+					t.Fatal(err)
+				}
+				n.Run(equivWarmup)
+				res[i] = n.Measure(equivWindow)
+				for tile := range n.routers {
+					rates[i] = append(rates[i], math.Float64bits(n.IncomingRate(geom.TileID(tile))))
+				}
+			}
+			same := reflect.DeepEqual(res[0], res[1]) && reflect.DeepEqual(rates[0], rates[1])
+			switch {
+			case alg.Name() == "PANR":
+				panrDiffers = panrDiffers || !same
+			case !same:
+				t.Errorf("%s/%s: the window changed with sensor PSN alone", name, alg.Name())
+			}
+		}
+	}
+	if !panrDiffers {
+		t.Error("PANR measured alike under zero and patterned PSN on every fixture")
+	}
+}
+
+// TestFlowOrderPermutes reorders blocks of flows with disjoint source tiles,
+// as the engine's flow list concatenates apps that own disjoint tiles, and
+// requires Measure's per-flow stats to permute with the flows while router
+// activity and rates stay bit for bit the same, under every routing scheme.
+// A flow's index orders nothing but its wakeups within a cycle (the
+// calendar's bucket lists) and its place in its source tile's injection
+// round robin, which blocks keep; so the order in which a cycle's wakeups
+// are processed cannot reach a result either.
+func TestFlowOrderPermutes(t *testing.T) {
+	fixtures := equivFixtures()
+	for _, seed := range deviatingSeeds {
+		fixtures[fmt.Sprintf("deviating/seed%d", seed)] = deviatingFlows(seed)
+	}
+	rng := rand.New(rand.NewSource(11))
+	for name, flows := range fixtures {
+		// One block per source tile, in first-appearance order, each
+		// keeping its flows' order.
+		var blocks [][]int
+		blockOf := map[geom.TileID]int{}
+		for i, f := range flows {
+			b, ok := blockOf[f.Src]
+			if !ok {
+				b = len(blocks)
+				blockOf[f.Src] = b
+				blocks = append(blocks, nil)
+			}
+			blocks[b] = append(blocks[b], i)
+		}
+		if len(blocks) < 2 {
+			continue
+		}
+		rng.Shuffle(len(blocks), func(i, j int) { blocks[i], blocks[j] = blocks[j], blocks[i] })
+		var perm []int // perm[k] is the original index of permuted flow k
+		for _, b := range blocks {
+			perm = append(perm, b...)
+		}
+		permuted := make([]Flow, len(flows))
+		for k, i := range perm {
+			permuted[k] = flows[i]
+		}
+		for _, alg := range []Algorithm{XY{}, ICON{}, PANR{}} {
+			env := patternedEnv()
+			var res [2]*Result
+			var rates [2][]uint64
+			for i, fs := range [][]Flow{flows, permuted} {
+				n, err := NewNetwork(Config{}, alg, fs, env)
+				if err != nil {
+					t.Fatal(err)
+				}
+				n.Run(equivWarmup)
+				res[i] = n.Measure(equivWindow)
+				for tile := range n.routers {
+					rates[i] = append(rates[i], math.Float64bits(n.IncomingRate(geom.TileID(tile))))
+				}
+			}
+			for k, i := range perm {
+				if res[1].Flows[k] != res[0].Flows[i] {
+					t.Errorf("%s/%s: flow %d measures %+v at position %d, %+v at %d", name, alg.Name(), i, res[1].Flows[k], k, res[0].Flows[i], i)
+				}
+			}
+			if !reflect.DeepEqual(res[0].RouterForwarded, res[1].RouterForwarded) || !reflect.DeepEqual(res[0].RouterUtil, res[1].RouterUtil) {
+				t.Errorf("%s/%s: router activity changed with the flow order", name, alg.Name())
+			}
+			if !reflect.DeepEqual(rates[0], rates[1]) {
+				t.Errorf("%s/%s: incoming rates changed with the flow order", name, alg.Name())
+			}
+		}
+	}
+}
+
+// flowWake is one pending accrual wakeup: flow is due at cycle.
+type flowWake struct {
+	cycle int
+	flow  int
+}
+
+// pendingWakes lists n's pending wakeups in calendar order: by cycle from
+// the current one, and within a cycle in bucket-list order. Every pending
+// wakeup lies less than wakeBuckets cycles ahead, so a bucket's offset from
+// the current cycle's bucket is its wakeups' distance in cycles.
+func pendingWakes(n *Network) []flowWake {
+	ws := []flowWake{}
+	for k := 0; k < wakeBuckets; k++ {
+		b := (n.cycle + k) & (wakeBuckets - 1)
+		if n.wake.bits[b>>6]&(1<<uint(b&63)) == 0 {
+			continue
+		}
+		for f := n.wake.head[b]; f >= 0; f = n.wake.next[f] {
+			ws = append(ws, flowWake{cycle: n.cycle + k, flow: int(f)})
+		}
+	}
+	return ws
+}
+
 // TestWakeupsStageOrStall pins the exact-crossing wakeups: every wakeup the
-// production loop pops stages or stalls a packet of its flow, unless it was
-// booked wakeLookahead cycles after the flow's previous one. The rounding
-// fixture's slowest flow must reach that bound.
+// production loop processes stages or stalls a packet of its flow, unless
+// it was booked wakeLookahead cycles after the flow's previous one. The
+// rounding fixture's slowest flow must reach that bound. After every cycle
+// each flow that can inject holds exactly one pending wakeup, no more than
+// wakeLookahead cycles ahead, and no other flow holds one.
 func TestWakeupsStageOrStall(t *testing.T) {
 	for name, flows := range equivFixtures() {
 		n, err := NewNetwork(Config{}, PANR{}, flows, &Env{PSN: make([]float64, 60)})
@@ -233,10 +416,11 @@ func TestWakeupsStageOrStall(t *testing.T) {
 			last[i] = -1
 		}
 		var due []flowWake
-		pops, atBound := 0, 0
+		processed, atBound := 0, 0
 		for c := 0; c < 7500; c++ {
 			due = due[:0]
-			for _, w := range n.wake {
+			pending := pendingWakes(n)
+			for _, w := range pending {
 				if w.cycle <= n.cycle {
 					due = append(due, w)
 				}
@@ -245,7 +429,7 @@ func TestWakeupsStageOrStall(t *testing.T) {
 			stats := append([]FlowStats(nil), n.stats...)
 			n.processWakeups()
 			for _, w := range due {
-				pops++
+				processed++
 				crossed := n.staged[w.flow] > staged[w.flow] || n.stats[w.flow].StalledCycles > stats[w.flow].StalledCycles
 				if !crossed {
 					if w.cycle-last[w.flow] != wakeLookahead {
@@ -256,9 +440,25 @@ func TestWakeupsStageOrStall(t *testing.T) {
 				last[w.flow] = w.cycle
 			}
 			n.Step()
+			booked := make([]int, len(flows))
+			for _, w := range pendingWakes(n) {
+				booked[w.flow]++
+				if w.cycle < n.cycle || w.cycle > n.cycle+wakeLookahead {
+					t.Fatalf("%s cycle %d: flow %d booked for cycle %d", name, n.cycle, w.flow, w.cycle)
+				}
+			}
+			for i, f := range flows {
+				want := 0
+				if f.Src != f.Dst && f.Rate > 0 {
+					want = 1
+				}
+				if booked[i] != want {
+					t.Fatalf("%s cycle %d: flow %d holds %d pending wakeups, want %d", name, n.cycle, i, booked[i], want)
+				}
+			}
 		}
-		if pops == 0 {
-			t.Errorf("%s: no wakeup popped", name)
+		if processed == 0 {
+			t.Errorf("%s: no wakeup processed", name)
 		}
 		if name == "rounding" && atBound == 0 {
 			t.Errorf("%s: no wakeup reached the lookahead bound", name)

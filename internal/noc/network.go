@@ -17,7 +17,8 @@ type Config struct {
 // The router and NIC parameters are fixed platform constants (DESIGN.md
 // §5): every recorded experiment runs with these values.
 const (
-	// bufferFlits is the input buffer capacity per port, in flits.
+	// bufferFlits is the input buffer capacity per port, in flits. Ring
+	// indices wrap by masking with bufferFlits-1, so it is a power of two.
 	bufferFlits = 8
 	// FlitsPerPacket is the packet size: a head and four payload flits.
 	FlitsPerPacket = 5
@@ -37,6 +38,10 @@ const (
 	// (DESIGN.md §11 derives the value).
 	satLinkLoad = 0.6
 )
+
+// Ring indices wrap by masking: a bufferFlits that is not a power of two
+// makes this constant negative, which a uint cannot hold.
+const _ uint = -(bufferFlits & (bufferFlits - 1))
 
 func (c Config) withDefaults() Config {
 	// Each dimension defaults independently, so a config that sets only one
@@ -129,8 +134,15 @@ type Network struct {
 	activeRouters tileSet
 	activeTiles   tileSet
 	stagedFlows   []int // per tile, count of flows with staged > 0
-	wake          wakeHeap
-	rated         []int // tiles that received flits this cycle (deduplicated)
+	wake          wakeCalendar
+
+	// The incoming-rate estimator adaptive routing reads: recv[t] counts the
+	// flits written into tile t's input buffers this cycle, and rate[t] is
+	// their exponentially weighted moving average, folded for every tile at
+	// the end of each cycle (foldRates, decayRates). The counts are held as
+	// float64, exact for counts this small, so the fold converts nothing.
+	recv []float64
+	rate []float64
 
 	// coord[t] is tile t's mesh coordinate and nbr[t][p] the tile one hop
 	// from t through cardinal port p, or -1 off the mesh. Reset builds both
@@ -202,12 +214,12 @@ func (n *Network) Reset(cfg Config, alg Algorithm, flows []Flow, env *Env) error
 	n.activeTiles.reset(tiles)
 	n.packets = n.packets[:0]
 	n.free = n.free[:0]
-	// Sized to their steady-state bounds so the cycle loop never grows
-	// them: at most one arrival per (tile, port) per cycle, one rated entry
-	// per tile per cycle, one live wakeup per flow.
-	n.rated = emptied(n.rated, tiles)
+	n.recv = resized(n.recv, tiles)
+	n.rate = resized(n.rate, tiles)
+	n.wake.reset(len(flows))
+	// Sized to its steady-state bound so the cycle loop never grows it: at
+	// most one arrival per (tile, port) per cycle.
 	n.arrivalScratch = emptied(n.arrivalScratch, tiles*geom.NumPorts)
-	n.wake = emptied(n.wake, len(flows))
 
 	// Counting sort of the flows by source tile, stable in flow order:
 	// count each tile's flows into srcOff[t+1], turn the counts into run
@@ -286,15 +298,12 @@ func (n *Network) setMesh(mesh geom.Mesh) {
 }
 
 // newRouteView returns the network an Algorithm reads when routing on an
-// idle fabric: the mesh tables, empty routers with zero incoming rates, and
-// env. It holds no flows and is never stepped.
+// idle fabric: the mesh tables, zero incoming rates, and env. It holds no
+// routers or flows and is never stepped.
 func newRouteView(mesh geom.Mesh, env *Env) *Network {
 	n := &Network{env: env}
 	n.setMesh(mesh)
-	n.routers = make([]router, mesh.NumTiles())
-	for i := range n.routers {
-		n.routers[i] = idleRouter()
-	}
+	n.rate = make([]float64, mesh.NumTiles())
 	return n
 }
 
@@ -318,13 +327,12 @@ func emptied[S ~[]E, E any](s S, c int) S {
 	return s[:0]
 }
 
-// IncomingRate returns the EWMA incoming flit rate of tile t's router,
-// folding any pending idle-cycle decay first (see catchUpRate).
-func (n *Network) IncomingRate(t geom.TileID) float64 {
-	r := &n.routers[t]
-	n.catchUpRate(r, n.cycle-1)
-	return r.incomingRate
-}
+// IncomingRate returns the incoming flit rate of tile t's router: the
+// exponentially weighted moving average (smoothing constant 0.05) of the
+// flits written into its input buffers per cycle, over every cycle the
+// network has run. A route computed during a cycle reads the rate folded
+// at the end of the cycle before.
+func (n *Network) IncomingRate(t geom.TileID) float64 { return n.rate[t] }
 
 // SensorPSN returns the environment's PSN reading at tile t.
 func (n *Network) SensorPSN(t geom.TileID) float64 { return n.env.psnAt(t) }
@@ -363,18 +371,20 @@ func (n *Network) Step() {
 
 // Run advances the simulation by the given number of cycles. Stretches
 // where no router holds a flit and no tile has injection work are skipped
-// in one jump to the next flow wakeup: no per-cycle state changes in
-// between (rate decay and demand accrual are lazy, credits are clear
-// between cycles), so the jump is exact.
+// in one jump to the next flow wakeup: in between, the only per-cycle
+// state change is the rates' decay, which decayRates replays (demand
+// accrual is booked ahead, credits are clear between cycles), so the jump
+// is exact.
 func (n *Network) Run(cycles int) {
 	end := n.cycle + cycles
 	for n.cycle < end {
 		if n.activeRouters.empty() && n.activeTiles.empty() {
 			next := end
-			if len(n.wake) > 0 && n.wake[0].cycle < next {
-				next = n.wake[0].cycle
+			if due, ok := n.wake.nextDue(n.cycle); ok && due < next {
+				next = due
 			}
 			if next > n.cycle {
+				n.decayRates(next - n.cycle)
 				n.cycle = next
 				continue
 			}
@@ -388,10 +398,12 @@ func (n *Network) Run(cycles int) {
 // flow's accrual up to the cycle before, so each wakeup stages or stalls a
 // packet unless it was booked at the lookahead bound.
 func (n *Network) processWakeups() {
-	for len(n.wake) > 0 && n.wake[0].cycle <= n.cycle {
-		w := n.wake.pop()
-		n.advanceAccrual(w.flow)
-		n.scheduleWake(w.flow, n.cycle)
+	for f := n.wake.take(n.cycle); f >= 0; {
+		// Read the link first: booking f's next wakeup overwrites it.
+		next := n.wake.next[f]
+		n.advanceAccrual(int(f))
+		n.scheduleWake(int(f), n.cycle)
+		f = next
 	}
 }
 
@@ -417,8 +429,9 @@ func (n *Network) advanceAccrual(i int) {
 
 // wakeLookahead bounds how many cycles scheduleWake replays in one call, so
 // a tiny rate (or one too small to move the accumulator at all) costs a
-// bounded amount of work per wakeup.
-const wakeLookahead = 1 << 12
+// bounded amount of work per wakeup, and how far ahead of the clock the
+// wake calendar holds a wakeup.
+const wakeLookahead = wakeBuckets - 1
 
 // scheduleWake books flow i's next wakeup. acc[i] holds its accrual through
 // cycle; the adds of the following cycles are replayed ahead of the clock
@@ -437,7 +450,7 @@ func (n *Network) scheduleWake(i, cycle int) {
 		cycle++
 	}
 	n.acc[i] = acc
-	n.wake.push(flowWake{cycle: cycle + 1, flow: i})
+	n.wake.push(cycle+1, i)
 }
 
 // incStaged stages one packet of flow fi and keeps the per-tile staged-flow
@@ -487,7 +500,7 @@ func (n *Network) injectAtTile(t int) {
 	n.push(t, portLocal, n.flitToInject(t, fi))
 	r.occ |= 1 << portLocal
 	n.activeRouters.set(t)
-	n.noteReceive(r, t)
+	n.recv[t]++
 	n.stats[fi].InjectedFlits++
 }
 
@@ -558,11 +571,7 @@ func (n *Network) ringBase(t, p int) int { return (t*geom.NumPorts + p) * buffer
 // port p of router t.
 func (n *Network) tailSlot(t, p int) int {
 	q := n.routers[t].inputs[p]
-	i := int(q.head + q.n)
-	if i >= bufferFlits {
-		i -= bufferFlits
-	}
-	return n.ringBase(t, p) + i
+	return n.ringBase(t, p) + int(q.head+q.n)&(bufferFlits-1)
 }
 
 // push appends f to input port p of router t.
@@ -576,14 +585,11 @@ func (n *Network) push(t, p int, f flit) {
 func (n *Network) pop(r *router, t, p int) flit {
 	q := &r.inputs[p]
 	f := n.slots[n.ringBase(t, p)+int(q.head)]
-	if q.head++; q.head == bufferFlits {
-		q.head = 0
-	}
+	q.head = (q.head + 1) & (bufferFlits - 1)
 	q.n--
 	if q.n == 0 {
 		r.occ &^= 1 << p
 	}
-	r.route[p] = portUnrouted
 	r.forwarded++
 	return f
 }
@@ -591,8 +597,10 @@ func (n *Network) pop(r *router, t, p int) flit {
 // stepRouter runs one cycle of router t: route computation for unrouted
 // head flits at its input fronts, output arbitration, and switch traversal
 // of at most one flit per output port, appending link crossings to
-// arrivals. Each stage walks its port mask in ascending port order. When
-// the router drains completely it leaves the active set.
+// arrivals. Route computation and arbitration walk their masks in ascending
+// port order; traversal's order is immaterial, because each held channel
+// pops its own input and writes its own downstream ring. When the router
+// drains completely it leaves the active set.
 //
 // Fusing the three stages per router is exact against a sweep that routes
 // every router before traversing any: traversal only pops the router's own
@@ -602,18 +610,16 @@ func (n *Network) pop(r *router, t, p int) flit {
 // and sensor PSN.
 func (n *Network) stepRouter(t int, arrivals []pendingArrival) []pendingArrival {
 	r := &n.routers[t]
-	// One pass over the occupied inputs routes unrouted heads and builds,
-	// per output port, the bitmask of inputs whose head requests it.
+	// One pass over the occupied inputs whose worm holds no channel, whose
+	// fronts are therefore heads, routes unrouted heads and builds, per
+	// output port, the bitmask of inputs whose head requests it.
 	var req [geom.NumPorts]uint8
 	var requested uint8
-	for m := r.occ; m != 0; m &= m - 1 {
+	for m := r.occ &^ r.held; m != 0; m &= m - 1 {
 		p := bits.TrailingZeros8(m)
 		out := r.route[p]
 		if out == portUnrouted {
 			f := n.slots[n.ringBase(t, p)+int(r.inputs[p].head)]
-			if !f.isHead() {
-				continue // body and tail flits follow their worm's channel
-			}
 			d := n.alg.Route(RouteCtx{
 				Net:            n,
 				At:             geom.TileID(t),
@@ -644,41 +650,41 @@ func (n *Network) stepRouter(t int, arrivals []pendingArrival) []pendingArrival 
 		if in >= geom.NumPorts {
 			in -= geom.NumPorts
 		}
-		r.owner[out] = in
 		r.owned |= 1 << out
+		r.held |= 1 << in
 		r.rrPtr[out] = in + 1
 		if r.rrPtr[out] == geom.NumPorts {
 			r.rrPtr[out] = 0
 		}
 	}
-	// Traversal: each owned output forwards its input's front flit.
-	for m := r.owned; m != 0; m &= m - 1 {
-		out := bits.TrailingZeros8(m)
-		in := int(r.owner[out])
-		if r.occ&(1<<in) == 0 {
-			continue
-		}
+	// Traversal: each occupied input holding a channel forwards its front
+	// flit; the tail releases the channel.
+	for m := r.occ & r.held; m != 0; m &= m - 1 {
+		in := bits.TrailingZeros8(m)
+		out := int(r.route[in])
 		if out == portLocal {
 			// Ejection: infinite sink.
 			f := n.pop(r, t, in)
 			n.eject(f)
 			if f.isTail() {
-				r.owned &^= 1 << out
+				r.endWorm(in, out)
 			}
 			continue
 		}
 		next := n.nbr[t][out]
 		if next < 0 {
 			// Misrouting off-mesh cannot happen with a sane algorithm;
-			// drop the channel to avoid wedging the port forever.
-			r.owned &^= 1 << out
+			// drop the channel to avoid wedging the port forever. The worm
+			// keeps its route and requests the output again.
+			r.release(in, out)
 			continue
 		}
 		// Credit check. This output is the only writer of the downstream
 		// input, so the count alone tells whether a slot is free; pops by
 		// routers earlier in the sweep have already freed theirs.
 		dstPort := int(oppositePort[out])
-		if n.routers[next].inputs[dstPort].len() >= bufferFlits {
+		q := &n.routers[next].inputs[dstPort]
+		if q.n >= bufferFlits {
 			continue
 		}
 		f := n.pop(r, t, in)
@@ -686,12 +692,12 @@ func (n *Network) stepRouter(t int, arrivals []pendingArrival) []pendingArrival 
 		// put until applyArrivals, so routers later in the sweep do not see
 		// the flit, and their pops move head and count together, keeping
 		// this slot just past the tail.
-		n.slots[n.tailSlot(int(next), dstPort)] = f
+		n.slots[n.ringBase(int(next), dstPort)+int(q.head+q.n)&(bufferFlits-1)] = f
 		// Bounded by the scratch capacity Reset reserved: one
 		// arrival per (tile, port) per cycle.
 		arrivals = append(arrivals, pendingArrival{to: next, port: uint8(dstPort)})
 		if f.isTail() {
-			r.owned &^= 1 << out
+			r.endWorm(in, out)
 		}
 	}
 	if r.occ == 0 {
@@ -717,79 +723,52 @@ func (n *Network) eject(f flit) {
 }
 
 // applyArrivals makes this cycle's link crossings visible: traversal wrote
-// each handle into its downstream ring already, so only counts, masks and
-// the active and rated sets change here.
+// each handle into its downstream ring already, so only counts, masks, the
+// active set and the receive counts change here.
 func (n *Network) applyArrivals(arrivals []pendingArrival) {
 	for _, a := range arrivals {
 		r := &n.routers[a.to]
 		r.inputs[a.port].n++
 		r.occ |= 1 << a.port
 		n.activeRouters.set(int(a.to))
-		n.noteReceive(r, int(a.to))
+		n.recv[a.to]++
 	}
 }
 
-// noteReceive counts a flit entering any of router r's input buffers this
-// cycle and enrolls the tile in the per-cycle rated list (once).
-func (n *Network) noteReceive(r *router, t int) {
-	if r.recvCycle != n.cycle {
-		r.recvCycle = n.cycle
-		r.recvCount = 0
-		// Bounded by the rated capacity Reset reserved: one entry
-		// per tile per cycle.
-		n.rated = append(n.rated, t)
-	}
-	r.recvCount++
-}
-
-// ewmaStep is the one incoming-rate update everybody shares. Keeping eager,
-// lazy, and catch-up updates on this exact expression guarantees they round
-// identically whether or not the compiler fuses the multiply-add.
+// ewmaStep is the one incoming-rate update foldRates and decayRates share,
+// so the two round identically whether or not the compiler fuses the
+// multiply-add.
 func ewmaStep(rate, alpha, sample float64) float64 {
 	return (1-alpha)*rate + alpha*sample
 }
 
-// catchUpRate folds router r's pending idle-cycle rate decay through the
-// given cycle. Every cycle with a receive is folded eagerly at its own end
-// (foldRates), so all pending cycles here sampled zero flits; a zero rate
-// then stays zero, which lets long-idle routers skip the replay outright.
-func (n *Network) catchUpRate(r *router, through int) {
-	if r.rateCycle > through {
-		return
+// foldRates folds this cycle's receive counts into every tile's rate and
+// clears them for the next cycle.
+func (n *Network) foldRates() {
+	rate := n.rate
+	recv := n.recv[:len(rate)]
+	for t, r := range rate {
+		rate[t] = ewmaStep(r, rateEWMA, recv[t])
 	}
-	// Exact shortcut, not a tolerance: ewmaStep(0, rateEWMA, 0) == 0.
-	//parm:floateq
-	if r.incomingRate == 0 {
-		r.rateCycle = through + 1
-		return
-	}
-	rate := r.incomingRate
-	for c := r.rateCycle; c <= through; c++ {
-		next := ewmaStep(rate, rateEWMA, 0)
-		// Deep-subnormal rates reach a rounding fixed point where the decay
-		// is exactly idempotent; the remaining replay is then a no-op. Exact
-		// comparison, not a tolerance.
-		//parm:floateq
-		if next == rate {
-			break
-		}
-		rate = next
-	}
-	r.incomingRate = rate
-	r.rateCycle = through + 1
+	clear(recv)
 }
 
-// foldRates advances the incoming-rate EWMA of every router that received
-// flits this cycle (the rated list); routers that received nothing keep a
-// pending decay that catchUpRate folds lazily on first read.
-func (n *Network) foldRates() {
-	for _, t := range n.rated {
-		r := &n.routers[t]
-		n.catchUpRate(r, n.cycle-1)
-		r.incomingRate = ewmaStep(r.incomingRate, rateEWMA, float64(r.recvCount))
-		r.rateCycle = n.cycle + 1
+// decayRates folds k cycles without receives into every tile's rate, as k
+// foldRates calls over idle cycles would. A rate that stops changing (zero,
+// or a deep-subnormal rounding fixed point) stays put, so each tile's replay
+// ends there. Exact comparison, not a tolerance.
+func (n *Network) decayRates(k int) {
+	for t, rate := range n.rate {
+		for c := 0; c < k; c++ {
+			next := ewmaStep(rate, rateEWMA, 0)
+			//parm:floateq
+			if next == rate {
+				break
+			}
+			rate = next
+		}
+		n.rate[t] = rate
 	}
-	n.rated = n.rated[:0]
 }
 
 // Result summarizes a measurement window.

@@ -11,9 +11,11 @@ import (
 // production loop (Network.Step, Run and Measure) is checked against bit
 // for bit. It shares no cycle-loop code with the production loop: every
 // cycle it accrues every flow, offers injection at every tile and sweeps
-// every router; flits are structs in per-port slices; incoming rates are
-// folded eagerly. The routing algorithm reads a route view (newRouteView)
-// whose routers the reference fills with its own rates before each sweep.
+// every router; flits are structs in per-port slices; every router's
+// incoming rate is folded at the end of every cycle, as the production loop
+// folds them too, but by its own code. The routing algorithm reads a route
+// view (newRouteView) whose rates the reference overwrites with its own
+// before each sweep.
 type refSim struct {
 	mesh    geom.Mesh
 	alg     Algorithm
@@ -135,7 +137,7 @@ func (s *refSim) step() {
 		s.inject(t)
 	}
 	for t := range s.routers {
-		s.view.routers[t].incomingRate = s.routers[t].rate
+		s.view.rate[t] = s.routers[t].rate
 	}
 	var arrivals []refArrival
 	for t := range s.routers {

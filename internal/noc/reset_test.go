@@ -55,7 +55,7 @@ type resetState struct {
 	Rings                      [][]flit
 	Packets                    []packet
 	Free                       []int32
-	Wake                       wakeHeap
+	Wake                       []flowWake
 	Acc                        []uint64
 	Staged, PartialLeft, RR    []int
 	StagedFlows                []int
@@ -76,7 +76,7 @@ func runResetWindow(n *Network, w resetWindow) resetState {
 		Routers:       cloned(n.routers),
 		Packets:       cloned(n.packets),
 		Free:          cloned(n.free),
-		Wake:          cloned(n.wake),
+		Wake:          pendingWakes(n),
 		Staged:        cloned(n.staged),
 		PartialLeft:   cloned(n.partialLeft),
 		RR:            cloned(n.injectRR),
@@ -110,7 +110,7 @@ func runResetWindow(n *Network, w resetWindow) resetState {
 // TestResetMatchesNew resets one network through a sequence of windows —
 // every routing scheme, quiet and noisy sensors, and two mesh shapes —
 // and requires each window to leave exactly the state, Result and
-// IncomingRate bits of a fresh NewNetwork. A packet table, wake heap or rate
+// IncomingRate bits of a fresh NewNetwork. A packet table, wakeup or rate
 // carried over from the previous window shows up as a difference.
 func TestResetMatchesNew(t *testing.T) {
 	reused := &Network{}

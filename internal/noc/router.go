@@ -49,7 +49,7 @@ var oppositePort = [4]uint8{portWest, portEast, portSouth, portNorth}
 // ring is one input buffer: a fixed-capacity ring of flit handles whose
 // bufferFlits slots live in the network's slot array (Network.ringBase). The
 // router keeps only the ring's front index and flit count, so its five
-// rings sit next to the rest of its 104 bytes of state, and Reset rebuilds
+// rings sit next to the rest of its 64 bytes of state, and Reset rebuilds
 // no per-buffer slice header.
 type ring struct {
 	head, n int32
@@ -61,33 +61,34 @@ func (q ring) len() int { return int(q.n) }
 type router struct {
 	// inputs[p] is the ring of flits waiting at input port p.
 	inputs [geom.NumPorts]ring
-	// route[p] is the output port computed for the head at input p's front:
-	// portUnrouted until its route is computed (and for body and tail
-	// flits), portNone when the algorithm named no port. Every pop resets it.
+	// route[p] is the output port of the worm at input p's front:
+	// portUnrouted until its head's route is computed, portNone when the
+	// algorithm named no port. It holds until the worm's tail leaves.
 	route [geom.NumPorts]uint8
-	// occ has bit p set while input p holds a flit, owned has bit p set
-	// while output p's wormhole channel is held; a router with occ == 0 has
-	// no routing or switching work this cycle.
-	occ, owned uint8
-	// owner[p] is the input port that holds the wormhole channel to output
-	// port p (meaningful while owned has bit p set).
-	owner [geom.NumPorts]uint8
+	// occ has bit p set while input p holds a flit; owned has bit p set
+	// while output p's wormhole channel is held, and held has bit p set
+	// while input p's worm holds the channel to output route[p]. A router
+	// with occ == 0 has no routing or switching work this cycle.
+	occ, owned, held uint8
 	// rrPtr[p] is the round-robin arbitration pointer of output port p: the
 	// input that wins a tie next.
 	rrPtr [geom.NumPorts]uint8
 
 	// forwarded counts flits that traversed the crossbar (all outputs).
 	forwarded int
-	// recvCycle/recvCount sample flits written into any input buffer during
-	// one cycle (noteReceive); recvCycle is -1 until the first receive.
-	recvCycle int
-	recvCount int
-	// incomingRate is an exponentially weighted moving average of received
-	// flits per cycle; adaptive routing reads it from neighbors. rateCycle
-	// is the first cycle not yet folded into it — idle-cycle decay is
-	// applied lazily (catchUpRate).
-	incomingRate float64
-	rateCycle    int
+}
+
+// release frees the channel input in holds to output out.
+func (r *router) release(in, out int) {
+	r.owned &^= 1 << out
+	r.held &^= 1 << in
+}
+
+// endWorm releases input in's channel to output out as its worm's tail
+// leaves, and readies the input to route the next head.
+func (r *router) endWorm(in, out int) {
+	r.release(in, out)
+	r.route[in] = portUnrouted
 }
 
 // occupancy returns the fill fraction of input port p's buffer.
@@ -104,10 +105,10 @@ type pendingArrival struct {
 	port uint8
 }
 
-// idleRouter is a router as Reset leaves it: empty rings, no route computed,
-// no channel held, and no receive sampled yet.
+// idleRouter is a router as Reset leaves it: empty rings, no route computed
+// and no channel held.
 func idleRouter() router {
-	r := router{recvCycle: -1}
+	var r router
 	for p := range r.route {
 		r.route[p] = portUnrouted
 	}

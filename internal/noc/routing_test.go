@@ -193,8 +193,8 @@ func TestPANRCongestionModeSwitch(t *testing.T) {
 	env.PSN[1] = 0.08 // east (the dimension-ordered default) noisy and busy
 	env.PSN[10] = 0.0 // north quiet and idle
 	n := mkNet(t, PANR{}, flows, env)
-	n.routers[1].incomingRate = 2.0
-	n.routers[10].incomingRate = 0.0
+	n.rate[1] = 2.0
+	n.rate[10] = 0.0
 	// Quiet input: PSN decides -> north (quiet, idle alternative).
 	if d := (PANR{}).Route(RouteCtx{Net: n, At: 0, Dst: 59, InputOccupancy: 0.1}); d != geom.North {
 		t.Errorf("uncongested PANR chose %v", d)
@@ -204,8 +204,8 @@ func TestPANRCongestionModeSwitch(t *testing.T) {
 		t.Errorf("congested PANR chose %v", d)
 	}
 	// A busy alternative is not worth deviating to: north busy, east noisy.
-	n.routers[1].incomingRate = 0.0
-	n.routers[10].incomingRate = 2.0
+	n.rate[1] = 0.0
+	n.rate[10] = 2.0
 	if d := (PANR{}).Route(RouteCtx{Net: n, At: 0, Dst: 59, InputOccupancy: 0.1}); d != geom.East {
 		t.Errorf("PANR deviated onto a saturated router: %v", d)
 	}
@@ -221,8 +221,8 @@ func TestPANRThresholdB(t *testing.T) {
 	env := &Env{PSN: make([]float64, 60)}
 	env.PSN[1] = 0.08
 	n := mkNet(t, PANR{}, flows, env)
-	n.routers[1].incomingRate = 0
-	n.routers[10].incomingRate = 0.3
+	n.rate[1] = 0
+	n.rate[10] = 0.3
 	for _, tc := range []struct {
 		flits int
 		want  geom.Dir
@@ -240,8 +240,8 @@ func TestICONIgnoresPSN(t *testing.T) {
 	env := &Env{PSN: make([]float64, 60)}
 	env.PSN[10] = 0.15 // very noisy north tile
 	n := mkNet(t, ICON{}, flows, env)
-	n.routers[1].incomingRate = 1.0 // busy east router
-	n.routers[10].incomingRate = 0.0
+	n.rate[1] = 1.0 // busy east router
+	n.rate[10] = 0.0
 	if d := (ICON{}).Route(RouteCtx{Net: n, At: 0, Dst: 59}); d != geom.North {
 		t.Errorf("ICON chose %v; it should follow router activity, not PSN", d)
 	}
