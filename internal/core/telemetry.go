@@ -127,5 +127,5 @@ func (e *Engine) linkObs() {
 		return
 	}
 	tl := e.timeline
-	e.reg.Attach("obs/timeline_dropped", func() interface{} { return tl.Dropped() })
+	e.reg.Attach("obs/timeline_dropped", tl.Dropped)
 }

@@ -86,7 +86,7 @@ func TestTelemetryCountersPopulated(t *testing.T) {
 		t.Errorf("CollectCacheStats hits/misses %d/%d, want telemetry %d/%d",
 			m.PDNCache.Hits, m.PDNCache.Misses, hits, misses)
 	}
-	if tl.Len() == 0 {
+	if len(tl.Events()) == 0 {
 		t.Fatal("timeline recorded no events")
 	}
 	seen := map[string]bool{}

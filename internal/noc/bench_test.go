@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"runtime"
 	"testing"
 
 	"parm/internal/geom"
@@ -72,11 +73,10 @@ func hotspotFlows() []Flow {
 	return flows
 }
 
-// steadyNetwork returns a network routing flows with alg, run to steady
-// state: ring buffers filled, wake calendar and packet table at their working
-// sizes.
-func steadyNetwork(tb testing.TB, alg Algorithm, flows []Flow) *Network {
-	env := &Env{PSN: make([]float64, 60)}
+// steadyNetwork returns a network routing flows with alg under env, run to
+// steady state: ring buffers filled, wake calendar and packet table at their
+// working sizes.
+func steadyNetwork(tb testing.TB, alg Algorithm, flows []Flow, env *Env) *Network {
 	n, err := NewNetwork(Config{}, alg, flows, env)
 	if err != nil {
 		tb.Fatal(err)
@@ -94,30 +94,73 @@ func stalledCycles(n *Network) int {
 	return total
 }
 
+// xyWatch routes with its Algorithm and counts the route calls whose
+// direction differs from XY's on the same context, so a test can tell
+// whether an adaptive scheme's deviating branches ran.
+type xyWatch struct {
+	Algorithm
+	deviations *int
+}
+
+// Route implements Algorithm.
+func (w xyWatch) Route(ctx RouteCtx) geom.Dir {
+	d := w.Algorithm.Route(ctx)
+	if d != (XY{}).Route(ctx) {
+		*w.deviations++
+	}
+	return d
+}
+
+// stepMallocs returns the heap allocations of steps calls to n.Step after
+// one warm-up step, the way testing.AllocsPerRun measures them but as a
+// total: AllocsPerRun rounds the per-run mean down, so a branch that
+// allocates on fewer than one step in steps would read 0.
+func stepMallocs(n *Network, steps int) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	n.Step()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < steps; i++ {
+		n.Step()
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
 // TestNoCStepAllocs pins the cycle loop's zero-allocation contract: once the
 // mesh reaches steady state, a cycle step must run allocation-free, under
-// every routing scheme, on the lightly loaded benchFlows and on the
-// congested hotspotFlows. The hotspot case must also stall sources while it
-// is measured, or it no longer covers the stall branch.
+// every routing scheme, on the lightly loaded benchFlows, on the congested
+// hotspotFlows, and on a random flow set under patterned PSN on which the
+// adaptive schemes leave XY's path. Each fixture must also exercise what it
+// is there for while Step is measured: the hotspot case must stall sources,
+// and on the deviating case ICON and PANR must route some head away from
+// XY's direction.
 func TestNoCStepAllocs(t *testing.T) {
 	fixtures := []struct {
-		name   string
-		flows  func() []Flow
-		stalls bool
+		name     string
+		flows    func() []Flow
+		env      *Env
+		stalls   bool
+		deviates bool
 	}{
-		{"bench", benchFlows, false},
-		{"hotspot", hotspotFlows, true},
+		{"bench", benchFlows, noisyEnv(0), false, false},
+		{"hotspot", hotspotFlows, noisyEnv(0), true, false},
+		{"deviating", func() []Flow { return deviatingFlows(3) }, patternedEnv(), false, true},
 	}
 	for _, fx := range fixtures {
 		for _, alg := range []Algorithm{XY{}, ICON{}, PANR{}} {
 			t.Run(fx.name+"/"+alg.Name(), func(t *testing.T) {
-				n := steadyNetwork(t, alg, fx.flows())
-				before := stalledCycles(n)
-				if allocs := testing.AllocsPerRun(1000, n.Step); allocs != 0 {
-					t.Fatalf("steady-state Step allocates %.3f times per run, want 0", allocs)
+				deviations := 0
+				n := steadyNetwork(t, xyWatch{alg, &deviations}, fx.flows(), fx.env)
+				stalls, deviated := stalledCycles(n), deviations
+				if allocs := stepMallocs(n, 1000); allocs != 0 {
+					t.Fatalf("1,000 steady-state Steps allocate %d times, want 0", allocs)
 				}
-				if fx.stalls && stalledCycles(n) == before {
+				if fx.stalls && stalledCycles(n) == stalls {
 					t.Fatal("no source stalled while Step was measured; the fixture is not congested")
+				}
+				if fx.deviates && alg != Algorithm(XY{}) && deviations == deviated {
+					t.Fatal("no route call left XY's direction while Step was measured; the adaptive branches went unmeasured")
 				}
 			})
 		}
@@ -127,7 +170,7 @@ func TestNoCStepAllocs(t *testing.T) {
 // BenchmarkNoCStepAllocs times the steady-state step TestNoCStepAllocs
 // pins at zero allocations.
 func BenchmarkNoCStepAllocs(b *testing.B) {
-	n := steadyNetwork(b, PANR{}, benchFlows())
+	n := steadyNetwork(b, PANR{}, benchFlows(), noisyEnv(0))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -91,11 +91,3 @@ func (s FlowStats) AvgPacketLatency() float64 {
 	}
 	return float64(s.TotalPacketLatency) / float64(s.DeliveredPackets)
 }
-
-// Throughput returns delivered flits per cycle over a window of n cycles.
-func (s FlowStats) Throughput(n int) float64 {
-	if n <= 0 {
-		return 0
-	}
-	return float64(s.DeliveredFlits) / float64(n)
-}

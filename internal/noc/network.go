@@ -558,8 +558,13 @@ func (n *Network) openPacket(fi int) int32 {
 		return slot
 	}
 	// Amortized zero-alloc: the table grows to the in-flight packet
-	// high-water mark during warmup and is reused afterwards.
+	// high-water mark during warmup and is reused afterwards. The free list
+	// (empty here) grows with it, so a later cycle that frees more slots
+	// than ever before cannot make eject allocate.
 	n.packets = append(n.packets, pk)
+	if cap(n.free) < cap(n.packets) {
+		n.free = make([]int32, 0, cap(n.packets))
+	}
 	return int32(len(n.packets) - 1)
 }
 

@@ -20,7 +20,6 @@ func BenchmarkObsCounterAllocs(b *testing.B) {
 		c.Inc()
 		c.Add(2)
 		g.Set(int64(i))
-		g.Add(-1)
 		h.Observe(float64(i&3) / 4)
 		nilC.Inc()
 		nilG.Set(1)
@@ -40,7 +39,6 @@ func TestCounterUpdatesZeroAlloc(t *testing.T) {
 		c.Inc()
 		c.Add(3)
 		g.Set(7)
-		g.Add(1)
 		fg.Set(0.5)
 		h.Observe(1.5)
 		tl.Record(ev)
@@ -59,7 +57,6 @@ func TestCounterUpdatesZeroAlloc(t *testing.T) {
 		nilC.Inc()
 		nilC.Add(3)
 		nilG.Set(7)
-		nilG.Add(1)
 		nilFG.Set(0.5)
 		nilH.Observe(0.1)
 		nilTL.Record(ev)

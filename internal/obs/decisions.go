@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sync"
 )
 
 // Decision is the provenance record of one Algorithm 1 scheduling attempt:
@@ -41,48 +40,21 @@ type Decision struct {
 // nil DecisionLog discards records, so instrumented code records
 // unconditionally — the same contract as Timeline.
 type DecisionLog struct {
-	mu      sync.Mutex
-	buf     []Decision
-	start   int // index of the oldest decision
-	n       int // number of live decisions
-	dropped uint64
+	ring[Decision]
 }
 
 // NewDecisionLog returns a log holding at most capacity decisions
 // (minimum 1).
 func NewDecisionLog(capacity int) *DecisionLog {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &DecisionLog{buf: make([]Decision, capacity)}
+	return &DecisionLog{newRing[Decision](capacity)}
 }
 
 // Record appends d, overwriting the oldest decision when the buffer is
 // full.
 func (l *DecisionLog) Record(d Decision) {
-	if l == nil {
-		return
+	if l != nil {
+		l.push(d)
 	}
-	l.mu.Lock()
-	if l.n < len(l.buf) {
-		l.buf[(l.start+l.n)%len(l.buf)] = d
-		l.n++
-	} else {
-		l.buf[l.start] = d
-		l.start = (l.start + 1) % len(l.buf)
-		l.dropped++
-	}
-	l.mu.Unlock()
-}
-
-// Len returns the number of buffered decisions.
-func (l *DecisionLog) Len() int {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.n
 }
 
 // Dropped returns how many decisions were overwritten after the buffer
@@ -91,9 +63,7 @@ func (l *DecisionLog) Dropped() uint64 {
 	if l == nil {
 		return 0
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.dropped
+	return l.drops()
 }
 
 // Decisions returns the buffered decisions oldest-first as a fresh slice.
@@ -101,13 +71,7 @@ func (l *DecisionLog) Decisions() []Decision {
 	if l == nil {
 		return nil
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]Decision, l.n)
-	for i := 0; i < l.n; i++ {
-		out[i] = l.buf[(l.start+i)%len(l.buf)]
-	}
-	return out
+	return l.items()
 }
 
 // decisionsJSON is the /decisions and -decisions-out document.

@@ -13,8 +13,8 @@ func TestDecisionLogRing(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		l.Record(Decision{App: i, Outcome: "mapped"})
 	}
-	if l.Len() != 3 {
-		t.Errorf("Len = %d, want 3", l.Len())
+	if n := len(l.Decisions()); n != 3 {
+		t.Errorf("%d decisions buffered, want 3", n)
 	}
 	if l.Dropped() != 2 {
 		t.Errorf("Dropped = %d, want 2", l.Dropped())
@@ -88,7 +88,7 @@ func TestDecisionLogWriteJSON(t *testing.T) {
 func TestDecisionLogNil(t *testing.T) {
 	var l *DecisionLog
 	l.Record(Decision{App: 1})
-	if l.Len() != 0 || l.Dropped() != 0 || l.Decisions() != nil {
+	if l.Dropped() != 0 || l.Decisions() != nil {
 		t.Error("nil DecisionLog accessors not empty")
 	}
 }

@@ -78,13 +78,6 @@ func (g *Gauge) Set(v int64) {
 	}
 }
 
-// Add shifts the level by d (use a negative d to decrease).
-func (g *Gauge) Add(d int64) {
-	if g != nil {
-		g.v.Add(d)
-	}
-}
-
 // Value returns the current level (0 for a nil Gauge).
 func (g *Gauge) Value() int64 {
 	if g == nil {
@@ -123,8 +116,7 @@ func (g *FloatGauge) Value() float64 {
 type Histogram struct {
 	bounds []float64
 	counts []atomic.Uint64 // len(bounds)+1; last is +Inf
-	count  atomic.Uint64
-	sum    atomic.Uint64 // float64 bits, updated by CAS
+	sum    atomic.Uint64   // float64 bits, updated by CAS
 }
 
 // newHistogram copies and sorts the bounds.
@@ -147,7 +139,6 @@ func (h *Histogram) Observe(v float64) {
 		}
 	}
 	h.counts[idx].Add(1)
-	h.count.Add(1)
 	for {
 		old := h.sum.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)
@@ -155,14 +146,6 @@ func (h *Histogram) Observe(v float64) {
 			return
 		}
 	}
-}
-
-// Count returns the total number of observations (0 for nil).
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
 }
 
 // Sum returns the sum of all observed values (0 for nil).
@@ -196,10 +179,14 @@ type histJSON struct {
 	Buckets []histBucketJSON `json:"buckets"`
 }
 
+// snapshot reads the histogram for the JSON document. Its count is the sum
+// of the bucket counts it read, so it matches the buckets even while
+// Observe runs concurrently.
 func (h *Histogram) snapshot() histJSON {
-	out := histJSON{Count: h.count.Load(), Sum: math.Float64frombits(h.sum.Load())}
+	out := histJSON{Sum: h.Sum()}
 	for i := range h.counts {
 		b := histBucketJSON{Count: h.counts[i].Load()}
+		out.Count += b.Count
 		if i < len(h.bounds) {
 			b.Le = h.bounds[i]
 		} else {
@@ -219,7 +206,7 @@ type Registry struct {
 	gauges   map[string]*Gauge
 	fgauges  map[string]*FloatGauge
 	hists    map[string]*Histogram
-	attached map[string]func() interface{}
+	attached map[string]func() uint64
 }
 
 // NewRegistry returns an empty registry.
@@ -229,7 +216,7 @@ func NewRegistry() *Registry {
 		gauges:   make(map[string]*Gauge),
 		fgauges:  make(map[string]*FloatGauge),
 		hists:    make(map[string]*Histogram),
-		attached: make(map[string]func() interface{}),
+		attached: make(map[string]func() uint64),
 	}
 }
 
@@ -283,13 +270,12 @@ func (r *Registry) FloatGauge(name string) *FloatGauge {
 
 // Attach registers fn to be evaluated at snapshot time and inserted at the
 // slash-separated name, letting externally-owned state (the timeline drop
-// counter) appear in the snapshot without copying it on every update. fn
-// must return a JSON-marshalable value and be safe to call concurrently
-// with the rest of the program; a numeric value also reaches the
-// Prometheus exposition as an untyped family. Attaching the same name again
-// replaces the previous collector. Names share the metric namespace and
-// must keep it prefix-free.
-func (r *Registry) Attach(name string, fn func() interface{}) {
+// counter) appear in the snapshot, and in the Prometheus exposition as an
+// untyped family, without copying it on every update. fn must be safe to
+// call concurrently with the rest of the program. Attaching the same name
+// again replaces the previous collector. Names share the metric namespace
+// and must keep it prefix-free.
+func (r *Registry) Attach(name string, fn func() uint64) {
 	if r == nil || fn == nil {
 		return
 	}

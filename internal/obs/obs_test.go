@@ -15,10 +15,9 @@ func TestNilSafety(t *testing.T) {
 	c.Inc()
 	c.Add(5)
 	g.Set(3)
-	g.Add(-1)
 	h.Observe(0.5)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
-		t.Fatalf("nil metrics must read zero: %d %d %d %g", c.Value(), g.Value(), h.Count(), h.Sum())
+	if c.Value() != 0 || g.Value() != 0 || h.BucketCount(0) != 0 || h.Sum() != 0 {
+		t.Fatalf("nil metrics must read zero: %d %d %d %g", c.Value(), g.Value(), h.BucketCount(0), h.Sum())
 	}
 	if got := r.Snapshot(); len(got) != 0 {
 		t.Fatalf("nil registry snapshot = %v, want empty", got)
@@ -38,9 +37,9 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 	g := r.Gauge("a/g")
 	g.Set(10)
-	g.Add(-3)
-	if got := g.Value(); got != 7 {
-		t.Fatalf("gauge = %d, want 7", got)
+	g.Set(-3)
+	if got := g.Value(); got != -3 {
+		t.Fatalf("gauge = %d, want -3", got)
 	}
 }
 
@@ -64,7 +63,7 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 			t.Errorf("bucket %d = %d, want %d", i, got, w)
 		}
 	}
-	if got := h.Count(); got != uint64(len(cases)) {
+	if got := h.snapshot().Count; got != uint64(len(cases)) {
 		t.Errorf("count = %d, want %d", got, len(cases))
 	}
 	sum := 0.0
@@ -92,7 +91,7 @@ func TestRegistryConcurrency(t *testing.T) {
 			h := r.Histogram("shared/hist", []float64{0.25, 0.5, 0.75})
 			for i := 0; i < perWorker; i++ {
 				c.Inc()
-				g.Add(1)
+				g.Set(int64(i))
 				h.Observe(float64(i%4) / 4)
 			}
 		}()
@@ -113,10 +112,10 @@ func TestRegistryConcurrency(t *testing.T) {
 	if got := r.Counter("shared/counter").Value(); got != workers*perWorker {
 		t.Fatalf("counter = %d, want %d", got, workers*perWorker)
 	}
-	if got := r.Gauge("shared/gauge").Value(); got != workers*perWorker {
-		t.Fatalf("gauge = %d, want %d", got, workers*perWorker)
+	if got := r.Gauge("shared/gauge").Value(); got != perWorker-1 {
+		t.Fatalf("gauge = %d, want %d", got, perWorker-1)
 	}
-	if got := r.Histogram("shared/hist", nil).Count(); got != workers*perWorker {
+	if got := r.Histogram("shared/hist", nil).snapshot().Count; got != workers*perWorker {
 		t.Fatalf("histogram count = %d, want %d", got, workers*perWorker)
 	}
 }

@@ -28,32 +28,19 @@ type Health struct {
 }
 
 // Config wires the telemetry sources into the server. Every field is
-// optional: a nil Registry serves an empty exposition, a nil Timeline an
-// empty trace, a nil Decisions an empty decision list. Health overrides the
-// default liveness probe, which reads the engine/sim_time_s gauge and
-// engine/events counter from Registry.
+// optional: a nil Registry serves an empty exposition and a zero /healthz
+// progress mark, a nil Timeline an empty trace, a nil Decisions an empty
+// decision list.
 type Config struct {
 	Registry  *obs.Registry
 	Timeline  *obs.Timeline
 	Decisions *obs.DecisionLog
-	Health    func() Health
 }
 
 // NewHandler returns the telemetry mux for cfg. It is exported separately
 // from Serve so tests can drive it through httptest and embedders can mount
 // it under their own server.
 func NewHandler(cfg Config) http.Handler {
-	health := cfg.Health
-	if health == nil {
-		health = func() Health {
-			h := Health{Status: "ok"}
-			if cfg.Registry != nil {
-				h.SimTimeS = cfg.Registry.FloatGauge("engine/sim_time_s").Value()
-				h.Events = cfg.Registry.Counter("engine/events").Value()
-			}
-			return h
-		}
-	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", obs.ExpositionContentType)
@@ -63,7 +50,13 @@ func NewHandler(cfg Config) http.Handler {
 		}
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, req *http.Request) {
-		writeJSON(w, health())
+		// The liveness probe reads the engine's progress mark; a nil
+		// registry registers nothing and reads zero.
+		writeJSON(w, Health{
+			Status:   "ok",
+			SimTimeS: cfg.Registry.FloatGauge("engine/sim_time_s").Value(),
+			Events:   cfg.Registry.Counter("engine/events").Value(),
+		})
 	})
 	mux.HandleFunc("/snapshot", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "application/json")

@@ -13,9 +13,9 @@ import (
 // metric paths become parm_-prefixed underscore names ("pdn/cache/hits" ->
 // "parm_pdn_cache_hits"); counters, gauges, and float gauges render as one
 // sample per family, histograms render with cumulative _bucket series plus
-// _sum and _count, and attached collectors with a numeric value render as
-// untyped families. Output is deterministic: families are sorted by
-// name, histogram buckets by bound.
+// _sum and _count, and attached collectors render as untyped families.
+// Output is deterministic: families are sorted by name, histogram buckets by
+// bound.
 
 // ExpositionContentType is the Content-Type of the rendered text format.
 const ExpositionContentType = "text/plain; version=0.0.4; charset=utf-8"
@@ -52,8 +52,8 @@ type promFamily struct {
 	lines []string
 }
 
-// WritePrometheus renders every registered metric (and the numeric values
-// of attached collectors) in the Prometheus text exposition format. It is
+// WritePrometheus renders every registered metric (and the values of
+// attached collectors) in the Prometheus text exposition format. It is
 // safe to call concurrently with updates; like Snapshot, values are read
 // atomically per metric, not as a cross-metric consistent cut.
 func (r *Registry) WritePrometheus(w io.Writer) error {
@@ -82,11 +82,9 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			fams = append(fams, histFamily(path, r.hists[path]))
 		}
 		for _, path := range sortedKeys(r.attached) {
-			if v, ok := toFloat(r.attached[path]()); ok {
-				name := promName(path)
-				fams = append(fams, promFamily{name: name, path: path, typ: "untyped",
-					lines: []string{name + " " + formatFloat(v)}})
-			}
+			name := promName(path)
+			fams = append(fams, promFamily{name: name, path: path, typ: "untyped",
+				lines: []string{name + " " + formatFloat(float64(r.attached[path]()))}})
 		}
 		r.mu.Unlock()
 	}
@@ -108,9 +106,11 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 }
 
 // histFamily renders one histogram: cumulative buckets (Prometheus le
-// semantics, always ending in +Inf), then _sum and _count. A histogram with
-// zero observations renders the identical bucket schema with zero counts,
-// so the scrape schema is stable from the first scrape.
+// semantics, always ending in +Inf), then _sum and _count. _count is the
+// +Inf bucket's cumulative count, so the two agree even while Observe runs
+// concurrently. A histogram with zero observations renders the identical
+// bucket schema with zero counts, so the scrape schema is stable from the
+// first scrape.
 func histFamily(path string, h *Histogram) promFamily {
 	name := promName(path)
 	f := promFamily{name: name, path: path, typ: "histogram"}
@@ -125,29 +125,6 @@ func histFamily(path string, h *Histogram) promFamily {
 	}
 	f.lines = append(f.lines,
 		fmt.Sprintf("%s_sum %s", name, formatFloat(h.Sum())),
-		fmt.Sprintf("%s_count %d", name, h.Count()))
+		fmt.Sprintf("%s_count %d", name, cum))
 	return f
-}
-
-// toFloat widens the numeric values an attached collector may return; ok is
-// false for anything else (strings, slices, maps), which is left to the JSON
-// snapshot alone.
-func toFloat(v interface{}) (f float64, ok bool) {
-	switch n := v.(type) {
-	case float64:
-		return n, true
-	case uint64:
-		return float64(n), true
-	case int64:
-		return float64(n), true
-	case int:
-		return float64(n), true
-	case uint:
-		return float64(n), true
-	case int32:
-		return float64(n), true
-	case uint32:
-		return float64(n), true
-	}
-	return 0, false
 }

@@ -3,59 +3,126 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// The exposition renders every metric kind with parm_-prefixed names,
-// cumulative histogram buckets, and passes its own validator.
-func TestWritePrometheus(t *testing.T) {
+// goldenRegistry holds one metric of every kind the writers render: a
+// counter, a gauge, a float gauge, a populated and an empty histogram, and
+// an attached collector, with paths whose '-' and '.' promName rewrites.
+func goldenRegistry() *Registry {
 	r := NewRegistry()
 	r.Counter("pdn/cache/hits").Add(3)
-	r.Gauge("mapper/queue_depth").Set(2)
+	r.Counter("noc/flits_injected/x-y.z").Add(1234567)
+	r.Gauge("mapper/queue_depth").Set(-2)
 	r.FloatGauge("engine/sim_time_s").Set(1.25)
-	h := r.Histogram("mapper/wait_s", []float64{0.1, 1})
-	h.Observe(0.05)
-	h.Observe(0.05)
-	h.Observe(0.5)
-	h.Observe(5)
-	r.Attach("obs/timeline_dropped", func() interface{} { return uint64(7) })
-
-	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
+	h := r.Histogram("mapper/wait_s", []float64{1, 0.1})
+	for _, v := range []float64{0.05, 0.05, 0.5, 5} {
+		h.Observe(v)
 	}
-	text := buf.String()
-	for _, want := range []string{
-		"# TYPE parm_pdn_cache_hits counter",
-		"parm_pdn_cache_hits 3",
-		"# TYPE parm_mapper_queue_depth gauge",
-		"parm_mapper_queue_depth 2",
-		"# TYPE parm_engine_sim_time_s gauge",
-		"parm_engine_sim_time_s 1.25",
-		"# TYPE parm_mapper_wait_s histogram",
-		`parm_mapper_wait_s_bucket{le="0.1"} 2`,
-		`parm_mapper_wait_s_bucket{le="1"} 3`,
-		`parm_mapper_wait_s_bucket{le="+Inf"} 4`,
-		"parm_mapper_wait_s_count 4",
-		"# TYPE parm_obs_timeline_dropped untyped",
-		"parm_obs_timeline_dropped 7",
-	} {
-		if !strings.Contains(text, want+"\n") {
-			t.Errorf("exposition is missing %q:\n%s", want, text)
+	r.Histogram("pdn/solve-time.s", []float64{0.001, 0.01})
+	r.Attach("obs/timeline_dropped", func() uint64 { return 7 })
+	return r
+}
+
+// checkGolden compares got with the named file under testdata, rewriting the
+// file instead under -update.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *updateGolden {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if err := ValidateExposition(strings.NewReader(text)); err != nil {
-		t.Errorf("exposition fails its own validator: %v\n%s", err, text)
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("reading golden (run with -update to regenerate): %v", err)
 	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s differs from golden (run with -update to regenerate)\ngot:\n%s\nwant:\n%s", name, got, want)
+	}
+}
 
-	// Deterministic: a second render of the same state is byte-identical.
-	var buf2 bytes.Buffer
-	if err := r.WritePrometheus(&buf2); err != nil {
+// The exposition and the JSON snapshot of a fixed registry are pinned byte
+// for byte: family order, names, TYPE and HELP lines, cumulative buckets
+// ending in +Inf, _sum and _count, and value formatting.
+func TestWritePrometheus(t *testing.T) {
+	r := goldenRegistry()
+	var prom, snap bytes.Buffer
+	if err := r.WritePrometheus(&prom); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-		t.Error("repeated expositions of identical state differ")
+	if err := r.WriteSnapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "exposition.golden.txt", prom.Bytes())
+	checkGolden(t, "snapshot.golden.json", snap.Bytes())
+}
+
+// A scrape that runs while Observe does must still render each histogram
+// consistently: _count equals the +Inf bucket in the exposition, and the
+// snapshot's count equals the sum of its bucket counts.
+func TestHistogramScrapeConsistent(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("mapper/wait_s", []float64{0.01, 0.1, 1})
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+				h.Observe(float64(i%7) / 4)
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		<-done
+	}()
+
+	for i := 0; i < 500; i++ {
+		var prom bytes.Buffer
+		if err := r.WritePrometheus(&prom); err != nil {
+			t.Fatal(err)
+		}
+		var inf, count string
+		for _, line := range strings.Split(prom.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, `parm_mapper_wait_s_bucket{le="+Inf"} `); ok {
+				inf = v
+			}
+			if v, ok := strings.CutPrefix(line, "parm_mapper_wait_s_count "); ok {
+				count = v
+			}
+		}
+		if inf == "" || count != inf {
+			t.Fatalf("scrape %d: _count %q != +Inf bucket %q", i, count, inf)
+		}
+
+		var snap bytes.Buffer
+		if err := r.WriteSnapshot(&snap); err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			Mapper struct {
+				WaitS histJSON `json:"wait_s"`
+			} `json:"mapper"`
+		}
+		if err := json.Unmarshal(snap.Bytes(), &doc); err != nil {
+			t.Fatal(err)
+		}
+		sum := uint64(0)
+		for _, b := range doc.Mapper.WaitS.Buckets {
+			sum += b.Count
+		}
+		if doc.Mapper.WaitS.Count != sum {
+			t.Fatalf("snapshot %d: count %d != bucket sum %d", i, doc.Mapper.WaitS.Count, sum)
+		}
 	}
 }
 
@@ -144,31 +211,5 @@ func TestWritePrometheusNil(t *testing.T) {
 	}
 	if buf.Len() != 0 {
 		t.Errorf("nil registry rendered %q", buf.String())
-	}
-}
-
-// The validator rejects the malformed expositions it exists to catch.
-func TestValidateExpositionRejects(t *testing.T) {
-	cases := []struct {
-		name, text string
-	}{
-		{"bad metric name", "9bad_name 1\n"},
-		{"missing value", "parm_x\n"},
-		{"bad value", "parm_x notafloat\n"},
-		{"unknown type", "# TYPE parm_x frobnicator\n"},
-		{"duplicate type", "# TYPE parm_x counter\n# TYPE parm_x counter\n"},
-		{"type after samples", "parm_x 1\n# TYPE parm_x counter\n"},
-		{"histogram without inf", "# TYPE parm_h histogram\nparm_h_bucket{le=\"1\"} 1\nparm_h_sum 1\nparm_h_count 1\n"},
-		{"histogram count mismatch", "# TYPE parm_h histogram\nparm_h_bucket{le=\"+Inf\"} 2\nparm_h_sum 1\nparm_h_count 3\n"},
-		{"decreasing buckets", "# TYPE parm_h histogram\nparm_h_bucket{le=\"1\"} 5\nparm_h_bucket{le=\"2\"} 3\nparm_h_bucket{le=\"+Inf\"} 5\nparm_h_sum 1\nparm_h_count 5\n"},
-		{"unterminated labels", "parm_x{le=\"1\" 1\n"},
-	}
-	for _, tc := range cases {
-		if err := ValidateExposition(strings.NewReader(tc.text)); err == nil {
-			t.Errorf("%s: validator accepted %q", tc.name, tc.text)
-		}
-	}
-	if err := ValidateExposition(strings.NewReader("# just a comment\nparm_ok{le=\"0.5\",app=\"3\"} 42 1700000000\n")); err != nil {
-		t.Errorf("validator rejected a well-formed sample: %v", err)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sync"
 )
 
 // TimelineEvent is one entry in the engine's event timeline. TS and Dur are
@@ -25,46 +24,19 @@ type TimelineEvent struct {
 // Timeline discards events, which lets instrumented code record
 // unconditionally.
 type Timeline struct {
-	mu      sync.Mutex
-	buf     []TimelineEvent
-	start   int // index of the oldest event
-	n       int // number of live events
-	dropped uint64
+	ring[TimelineEvent]
 }
 
 // NewTimeline returns a timeline holding at most capacity events (minimum 1).
 func NewTimeline(capacity int) *Timeline {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Timeline{buf: make([]TimelineEvent, capacity)}
+	return &Timeline{newRing[TimelineEvent](capacity)}
 }
 
 // Record appends ev, overwriting the oldest event when the buffer is full.
 func (t *Timeline) Record(ev TimelineEvent) {
-	if t == nil {
-		return
+	if t != nil {
+		t.push(ev)
 	}
-	t.mu.Lock()
-	if t.n < len(t.buf) {
-		t.buf[(t.start+t.n)%len(t.buf)] = ev
-		t.n++
-	} else {
-		t.buf[t.start] = ev
-		t.start = (t.start + 1) % len(t.buf)
-		t.dropped++
-	}
-	t.mu.Unlock()
-}
-
-// Len returns the number of buffered events.
-func (t *Timeline) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.n
 }
 
 // Dropped returns how many events were overwritten after the buffer filled.
@@ -72,9 +44,7 @@ func (t *Timeline) Dropped() uint64 {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
+	return t.drops()
 }
 
 // Events returns the buffered events oldest-first as a fresh slice.
@@ -82,13 +52,7 @@ func (t *Timeline) Events() []TimelineEvent {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]TimelineEvent, t.n)
-	for i := 0; i < t.n; i++ {
-		out[i] = t.buf[(t.start+i)%len(t.buf)]
-	}
-	return out
+	return t.items()
 }
 
 // traceEvent is one entry of the Chrome trace-event JSON format
