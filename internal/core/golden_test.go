@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"parm/internal/appmodel"
+	"parm/internal/obs"
 )
 
 var updateEngineGolden = flag.Bool("update", false, "rewrite testdata/engine_golden.json")
@@ -33,18 +34,25 @@ type engineGoldenCase struct {
 }
 
 // engineGoldenCases covers the six evaluation frameworks on one 8-app mixed
-// sequence.
+// sequence in cycle mode (keyed by the framework name), and on one 8-app comm
+// sequence in auto mode (keyed "<name>/auto"). The mixed sequence never
+// revisits a quantized flow set, so auto's memo hits need the comm one.
 func engineGoldenCases(t *testing.T) map[string]engineGoldenCase {
 	t.Helper()
 	w := genWorkload(t, appmodel.WorkloadMixed, 8, 0.05, 42)
+	comm := genWorkload(t, appmodel.WorkloadComm, 8, 0.05, 42)
 	cases := make(map[string]engineGoldenCase)
 	for _, fw := range EvaluationFrameworks() {
 		cases[fw.Name] = engineGoldenCase{fw: fw, cfg: Config{SoftDeadlines: true}, w: w}
+		cases[fw.Name+"/auto"] = engineGoldenCase{fw: fw, cfg: Config{SoftDeadlines: true, NoCMode: NoCModeAuto}, w: comm}
 	}
 	return cases
 }
 
-// TestEngineGolden checks every case against the recorded digests.
+// TestEngineGolden checks every case against the recorded digests. The auto
+// cases share one registry, which must show that they took every branch of
+// the auto measurement path: an analytic window, a cycle fallback and a memo
+// hit.
 func TestEngineGolden(t *testing.T) {
 	cases := engineGoldenCases(t)
 	names := make([]string, 0, len(cases))
@@ -53,10 +61,21 @@ func TestEngineGolden(t *testing.T) {
 	}
 	sort.Strings(names)
 
+	autoReg := obs.NewRegistry()
 	got := make(map[string]string, len(cases))
 	for _, name := range names {
 		gc := cases[name]
-		m := runOne(t, gc.cfg, gc.fw, gc.w)
+		eng, err := NewEngine(gc.cfg, gc.fw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gc.cfg.NoCMode == NoCModeAuto {
+			eng.EnableTelemetry(autoReg)
+		}
+		m, err := eng.Run(gc.w)
+		if err != nil {
+			t.Fatal(err)
+		}
 		var buf bytes.Buffer
 		if err := m.WriteJSON(&buf); err != nil {
 			t.Fatal(err)
@@ -88,6 +107,11 @@ func TestEngineGolden(t *testing.T) {
 	for _, name := range names {
 		if want[name] != got[name] {
 			t.Errorf("%s: digest %s, golden %s", name, got[name], want[name])
+		}
+	}
+	for _, path := range []string{"noc/analytic_windows", "noc/analytic_fallbacks", "noc/memo/hits"} {
+		if autoReg.Counter(path).Value() == 0 {
+			t.Errorf("auto cases never counted %s", path)
 		}
 	}
 	if len(want) != len(got) {
