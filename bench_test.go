@@ -128,45 +128,29 @@ func BenchmarkFig6ExecutionTime(b *testing.B) {
 }
 
 // BenchmarkEngineRunFig6Cell times one Fig. 6 cell (PARM+PANR, mixed
-// workload) end to end under the uncached reference pipeline versus the
-// cached measurement pipeline. Both produce bit-identical metrics (see
-// core.TestPipelineCachedMatchesUncached); the cell is the evaluation's unit
-// of work, so the ratio of these two is the speedup the measurement caches
-// give every figure regeneration.
+// workload) end to end, the evaluation's unit of work.
 func BenchmarkEngineRunFig6Cell(b *testing.B) {
-	run := func(b *testing.B, cfg core.Config) {
-		fw := core.MustCombo("PARM", "PANR")
-		node := power.MustParams(power.Node7)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			w, err := appmodel.Generate(appmodel.WorkloadConfig{
-				Kind: appmodel.WorkloadMixed, NumApps: benchApps, ArrivalGap: 0.05,
-				Node: node, Seed: 42,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			eng, err := core.NewEngine(cfg, fw)
-			if err != nil {
-				b.Fatal(err)
-			}
-			m, err := eng.Run(w)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(m.TotalTime, "totalTime_s")
-		}
-	}
-	b.Run("uncached", func(b *testing.B) {
-		run(b, core.Config{
-			SoftDeadlines:   true,
-			DisableNoCCache: true,
-			Chip:            chip.Config{DisablePSNCache: true},
+	fw := core.MustCombo("PARM", "PANR")
+	node := power.MustParams(power.Node7)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		w, err := appmodel.Generate(appmodel.WorkloadConfig{
+			Kind: appmodel.WorkloadMixed, NumApps: benchApps, ArrivalGap: 0.05,
+			Node: node, Seed: 42,
 		})
-	})
-	b.Run("cached", func(b *testing.B) {
-		run(b, core.Config{SoftDeadlines: true})
-	})
+		if err != nil {
+			b.Fatal(err)
+		}
+		eng, err := core.NewEngine(core.Config{SoftDeadlines: true}, fw)
+		if err != nil {
+			b.Fatal(err)
+		}
+		m, err := eng.Run(w)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(m.TotalTime, "totalTime_s")
+	}
 }
 
 // BenchmarkFig7PSN regenerates Fig. 7 (peak and average PSN) for the two

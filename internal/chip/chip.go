@@ -67,10 +67,6 @@ type Config struct {
 	// DsPB is the dark-silicon power budget. Zero selects 65 W; New
 	// rejects negative, NaN and infinite values.
 	DsPB power.Watts
-	// DisablePSNCache turns off the domain-solve memoization, forcing
-	// every sample to integrate every active domain (uncached reference
-	// mode for determinism tests and benchmarks).
-	DisablePSNCache bool
 }
 
 // The chip's technology node is a fixed platform constant (DESIGN.md §5):
@@ -108,8 +104,8 @@ type Chip struct {
 	tileDomain []DomainID
 	occupants  []Occupant
 
-	// solveCache memoizes domain solves across samples; nil when caching
-	// is disabled.
+	// solveCache memoizes domain solves across samples; nil only in the
+	// uncached reference chip that tests build.
 	solveCache *pdn.SolveCache
 	// solver runs every domain solve, reusing its scratch buffers across
 	// samples.
@@ -141,9 +137,7 @@ func New(cfg Config) (*Chip, error) {
 		Vdds:       params.VddLevels(),
 		tileDomain: make([]DomainID, m.NumTiles()),
 		occupants:  make([]Occupant, m.NumTiles()),
-	}
-	if !cfg.DisablePSNCache {
-		c.solveCache = pdn.NewSolveCache()
+		solveCache: pdn.NewSolveCache(),
 	}
 	c.solver = pdn.NewSolver(c.solveCache)
 	for i := range c.occupants {

@@ -118,7 +118,7 @@ func (c *Chip) SamplePSN(routerUtil []float64) (*PSNSample, error) {
 
 // PSNCacheStats reports the chip's domain-solve cache counters (hits,
 // misses, overflow clears/evictions) and entry count. All zeros when the
-// cache is disabled.
+// chip has no cache.
 func (c *Chip) PSNCacheStats() pdn.CacheStats {
 	if c.solveCache == nil {
 		return pdn.CacheStats{}

@@ -38,6 +38,19 @@ func utilRamp(c *Chip) []float64 {
 	return util
 }
 
+// newUncached builds the uncached reference chip: its solver has no solve
+// cache, so every sample integrates every active domain.
+func newUncached(t testing.TB) *Chip {
+	t.Helper()
+	c, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.solveCache = nil
+	c.solver = pdn.NewSolver(nil)
+	return c
+}
+
 func sameSample(a, b *PSNSample) bool {
 	eq := func(x, y []float64) bool {
 		if len(x) != len(y) {
@@ -58,10 +71,7 @@ func sameSample(a, b *PSNSample) bool {
 // serial, uncached reference: on the first pass and on a repeat served
 // wholly from the cache.
 func TestSamplePSNParallelMatchesSerial(t *testing.T) {
-	ref, err := New(Config{DisablePSNCache: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := newUncached(t)
 	populate(t, ref)
 	util := utilRamp(ref)
 	want, err := ref.SamplePSN(util)
@@ -152,10 +162,7 @@ func churn(t testing.TB, c *Chip, epoch int) {
 // later passes run from the solve cache. Every sample of the cached chip
 // must be bit-identical to the uncached reference chip mutated in lockstep.
 func TestSamplePSNChurnMatchesUncached(t *testing.T) {
-	ref, err := New(Config{DisablePSNCache: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := newUncached(t)
 	cached, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -198,11 +205,7 @@ func TestSamplePSNChurnMatchesUncached(t *testing.T) {
 // reference and the steady-state cached path (the hot path of every
 // simulated second).
 func BenchmarkSamplePSN(b *testing.B) {
-	bench := func(b *testing.B, cfg Config) {
-		c, err := New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
+	bench := func(b *testing.B, c *Chip) {
 		populate(b, c)
 		util := utilRamp(c)
 		b.ResetTimer()
@@ -214,9 +217,13 @@ func BenchmarkSamplePSN(b *testing.B) {
 		}
 	}
 	b.Run("uncached", func(b *testing.B) {
-		bench(b, Config{DisablePSNCache: true})
+		bench(b, newUncached(b))
 	})
 	b.Run("cached", func(b *testing.B) {
-		bench(b, Config{})
+		c, err := New(Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		bench(b, c)
 	})
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"parm/internal/appmodel"
@@ -30,12 +29,6 @@ type Config struct {
 	// execute (paper Fig. 6/7); the oversubscription study (Fig. 8) keeps
 	// hard deadlines.
 	SoftDeadlines bool
-	// DisableNoCCache forces a full NoC warmup+measurement on every
-	// map/unmap event even when the active flow set and the sensor PSN
-	// environment are unchanged since the last measurement (uncached
-	// reference mode for determinism tests and benchmarks). The chip-side
-	// counterpart is Chip.DisablePSNCache.
-	DisableNoCCache bool
 	// NoCMode selects the NoC measurement strategy (DESIGN.md §11). The
 	// zero value NoCModeCycle keeps cycle-accurate simulation with
 	// exact-input memoization — metrics stay byte-identical to the recorded
@@ -222,8 +215,6 @@ type runningApp struct {
 type Engine struct {
 	cfg Config
 	fw  Framework
-	// nocCfg is the NoC configuration of the chip's mesh.
-	nocCfg noc.Config
 	// simTimeCap stops the run at this simulated time: maxSimTime, lowered
 	// only by tests.
 	simTimeCap float64
@@ -237,32 +228,17 @@ type Engine struct {
 
 	arrivalsLeft int
 
-	env        noc.Env
-	sensor     *pdn.Sensor
+	env    noc.Env
+	sensor *pdn.Sensor
+	// win produces the NoC measurement windows; routerUtil is the last
+	// window's router utilization, which the next PSN sample reads (nil
+	// when no flows are active).
+	win        *nocWindow
 	routerUtil []float64
-	// net is the engine's one NoC network, reset for every window it
-	// simulates cycle by cycle. The first such window allocates it, which
-	// keeps engine set-up as cheap as before the network was reused.
-	net *noc.Network
-
-	// nocMemo holds recent NoC measurements with the exact inputs each was
-	// taken under. A measurement is a deterministic function of (config,
-	// routing, flow list, sensor PSN environment), so when those inputs
-	// recur the cycle-level warmup+measure is skipped and the stored
-	// result reused. Measurements happen at map/unmap events, which always
-	// change the flow set, so recurrence means returning to an *earlier*
-	// state — e.g. an app maps and completes, restoring the previous flow
-	// set under an unchanged quantized sensor environment — hence a small
-	// bounded history rather than a single entry.
-	nocMemo   []nocMemoEntry
-	nocHits   int
-	nocMisses int
 	// flowsBuf and idsBuf are reused across activeFlows calls to avoid
-	// rebuilding the flow list allocation on every event; quantBuf holds the
-	// quantized memo key in NoCModeAuto.
+	// rebuilding the flow list allocation on every event.
 	flowsBuf []noc.Flow
 	idsBuf   []int
-	quantBuf []noc.Flow
 
 	outcomes map[int]*AppOutcome
 	metrics  Metrics
@@ -294,8 +270,9 @@ func NewEngine(cfg Config, fw Framework) (*Engine, error) {
 	// Reject a mesh the NoC cannot simulate before the chip allocates it,
 	// rather than at the first window. Chip and NoC default a zero mesh to
 	// the same 10x6.
-	if err := (noc.Config{Width: cfg.Chip.Width, Height: cfg.Chip.Height}).Validate(); err != nil {
-		return nil, fmt.Errorf("core: Config.Chip: %w", err)
+	win, err := newNoCWindow(cfg.Chip.Width, cfg.Chip.Height, fw.Routing, cfg.NoCMode)
+	if err != nil {
+		return nil, err
 	}
 	c, err := chip.New(cfg.Chip)
 	if err != nil {
@@ -308,13 +285,12 @@ func NewEngine(cfg Config, fw Framework) (*Engine, error) {
 	e := &Engine{
 		cfg:        cfg,
 		fw:         fw,
-		nocCfg:     noc.Config{Width: c.Mesh.Width, Height: c.Mesh.Height},
 		simTimeCap: maxSimTime,
 		chip:       c,
 		running:    make(map[int]*runningApp),
 		env:        noc.Env{PSN: make([]float64, n)},
 		sensor:     pdn.NewSensor(n, cfg.SensorBits, 0.20),
-		routerUtil: make([]float64, n),
+		win:        win,
 		outcomes:   make(map[int]*AppOutcome),
 	}
 	return e, nil
@@ -329,7 +305,7 @@ func (e *Engine) Chip() *chip.Chip { return e.chip }
 func (e *Engine) CollectCacheStats(m *Metrics) {
 	cs := e.chip.PSNCacheStats()
 	m.PDNCache = &cs
-	m.NoCMemo = &NoCMemoStats{Hits: e.nocHits, Misses: e.nocMisses}
+	m.NoCMemo = &NoCMemoStats{Hits: e.win.hits, Misses: e.win.misses}
 }
 
 func (e *Engine) push(t float64, kind, app int) {
@@ -747,7 +723,8 @@ func (e *Engine) commit(app *appmodel.App, vdd power.Volts, dop int, p *mapping.
 	e.timeline.Record(obs.TimelineEvent{Name: "map", TS: e.now, App: app.ID, Arg: int64(dop)})
 
 	// Paper §5.1: PSN is sampled when an application begins execution.
-	return e.eventSample()
+	_, err = e.samplePSN()
+	return err
 }
 
 // complete finishes a running application.
@@ -775,13 +752,14 @@ func (e *Engine) complete(ra *runningApp) error {
 	if _, _, err := e.measureNoC(nil); err != nil {
 		return err
 	}
-	return e.eventSample()
+	_, err := e.samplePSN()
+	return err
 }
 
 // activeFlows gathers all running apps' flows in deterministic order and
 // returns the flow list plus, for the requested app, the index range of its
 // flows. The returned slice aliases e.flowsBuf and is only valid until the
-// next activeFlows call; measurementFor copies it before memoizing.
+// next activeFlows call; the window memo copies it before keeping it.
 func (e *Engine) activeFlows(forApp *runningApp) ([]noc.Flow, int, int) {
 	ids := e.idsBuf[:0]
 	for id := range e.running {
@@ -805,191 +783,21 @@ func (e *Engine) activeFlows(forApp *runningApp) ([]noc.Flow, int, int) {
 	return flows, start, end
 }
 
-// flowsEqual reports whether two flow lists are element-wise identical.
-func flowsEqual(a, b []noc.Flow) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// floatsEqual reports whether two float slices are bit-wise identical. This
-// is a memo-key comparison, not a numeric tolerance check: the NoC memo must
-// only hit when the sensor environment recurs exactly.
-func floatsEqual(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		//parm:floateq
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// nocMemoEntry is one remembered NoC measurement with its exact inputs.
-type nocMemoEntry struct {
-	flows []noc.Flow
-	psn   []float64
-	res   *noc.Result
-}
-
-// nocMemoCap bounds the measurement history. Recurrence comes from the
-// running set oscillating through recent states, so a short history
-// suffices; the linear key scan (flowsEqual on a handful of entries) is
-// negligible next to a warmup+measure cycle simulation.
-const nocMemoCap = 16
-
-// nocRateQuantum is the flow-rate grid of the quantized memo key used by
-// NoCModeAuto: rates are snapped to multiples of 1/4096
-// flit/cycle before the memo lookup, so mapper states whose flow rates differ
-// by less than half a quantum share one measurement. The induced measurement
-// error is bounded by the drift tests (see DESIGN.md §11); NoCModeCycle keys
-// on exact rates and is unaffected.
-const nocRateQuantum = 1.0 / 4096
-
-// quantizedFlows returns flows with every rate snapped to the memo grid. The
-// result aliases e.quantBuf and is valid until the next call; measurementFor
-// copies it before memoizing.
-func (e *Engine) quantizedFlows(flows []noc.Flow) []noc.Flow {
-	q := append(e.quantBuf[:0], flows...)
-	for i := range q {
-		q[i].Rate = math.Round(q[i].Rate/nocRateQuantum) * nocRateQuantum
-	}
-	e.quantBuf = q
-	return q
-}
-
-// routingReadsPSN reports whether a NoC window under alg depends on the
-// sensor PSN. XY and ICON never read it (noc.TestMeasureIgnoresPSN), so
-// their windows are a function of the flows alone. Any other algorithm,
-// a wrapper around XY or ICON included, is assumed to read it.
-func routingReadsPSN(alg noc.Algorithm) bool {
-	switch alg.(type) {
-	case noc.XY, noc.ICON:
-		return false
-	}
-	return true
-}
-
-// measurementFor returns the NoC measurement for the given non-empty flow
-// list: the memoized result when the flow list matches a remembered
-// measurement, and so does the sensor PSN environment if the routing reads
-// it (the simulation is a deterministic function of the two), a fresh
-// window otherwise. In NoCModeCycle the memo key is the exact flow list;
-// NoCModeAuto keys on quantized rates so near-identical mapper states
-// share a window.
-func (e *Engine) measurementFor(flows []noc.Flow) (*noc.Result, error) {
-	key := flows
-	if e.cfg.NoCMode != NoCModeCycle {
-		key = e.quantizedFlows(flows)
-	}
-	if !e.cfg.DisableNoCCache {
-		readsPSN := routingReadsPSN(e.fw.Routing)
-		for i := range e.nocMemo {
-			m := &e.nocMemo[i]
-			if flowsEqual(m.flows, key) && (!readsPSN || floatsEqual(m.psn, e.env.PSN)) {
-				e.nocHits++
-				e.tel.nocHits.Inc()
-				return m.res, nil
-			}
-		}
-	}
-	res, err := e.simulateWindow(key)
-	if err != nil {
-		return nil, err
-	}
-	e.nocMisses++
-	e.tel.nocMisses.Inc()
-	var inj, del uint64
-	for i := range res.Flows {
-		inj += uint64(res.Flows[i].InjectedFlits)
-		del += uint64(res.Flows[i].DeliveredFlits)
-	}
-	e.tel.flitsInj.Add(inj)
-	e.tel.flitsDel.Add(del)
-	if e.cfg.DisableNoCCache {
-		return res, nil
-	}
-	// Copy the inputs: key aliases a reusable buffer and env.PSN is
-	// overwritten by the next PSN sample. Evict the oldest entry once full,
-	// recycling its slices.
-	var entry nocMemoEntry
-	if len(e.nocMemo) >= nocMemoCap {
-		entry = e.nocMemo[0]
-		e.nocMemo = append(e.nocMemo[:0], e.nocMemo[1:]...)
-	}
-	entry.flows = append(entry.flows[:0], key...)
-	entry.psn = append(entry.psn[:0], e.env.PSN...)
-	entry.res = res
-	e.nocMemo = append(e.nocMemo, entry)
-	return res, nil
-}
-
-// simulateWindow produces one measurement window for the flow list. In
-// NoCModeAuto it first tries the analytic closed form and accepts it for
-// uncongested windows (no resource's offered load above the NoC's
-// saturation threshold of 0.6 flits per cycle).
-// Everything else — NoCModeCycle and saturated windows under NoCModeAuto —
-// runs the cycle-accurate warmup+measure on the engine's network, reset for
-// the window; auto's fallbacks measure fallbackWindowCycles, not
-// windowCycles.
-func (e *Engine) simulateWindow(flows []noc.Flow) (*noc.Result, error) {
-	measure := windowCycles
-	if e.cfg.NoCMode != NoCModeCycle {
-		measure = fallbackWindowCycles
-		res, rep, err := noc.AnalyticMeasure(e.nocCfg, e.fw.Routing, flows, &e.env, windowCycles)
-		if err != nil {
-			return nil, err
-		}
-		if !rep.Saturated {
-			e.tel.nocAnalytic.Inc()
-			e.tel.nocWindows.Inc()
-			e.tel.measuredCyc.Add(uint64(res.Cycles))
-			return res, nil
-		}
-		e.tel.nocFallback.Inc()
-	}
-	if e.net == nil {
-		e.net = new(noc.Network)
-	}
-	net := e.net
-	if err := net.Reset(e.nocCfg, e.fw.Routing, flows, &e.env); err != nil {
-		return nil, err
-	}
-	net.Run(warmupCycles)
-	res := net.Measure(measure)
-	e.tel.nocWindows.Inc()
-	e.tel.warmupCyc.Add(uint64(warmupCycles))
-	e.tel.measuredCyc.Add(uint64(res.Cycles))
-	return res, nil
-}
-
-// measureNoC measures the network with all active flows (reusing the last
-// measurement when its inputs recur, see measurementFor), refreshes the
-// chip-wide router utilization, and — if forApp is non-nil — returns its
-// per-edge communication delay function and average packet latency in
-// cycles.
+// measureNoC measures the network with all active flows (see
+// nocWindow.measure), refreshes the chip-wide router utilization, and — if
+// forApp is non-nil — returns its per-edge communication delay function and
+// average packet latency in cycles.
 func (e *Engine) measureNoC(forApp *runningApp) (sched.CommDelay, float64, error) {
 	flows, start, end := e.activeFlows(forApp)
-	for i := range e.routerUtil {
-		e.routerUtil[i] = 0
-	}
+	e.routerUtil = nil
 	if len(flows) == 0 {
 		return nil, 0, nil
 	}
-	res, err := e.measurementFor(flows)
+	res, err := e.win.measure(flows, &e.env)
 	if err != nil {
 		return nil, 0, err
 	}
-	copy(e.routerUtil, res.RouterUtil)
+	e.routerUtil = res.RouterUtil
 
 	if forApp == nil {
 		return nil, 0, nil
@@ -1035,14 +843,6 @@ func (e *Engine) measureNoC(forApp *runningApp) (sched.CommDelay, float64, error
 		avg = totLat / float64(nLat)
 	}
 	return delayFn, avg, nil
-}
-
-// eventSample takes a PSN sample at a map/unmap event: it refreshes sensors
-// and metrics but does not charge VE penalties (those accrue at the
-// periodic rate).
-func (e *Engine) eventSample() error {
-	_, err := e.samplePSN()
-	return err
 }
 
 // periodicSample takes the scheduled PSN sample, charges voltage-emergency
@@ -1103,7 +903,9 @@ func legacyVECount(peak float64) int {
 }
 
 // samplePSN solves the PDN for all active domains, updates sensors and
-// aggregates. It returns nil when nothing is running.
+// aggregates. It returns nil when nothing is running. Map/unmap events call
+// it directly: their samples charge no VE penalties, which accrue at the
+// periodic rate (periodicSample).
 func (e *Engine) samplePSN() (*chip.PSNSample, error) {
 	if len(e.running) == 0 {
 		e.lastSampleT = e.now

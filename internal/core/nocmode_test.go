@@ -180,20 +180,20 @@ func TestQuantizedMemoHits(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.measurementFor(mkFlows(0)); err != nil {
+		if _, err := e.win.measure(mkFlows(0), &e.env); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.measurementFor(mkFlows(eps)); err != nil {
+		if _, err := e.win.measure(mkFlows(eps), &e.env); err != nil {
 			t.Fatal(err)
 		}
-		if e.nocHits != tc.wantHits {
-			t.Errorf("%v: memo hits = %d, want %d", tc.mode, e.nocHits, tc.wantHits)
+		if e.win.hits != tc.wantHits {
+			t.Errorf("%v: memo hits = %d, want %d", tc.mode, e.win.hits, tc.wantHits)
 		}
 		// A perturbation beyond half a quantum must miss in every mode.
-		if _, err := e.measurementFor(mkFlows(nocRateQuantum)); err != nil {
+		if _, err := e.win.measure(mkFlows(nocRateQuantum), &e.env); err != nil {
 			t.Fatal(err)
 		}
-		if e.nocHits != tc.wantHits {
+		if e.win.hits != tc.wantHits {
 			t.Errorf("%v: full-quantum perturbation hit the memo", tc.mode)
 		}
 	}
@@ -213,7 +213,7 @@ func TestAnalyticTelemetryCounters(t *testing.T) {
 	reg := obs.NewRegistry()
 	e.EnableTelemetry(reg)
 	// Sparse flow: far below saturation, answered analytically.
-	if _, err := e.measurementFor([]noc.Flow{{Src: 0, Dst: 9, Rate: 0.01}}); err != nil {
+	if _, err := e.win.measure([]noc.Flow{{Src: 0, Dst: 9, Rate: 0.01}}, &e.env); err != nil {
 		t.Fatal(err)
 	}
 	// Hotspot: many flows converging on one tile saturate its ejection port.
@@ -221,7 +221,7 @@ func TestAnalyticTelemetryCounters(t *testing.T) {
 	for i := 1; i <= 8; i++ {
 		hot = append(hot, noc.Flow{Src: geom.TileID(i), Dst: 30, Rate: 0.2})
 	}
-	if _, err := e.measurementFor(hot); err != nil {
+	if _, err := e.win.measure(hot, &e.env); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Counter("noc/analytic_windows").Value(); got != 1 {

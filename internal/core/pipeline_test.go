@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"parm/internal/appmodel"
-	"parm/internal/chip"
 	"parm/internal/noc"
 )
 
@@ -71,61 +70,56 @@ func TestAlgorithm1ScansPastSyncKnee(t *testing.T) {
 	}
 }
 
-// The cached measurement pipeline must produce bit-identical metrics to the
-// uncached reference on the same workload — the determinism contract
-// (quantization is applied in both paths and the caches key on exact
-// inputs).
+// The memoized NoC measurement path must produce bit-identical metrics to
+// the reference that measures every window, in both NoC modes: the memo
+// keys on exact inputs (quantized ones in auto mode, where the quantized
+// flows are also what the window measures).
 func TestPipelineCachedMatchesUncached(t *testing.T) {
-	uncached := Config{
-		SoftDeadlines:   true,
-		DisableNoCCache: true,
-		Chip:            chip.Config{DisablePSNCache: true},
-	}
-	cached := Config{SoftDeadlines: true} // default: both caches on
-
-	run := func(cfg Config) (*Metrics, *Engine) {
-		w := genWorkload(t, appmodel.WorkloadMixed, 6, 0.05, 42)
-		eng, err := NewEngine(cfg, MustCombo("PARM", "PANR"))
+	w := genWorkload(t, appmodel.WorkloadComm, 8, 0.05, 42)
+	run := func(mode NoCMode, noMemo bool) (*Metrics, *Engine) {
+		eng, err := NewEngine(Config{SoftDeadlines: true, NoCMode: mode}, MustCombo("PARM", "XY"))
 		if err != nil {
 			t.Fatal(err)
 		}
+		eng.win.noMemo = noMemo
 		m, err := eng.Run(w)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return m, eng
 	}
-	want, _ := run(uncached)
-	got, eng := run(cached)
+	for _, mode := range []NoCMode{NoCModeCycle, NoCModeAuto} {
+		want, ref := run(mode, true)
+		got, eng := run(mode, false)
 
-	if got.TotalTime != want.TotalTime || got.PeakPSN != want.PeakPSN ||
-		got.AvgPSN != want.AvgPSN || got.MeanPacketLatency != want.MeanPacketLatency ||
-		got.TotalVEs != want.TotalVEs || got.TotalEnergyJ != want.TotalEnergyJ ||
-		got.Completed != want.Completed || got.Samples != want.Samples {
-		t.Errorf("aggregate metrics diverged:\n got %+v\nwant %+v", got, want)
-	}
-	if len(got.Apps) != len(want.Apps) {
-		t.Fatalf("app counts differ: %d vs %d", len(got.Apps), len(want.Apps))
-	}
-	for i := range want.Apps {
-		a, b := got.Apps[i], want.Apps[i]
-		if a.Vdd != b.Vdd || a.DoP != b.DoP || a.MappedAt != b.MappedAt ||
-			a.CompletedAt != b.CompletedAt || a.WaitTime != b.WaitTime ||
-			a.VEs != b.VEs || a.AvgPacketLatency != b.AvgPacketLatency ||
-			a.EnergyJ != b.EnergyJ {
-			t.Errorf("app %d outcomes diverged:\n got %+v\nwant %+v", i, a, b)
+		if got.TotalTime != want.TotalTime || got.PeakPSN != want.PeakPSN ||
+			got.AvgPSN != want.AvgPSN || got.MeanPacketLatency != want.MeanPacketLatency ||
+			got.TotalVEs != want.TotalVEs || got.TotalEnergyJ != want.TotalEnergyJ ||
+			got.Completed != want.Completed || got.Samples != want.Samples {
+			t.Errorf("%v: aggregate metrics diverged:\n got %+v\nwant %+v", mode, got, want)
 		}
-	}
+		if len(got.Apps) != len(want.Apps) {
+			t.Fatalf("%v: app counts differ: %d vs %d", mode, len(got.Apps), len(want.Apps))
+		}
+		for i := range want.Apps {
+			a, b := got.Apps[i], want.Apps[i]
+			if a.Vdd != b.Vdd || a.DoP != b.DoP || a.MappedAt != b.MappedAt ||
+				a.CompletedAt != b.CompletedAt || a.WaitTime != b.WaitTime ||
+				a.VEs != b.VEs || a.AvgPacketLatency != b.AvgPacketLatency ||
+				a.EnergyJ != b.EnergyJ {
+				t.Errorf("%v: app %d outcomes diverged:\n got %+v\nwant %+v", mode, i, a, b)
+			}
+		}
 
-	// The fast path must actually have been exercised, or this test proves
-	// nothing about the caches. NoC memo hits need the exact (flows, PSN)
-	// pair to recur, which is workload-dependent, so only population is
-	// asserted here; hit semantics are covered by TestNoCMeasurementMemo.
-	if eng.Chip().PSNCacheStats().Hits == 0 {
-		t.Error("PSN solve cache never hit")
-	}
-	if eng.nocMisses == 0 {
-		t.Error("NoC memo never populated")
+		// The memo must actually have served windows, or this test proves
+		// nothing about it; the reference must have measured every one.
+		if eng.win.hits == 0 {
+			t.Errorf("%v: NoC memo never hit", mode)
+		}
+		if ref.win.hits != 0 || len(ref.win.memo) != 0 || ref.win.misses != eng.win.hits+eng.win.misses {
+			t.Errorf("%v: reference hits=%d entries=%d misses=%d, want 0/0/%d", mode,
+				ref.win.hits, len(ref.win.memo), ref.win.misses, eng.win.hits+eng.win.misses)
+		}
 	}
 }
 
@@ -141,36 +135,36 @@ func TestNoCMeasurementMemo(t *testing.T) {
 		{App: 1, Src: 0, Dst: 5, Rate: 0.05},
 		{App: 1, Src: 5, Dst: 12, Rate: 0.02},
 	}
-	r1, err := eng.measurementFor(flows)
+	r1, err := eng.win.measure(flows, &eng.env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := eng.measurementFor(flows)
+	r2, err := eng.win.measure(flows, &eng.env)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r2 != r1 {
 		t.Error("identical inputs re-simulated")
 	}
-	if eng.nocHits != 1 || eng.nocMisses != 1 {
-		t.Fatalf("stats hits=%d misses=%d, want 1/1", eng.nocHits, eng.nocMisses)
+	if eng.win.hits != 1 || eng.win.misses != 1 {
+		t.Fatalf("stats hits=%d misses=%d, want 1/1", eng.win.hits, eng.win.misses)
 	}
 
 	// A changed sensor environment is a different measurement (PANR routing
 	// reads env.PSN), even with the same flows.
 	eng.env.PSN[3] += 0.01
-	if _, err := eng.measurementFor(flows); err != nil {
+	if _, err := eng.win.measure(flows, &eng.env); err != nil {
 		t.Fatal(err)
 	}
-	if eng.nocMisses != 2 {
+	if eng.win.misses != 2 {
 		t.Error("changed PSN environment served from memo")
 	}
 	// Restoring the environment finds the original entry again.
 	eng.env.PSN[3] -= 0.01
-	if _, err := eng.measurementFor(flows); err != nil {
+	if _, err := eng.win.measure(flows, &eng.env); err != nil {
 		t.Fatal(err)
 	}
-	if eng.nocHits != 2 {
+	if eng.win.hits != 2 {
 		t.Error("restored (flows, PSN) state missed the memo")
 	}
 
@@ -178,31 +172,32 @@ func TestNoCMeasurementMemo(t *testing.T) {
 	// re-simulated on their next appearance.
 	for i := 0; i < nocMemoCap; i++ {
 		other := []noc.Flow{{App: 2 + i, Src: 1, Dst: 8, Rate: 0.01}}
-		if _, err := eng.measurementFor(other); err != nil {
+		if _, err := eng.win.measure(other, &eng.env); err != nil {
 			t.Fatal(err)
 		}
 	}
-	misses := eng.nocMisses
-	if _, err := eng.measurementFor(flows); err != nil {
+	misses := eng.win.misses
+	if _, err := eng.win.measure(flows, &eng.env); err != nil {
 		t.Fatal(err)
 	}
-	if eng.nocMisses != misses+1 {
+	if eng.win.misses != misses+1 {
 		t.Error("evicted entry still served from memo")
 	}
 
-	// DisableNoCCache keeps the uncached reference path memo-free.
-	ref, err := NewEngine(Config{DisableNoCCache: true}, MustCombo("PARM", "PANR"))
+	// With the memo off, every call measures and nothing is kept.
+	ref, err := NewEngine(Config{}, MustCombo("PARM", "PANR"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref.win.noMemo = true
 	for i := 0; i < 2; i++ {
-		if _, err := ref.measurementFor(flows); err != nil {
+		if _, err := ref.win.measure(flows, &ref.env); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if ref.nocHits != 0 || ref.nocMisses != 2 || len(ref.nocMemo) != 0 {
+	if ref.win.hits != 0 || ref.win.misses != 2 || len(ref.win.memo) != 0 {
 		t.Errorf("disabled memo still active: hits=%d misses=%d entries=%d",
-			ref.nocHits, ref.nocMisses, len(ref.nocMemo))
+			ref.win.hits, ref.win.misses, len(ref.win.memo))
 	}
 }
 
@@ -233,19 +228,19 @@ func TestNoCMemoKeyByRouting(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r1, err := eng.measurementFor(flows)
+		r1, err := eng.win.measure(flows, &eng.env)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := range eng.env.PSN {
 			eng.env.PSN[i] += 0.05
 		}
-		r2, err := eng.measurementFor(flows)
+		r2, err := eng.win.measure(flows, &eng.env)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if eng.nocHits != tc.wantHits {
-			t.Errorf("%T: %d memo hits after a PSN change, want %d", tc.fw.Routing, eng.nocHits, tc.wantHits)
+		if eng.win.hits != tc.wantHits {
+			t.Errorf("%T: %d memo hits after a PSN change, want %d", tc.fw.Routing, eng.win.hits, tc.wantHits)
 		}
 		if !reflect.DeepEqual(r1, r2) {
 			t.Errorf("%T: the window changed with PSN alone", tc.fw.Routing)

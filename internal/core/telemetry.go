@@ -23,17 +23,6 @@ type telemetry struct {
 	queueDepth  *obs.Gauge     // mapper/queue_depth
 	waitS       *obs.Histogram // mapper/wait_s: queue time at mapping, seconds
 
-	// NoC measurement path (engine-side).
-	nocHits     *obs.Counter // noc/memo/hits
-	nocMisses   *obs.Counter // noc/memo/misses
-	nocWindows  *obs.Counter // noc/windows: measurements actually produced
-	nocAnalytic *obs.Counter // noc/analytic_windows: windows answered by the closed form
-	nocFallback *obs.Counter // noc/analytic_fallbacks: saturated windows sent back to cycle sim
-	warmupCyc   *obs.Counter // noc/warmup_cycles
-	measuredCyc *obs.Counter // noc/measured_cycles
-	flitsInj    *obs.Counter // noc/flits_injected/<scheme>
-	flitsDel    *obs.Counter // noc/flits_delivered/<scheme>
-
 	// Event-loop progress, the /healthz liveness signal: events counts loop
 	// iterations and simTime carries the engine clock, so a frozen simTime
 	// across scrapes distinguishes a stalled run from a slow one.
@@ -46,10 +35,10 @@ type telemetry struct {
 	domainVEs     []*obs.Counter // chip/domain/NN/ves: samples with the domain over threshold
 }
 
-// init registers every engine metric in r. scheme names the routing
-// algorithm (per-scheme flit totals); numDomains sizes the per-domain VE
-// counter set.
-func (t *telemetry) init(r *obs.Registry, scheme string, numDomains int) {
+// init registers the engine's own metrics in r (the NoC window registers
+// its counters itself, see nocWindow.instrument). numDomains sizes the
+// per-domain VE counter set.
+func (t *telemetry) init(r *obs.Registry, numDomains int) {
 	t.candidates = r.Counter("mapper/candidates")
 	t.mapped = r.Counter("mapper/mapped")
 	t.dropped = r.Counter("mapper/dropped")
@@ -59,16 +48,6 @@ func (t *telemetry) init(r *obs.Registry, scheme string, numDomains int) {
 	t.rejRegion = r.Counter("mapper/reject/region")
 	t.queueDepth = r.Gauge("mapper/queue_depth")
 	t.waitS = r.Histogram("mapper/wait_s", []float64{0.01, 0.05, 0.1, 0.5, 1, 5})
-
-	t.nocHits = r.Counter("noc/memo/hits")
-	t.nocMisses = r.Counter("noc/memo/misses")
-	t.nocWindows = r.Counter("noc/windows")
-	t.nocAnalytic = r.Counter("noc/analytic_windows")
-	t.nocFallback = r.Counter("noc/analytic_fallbacks")
-	t.warmupCyc = r.Counter("noc/warmup_cycles")
-	t.measuredCyc = r.Counter("noc/measured_cycles")
-	t.flitsInj = r.Counter("noc/flits_injected/" + scheme)
-	t.flitsDel = r.Counter("noc/flits_delivered/" + scheme)
 
 	t.events = r.Counter("engine/events")
 	t.simTime = r.FloatGauge("engine/sim_time_s")
@@ -97,7 +76,8 @@ func (e *Engine) EnableTelemetry(r *obs.Registry) {
 		return
 	}
 	e.reg = r
-	e.tel.init(r, e.fw.Routing.Name(), e.chip.NumDomains())
+	e.tel.init(r, e.chip.NumDomains())
+	e.win.instrument(r, e.fw.Routing.Name())
 	e.chip.Instrument(r)
 	e.linkObs()
 }
