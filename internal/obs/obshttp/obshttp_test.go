@@ -128,6 +128,39 @@ func TestHandlerNilSources(t *testing.T) {
 	}
 }
 
+// A /healthz scrape only reads: on a registry without the engine's progress
+// metrics it reports zeros and leaves the /metrics exposition unchanged.
+func TestHealthzRegistersNothing(t *testing.T) {
+	r := obs.NewRegistry()
+	r.Counter("pdn/cache/hits").Add(3)
+	srv := httptest.NewServer(obshttp.NewHandler(obshttp.Config{Registry: r}))
+	defer srv.Close()
+	get := func(path string) string {
+		t.Helper()
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatalf("GET %s: reading body: %v", path, err)
+		}
+		return string(body)
+	}
+	before := get("/metrics")
+	var h obshttp.Health
+	if err := json.Unmarshal([]byte(get("/healthz")), &h); err != nil {
+		t.Fatal(err)
+	}
+	if h.SimTimeS != 0 || h.Events != 0 {
+		t.Errorf("/healthz = %+v, want zero progress", h)
+	}
+	if after := get("/metrics"); after != before {
+		t.Errorf("/healthz changed /metrics:\nbefore:\n%s\nafter:\n%s", before, after)
+	}
+}
+
 // Serve binds synchronously, reports its real address, and stops on Close.
 func TestServeLifecycle(t *testing.T) {
 	r := obs.NewRegistry()
