@@ -86,14 +86,7 @@ func main() {
 		}
 	}
 	if *savePath != "" {
-		f, err := os.Create(*savePath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := w.WriteJSON(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFile(*savePath, w.WriteJSON); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -199,14 +192,7 @@ func main() {
 		}
 	}
 	if *traceCSV != "" {
-		f, err := os.Create(*traceCSV)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := trace.WriteCSV(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFile(*traceCSV, trace.WriteCSV); err != nil {
 			log.Fatal(err)
 		}
 	}
