@@ -76,8 +76,8 @@ const nocMemoCap = 16
 // NoCModeCycle keys on exact rates and is unaffected.
 const nocRateQuantum = 1.0 / 4096
 
-// newNoCWindow returns the window producer for a width x height mesh (zero
-// dimensions select the 10x6 default, as in the chip). It rejects a mesh the
+// newNoCWindow returns the window producer for a width x height mesh (a
+// zero mesh selects the 10x6 default, as in the chip). It rejects a mesh the
 // NoC cannot simulate.
 func newNoCWindow(width, height int, routing noc.Algorithm, mode NoCMode) (*nocWindow, error) {
 	cfg := noc.Config{Width: width, Height: height}
