@@ -42,7 +42,7 @@ func main() {
 		loadPath = flag.String("load", "", "load the workload from a JSON file instead of generating it")
 		explain  = flag.Bool("explain", false, "print Algorithm 1's selection trace for the first application")
 		savePath = flag.String("save", "", "save the generated workload as JSON to this file")
-		nocMode  = flag.String("noc", "cycle", "NoC measurement mode: cycle (exact) or auto (analytic fast path below saturation, 2000-cycle simulated fallback windows above it)")
+		nocMode  = flag.String("noc", "cycle", "NoC measurement mode: cycle (exact) or auto (analytic fast path below saturation, simulated fallback windows above it: 2,000-cycle fallbacks under soft deadlines, 8,000-cycle ones under hard deadlines)")
 
 		metricsOut   = flag.String("metrics-out", "", "write the telemetry counter snapshot as JSON to this file")
 		timelineOut  = flag.String("timeline", "", "write the engine event timeline as Chrome trace JSON to this file (load at ui.perfetto.dev)")
@@ -217,9 +217,6 @@ func main() {
 		t.AddRow("PDN solve-cache hits / misses", fmt.Sprintf("%d / %d", m.PDNCache.Hits, m.PDNCache.Misses))
 		t.AddRow("PDN solve-cache clears", m.PDNCache.Clears)
 		t.AddRow("PDN solve-cache evicted", m.PDNCache.Evicted)
-	}
-	if m.NoCMemo != nil {
-		t.AddRow("NoC memo hits / misses", fmt.Sprintf("%d / %d", m.NoCMemo.Hits, m.NoCMemo.Misses))
 	}
 	if err := t.Write(os.Stdout); err != nil {
 		log.Fatal(err)

@@ -30,12 +30,11 @@ type Config struct {
 	// hard deadlines.
 	SoftDeadlines bool
 	// NoCMode selects the NoC measurement strategy (DESIGN.md §11). The
-	// zero value NoCModeCycle keeps cycle-accurate simulation with
-	// exact-input memoization — metrics stay byte-identical to the recorded
-	// experiments. NoCModeAuto quantizes the memo key so near-repeat mapper
-	// states hit the cache and answers uncongested windows with the
-	// closed-form analytic model, falling back to cycle simulation when any
-	// link's offered load exceeds the NoC's saturation threshold.
+	// zero value NoCModeCycle simulates every window cycle by cycle, so
+	// metrics stay byte-identical to the recorded experiments. NoCModeAuto
+	// answers uncongested windows with the closed-form analytic model,
+	// falling back to cycle simulation when any link's offered load exceeds
+	// the NoC's saturation threshold.
 	NoCMode NoCMode
 }
 
@@ -51,10 +50,13 @@ const (
 	// warmupCycles precede each measurement window.
 	warmupCycles = 1500
 	// fallbackWindowCycles is the measured length of NoCModeAuto's cycle
-	// windows (its congested fallbacks), after the same warmup. Chip-wide
-	// router activity, which the PDN reads, is then within 4.6% of a
-	// windowCycles window, and a sequential stopping rule bought no
-	// engine-level accuracy over this fixed floor (DESIGN.md §11).
+	// windows (its congested fallbacks) under soft deadlines, after the same
+	// warmup. Chip-wide router activity, which the PDN reads, is then within
+	// 4.6% of a windowCycles window, and a sequential stopping rule bought
+	// no engine-level accuracy over this fixed floor. Soft deadlines never
+	// drop an app, so the shorter window moves only continuous metrics;
+	// under hard deadlines it can flip a drop, and auto's fallbacks measure
+	// windowCycles there (DESIGN.md §11).
 	fallbackWindowCycles = 2000
 	// maxSimTime is the safety cap on simulated time, in seconds.
 	maxSimTime = 300
@@ -67,10 +69,10 @@ const (
 type NoCMode int
 
 const (
-	// NoCModeCycle is the exact default: cycle simulation, exact memo keys.
+	// NoCModeCycle is the exact default: every window is cycle-simulated.
 	NoCModeCycle NoCMode = iota
-	// NoCModeAuto uses the quantized memo plus the analytic fast path for
-	// uncongested windows, cycle simulation otherwise.
+	// NoCModeAuto uses the analytic fast path for uncongested windows,
+	// cycle simulation otherwise.
 	NoCModeAuto
 )
 
@@ -270,7 +272,7 @@ func NewEngine(cfg Config, fw Framework) (*Engine, error) {
 	// Reject a mesh the NoC cannot simulate before the chip allocates it,
 	// rather than at the first window. Chip and NoC default a zero mesh to
 	// the same 10x6.
-	win, err := newNoCWindow(cfg.Chip.Width, cfg.Chip.Height, fw.Routing, cfg.NoCMode)
+	win, err := newNoCWindow(cfg, fw.Routing)
 	if err != nil {
 		return nil, err
 	}
@@ -299,13 +301,11 @@ func NewEngine(cfg Config, fw Framework) (*Engine, error) {
 // Chip exposes the platform for inspection (examples, tests).
 func (e *Engine) Chip() *chip.Chip { return e.chip }
 
-// CollectCacheStats attaches the run's measurement-cache counters (the pdn
-// domain-solve cache and the NoC measurement memo) to m. Opt-in so default
-// output stays unchanged; see Metrics.PDNCache.
+// CollectCacheStats attaches the run's pdn domain-solve cache counters to
+// m. Opt-in so default output stays unchanged; see Metrics.PDNCache.
 func (e *Engine) CollectCacheStats(m *Metrics) {
 	cs := e.chip.PSNCacheStats()
 	m.PDNCache = &cs
-	m.NoCMemo = &NoCMemoStats{Hits: e.win.hits, Misses: e.win.misses}
 }
 
 func (e *Engine) push(t float64, kind, app int) {
@@ -756,10 +756,13 @@ func (e *Engine) complete(ra *runningApp) error {
 	return err
 }
 
-// activeFlows gathers all running apps' flows in deterministic order and
-// returns the flow list plus, for the requested app, the index range of its
-// flows. The returned slice aliases e.flowsBuf and is only valid until the
-// next activeFlows call; the window memo copies it before keeping it.
+// activeFlows gathers all running apps' flows in app ID order and returns
+// the flow list plus, for the requested app, the index range of its flows.
+// The sort keeps map iteration order out of the flow list: the windows
+// would measure the same (noc.TestFlowOrderPermutes), but a run must not
+// depend on it, and parmvet's det analyzer flags the unsorted range. The
+// returned slice aliases e.flowsBuf and is only valid until the next
+// activeFlows call.
 func (e *Engine) activeFlows(forApp *runningApp) ([]noc.Flow, int, int) {
 	ids := e.idsBuf[:0]
 	for id := range e.running {

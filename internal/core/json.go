@@ -20,10 +20,9 @@ type metricsJSON struct {
 	TotalEnergyJ      float64       `json:"total_energy_j"`
 	MeanPacketLatency float64       `json:"mean_packet_latency_cycles"`
 	Apps              []outcomeJSON `json:"apps"`
-	// Measurement-cache counters, present only when the run collected them
+	// Domain-solve cache counters, present only when the run collected them
 	// (Engine.CollectCacheStats) so default output stays unchanged.
 	PDNCache *pdnCacheJSON `json:"pdn_cache,omitempty"`
-	NoCMemo  *nocMemoJSON  `json:"noc_memo,omitempty"`
 }
 
 type pdnCacheJSON struct {
@@ -32,11 +31,6 @@ type pdnCacheJSON struct {
 	Clears  uint64 `json:"clears"`
 	Evicted uint64 `json:"evicted"`
 	Entries int    `json:"entries"`
-}
-
-type nocMemoJSON struct {
-	Hits   int `json:"hits"`
-	Misses int `json:"misses"`
 }
 
 type outcomeJSON struct {
@@ -75,9 +69,6 @@ func (m *Metrics) WriteJSON(w io.Writer) error {
 			Evicted: m.PDNCache.Evicted,
 			Entries: m.PDNCache.Entries,
 		}
-	}
-	if m.NoCMemo != nil {
-		doc.NoCMemo = &nocMemoJSON{Hits: m.NoCMemo.Hits, Misses: m.NoCMemo.Misses}
 	}
 	for _, o := range m.Apps {
 		oj := outcomeJSON{

@@ -83,18 +83,11 @@ type Metrics struct {
 
 	Apps []AppOutcome
 
-	// PDNCache and NoCMemo optionally carry the run's measurement-cache
-	// counters (Engine.CollectCacheStats). They stay nil unless the caller
-	// asks for them: the splits are deterministic but describe the
-	// measurement caches rather than the simulated system, so they are kept
-	// out of the default results the engine golden digests cover and
-	// serialized only when present.
+	// PDNCache optionally carries the run's domain-solve cache counters
+	// (Engine.CollectCacheStats). It stays nil unless the caller asks for
+	// it: the split is deterministic but describes the measurement cache
+	// rather than the simulated system, so it is kept out of the default
+	// results the engine golden digests cover and serialized only when
+	// present.
 	PDNCache *pdn.CacheStats
-	NoCMemo  *NoCMemoStats
-}
-
-// NoCMemoStats counts NoC measurements served from the engine's measurement
-// memo versus simulated cycle by cycle.
-type NoCMemoStats struct {
-	Hits, Misses int
 }

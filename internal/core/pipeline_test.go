@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"parm/internal/appmodel"
-	"parm/internal/noc"
 )
 
 // kneeBench is a synthetic communication-intensive benchmark whose WCET
@@ -70,180 +69,49 @@ func TestAlgorithm1ScansPastSyncKnee(t *testing.T) {
 	}
 }
 
-// The memoized NoC measurement path must produce bit-identical metrics to
-// the reference that measures every window, in both NoC modes: the memo
-// keys on exact inputs (quantized ones in auto mode, where the quantized
-// flows are also what the window measures).
+// The engine's results must not depend on whether the chip's pdn solve
+// cache computed a domain solve or served it. The second run of a workload
+// gets the first run's chip, whose cache already holds every load signature
+// the workload produces, so every solve of that run is served from the
+// cache; both runs must agree bit for bit. A key that conflated two load
+// signatures would mislead both runs alike; the chip tests compare against
+// a chip without the cache for that.
 func TestPipelineCachedMatchesUncached(t *testing.T) {
 	w := genWorkload(t, appmodel.WorkloadComm, 8, 0.05, 42)
-	run := func(mode NoCMode, noMemo bool) (*Metrics, *Engine) {
-		eng, err := NewEngine(Config{SoftDeadlines: true, NoCMode: mode}, MustCombo("PARM", "XY"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng.win.noMemo = noMemo
-		m, err := eng.Run(w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m, eng
-	}
 	for _, mode := range []NoCMode{NoCModeCycle, NoCModeAuto} {
-		want, ref := run(mode, true)
-		got, eng := run(mode, false)
-
-		if got.TotalTime != want.TotalTime || got.PeakPSN != want.PeakPSN ||
-			got.AvgPSN != want.AvgPSN || got.MeanPacketLatency != want.MeanPacketLatency ||
-			got.TotalVEs != want.TotalVEs || got.TotalEnergyJ != want.TotalEnergyJ ||
-			got.Completed != want.Completed || got.Samples != want.Samples {
-			t.Errorf("%v: aggregate metrics diverged:\n got %+v\nwant %+v", mode, got, want)
-		}
-		if len(got.Apps) != len(want.Apps) {
-			t.Fatalf("%v: app counts differ: %d vs %d", mode, len(got.Apps), len(want.Apps))
-		}
-		for i := range want.Apps {
-			a, b := got.Apps[i], want.Apps[i]
-			if a.Vdd != b.Vdd || a.DoP != b.DoP || a.MappedAt != b.MappedAt ||
-				a.CompletedAt != b.CompletedAt || a.WaitTime != b.WaitTime ||
-				a.VEs != b.VEs || a.AvgPacketLatency != b.AvgPacketLatency ||
-				a.EnergyJ != b.EnergyJ {
-				t.Errorf("%v: app %d outcomes diverged:\n got %+v\nwant %+v", mode, i, a, b)
-			}
-		}
-
-		// The memo must actually have served windows, or this test proves
-		// nothing about it; the reference must have measured every one.
-		if eng.win.hits == 0 {
-			t.Errorf("%v: NoC memo never hit", mode)
-		}
-		if ref.win.hits != 0 || len(ref.win.memo) != 0 || ref.win.misses != eng.win.hits+eng.win.misses {
-			t.Errorf("%v: reference hits=%d entries=%d misses=%d, want 0/0/%d", mode,
-				ref.win.hits, len(ref.win.memo), ref.win.misses, eng.win.hits+eng.win.misses)
-		}
-	}
-}
-
-// The NoC measurement memo returns the stored result exactly when both the
-// flow list and the sensor PSN environment recur, re-simulates otherwise,
-// and forgets entries once the bounded history evicts them.
-func TestNoCMeasurementMemo(t *testing.T) {
-	eng, err := NewEngine(Config{}, MustCombo("PARM", "PANR"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	flows := []noc.Flow{
-		{App: 1, Src: 0, Dst: 5, Rate: 0.05},
-		{App: 1, Src: 5, Dst: 12, Rate: 0.02},
-	}
-	r1, err := eng.win.measure(flows, &eng.env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := eng.win.measure(flows, &eng.env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2 != r1 {
-		t.Error("identical inputs re-simulated")
-	}
-	if eng.win.hits != 1 || eng.win.misses != 1 {
-		t.Fatalf("stats hits=%d misses=%d, want 1/1", eng.win.hits, eng.win.misses)
-	}
-
-	// A changed sensor environment is a different measurement (PANR routing
-	// reads env.PSN), even with the same flows.
-	eng.env.PSN[3] += 0.01
-	if _, err := eng.win.measure(flows, &eng.env); err != nil {
-		t.Fatal(err)
-	}
-	if eng.win.misses != 2 {
-		t.Error("changed PSN environment served from memo")
-	}
-	// Restoring the environment finds the original entry again.
-	eng.env.PSN[3] -= 0.01
-	if _, err := eng.win.measure(flows, &eng.env); err != nil {
-		t.Fatal(err)
-	}
-	if eng.win.hits != 2 {
-		t.Error("restored (flows, PSN) state missed the memo")
-	}
-
-	// Flood the bounded history: the oldest entries are evicted and
-	// re-simulated on their next appearance.
-	for i := 0; i < nocMemoCap; i++ {
-		other := []noc.Flow{{App: 2 + i, Src: 1, Dst: 8, Rate: 0.01}}
-		if _, err := eng.win.measure(other, &eng.env); err != nil {
-			t.Fatal(err)
-		}
-	}
-	misses := eng.win.misses
-	if _, err := eng.win.measure(flows, &eng.env); err != nil {
-		t.Fatal(err)
-	}
-	if eng.win.misses != misses+1 {
-		t.Error("evicted entry still served from memo")
-	}
-
-	// With the memo off, every call measures and nothing is kept.
-	ref, err := NewEngine(Config{}, MustCombo("PARM", "PANR"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref.win.noMemo = true
-	for i := 0; i < 2; i++ {
-		if _, err := ref.win.measure(flows, &ref.env); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if ref.win.hits != 0 || ref.win.misses != 2 || len(ref.win.memo) != 0 {
-		t.Errorf("disabled memo still active: hits=%d misses=%d entries=%d",
-			ref.win.hits, ref.win.misses, len(ref.win.memo))
-	}
-}
-
-// wrappedXY routes exactly as XY does, but the engine cannot see that.
-type wrappedXY struct{ noc.XY }
-
-// Under XY and ICON, which never read sensor PSN, the NoC memo keys on the
-// flow list alone: a changed PSN environment is served from the memo.
-// PANR, and any algorithm the engine does not recognise, wrapped XY
-// included, keeps PSN in the key.
-func TestNoCMemoKeyByRouting(t *testing.T) {
-	flows := []noc.Flow{
-		{App: 1, Src: 0, Dst: 25, Rate: 0.05},
-		{App: 1, Src: 25, Dst: 12, Rate: 0.02},
-	}
-	wrapped := MustCombo("PARM", "XY")
-	wrapped.Routing = wrappedXY{}
-	for _, tc := range []struct {
-		fw       Framework
-		wantHits int
-	}{
-		{MustCombo("PARM", "XY"), 1},
-		{MustCombo("PARM", "ICON"), 1},
-		{MustCombo("PARM", "PANR"), 0},
-		{wrapped, 0},
-	} {
-		eng, err := NewEngine(Config{}, tc.fw)
+		cfg := Config{SoftDeadlines: true, NoCMode: mode}
+		first, err := NewEngine(cfg, MustCombo("PARM", "XY"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		r1, err := eng.win.measure(flows, &eng.env)
+		want, err := first.Run(w)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range eng.env.PSN {
-			eng.env.PSN[i] += 0.05
+		if want.Completed != len(w.Apps) {
+			t.Fatalf("%v: first run completed %d of %d apps; its chip is not idle", mode, want.Completed, len(w.Apps))
 		}
-		r2, err := eng.win.measure(flows, &eng.env)
+		second, err := NewEngine(cfg, MustCombo("PARM", "XY"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if eng.win.hits != tc.wantHits {
-			t.Errorf("%T: %d memo hits after a PSN change, want %d", tc.fw.Routing, eng.win.hits, tc.wantHits)
+		// Keep the unused chip's power ledger, which carries no rounding
+		// residue from the first run's reservations and releases.
+		warm := first.Chip()
+		warm.Budget = second.chip.Budget
+		second.chip = warm
+		before := warm.PSNCacheStats()
+		got, err := second.Run(w)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(r1, r2) {
-			t.Errorf("%T: the window changed with PSN alone", tc.fw.Routing)
+		after := warm.PSNCacheStats()
+		if after.Misses != before.Misses || after.Hits == before.Hits {
+			t.Errorf("%v: warm run missed the pdn cache %d times and hit it %d times, want 0 and more",
+				mode, after.Misses-before.Misses, after.Hits-before.Hits)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%v: metrics diverged with every solve served from the cache:\n got %+v\nwant %+v", mode, got, want)
 		}
 	}
 }

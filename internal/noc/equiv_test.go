@@ -265,10 +265,9 @@ func TestActiveDenseLockstepJumps(t *testing.T) {
 	}
 }
 
-// TestMeasureIgnoresPSN pins what lets the engine key its NoC memo on the
-// flows alone under XY and ICON: on every equivalence fixture and the
-// deviating flow sets, their windows measure bit for bit alike under zero
-// and patterned sensor PSN. PANR must tell the two apart on some fixture,
+// TestMeasureIgnoresPSN pins that XY and ICON do not read the sensor PSN:
+// on every equivalence fixture and the deviating flow sets, their windows
+// measure bit for bit alike under zero and patterned sensor PSN. PANR must tell the two apart on some fixture,
 // or the patterned readings would not be a different input.
 func TestMeasureIgnoresPSN(t *testing.T) {
 	fixtures := equivFixtures()

@@ -38,13 +38,15 @@ func ltiTestLoads(p power.NodeParams, vdd power.Volts) map[string][DomainTiles]T
 // The expm reference solves the same initial-value problem as RK4 exactly,
 // so it must agree to the integrator's truncation error; the phasor path
 // drops the decaying start-up transient, so it is held to the looser
-// steady-state bound (1e-3 absolute on PeakPSN). The phasor result is the
-// production SimulateDomain's, bit for bit.
+// steady-state bounds. Each is about 1.25x the largest deviation over this
+// grid: 6.32e-4 on PeakPSN (32nm, aligned, 1.00 V) and 1.29e-5 on AvgPSN
+// (45nm, aligned, 1.10 V). The phasor result is the production
+// SimulateDomain's, bit for bit.
 func TestModesAgree(t *testing.T) {
 	const (
-		expmTol       = 1e-6 // rk4 truncation at h=20ps
-		steadyPeakTol = 1e-3 // residual transient in the measured window
-		steadyAvgTol  = 1e-3
+		expmTol       = 1e-6   // rk4 truncation at h=20ps
+		steadyPeakTol = 8e-4   // residual transient in the measured window
+		steadyAvgTol  = 1.6e-5 // the transient averages out over the window
 	)
 	for _, n := range power.Nodes {
 		p := power.MustParams(n)
