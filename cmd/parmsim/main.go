@@ -172,7 +172,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	eng.CollectCacheStats(m)
 	if registry != nil && *metricsOut != "" {
 		if err := writeFile(*metricsOut, registry.WriteSnapshot); err != nil {
 			log.Fatal(err)
@@ -213,11 +212,6 @@ func main() {
 	t.AddRow("voltage emergencies", m.TotalVEs)
 	t.AddRow("mean packet latency (cycles)", m.MeanPacketLatency)
 	t.AddRow("total energy (J)", m.TotalEnergyJ)
-	if m.PDNCache != nil {
-		t.AddRow("PDN solve-cache hits / misses", fmt.Sprintf("%d / %d", m.PDNCache.Hits, m.PDNCache.Misses))
-		t.AddRow("PDN solve-cache clears", m.PDNCache.Clears)
-		t.AddRow("PDN solve-cache evicted", m.PDNCache.Evicted)
-	}
 	if err := t.Write(os.Stdout); err != nil {
 		log.Fatal(err)
 	}

@@ -8,15 +8,6 @@ import (
 	"parm/internal/power"
 )
 
-// Core and router switching-activity factors per task activity class, used
-// for power estimation. High-activity (compute-bound) tasks keep the core
-// pipeline busy; low-activity (stall-bound) tasks mostly wait on memory or
-// synchronization.
-const (
-	HighCoreActivity = 0.90
-	LowCoreActivity  = 0.35
-)
-
 // FlitBytes is the payload of one NoC flit in bytes (128-bit links).
 const FlitBytes = 16
 
@@ -25,18 +16,6 @@ const FlitBytes = 16
 // simulation at runtime; the estimate only has to be in the right ballpark
 // for Algorithm 1's deadline feasibility check).
 const estFlitsPerCycle = 1.0
-
-// ActivityFactor returns the core activity factor of class c.
-func ActivityFactor(c pdn.Class) float64 {
-	switch c {
-	case pdn.High:
-		return HighCoreActivity
-	case pdn.Low:
-		return LowCoreActivity
-	default:
-		return 0
-	}
-}
 
 // routerUtilEstimate is the profiled average router utilization per kind,
 // used only in offline power estimates.
@@ -95,10 +74,11 @@ func (g *APG) SPMDTimeEstimate(coreHz, syncCycles float64) float64 {
 // wcetCache and powerCache memoize WCETEstimate and PowerEstimate:
 // Algorithm 1 evaluates them for the (Vdd, DoP) combinations of every
 // scheduling attempt. Profiles are deterministic, so caching is safe.
-// estimateGraphs holds the APG an uncached estimate reads, one per table
-// benchmark and DoP, so a miss at a new Vdd builds no graph: without it each
-// miss built a graph and its RNG, and a run's allocation depended on how
-// many estimates earlier runs in the process had left cached.
+// estimateGraphs holds the APG an uncached estimate and App.Graph read, one
+// per table benchmark and DoP, so a miss at a new Vdd builds no graph and no
+// app builds its own copy: without it each miss built a graph and its RNG,
+// and a run's allocation depended on how many estimates earlier runs in the
+// process had left cached.
 var (
 	wcetCache      sync.Map // estimateKey -> float64
 	powerCache     sync.Map // estimateKey -> power.Watts
@@ -111,9 +91,10 @@ type graphKey struct {
 	dop   int
 }
 
-// estimateGraph returns b's APG at dop for the estimates, which only read
-// it. Only table benchmarks are cached, so a Benchmark with changed fields
-// (or a NaN one, which would never match its key) is built afresh.
+// estimateGraph returns b's APG at dop for the estimates and App.Graph,
+// which only read it. Only table benchmarks are cached, so a Benchmark with
+// changed fields (or a NaN one, which would never match its key) is built
+// afresh.
 func (b Benchmark) estimateGraph(dop int) *APG {
 	if !tableBench(&b) {
 		return b.Graph(dop)
@@ -199,7 +180,7 @@ func (b Benchmark) computePower(p power.NodeParams, vdd power.Volts, dop int) po
 	ru := routerUtilEstimate(b.Kind)
 	total := power.Watts(0)
 	for _, t := range b.estimateGraph(dop).Tasks {
-		total += p.TilePower(vdd, ActivityFactor(t.Activity), ru)
+		total += p.TilePower(vdd, pdn.ActivityFactor(t.Activity), ru)
 	}
 	return total
 }
@@ -215,25 +196,15 @@ type App struct {
 	Arrival float64
 	// RelDeadline is the deadline in seconds, relative to arrival.
 	RelDeadline float64
-
-	graphs map[int]*APG
 }
 
 // AbsDeadline returns the absolute deadline in seconds from workload start.
 func (a *App) AbsDeadline() float64 { return a.Arrival + a.RelDeadline }
 
-// Graph returns (and caches) the APG of this app at the given DoP.
-func (a *App) Graph(dop int) *APG {
-	if a.graphs == nil {
-		a.graphs = make(map[int]*APG)
-	}
-	if g, ok := a.graphs[dop]; ok {
-		return g
-	}
-	g := a.Bench.Graph(dop)
-	a.graphs[dop] = g
-	return g
-}
+// Graph returns the APG of this app at the given DoP. For a table
+// benchmark it is the graph the estimates read, shared by every app of that
+// benchmark, so callers must not modify it.
+func (a *App) Graph(dop int) *APG { return a.Bench.estimateGraph(dop) }
 
 // String identifies the app for logs: "app3(fft)".
 func (a *App) String() string { return fmt.Sprintf("app%d(%s)", a.ID, a.Bench.Name) }

@@ -2,6 +2,7 @@ package appmodel
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -10,18 +11,6 @@ import (
 )
 
 func np7() power.NodeParams { return power.MustParams(power.Node7) }
-
-func TestActivityFactor(t *testing.T) {
-	if ActivityFactor(pdn.High) != HighCoreActivity {
-		t.Error("High activity factor wrong")
-	}
-	if ActivityFactor(pdn.Low) != LowCoreActivity {
-		t.Error("Low activity factor wrong")
-	}
-	if ActivityFactor(pdn.Idle) != 0 {
-		t.Error("Idle activity factor not zero")
-	}
-}
 
 // WCET decreases as Vdd rises (higher clock).
 func TestWCETMonotonicInVdd(t *testing.T) {
@@ -90,7 +79,7 @@ func TestEstimateCachesKeyOnNodeParams(t *testing.T) {
 		g := b.Graph(dop)
 		var w power.Watts
 		for _, task := range g.Tasks {
-			w += p.TilePower(vdd, ActivityFactor(task.Activity), routerUtilEstimate(b.Kind))
+			w += p.TilePower(vdd, pdn.ActivityFactor(task.Activity), routerUtilEstimate(b.Kind))
 		}
 		return g.SPMDTimeEstimate(p.Frequency(vdd), b.SyncCyclesPerTask(dop)), w
 	}
@@ -188,16 +177,30 @@ func TestPowerEstimateTrends(t *testing.T) {
 	}
 }
 
+// Apps of one table benchmark share one read-only APG per DoP; an app whose
+// benchmark differs from its table entry gets a graph built from its own
+// fields.
 func TestAppGraphCaching(t *testing.T) {
 	b := Benchmarks()[2]
-	app := &App{ID: 1, Bench: b}
+	app, twin := &App{ID: 1, Bench: b}, &App{ID: 2, Bench: b}
 	g1 := app.Graph(16)
-	g2 := app.Graph(16)
-	if g1 != g2 {
-		t.Error("App.Graph did not cache")
+	if app.Graph(16) != g1 || twin.Graph(16) != g1 {
+		t.Error("apps of one benchmark got different graphs at DoP 16")
 	}
 	if app.Graph(8) == g1 {
 		t.Error("different DoP returned the same graph")
+	}
+	changed := b
+	changed.CommMBTotal *= 3
+	own := (&App{ID: 3, Bench: changed}).Graph(16)
+	if own == g1 {
+		t.Fatal("a changed benchmark got its table entry's shared graph")
+	}
+	if want := changed.Graph(16); !reflect.DeepEqual(own, want) {
+		t.Error("a changed benchmark's graph is not built from its own fields")
+	}
+	if reflect.DeepEqual(own, g1) {
+		t.Error("tripling the edge volume left the graph unchanged")
 	}
 }
 

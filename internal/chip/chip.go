@@ -104,11 +104,9 @@ type Chip struct {
 	tileDomain []DomainID
 	occupants  []Occupant
 
-	// solveCache memoizes domain solves across samples; nil only in the
-	// uncached reference chip that tests build.
-	solveCache *pdn.SolveCache
-	// solver runs every domain solve, reusing its scratch buffers across
-	// samples.
+	// solver runs every domain solve, memoizing results and reusing its
+	// scratch buffers across samples; tests swap in an uncached one as the
+	// reference.
 	solver *pdn.Solver
 
 	// Telemetry, pre-registered by Instrument; nil metrics discard updates.
@@ -137,9 +135,8 @@ func New(cfg Config) (*Chip, error) {
 		Vdds:       params.VddLevels(),
 		tileDomain: make([]DomainID, m.NumTiles()),
 		occupants:  make([]Occupant, m.NumTiles()),
-		solveCache: pdn.NewSolveCache(),
+		solver:     pdn.NewSolver(pdn.NewSolveCache()),
 	}
-	c.solver = pdn.NewSolver(c.solveCache)
 	for i := range c.occupants {
 		c.occupants[i].App = NoApp
 	}
@@ -216,7 +213,7 @@ func (c *Chip) PlaceTask(t geom.TileID, app, task int, class pdn.Class) error {
 		App:          app,
 		Task:         task,
 		Class:        class,
-		CoreActivity: activityFactor(class),
+		CoreActivity: pdn.ActivityFactor(class),
 	}
 	return nil
 }
@@ -238,17 +235,4 @@ func (c *Chip) ReleaseApp(app int) int {
 		}
 	}
 	return n
-}
-
-// activityFactor mirrors appmodel.ActivityFactor without importing it
-// (chip is below appmodel in the dependency order).
-func activityFactor(c pdn.Class) float64 {
-	switch c {
-	case pdn.High:
-		return 0.90
-	case pdn.Low:
-		return 0.35
-	default:
-		return 0
-	}
 }

@@ -115,13 +115,3 @@ func (c *Chip) SamplePSN(routerUtil []float64) (*PSNSample, error) {
 	}
 	return s, nil
 }
-
-// PSNCacheStats reports the chip's domain-solve cache counters (hits,
-// misses, overflow clears/evictions) and entry count. All zeros when the
-// chip has no cache.
-func (c *Chip) PSNCacheStats() pdn.CacheStats {
-	if c.solveCache == nil {
-		return pdn.CacheStats{}
-	}
-	return c.solveCache.Stats()
-}

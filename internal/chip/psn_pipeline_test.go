@@ -3,6 +3,7 @@ package chip
 import (
 	"testing"
 
+	"parm/internal/obs"
 	"parm/internal/pdn"
 )
 
@@ -46,9 +47,21 @@ func newUncached(t testing.TB) *Chip {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.solveCache = nil
 	c.solver = pdn.NewSolver(nil)
 	return c
+}
+
+// newCounted builds a default (cached) chip instrumented in a fresh
+// registry, and a reader of its pdn/cache/ counters.
+func newCounted(t testing.TB) (*Chip, func(name string) uint64) {
+	t.Helper()
+	c, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := obs.NewRegistry()
+	c.Instrument(r)
+	return c, func(name string) uint64 { return r.Counter("pdn/cache/" + name).Value() }
 }
 
 func sameSample(a, b *PSNSample) bool {
@@ -78,10 +91,7 @@ func TestSamplePSNParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c, count := newCounted(t)
 	populate(t, c)
 	for rep := 0; rep < 2; rep++ { // second rep runs fully from cache
 		got, err := c.SamplePSN(util)
@@ -92,33 +102,29 @@ func TestSamplePSNParallelMatchesSerial(t *testing.T) {
 			t.Fatalf("rep=%d: sample differs from serial reference", rep)
 		}
 	}
-	if st := c.PSNCacheStats(); st.Hits == 0 || st.Misses == 0 {
-		t.Errorf("cache not exercised (hits=%d misses=%d)", st.Hits, st.Misses)
+	if hits, misses := count("hits"), count("misses"); hits == 0 || misses == 0 {
+		t.Errorf("cache not exercised (hits=%d misses=%d)", hits, misses)
 	}
 }
 
 // Repeated samples with an unchanged occupant set are served from the
 // solve cache: the second sample adds no misses.
 func TestSamplePSNCacheHitsOnRepeat(t *testing.T) {
-	c, err := New(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c, count := newCounted(t)
 	populate(t, c)
 	util := utilRamp(c)
 	if _, err := c.SamplePSN(util); err != nil {
 		t.Fatal(err)
 	}
-	missesAfterFirst := c.PSNCacheStats().Misses
+	missesAfterFirst := count("misses")
 	if _, err := c.SamplePSN(util); err != nil {
 		t.Fatal(err)
 	}
-	st := c.PSNCacheStats()
-	if st.Misses != missesAfterFirst {
-		t.Errorf("repeat sample integrated again: misses %d -> %d", missesAfterFirst, st.Misses)
+	if misses := count("misses"); misses != missesAfterFirst {
+		t.Errorf("repeat sample integrated again: misses %d -> %d", missesAfterFirst, misses)
 	}
-	if st.Hits < uint64(c.NumDomains()) {
-		t.Errorf("repeat sample hit only %d times, want >= %d", st.Hits, c.NumDomains())
+	if hits := count("hits"); hits < uint64(c.NumDomains()) {
+		t.Errorf("repeat sample hit only %d times, want >= %d", hits, c.NumDomains())
 	}
 }
 
@@ -163,10 +169,7 @@ func churn(t testing.TB, c *Chip, epoch int) {
 // must be bit-identical to the uncached reference chip mutated in lockstep.
 func TestSamplePSNChurnMatchesUncached(t *testing.T) {
 	ref := newUncached(t)
-	cached, err := New(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cached, count := newCounted(t)
 	populate(t, ref)
 	populate(t, cached)
 
@@ -196,8 +199,8 @@ func TestSamplePSNChurnMatchesUncached(t *testing.T) {
 			}
 		}
 	}
-	if st := cached.PSNCacheStats(); st.Hits == 0 || st.Misses == 0 {
-		t.Errorf("churn run did not exercise the solve cache (hits=%d misses=%d)", st.Hits, st.Misses)
+	if hits, misses := count("hits"), count("misses"); hits == 0 || misses == 0 {
+		t.Errorf("churn run did not exercise the solve cache (hits=%d misses=%d)", hits, misses)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"parm/internal/appmodel"
@@ -283,6 +284,10 @@ func NewEngine(cfg Config, fw Framework) (*Engine, error) {
 	if fw.Mapper == nil || fw.Routing == nil {
 		return nil, fmt.Errorf("core: framework %q missing mapper or routing", fw.Name)
 	}
+	if fw.FixedDoP != 0 && !slices.Contains(appmodel.DoPValues(), fw.FixedDoP) {
+		return nil, fmt.Errorf("core: framework %q FixedDoP %d is neither 0 nor one of %v",
+			fw.Name, fw.FixedDoP, appmodel.DoPValues())
+	}
 	n := c.Mesh.NumTiles()
 	e := &Engine{
 		cfg:        cfg,
@@ -300,13 +305,6 @@ func NewEngine(cfg Config, fw Framework) (*Engine, error) {
 
 // Chip exposes the platform for inspection (examples, tests).
 func (e *Engine) Chip() *chip.Chip { return e.chip }
-
-// CollectCacheStats attaches the run's pdn domain-solve cache counters to
-// m. Opt-in so default output stays unchanged; see Metrics.PDNCache.
-func (e *Engine) CollectCacheStats(m *Metrics) {
-	cs := e.chip.PSNCacheStats()
-	m.PDNCache = &cs
-}
 
 func (e *Engine) push(t float64, kind, app int) {
 	e.seq++
@@ -469,7 +467,7 @@ func (e *Engine) vddDoPLists() (vdds []power.Volts, dops []int) {
 		}
 		vdds = rev
 	}
-	if !e.fw.AdaptiveVddDoP {
+	if e.fw.FixedDoP != 0 {
 		return vdds, []int{e.fw.FixedDoP}
 	}
 	all := appmodel.DoPValues()
@@ -702,7 +700,6 @@ func (e *Engine) commit(app *appmodel.App, vdd power.Volts, dop int, p *mapping.
 	makespan, err := sched.SPMDMakespan(g, sched.Config{
 		Freq:              ra.freq,
 		Delay:             delays,
-		Checkpointing:     true,
 		SyncCyclesPerTask: app.Bench.SyncCyclesPerTask(dop),
 	})
 	if err != nil {

@@ -40,11 +40,11 @@ func runOne(t *testing.T, cfg Config, fw Framework, w *appmodel.Workload) *Metri
 
 func TestComboValidation(t *testing.T) {
 	fw, err := Combo("PARM", "PANR")
-	if err != nil || fw.Name != "PARM+PANR" || !fw.AdaptiveVddDoP {
+	if err != nil || fw.Name != "PARM+PANR" || fw.FixedDoP != 0 {
 		t.Errorf("Combo(PARM,PANR) = %+v, %v", fw, err)
 	}
 	fw, err = Combo("HM", "XY")
-	if err != nil || fw.Name != "HM+XY" || fw.AdaptiveVddDoP || fw.FixedDoP != 16 {
+	if err != nil || fw.Name != "HM+XY" || fw.FixedDoP != 16 {
 		t.Errorf("Combo(HM,XY) = %+v, %v", fw, err)
 	}
 	if _, err := Combo("BOGUS", "XY"); err == nil {
@@ -87,6 +87,22 @@ func TestEngineRejectsBadInput(t *testing.T) {
 	}
 	if _, err := NewEngine(Config{}, Framework{Name: "broken"}); err == nil {
 		t.Error("framework without mapper accepted")
+	}
+	// A FixedDoP outside {0} ∪ DoPValues used to pass NewEngine and panic
+	// in Run when the APG was built.
+	for _, dop := range []int{-4, 6, 36} {
+		fw := MustCombo("HM", "XY")
+		fw.FixedDoP = dop
+		if _, err := NewEngine(Config{}, fw); err == nil {
+			t.Errorf("FixedDoP %d accepted", dop)
+		}
+	}
+	// FixedDoP 0 (the zero Framework's) selects the joint search for any
+	// mapper, where it used to panic in Run.
+	hm := MustCombo("HM", "XY")
+	hm.FixedDoP = 0
+	if m := runOne(t, Config{}, hm, genWorkload(t, appmodel.WorkloadCompute, 1, 0.1, 2)); m.Completed != 1 {
+		t.Errorf("HM with FixedDoP 0 completed %d of 1 apps", m.Completed)
 	}
 }
 

@@ -23,12 +23,11 @@ type Framework struct {
 	Mapper mapping.Mapper
 	// Routing selects the NoC routing scheme.
 	Routing noc.Algorithm
-	// AdaptiveVddDoP enables Algorithm 1's joint (Vdd, DoP) search. When
-	// false the framework scans voltage only, at FixedDoP — the policy of
-	// the HM baseline, which does not adapt parallelism (ref [21] and §5.2:
-	// HM's "increased power consumption (due to high Vdd)").
-	AdaptiveVddDoP bool
-	// FixedDoP is the DoP used when AdaptiveVddDoP is false.
+	// FixedDoP, when nonzero, pins the DoP: the framework scans voltage
+	// only — the policy of the HM baseline, which does not adapt
+	// parallelism (ref [21] and §5.2: HM's "increased power consumption
+	// (due to high Vdd)"). Zero selects Algorithm 1's joint (Vdd, DoP)
+	// search. NewEngine accepts only 0 or one of appmodel.DoPValues.
 	FixedDoP int
 	// HighVddFirst reverses Algorithm 1's voltage search order — the
 	// ablation that shows why lowest-Vdd-first matters for PSN and power
@@ -47,10 +46,9 @@ func Combo(mapperName, routingName string) (Framework, error) {
 	switch mapperName {
 	case "PARM":
 		return Framework{
-			Name:           "PARM+" + routingName,
-			Mapper:         mapping.PARM{},
-			Routing:        alg,
-			AdaptiveVddDoP: true,
+			Name:    "PARM+" + routingName,
+			Mapper:  mapping.PARM{},
+			Routing: alg,
 		}, nil
 	case "HM":
 		// HM scales voltage to meet deadlines (like any runtime manager)

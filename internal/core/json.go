@@ -20,17 +20,6 @@ type metricsJSON struct {
 	TotalEnergyJ      float64       `json:"total_energy_j"`
 	MeanPacketLatency float64       `json:"mean_packet_latency_cycles"`
 	Apps              []outcomeJSON `json:"apps"`
-	// Domain-solve cache counters, present only when the run collected them
-	// (Engine.CollectCacheStats) so default output stays unchanged.
-	PDNCache *pdnCacheJSON `json:"pdn_cache,omitempty"`
-}
-
-type pdnCacheJSON struct {
-	Hits    uint64 `json:"hits"`
-	Misses  uint64 `json:"misses"`
-	Clears  uint64 `json:"clears"`
-	Evicted uint64 `json:"evicted"`
-	Entries int    `json:"entries"`
 }
 
 type outcomeJSON struct {
@@ -60,15 +49,6 @@ func (m *Metrics) WriteJSON(w io.Writer) error {
 		TotalVEs:          m.TotalVEs,
 		TotalEnergyJ:      m.TotalEnergyJ,
 		MeanPacketLatency: m.MeanPacketLatency,
-	}
-	if m.PDNCache != nil {
-		doc.PDNCache = &pdnCacheJSON{
-			Hits:    m.PDNCache.Hits,
-			Misses:  m.PDNCache.Misses,
-			Clears:  m.PDNCache.Clears,
-			Evicted: m.PDNCache.Evicted,
-			Entries: m.PDNCache.Entries,
-		}
 	}
 	for _, o := range m.Apps {
 		oj := outcomeJSON{

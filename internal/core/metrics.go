@@ -2,7 +2,6 @@ package core
 
 import (
 	"parm/internal/appmodel"
-	"parm/internal/pdn"
 	"parm/internal/power"
 )
 
@@ -82,12 +81,4 @@ type Metrics struct {
 	TotalEnergyJ float64
 
 	Apps []AppOutcome
-
-	// PDNCache optionally carries the run's domain-solve cache counters
-	// (Engine.CollectCacheStats). It stays nil unless the caller asks for
-	// it: the split is deterministic but describes the measurement cache
-	// rather than the simulated system, so it is kept out of the default
-	// results the engine golden digests cover and serialized only when
-	// present.
-	PDNCache *pdn.CacheStats
 }

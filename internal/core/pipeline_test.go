@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"parm/internal/appmodel"
+	"parm/internal/obs"
 )
 
 // kneeBench is a synthetic communication-intensive benchmark whose WCET
@@ -100,15 +101,15 @@ func TestPipelineCachedMatchesUncached(t *testing.T) {
 		warm := first.Chip()
 		warm.Budget = second.chip.Budget
 		second.chip = warm
-		before := warm.PSNCacheStats()
+		r := obs.NewRegistry()
+		warm.Instrument(r)
 		got, err := second.Run(w)
 		if err != nil {
 			t.Fatal(err)
 		}
-		after := warm.PSNCacheStats()
-		if after.Misses != before.Misses || after.Hits == before.Hits {
+		if misses, hits := r.Counter("pdn/cache/misses").Value(), r.Counter("pdn/cache/hits").Value(); misses != 0 || hits == 0 {
 			t.Errorf("%v: warm run missed the pdn cache %d times and hit it %d times, want 0 and more",
-				mode, after.Misses-before.Misses, after.Hits-before.Hits)
+				mode, misses, hits)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%v: metrics diverged with every solve served from the cache:\n got %+v\nwant %+v", mode, got, want)

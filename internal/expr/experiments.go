@@ -10,6 +10,8 @@ package expr
 import (
 	"fmt"
 	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"parm/internal/appmodel"
 	"parm/internal/core"
@@ -62,7 +64,7 @@ func highLoads(p power.NodeParams, vdd power.Volts, staggered bool) [pdn.DomainT
 	var occ [pdn.DomainTiles]pdn.TileOccupant
 	for i := range occ {
 		occ[i] = pdn.TileOccupant{
-			IAvg:      p.TileCurrent(vdd, appmodel.HighCoreActivity, 0.4),
+			IAvg:      p.TileCurrent(vdd, pdn.HighCoreActivity, 0.4),
 			Class:     pdn.High,
 			Staggered: staggered,
 		}
@@ -80,7 +82,7 @@ func commLoads(p power.NodeParams, vdd power.Volts) [pdn.DomainTiles]pdn.TileLoa
 			class = pdn.High
 		}
 		occ[i] = pdn.TileOccupant{
-			IAvg:  p.TileCurrent(vdd, appmodel.ActivityFactor(class), 0.8),
+			IAvg:  p.TileCurrent(vdd, pdn.ActivityFactor(class), 0.8),
 			Class: class,
 		}
 	}
@@ -136,7 +138,7 @@ func Fig3b() (*report.Table, error) {
 
 	load := func(class pdn.Class) pdn.TileOccupant {
 		return pdn.TileOccupant{
-			IAvg:  p.TileCurrent(vdd, appmodel.ActivityFactor(class), 0.3),
+			IAvg:  p.TileCurrent(vdd, pdn.ActivityFactor(class), 0.3),
 			Class: class,
 		}
 	}
@@ -245,48 +247,33 @@ type cell struct {
 
 // runCells executes the cells concurrently (each simulation is independent
 // and deterministic) and returns the metrics in input order. The worker
-// count is bounded so a laptop is not oversubscribed.
+// count is bounded so a laptop is not oversubscribed. Workers claim cells
+// by index and store each result under that index, so scheduling order
+// cannot reach the output.
 func runCells(opt Options, cells []cell) ([]*core.Metrics, error) {
-	type result struct {
-		idx int
-		m   *core.Metrics
-		err error
-	}
 	workers := runtime.GOMAXPROCS(0)
 	if workers > len(cells) {
 		workers = len(cells)
 	}
-	jobs := make(chan int)
-	results := make(chan result)
+	out := make([]*core.Metrics, len(cells))
+	errs := make([]error, len(cells))
+	var next atomic.Int64
+	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
+		wg.Add(1)
 		go func() {
-			// Audited: each job is a pure function of its index, writes a
-			// fresh Metrics, and is re-keyed by idx on collection, so worker
-			// scheduling order cannot reach any output.
-			//parm:det
-			for idx := range jobs {
-				c := cells[idx]
-				m, err := RunMetrics(opt, c.fw, c.kind, c.gap)
-				results <- result{idx: idx, m: m, err: err}
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(cells) {
+					return
+				}
+				c := cells[i]
+				out[i], errs[i] = RunMetrics(opt, c.fw, c.kind, c.gap)
 			}
 		}()
 	}
-	go func() {
-		for i := range cells {
-			jobs <- i
-		}
-		close(jobs)
-	}()
-	out := make([]*core.Metrics, len(cells))
-	errs := make([]error, len(cells))
-	for range cells {
-		// Audited: every result is stored under its own cell index, so the
-		// arrival order cannot reach out or the reported error.
-		//parm:det
-		r := <-results
-		errs[r.idx] = r.err
-		out[r.idx] = r.m
-	}
+	wg.Wait()
 	// Report the failure of the lowest-index cell, not of whichever worker
 	// happened to finish first: the chosen error must not depend on
 	// scheduling.

@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"strings"
 	"testing"
 
 	"parm/internal/appmodel"
@@ -41,5 +42,24 @@ func TestRunCellsConcurrentDeterministic(t *testing.T) {
 			a.TotalVEs != b.TotalVEs {
 			t.Errorf("cell %d not reproducible across pool runs:\n first %+v\nsecond %+v", i, a, b)
 		}
+	}
+}
+
+// A failing grid reports its lowest-index failure, whichever worker
+// finishes first.
+func TestRunCellsReportsLowestIndexError(t *testing.T) {
+	bad := func(name string) core.Framework {
+		fw := core.MustCombo("HM", "XY")
+		fw.Name, fw.FixedDoP = name, 6 // not a DoP value: NewEngine fails
+		return fw
+	}
+	cells := []cell{
+		{fw: core.MustCombo("PARM", "XY"), kind: appmodel.WorkloadCompute, gap: 0.1},
+		{fw: bad("first-bad"), kind: appmodel.WorkloadCompute, gap: 0.1},
+		{fw: bad("second-bad"), kind: appmodel.WorkloadCompute, gap: 0.1},
+	}
+	_, err := runCells(Options{NumApps: 1, Seed: 9}, cells)
+	if err == nil || !strings.HasPrefix(err.Error(), "first-bad/") {
+		t.Errorf("runCells error = %v, want the first-bad cell's", err)
 	}
 }

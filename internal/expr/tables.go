@@ -17,7 +17,7 @@ func DarkSiliconTable() *report.Table {
 	t := report.NewTable("Dark silicon at 7nm: tiles lit under the 65 W budget",
 		"vdd(V)", "f(GHz)", "tilePower(W)", "litTiles(of 60)", "darkFraction(%)")
 	for _, v := range p.VddLevels() {
-		tp := p.TilePower(v, appmodel.HighCoreActivity, 0.4)
+		tp := p.TilePower(v, pdn.HighCoreActivity, 0.4)
 		lit := int(65 / tp)
 		if lit > 60 {
 			lit = 60

@@ -29,6 +29,27 @@ func (c Class) String() string {
 	}
 }
 
+// Core switching-activity factors per class, used for tile power and
+// current. High-activity (compute-bound) tasks keep the core pipeline busy;
+// low-activity (stall-bound) tasks mostly wait on memory or
+// synchronization.
+const (
+	HighCoreActivity = 0.90
+	LowCoreActivity  = 0.35
+)
+
+// ActivityFactor returns the core activity factor of class c (0 for Idle).
+func ActivityFactor(c Class) float64 {
+	switch c {
+	case High:
+		return HighCoreActivity
+	case Low:
+		return LowCoreActivity
+	default:
+		return 0
+	}
+}
+
 // Burst frequencies per activity class. High-activity (compute-bound) tasks
 // burst near the package LC resonance; low-activity (stall-heavy) tasks
 // burst slower. The incommensurate frequencies make cross-class waveforms

@@ -11,6 +11,18 @@ func TestClassString(t *testing.T) {
 	}
 }
 
+func TestActivityFactor(t *testing.T) {
+	if ActivityFactor(High) != HighCoreActivity {
+		t.Error("High activity factor wrong")
+	}
+	if ActivityFactor(Low) != LowCoreActivity {
+		t.Error("Low activity factor wrong")
+	}
+	if ActivityFactor(Idle) != 0 {
+		t.Error("Idle activity factor not zero")
+	}
+}
+
 func TestBuildLoadsClassParameters(t *testing.T) {
 	occ := [DomainTiles]TileOccupant{
 		{IAvg: 0.2, Class: High},

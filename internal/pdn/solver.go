@@ -63,16 +63,12 @@ const maxCacheEntries = 1 << 15
 // SolveCache memoizes domain transient solves across samples. It is not
 // safe for concurrent use.
 type SolveCache struct {
-	m      map[solveKey]Result
-	hits   uint64
-	misses uint64
-	// clears counts wholesale resets on overflow; evicted totals the
-	// entries those resets dropped.
-	clears  uint64
-	evicted uint64
-	// Telemetry mirrors, set once by Instrument before the first lookup.
-	// Nil (uninstrumented) counters discard updates.
-	obsHits, obsMisses, obsClears, obsEvicted *obs.Counter
+	m map[solveKey]Result
+	// Registry counters set by Solver.Instrument, the cache's only record
+	// of its lookups and resets; nil (uninstrumented) counters discard
+	// updates. clears counts wholesale resets on overflow; evicted totals
+	// the entries those resets dropped.
+	hits, misses, clears, evicted *obs.Counter
 }
 
 // NewSolveCache returns an empty cache.
@@ -83,51 +79,20 @@ func NewSolveCache() *SolveCache {
 func (c *SolveCache) lookup(k solveKey) (Result, bool) {
 	r, ok := c.m[k]
 	if ok {
-		c.hits++
-		c.obsHits.Inc()
+		c.hits.Inc()
 	} else {
-		c.misses++
-		c.obsMisses.Inc()
+		c.misses.Inc()
 	}
 	return r, ok
 }
 
 func (c *SolveCache) store(k solveKey, r Result) {
 	if len(c.m) >= maxCacheEntries {
-		c.clears++
-		c.evicted += uint64(len(c.m))
-		c.obsClears.Inc()
-		c.obsEvicted.Add(uint64(len(c.m)))
+		c.clears.Inc()
+		c.evicted.Add(uint64(len(c.m)))
 		c.m = make(map[solveKey]Result)
 	}
 	c.m[k] = r
-}
-
-// CacheStats is a point-in-time snapshot of a SolveCache's lifetime
-// counters and current size.
-type CacheStats struct {
-	// Hits and Misses count lookups since creation.
-	Hits, Misses uint64
-	// Clears counts wholesale overflow resets (the cache drops everything
-	// when it exceeds its entry bound); Evicted totals the entries those
-	// resets dropped. A nonzero Clears on a real run means the workload's
-	// key population outgrew maxCacheEntries — pathological churn the
-	// previous Stats form silently hid.
-	Clears, Evicted uint64
-	// Entries is the current population.
-	Entries int
-}
-
-// Stats reports the cache's hit/miss/eviction counters and current entry
-// count.
-func (c *SolveCache) Stats() CacheStats {
-	return CacheStats{
-		Hits:    c.hits,
-		Misses:  c.misses,
-		Clears:  c.clears,
-		Evicted: c.evicted,
-		Entries: len(c.m),
-	}
 }
 
 // Solver runs domain transient simulations with reusable scratch buffers

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"parm/internal/obs"
 	"parm/internal/power"
 )
 
@@ -23,6 +24,15 @@ func solverLoads(p power.NodeParams, vdd power.Volts) [DomainTiles]TileLoad {
 	return BuildLoads(occ)
 }
 
+// cachedSolver returns a cached Solver instrumented in a fresh registry,
+// and a reader of its pdn/cache/ counters.
+func cachedSolver() (*Solver, func(name string) uint64) {
+	s := NewSolver(NewSolveCache())
+	r := obs.NewRegistry()
+	s.Instrument(r)
+	return s, func(name string) uint64 { return r.Counter("pdn/cache/" + name).Value() }
+}
+
 // A cached solve must be bit-identical to the same solver's uncached solve:
 // the cache key is the exact (quantized) input the integrator sees.
 func TestSolverCachedMatchesUncached(t *testing.T) {
@@ -35,7 +45,7 @@ func TestSolverCachedMatchesUncached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cached := NewSolver(NewSolveCache())
+	cached, count := cachedSolver()
 	for trial := 0; trial < 3; trial++ {
 		got, err := cached.SimulateDomain(cfg, loads)
 		if err != nil {
@@ -45,9 +55,8 @@ func TestSolverCachedMatchesUncached(t *testing.T) {
 			t.Fatalf("trial %d: cached result differs:\n got %+v\nwant %+v", trial, got, want)
 		}
 	}
-	st := cached.cache.Stats()
-	if st.Misses != 1 || st.Hits != 2 || st.Entries != 1 {
-		t.Errorf("cache stats hits=%d misses=%d entries=%d, want 2/1/1", st.Hits, st.Misses, st.Entries)
+	if hits, misses := count("hits"), count("misses"); hits != 2 || misses != 1 {
+		t.Errorf("cache hits=%d misses=%d, want 2/1", hits, misses)
 	}
 }
 
@@ -58,7 +67,7 @@ func TestSolverQuantizationHits(t *testing.T) {
 	cfg := Config{Params: p, Vdd: 0.5}
 	base := solverLoads(p, 0.5)
 
-	s := NewSolver(NewSolveCache())
+	s, count := cachedSolver()
 	if _, err := s.SimulateDomain(cfg, base); err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +76,7 @@ func TestSolverQuantizationHits(t *testing.T) {
 	if _, err := s.SimulateDomain(cfg, jittered); err != nil {
 		t.Fatal(err)
 	}
-	if hits := s.cache.Stats().Hits; hits != 1 {
+	if hits := count("hits"); hits != 1 {
 		t.Errorf("sub-quantum jitter missed the cache (hits=%d)", hits)
 	}
 	moved := base
@@ -75,8 +84,8 @@ func TestSolverQuantizationHits(t *testing.T) {
 	if _, err := s.SimulateDomain(cfg, moved); err != nil {
 		t.Fatal(err)
 	}
-	if st := s.cache.Stats(); st.Misses != 2 || st.Entries != 2 {
-		t.Errorf("distinct load reused a stale entry (misses=%d entries=%d)", st.Misses, st.Entries)
+	if misses := count("misses"); misses != 2 {
+		t.Errorf("distinct load reused a stale entry (misses=%d)", misses)
 	}
 }
 
@@ -104,7 +113,7 @@ func TestSolverCloseToExactPath(t *testing.T) {
 // The solver validates like the package-level path.
 func TestSolverRejectsBadInput(t *testing.T) {
 	p := power.MustParams(power.Node7)
-	s := NewSolver(NewSolveCache())
+	s, count := cachedSolver()
 	if _, err := s.SimulateDomain(Config{Params: p, Vdd: -1}, [DomainTiles]TileLoad{}); err == nil {
 		t.Error("negative Vdd accepted")
 	}
@@ -112,8 +121,8 @@ func TestSolverRejectsBadInput(t *testing.T) {
 	if _, err := s.SimulateDomain(Config{Params: p, Vdd: 0.5}, bad); err == nil {
 		t.Error("negative load accepted")
 	}
-	if s.cache.Stats().Entries != 0 {
-		t.Error("invalid inputs were cached")
+	if misses := count("misses"); misses != 0 {
+		t.Errorf("invalid inputs reached the cache (%d misses)", misses)
 	}
 }
 
@@ -179,31 +188,34 @@ func BenchmarkSolverCached(b *testing.B) {
 }
 
 // Driving the cache past maxCacheEntries triggers a wholesale clear, and the
-// Stats counters expose it: one clear, maxCacheEntries entries evicted, and
-// the population restarted from the overflowing insert.
+// counters expose it: one clear, maxCacheEntries entries evicted, and the
+// population (misses - evicted) restarted from the overflowing insert.
 func TestSolveCacheOverflow(t *testing.T) {
-	c := NewSolveCache()
+	s, count := cachedSolver()
+	c := s.cache
 	var k solveKey
 	for i := 0; i <= maxCacheEntries; i++ {
 		// Distinct keys: vary the quantized average current of tile 0.
 		k.loads[0].IAvg = float64(i) * iavgQuantum
+		if _, ok := c.lookup(k); ok {
+			t.Fatalf("key %d hit before it was stored", i)
+		}
 		c.store(k, Result{})
 	}
-	st := c.Stats()
-	if st.Clears != 1 {
-		t.Errorf("Clears = %d, want 1", st.Clears)
+	if clears := count("clears"); clears != 1 {
+		t.Errorf("clears = %d, want 1", clears)
 	}
-	if st.Evicted != maxCacheEntries {
-		t.Errorf("Evicted = %d, want %d", st.Evicted, maxCacheEntries)
+	if evicted := count("evicted"); evicted != maxCacheEntries {
+		t.Errorf("evicted = %d, want %d", evicted, maxCacheEntries)
 	}
-	if st.Entries != 1 {
-		t.Errorf("Entries = %d, want 1 (the overflowing insert)", st.Entries)
+	if entries := count("misses") - count("evicted"); entries != 1 || len(c.m) != 1 {
+		t.Errorf("entries = %d (map holds %d), want 1 (the overflowing insert)", entries, len(c.m))
 	}
 	// The cache still works after the reset.
 	if _, ok := c.lookup(k); !ok {
 		t.Error("overflowing insert not retrievable after clear")
 	}
-	if st := c.Stats(); st.Hits != 1 {
-		t.Errorf("Hits = %d, want 1", st.Hits)
+	if hits := count("hits"); hits != 1 {
+		t.Errorf("hits = %d, want 1", hits)
 	}
 }

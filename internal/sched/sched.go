@@ -49,9 +49,6 @@ type Config struct {
 	Freq float64
 	// Delay supplies per-edge communication delays; nil means zero.
 	Delay CommDelay
-	// Checkpointing inflates compute times by the periodic checkpoint
-	// overhead when true.
-	Checkpointing bool
 	// SyncCyclesPerTask adds per-task barrier overhead in cycles, matching
 	// the profile model (appmodel.Benchmark.SyncCyclesPerTask).
 	SyncCyclesPerTask float64

@@ -23,10 +23,7 @@ func SPMDMakespan(g *appmodel.APG, cfg Config) (float64, error) {
 	if err := g.Validate(); err != nil {
 		return 0, err
 	}
-	over := 1.0
-	if cfg.Checkpointing {
-		over += CheckpointOverheadFrac(cfg.Freq)
-	}
+	over := 1 + CheckpointOverheadFrac(cfg.Freq)
 	n := g.NumTasks()
 	t := make([]float64, n)
 	for i, task := range g.Tasks {
