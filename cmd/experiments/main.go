@@ -37,7 +37,7 @@ func main() {
 		seed    = flag.Int64("seed", 42, "workload generation seed")
 		csv     = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		quiet   = flag.Bool("q", false, "suppress progress output")
-		nocMode = flag.String("noc", "cycle", "NoC measurement mode: cycle (exact) or auto (analytic fast path below saturation, simulated fallback windows above it: 2,000-cycle fallbacks under soft deadlines, 8,000-cycle ones under hard deadlines)")
+		nocMode = flag.String("noc", "cycle", "NoC measurement mode: cycle (exact) or auto (analytic fast path below saturation, simulated fallback windows above it: a 250-cycle warmup and 2,000 measured cycles under soft deadlines, 1,500 and 8,000 under hard deadlines, as in cycle mode)")
 
 		metricsOut   = flag.String("metrics-out", "", "write the aggregated telemetry snapshot as JSON to this file")
 		timelineOut  = flag.String("timeline", "", "write engine events as Chrome trace JSON to this file (runs interleave across parallel cells)")

@@ -42,7 +42,7 @@ func main() {
 		loadPath = flag.String("load", "", "load the workload from a JSON file instead of generating it")
 		explain  = flag.Bool("explain", false, "print Algorithm 1's selection trace for the first application")
 		savePath = flag.String("save", "", "save the generated workload as JSON to this file")
-		nocMode  = flag.String("noc", "cycle", "NoC measurement mode: cycle (exact) or auto (analytic fast path below saturation, simulated fallback windows above it: 2,000-cycle fallbacks under soft deadlines, 8,000-cycle ones under hard deadlines)")
+		nocMode  = flag.String("noc", "cycle", "NoC measurement mode: cycle (exact) or auto (analytic fast path below saturation, simulated fallback windows above it: a 250-cycle warmup and 2,000 measured cycles under soft deadlines, 1,500 and 8,000 under hard deadlines, as in cycle mode)")
 
 		metricsOut   = flag.String("metrics-out", "", "write the telemetry counter snapshot as JSON to this file")
 		timelineOut  = flag.String("timeline", "", "write the engine event timeline as Chrome trace JSON to this file (load at ui.perfetto.dev)")
@@ -209,6 +209,7 @@ func main() {
 	t.AddRow("average PSN (%)", m.AvgPSN*100)
 	t.AddRow("applications completed", m.Completed)
 	t.AddRow("applications dropped", m.Dropped)
+	t.AddRow("applications unfinished", m.Unfinished)
 	t.AddRow("voltage emergencies", m.TotalVEs)
 	t.AddRow("mean packet latency (cycles)", m.MeanPacketLatency)
 	t.AddRow("total energy (J)", m.TotalEnergyJ)

@@ -36,7 +36,8 @@ func (w *Workload) WriteJSON(out io.Writer) error {
 }
 
 // ReadWorkloadJSON reconstructs a workload written by WriteJSON. It
-// validates benchmark names, ID uniqueness, and timing fields.
+// validates benchmark names, timing fields, and app IDs: unique and not
+// negative (the chip reserves -1 for an unoccupied domain).
 func ReadWorkloadJSON(in io.Reader) (*Workload, error) {
 	var doc workloadJSON
 	if err := json.NewDecoder(in).Decode(&doc); err != nil {
@@ -58,6 +59,9 @@ func ReadWorkloadJSON(in io.Reader) (*Workload, error) {
 	}
 	seen := map[int]bool{}
 	for _, aj := range doc.Apps {
+		if aj.ID < 0 {
+			return nil, fmt.Errorf("appmodel: negative app ID %d", aj.ID)
+		}
 		if seen[aj.ID] {
 			return nil, fmt.Errorf("appmodel: duplicate app ID %d", aj.ID)
 		}

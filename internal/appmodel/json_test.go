@@ -38,6 +38,7 @@ func TestReadWorkloadJSONValidation(t *testing.T) {
 		"unknown kind":  `{"kind":"sideways","apps":[{"id":0,"bench":"fft","arrival_s":0,"deadline_s":0.1}]}`,
 		"no apps":       `{"kind":"mixed","apps":[]}`,
 		"unknown bench": `{"kind":"mixed","apps":[{"id":0,"bench":"doom","arrival_s":0,"deadline_s":0.1}]}`,
+		"negative id":   `{"kind":"mixed","apps":[{"id":-1,"bench":"fft","arrival_s":0,"deadline_s":0.1}]}`,
 		"duplicate id":  `{"kind":"mixed","apps":[{"id":0,"bench":"fft","arrival_s":0,"deadline_s":0.1},{"id":0,"bench":"fft","arrival_s":0.1,"deadline_s":0.1}]}`,
 		"bad deadline":  `{"kind":"mixed","apps":[{"id":0,"bench":"fft","arrival_s":0,"deadline_s":0}]}`,
 		"negative time": `{"kind":"mixed","apps":[{"id":0,"bench":"fft","arrival_s":-1,"deadline_s":0.1}]}`,

@@ -59,6 +59,13 @@ const (
 	// under hard deadlines it can flip a drop, and auto's fallbacks measure
 	// windowCycles there (DESIGN.md §11).
 	fallbackWindowCycles = 2000
+	// fallbackWarmupCycles replaces warmupCycles before those soft-deadline
+	// fallback windows. Window by window against a warmupCycles +
+	// windowCycles reference of the same flows, its p95 per-flow throughput
+	// error stays far inside the one accepted for fallbackWindowCycles;
+	// TestFallbackWarmupError bounds its router-activity and throughput
+	// errors (DESIGN.md §11).
+	fallbackWarmupCycles = 250
 	// maxSimTime is the safety cap on simulated time, in seconds.
 	maxSimTime = 300
 	// maxSensorBits is the finest PSN sensor quantization pdn.NewSensor
@@ -321,6 +328,10 @@ func (e *Engine) Run(w *appmodel.Workload) (*Metrics, error) {
 	e.arrivalsLeft = len(w.Apps)
 	apps := make(map[int]*appmodel.App, len(w.Apps))
 	for _, a := range w.Apps {
+		if a.ID < 0 {
+			// chip.NoApp (-1) marks an unoccupied domain or tile.
+			return nil, fmt.Errorf("core: negative app ID %d", a.ID)
+		}
 		if _, dup := apps[a.ID]; dup {
 			return nil, fmt.Errorf("core: duplicate app ID %d", a.ID)
 		}

@@ -85,6 +85,16 @@ func TestEngineRejectsBadInput(t *testing.T) {
 	if _, err := eng2.Run(w); err == nil {
 		t.Error("duplicate app IDs accepted")
 	}
+	// chip.NoApp is -1: an app with that ID would leave its domains reading
+	// as unoccupied.
+	for _, id := range []int{-1, -7} {
+		w := genWorkload(t, appmodel.WorkloadMixed, 2, 0.1, 1)
+		w.Apps[0].ID = id
+		eng, _ := NewEngine(Config{}, MustCombo("PARM", "XY"))
+		if _, err := eng.Run(w); err == nil {
+			t.Errorf("app ID %d accepted", id)
+		}
+	}
 	if _, err := NewEngine(Config{}, Framework{Name: "broken"}); err == nil {
 		t.Error("framework without mapper accepted")
 	}

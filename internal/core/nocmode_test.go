@@ -151,9 +151,11 @@ func TestCycleModeUnaffectedByModeField(t *testing.T) {
 }
 
 // TestAutoFallbackLength pins the window lengths of NoCModeAuto: a light
-// flow set is answered analytically over windowCycles, and a saturated one
-// falls back to cycle simulation measured over fallbackWindowCycles under
-// soft deadlines and windowCycles under hard ones.
+// flow set is answered analytically over windowCycles with no warmup, and a
+// saturated one falls back to cycle simulation, after fallbackWarmupCycles
+// and measured over fallbackWindowCycles under soft deadlines, and after
+// warmupCycles and measured over windowCycles under hard ones. Each window's
+// lengths must show in noc/warmup_cycles and noc/measured_cycles.
 func TestAutoFallbackLength(t *testing.T) {
 	fw, err := Combo("PARM", "XY")
 	if err != nil {
@@ -166,15 +168,26 @@ func TestAutoFallbackLength(t *testing.T) {
 		hot = append(hot, noc.Flow{App: i % 4, Src: geom.TileID(2 * i), Dst: 27, Rate: 0.6})
 	}
 	for _, tc := range []struct {
-		soft     bool
-		fallback int
-	}{{true, fallbackWindowCycles}, {false, windowCycles}} {
+		soft             bool
+		warmup, fallback int
+	}{{true, fallbackWarmupCycles, fallbackWindowCycles}, {false, warmupCycles, windowCycles}} {
 		e, err := NewEngine(Config{SoftDeadlines: tc.soft, NoCMode: NoCModeAuto}, fw)
 		if err != nil {
 			t.Fatal(err)
 		}
 		reg := obs.NewRegistry()
 		e.EnableTelemetry(reg)
+		// lengths checks what one window added to the cycle counters.
+		var seenWarmup, seenMeasured uint64
+		lengths := func(set string, warmup, measured int) {
+			t.Helper()
+			w, m := reg.Counter("noc/warmup_cycles").Value(), reg.Counter("noc/measured_cycles").Value()
+			if w-seenWarmup != uint64(warmup) || m-seenMeasured != uint64(measured) {
+				t.Errorf("soft=%v: %s set added %d warmup and %d measured cycles, want %d and %d",
+					tc.soft, set, w-seenWarmup, m-seenMeasured, warmup, measured)
+			}
+			seenWarmup, seenMeasured = w, m
+		}
 		res, err := e.win.measure(light, &e.env)
 		if err != nil {
 			t.Fatal(err)
@@ -183,6 +196,7 @@ func TestAutoFallbackLength(t *testing.T) {
 			t.Errorf("soft=%v: light set took %d analytic windows over %d cycles, want 1 over %d",
 				tc.soft, got, res.Cycles, windowCycles)
 		}
+		lengths("light", 0, windowCycles)
 		if res, err = e.win.measure(hot, &e.env); err != nil {
 			t.Fatal(err)
 		}
@@ -190,6 +204,7 @@ func TestAutoFallbackLength(t *testing.T) {
 			t.Errorf("soft=%v: saturated set took %d fallbacks over %d cycles, want 1 over %d",
 				tc.soft, got, res.Cycles, tc.fallback)
 		}
+		lengths("saturated", tc.warmup, tc.fallback)
 	}
 }
 

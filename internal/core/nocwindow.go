@@ -16,10 +16,15 @@ type nocWindow struct {
 	cfg     noc.Config
 	routing noc.Algorithm
 	mode    NoCMode
-	// cycles is the measured length of every cycle-simulated window, after
-	// warmupCycles: windowCycles, except for NoCModeAuto's congested
-	// fallbacks under soft deadlines, which measure fallbackWindowCycles.
-	cycles int
+	// warmup and cycles are the warmup and measured lengths of every
+	// cycle-simulated window: warmupCycles and windowCycles, except for
+	// NoCModeAuto's congested fallbacks under soft deadlines, which run
+	// fallbackWarmupCycles and measure fallbackWindowCycles.
+	warmup, cycles int
+
+	// onFallback, when set by a test, sees the flows and sensor readings of
+	// every window NoCModeAuto sends to a cycle fallback, before it runs.
+	onFallback func(flows []noc.Flow, env *noc.Env)
 
 	// net is reset for every window simulated cycle by cycle. The first such
 	// window allocates it, which keeps engine set-up cheap.
@@ -43,9 +48,9 @@ func newNoCWindow(cfg Config, routing noc.Algorithm) (*nocWindow, error) {
 	if err := nc.Validate(); err != nil {
 		return nil, fmt.Errorf("core: Config.Chip: %w", err)
 	}
-	w := &nocWindow{cfg: nc, routing: routing, mode: cfg.NoCMode, cycles: windowCycles}
+	w := &nocWindow{cfg: nc, routing: routing, mode: cfg.NoCMode, warmup: warmupCycles, cycles: windowCycles}
 	if cfg.NoCMode == NoCModeAuto && cfg.SoftDeadlines {
-		w.cycles = fallbackWindowCycles
+		w.warmup, w.cycles = fallbackWarmupCycles, fallbackWindowCycles
 	}
 	return w, nil
 }
@@ -66,7 +71,8 @@ func (w *nocWindow) instrument(r *obs.Registry, scheme string) {
 // NoCModeAuto first tries the analytic closed form and accepts it for
 // uncongested windows (no resource's offered load above the NoC's
 // saturation threshold of 0.6 flits per cycle). Everything else runs the
-// cycle-accurate warmup and a measurement of w.cycles on the reused network.
+// cycle-accurate warmup of w.warmup and a measurement of w.cycles on the
+// reused network.
 func (w *nocWindow) measure(flows []noc.Flow, env *noc.Env) (*noc.Result, error) {
 	var res *noc.Result
 	if w.mode == NoCModeAuto {
@@ -76,6 +82,9 @@ func (w *nocWindow) measure(flows []noc.Flow, env *noc.Env) (*noc.Result, error)
 		}
 		if rep.Saturated {
 			w.obsFallback.Inc()
+			if w.onFallback != nil {
+				w.onFallback(flows, env)
+			}
 		} else {
 			w.obsAnalytic.Inc()
 			res = r
@@ -88,9 +97,9 @@ func (w *nocWindow) measure(flows []noc.Flow, env *noc.Env) (*noc.Result, error)
 		if err := w.net.Reset(w.cfg, w.routing, flows, env); err != nil {
 			return nil, err
 		}
-		w.net.Run(warmupCycles)
+		w.net.Run(w.warmup)
 		res = w.net.Measure(w.cycles)
-		w.obsWarmup.Add(warmupCycles)
+		w.obsWarmup.Add(uint64(w.warmup))
 	}
 	w.obsWindows.Inc()
 	w.obsMeasured.Add(uint64(res.Cycles))

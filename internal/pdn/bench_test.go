@@ -24,11 +24,12 @@ func BenchmarkSimulateDomain(b *testing.B) {
 // its two test references over the default measurement window, with warm
 // scratch and electrical caches (the steady state of the runtime pipeline
 // when a load signature misses the solve cache). The acceptance bar for the
-// phasor path is >= 5x faster than rk4 here.
+// phasor path is >= 5x faster than rk4 here; phasor-ref times the same
+// solve with the reference grid loop.
 func BenchmarkDomainSolve(b *testing.B) {
 	p := power.MustParams(power.Node7)
 	loads := QuantizeLoads(BuildLoads(occupantsForBench(p)))
-	for _, m := range []string{"rk4", "expm", "phasor"} {
+	for _, m := range []string{"rk4", "expm", "phasor", "phasor-ref"} {
 		b.Run(m, func(b *testing.B) {
 			cfg := Config{Params: p, Vdd: 0.5}
 			s := newRefSolver()

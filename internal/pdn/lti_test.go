@@ -2,6 +2,7 @@ package pdn
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"parm/internal/power"
@@ -87,6 +88,72 @@ func TestModesAgree(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestPhasorLoopMatchesReference holds the production grid loop bit for bit
+// equal to the per-tile loop it replaced (phasorGrid.runReference), on the
+// inputs the runtime solves: random quantized load sets at every Vdd level
+// of every node, each tile idle or running a High or Low task at a random
+// core activity and router utilization, staggered or phase-aligned.
+func TestPhasorLoopMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	const setsPerLevel = 100
+	bitsEqual := func(a, b [DomainTiles]float64) bool {
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	sets, idle, staggered, aligned := 0, 0, 0, 0
+	var scratch solverScratch
+	var lti ltiCaches
+	for _, n := range power.Nodes {
+		p := power.MustParams(n)
+		for _, vdd := range p.VddLevels() {
+			cfg := Config{Params: p, Vdd: vdd}
+			for j := 0; j < setsPerLevel; j++ {
+				var occ [DomainTiles]TileOccupant
+				stagger := rng.Intn(2) == 0
+				for i := range occ {
+					if rng.Intn(4) == 0 {
+						idle++
+						continue
+					}
+					class := High
+					if rng.Intn(2) == 0 {
+						class = Low
+					}
+					occ[i] = TileOccupant{IAvg: p.TileCurrent(vdd, rng.Float64(), rng.Float64()), Class: class, Staggered: stagger}
+				}
+				if stagger {
+					staggered++
+				} else {
+					aligned++
+				}
+				loads := QuantizeLoads(BuildLoads(occ))
+				g, err := newPhasorGrid(cfg, loads, &scratch, &lti)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, want := g.run(), g.runReference()
+				var gotV, wantV [DomainTiles]float64
+				for i := range gotV {
+					gotV[i], wantV[i] = float64(got.MinVoltage[i]), float64(want.MinVoltage[i])
+				}
+				if !bitsEqual(got.PeakPSN, want.PeakPSN) || !bitsEqual(got.AvgPSN, want.AvgPSN) ||
+					!bitsEqual(gotV, wantV) || got.Steps != want.Steps {
+					t.Fatalf("%v vdd=%.2f loads %+v:\n got  %+v\n want %+v", n, float64(vdd), loads, got, want)
+				}
+				sets++
+			}
+		}
+	}
+	if idle == 0 || staggered == 0 || aligned == 0 {
+		t.Fatalf("inputs lack a shape: %d idle tiles, %d staggered and %d aligned sets", idle, staggered, aligned)
+	}
+	t.Logf("%d load sets bit for bit equal", sets)
 }
 
 // Every solver is individually deterministic: repeated identical solves

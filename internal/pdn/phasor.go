@@ -135,51 +135,53 @@ func (c *circuit) solvePhasors(cfg Config, hs *harmonicSet, caches *ltiCaches) e
 	return nil
 }
 
-// psnAccum accumulates the droop statistics of one tile-voltage sample,
-// with the same semantics as the RK4 recording loop: droop is clamped at
-// zero (overshoot above Vdd is not supply droop), peak and sum track the
-// recorded grid only.
-type psnAccum struct {
+// phasorGrid is what the sampling-grid loop of simulatePhasor reads: the DC
+// tile voltages, and per harmonic the oscillator z_k = e^{jω_k t} at the
+// first recorded instant, its one-step rotation and the tile response
+// coefficients, split into real and imaginary parts so that the loop does
+// no complex arithmetic.
+type phasorGrid struct {
 	vdd    float64
-	minV   [DomainTiles]float64
-	peak   [DomainTiles]float64
-	sum    [DomainTiles]float64
-	points int
+	vt     [DomainTiles]float64
+	n      int
+	zr, zi [maxHarmonics]float64
+	rr, ri [maxHarmonics]float64
+	cr, ci [maxHarmonics][DomainTiles]float64
 }
 
-func newPSNAccum(vdd float64) psnAccum {
-	a := psnAccum{vdd: vdd}
-	for i := range a.minV {
-		a.minV[i] = vdd
-	}
-	return a
-}
+// The sampling grid of every solver: gridSteps instants t = (n+1)·h, of
+// which the first gridSettle are not recorded.
+const (
+	gridSteps  = int(sampleWindow / sampleDt)
+	gridSettle = gridSteps / 8
+)
 
-func (a *psnAccum) record(i int, v float64) {
-	if v < a.minV[i] {
-		a.minV[i] = v
+// newPhasorGrid solves the DC operating point and the phasor responses of
+// loads and lays them out for the grid loop.
+func newPhasorGrid(cfg Config, loads [DomainTiles]TileLoad, scratch *solverScratch, caches *ltiCaches) (phasorGrid, error) {
+	c := newCircuit(cfg, loads)
+	st0, err := c.dcOperatingPoint(scratch)
+	if err != nil {
+		return phasorGrid{}, err
 	}
-	droop := (a.vdd - v) / a.vdd
-	if droop < 0 {
-		droop = 0
+	var hs harmonicSet
+	c.harmonics(&hs)
+	if err := c.solvePhasors(cfg, &hs, caches); err != nil {
+		return phasorGrid{}, err
 	}
-	a.sum[i] += droop
-	if droop > a.peak[i] {
-		a.peak[i] = droop
-	}
-}
-
-func (a *psnAccum) result(steps int) Result {
-	var res Result
-	for i := 0; i < DomainTiles; i++ {
-		res.PeakPSN[i] = a.peak[i]
-		res.MinVoltage[i] = power.Volts(a.minV[i])
-		if a.points > 0 {
-			res.AvgPSN[i] = a.sum[i] / float64(a.points)
+	g := phasorGrid{vdd: float64(cfg.Vdd), vt: st0.vt, n: hs.n}
+	h := float64(sampleDt)
+	for k := 0; k < hs.n; k++ {
+		s, co := math.Sincos(hs.omega[k] * h * float64(gridSettle+1))
+		g.zr[k], g.zi[k] = co, s
+		s, co = math.Sincos(hs.omega[k] * h)
+		g.rr[k], g.ri[k] = co, s
+		for i := 0; i < DomainTiles; i++ {
+			g.cr[k][i] = real(hs.resp[k][2+i])
+			g.ci[k][i] = imag(hs.resp[k][2+i])
 		}
 	}
-	res.Steps = steps
-	return res
+	return g, nil
 }
 
 // simulatePhasor measures the periodic steady state directly on the RK4
@@ -188,51 +190,63 @@ func (a *psnAccum) result(steps int) Result {
 // [settle, steps), that the RK4 loop records. The homogeneous start-up
 // transient (which the settle window exists to shed) is dropped entirely.
 func simulatePhasor(cfg Config, loads [DomainTiles]TileLoad, scratch *solverScratch, caches *ltiCaches) (Result, error) {
-	c := newCircuit(cfg, loads)
-	st0, err := c.dcOperatingPoint(scratch)
+	g, err := newPhasorGrid(cfg, loads, scratch, caches)
 	if err != nil {
 		return Result{}, err
 	}
-	var hs harmonicSet
-	c.harmonics(&hs)
-	if err := c.solvePhasors(cfg, &hs, caches); err != nil {
-		return Result{}, err
-	}
+	return g.run(), nil
+}
 
-	steps := int(sampleWindow / sampleDt)
-	settle := steps / 8
-	h := float64(sampleDt)
-
-	// Per-harmonic oscillators z_k = e^{jω_k t}, advanced by one complex
-	// rotation per grid point; per-tile response coefficients split into
-	// real/imaginary parts so the inner loop is four multiplies per
-	// (tile, harmonic) pair with no complex arithmetic.
-	var zr, zi, rr, ri [maxHarmonics]float64
-	var cr, ci [maxHarmonics][DomainTiles]float64
-	for k := 0; k < hs.n; k++ {
-		s, co := math.Sincos(hs.omega[k] * h * float64(settle+1))
-		zr[k], zi[k] = co, s
-		s, co = math.Sincos(hs.omega[k] * h)
-		rr[k], ri[k] = co, s
-		for i := 0; i < DomainTiles; i++ {
-			cr[k][i] = real(hs.resp[k][2+i])
-			ci[k][i] = imag(hs.resp[k][2+i])
+// run evaluates the grid with the droop semantics of the RK4 recording
+// loop: droop (vdd−v)/vdd is clamped at zero (overshoot above Vdd is not
+// supply droop) and averaged over the recorded points. All four tiles are
+// evaluated in one pass over the harmonics, each tile adding its terms in
+// harmonic order, which then advances each oscillator by one rotation. The
+// peak is the droop of the minimum voltage: droop is monotone in v, also
+// after rounding, so this is the largest recorded droop bit for bit. The
+// per-tile loop it replaced is the test reference (reference_test.go).
+func (g *phasorGrid) run() Result {
+	vdd, nh := g.vdd, g.n
+	zr, zi, rr, ri := g.zr, g.zi, g.rr, g.ri
+	m0, m1, m2, m3 := vdd, vdd, vdd, vdd
+	var s0, s1, s2, s3 float64
+	droop := func(v float64) float64 {
+		d := (vdd - v) / vdd
+		if d < 0 {
+			d = 0
 		}
+		return d
 	}
-	acc := newPSNAccum(float64(cfg.Vdd))
-	nh := hs.n
-	for n := settle; n < steps; n++ {
-		for i := 0; i < DomainTiles; i++ {
-			v := st0.vt[i]
-			for k := 0; k < nh; k++ {
-				v += cr[k][i]*zr[k] - ci[k][i]*zi[k]
-			}
-			acc.record(i, v)
-		}
-		acc.points++
+	for n := gridSettle; n < gridSteps; n++ {
+		v0, v1, v2, v3 := g.vt[0], g.vt[1], g.vt[2], g.vt[3]
 		for k := 0; k < nh; k++ {
-			zr[k], zi[k] = zr[k]*rr[k]-zi[k]*ri[k], zr[k]*ri[k]+zi[k]*rr[k]
+			a, b := zr[k], zi[k]
+			cr, ci := &g.cr[k], &g.ci[k]
+			v0 += cr[0]*a - ci[0]*b
+			v1 += cr[1]*a - ci[1]*b
+			v2 += cr[2]*a - ci[2]*b
+			v3 += cr[3]*a - ci[3]*b
+			zr[k], zi[k] = a*rr[k]-b*ri[k], a*ri[k]+b*rr[k]
 		}
+		if v0 < m0 {
+			m0 = v0
+		}
+		if v1 < m1 {
+			m1 = v1
+		}
+		if v2 < m2 {
+			m2 = v2
+		}
+		if v3 < m3 {
+			m3 = v3
+		}
+		s0, s1, s2, s3 = s0+droop(v0), s1+droop(v1), s2+droop(v2), s3+droop(v3)
 	}
-	return acc.result(steps), nil
+	points := float64(gridSteps - gridSettle)
+	return Result{
+		PeakPSN:    [DomainTiles]float64{droop(m0), droop(m1), droop(m2), droop(m3)},
+		AvgPSN:     [DomainTiles]float64{s0 / points, s1 / points, s2 / points, s3 / points},
+		MinVoltage: [DomainTiles]power.Volts{power.Volts(m0), power.Volts(m1), power.Volts(m2), power.Volts(m3)},
+		Steps:      gridSteps,
+	}
 }

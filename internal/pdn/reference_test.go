@@ -3,8 +3,10 @@ package pdn
 // The test references the phasor solver is checked against: the classic
 // RK4 integration of the domain transient, and the exact matrix-exponential
 // stepper that removes RK4's truncation error but keeps the start-up
-// transient the phasor path drops (DESIGN.md §8). Neither runs outside the
-// tests; TestModesAgree bounds all three pairwise.
+// transient the phasor path drops (DESIGN.md §8), plus the per-tile grid
+// loop the phasor path's loop replaced. None runs outside the tests;
+// TestModesAgree bounds the three solvers pairwise, and
+// TestPhasorLoopMatchesReference holds the two loops bit for bit equal.
 
 import (
 	"fmt"
@@ -25,7 +27,8 @@ type refSolver struct {
 func newRefSolver() *refSolver { return &refSolver{phis: make(phiCache)} }
 
 // solve applies the package validation, then runs the named
-// reference: "rk4", "expm", or "phasor" (the production path).
+// reference: "rk4", "expm", "phasor" (the production path) or "phasor-ref"
+// (the production setup with the reference grid loop).
 func (s *refSolver) solve(mode string, cfg Config, loads [DomainTiles]TileLoad) (Result, error) {
 	if err := validate(cfg, loads); err != nil {
 		return Result{}, err
@@ -37,6 +40,12 @@ func (s *refSolver) solve(mode string, cfg Config, loads [DomainTiles]TileLoad) 
 		return simulateExpm(cfg, loads, &s.scratch, &s.lti, s.phis)
 	case "phasor":
 		return simulatePhasor(cfg, loads, &s.scratch, &s.lti)
+	case "phasor-ref":
+		g, err := newPhasorGrid(cfg, loads, &s.scratch, &s.lti)
+		if err != nil {
+			return Result{}, err
+		}
+		return g.runReference(), nil
 	}
 	return Result{}, fmt.Errorf("pdn: unknown reference solver %q", mode)
 }
@@ -478,4 +487,74 @@ func simulateExpm(cfg Config, loads [DomainTiles]TileLoad, scratch *solverScratc
 		acc.points++
 	}
 	return acc.result(steps), nil
+}
+
+// psnAccum accumulates the droop statistics of one tile-voltage sample,
+// with the same semantics as the RK4 recording loop: droop is clamped at
+// zero (overshoot above Vdd is not supply droop), peak and sum track the
+// recorded grid only.
+type psnAccum struct {
+	vdd    float64
+	minV   [DomainTiles]float64
+	peak   [DomainTiles]float64
+	sum    [DomainTiles]float64
+	points int
+}
+
+func newPSNAccum(vdd float64) psnAccum {
+	a := psnAccum{vdd: vdd}
+	for i := range a.minV {
+		a.minV[i] = vdd
+	}
+	return a
+}
+
+func (a *psnAccum) record(i int, v float64) {
+	if v < a.minV[i] {
+		a.minV[i] = v
+	}
+	droop := (a.vdd - v) / a.vdd
+	if droop < 0 {
+		droop = 0
+	}
+	a.sum[i] += droop
+	if droop > a.peak[i] {
+		a.peak[i] = droop
+	}
+}
+
+func (a *psnAccum) result(steps int) Result {
+	var res Result
+	for i := 0; i < DomainTiles; i++ {
+		res.PeakPSN[i] = a.peak[i]
+		res.MinVoltage[i] = power.Volts(a.minV[i])
+		if a.points > 0 {
+			res.AvgPSN[i] = a.sum[i] / float64(a.points)
+		}
+	}
+	res.Steps = steps
+	return res
+}
+
+// runReference is the grid loop phasorGrid.run replaced, kept verbatim:
+// tile by tile, each tile's harmonic sum recorded through psnAccum, the
+// oscillators rotated after all four tiles.
+func (g phasorGrid) runReference() Result {
+	st0, zr, zi, rr, ri, cr, ci := g, g.zr, g.zi, g.rr, g.ri, g.cr, g.ci
+	acc := newPSNAccum(g.vdd)
+	nh := g.n
+	for n := gridSettle; n < gridSteps; n++ {
+		for i := 0; i < DomainTiles; i++ {
+			v := st0.vt[i]
+			for k := 0; k < nh; k++ {
+				v += cr[k][i]*zr[k] - ci[k][i]*zi[k]
+			}
+			acc.record(i, v)
+		}
+		acc.points++
+		for k := 0; k < nh; k++ {
+			zr[k], zi[k] = zr[k]*rr[k]-zi[k]*ri[k], zr[k]*ri[k]+zi[k]*rr[k]
+		}
+	}
+	return acc.result(gridSteps)
 }
