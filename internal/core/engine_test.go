@@ -14,7 +14,7 @@ import (
 
 func node7() power.NodeParams { return power.MustParams(power.Node7) }
 
-func genWorkload(t *testing.T, kind appmodel.WorkloadKind, n int, gap float64, seed int64) *appmodel.Workload {
+func genWorkload(t testing.TB, kind appmodel.WorkloadKind, n int, gap float64, seed int64) *appmodel.Workload {
 	t.Helper()
 	w, err := appmodel.Generate(appmodel.WorkloadConfig{
 		Kind: kind, NumApps: n, ArrivalGap: gap, Node: node7(), Seed: seed,

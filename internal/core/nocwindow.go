@@ -22,9 +22,10 @@ type nocWindow struct {
 	// fallbackWarmupCycles and measure fallbackWindowCycles.
 	warmup, cycles int
 
-	// onFallback, when set by a test, sees the flows and sensor readings of
-	// every window NoCModeAuto sends to a cycle fallback, before it runs.
-	onFallback func(flows []noc.Flow, env *noc.Env)
+	// onCycleWindow, when set by a test, sees the flows and sensor readings
+	// of every window simulated cycle by cycle, before it runs. In
+	// NoCModeAuto those are exactly the fallbacks.
+	onCycleWindow func(flows []noc.Flow, env *noc.Env)
 
 	// net is reset for every window simulated cycle by cycle. The first such
 	// window allocates it, which keeps engine set-up cheap.
@@ -82,15 +83,15 @@ func (w *nocWindow) measure(flows []noc.Flow, env *noc.Env) (*noc.Result, error)
 		}
 		if rep.Saturated {
 			w.obsFallback.Inc()
-			if w.onFallback != nil {
-				w.onFallback(flows, env)
-			}
 		} else {
 			w.obsAnalytic.Inc()
 			res = r
 		}
 	}
 	if res == nil {
+		if w.onCycleWindow != nil {
+			w.onCycleWindow(flows, env)
+		}
 		if w.net == nil {
 			w.net = new(noc.Network)
 		}

@@ -9,29 +9,30 @@ import (
 	"parm/internal/noc"
 )
 
-// fallbackWindow is one congested window that NoCModeAuto sent to a cycle
-// fallback: the routing, flows and sensor readings it was measured with.
-type fallbackWindow struct {
+// cycleWindow is one window the engine simulated cycle by cycle: the
+// routing, flows and sensor readings it was measured with.
+type cycleWindow struct {
 	routing noc.Algorithm
 	flows   []noc.Flow
 	psn     []float64
 }
 
-// collectFallbacks runs fw over w in auto mode under soft deadlines and
-// returns a copy of every fallback window the run measured.
-func collectFallbacks(t *testing.T, fw Framework, w *appmodel.Workload) []fallbackWindow {
+// collectCycleWindows runs fw over w under cfg and returns a copy of every
+// window the run simulated cycle by cycle; in NoCModeAuto those are the
+// congested fallbacks.
+func collectCycleWindows(t testing.TB, cfg Config, fw Framework, w *appmodel.Workload) []cycleWindow {
 	t.Helper()
-	e, err := NewEngine(Config{SoftDeadlines: true, NoCMode: NoCModeAuto}, fw)
+	e, err := NewEngine(cfg, fw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out []fallbackWindow
-	e.win.onFallback = func(flows []noc.Flow, env *noc.Env) {
-		fb := fallbackWindow{routing: e.win.routing, flows: append([]noc.Flow(nil), flows...)}
+	var out []cycleWindow
+	e.win.onCycleWindow = func(flows []noc.Flow, env *noc.Env) {
+		cw := cycleWindow{routing: e.win.routing, flows: append([]noc.Flow(nil), flows...)}
 		if env != nil {
-			fb.psn = append([]float64(nil), env.PSN...)
+			cw.psn = append([]float64(nil), env.PSN...)
 		}
-		out = append(out, fb)
+		out = append(out, cw)
 	}
 	if _, err := e.Run(w); err != nil {
 		t.Fatal(err)
@@ -41,7 +42,7 @@ func collectFallbacks(t *testing.T, fw Framework, w *appmodel.Workload) []fallba
 
 // measureFallback runs fb on a fresh network: warmup cycles, then a
 // measured window of cycles.
-func measureFallback(t *testing.T, cfg noc.Config, fb fallbackWindow, warmup, cycles int) *noc.Result {
+func measureFallback(t *testing.T, cfg noc.Config, fb cycleWindow, warmup, cycles int) *noc.Result {
 	t.Helper()
 	n, err := noc.NewNetwork(cfg, fb.routing, fb.flows, &noc.Env{PSN: fb.psn})
 	if err != nil {
@@ -115,7 +116,7 @@ type warmupErrors struct {
 
 // fallbackErrors measures every window at warmup + fallbackWindowCycles and
 // at the reference warmupCycles + windowCycles, and pools their errors.
-func fallbackErrors(t *testing.T, cfg noc.Config, windows []fallbackWindow, warmup int) warmupErrors {
+func fallbackErrors(t *testing.T, cfg noc.Config, windows []cycleWindow, warmup int) warmupErrors {
 	t.Helper()
 	var we warmupErrors
 	for _, fb := range windows {
@@ -142,10 +143,11 @@ func TestFallbackWarmupError(t *testing.T) {
 		t.Skip("re-measures ~120 fallback windows")
 	}
 	fw := MustCombo("PARM", "PANR")
-	var windows []fallbackWindow
+	var windows []cycleWindow
 	for _, kind := range []appmodel.WorkloadKind{appmodel.WorkloadMixed, appmodel.WorkloadComm} {
 		for _, seed := range []int64{42, 43} {
-			windows = append(windows, collectFallbacks(t, fw, genWorkload(t, kind, 20, 0.05, seed))...)
+			w := genWorkload(t, kind, 20, 0.05, seed)
+			windows = append(windows, collectCycleWindows(t, Config{SoftDeadlines: true, NoCMode: NoCModeAuto}, fw, w)...)
 		}
 	}
 	if len(windows) < 40 {

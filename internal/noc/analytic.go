@@ -141,7 +141,7 @@ func AnalyticMeasure(cfg Config, alg Algorithm, flows []Flow, env *Env, cycles i
 			InjectedFlits:      flits,
 			DeliveredFlits:     flits,
 			DeliveredPackets:   packets,
-			TotalPacketLatency: int(lat*float64(packets) + 0.5),
+			TotalPacketLatency: int(float64(lat*float64(packets)) + 0.5),
 		}
 		for _, t := range tiles[tileOff[i]:tileOff[i+1]] {
 			res.RouterForwarded[t] += flits

@@ -179,7 +179,11 @@ func TestActiveDenseLockstep(t *testing.T) {
 		env   *Env
 	}
 	zero := &Env{PSN: make([]float64, 60)}
-	cases := map[string]lockstepCase{"sparse/PANR": {Config{}, PANR{}, sparseFlows()[:25], zero}}
+	cases := map[string]lockstepCase{
+		"sparse/XY":   {Config{}, XY{}, sparseFlows(), zero},
+		"sparse/ICON": {Config{}, ICON{}, sparseFlows(), zero},
+		"sparse/PANR": {Config{}, PANR{}, sparseFlows()[:25], zero},
+	}
 	for _, alg := range []Algorithm{XY{}, ICON{}, PANR{}} {
 		cases["rounding/"+alg.Name()] = lockstepCase{Config{}, alg, roundingFlows(), zero}
 	}
@@ -214,53 +218,6 @@ func TestActiveDenseLockstep(t *testing.T) {
 					}
 				}
 			}
-		}
-	}
-}
-
-// TestActiveDenseLockstepJumps advances the sparse fixture by Run chunks of
-// seeded random length, so Run's idle jumps (the rate decay replayed over
-// the skipped cycles, the calendar's next-wakeup lookup) start and end
-// mid-test, and at every chunk end compares every tile's IncomingRate and
-// the staged counts with the reference, and the flow stats at the end. The
-// fixture must go idle at some chunk start and be idle at some chunk end,
-// or no jump is checked.
-func TestActiveDenseLockstepJumps(t *testing.T) {
-	zero := &Env{PSN: make([]float64, 60)}
-	for _, alg := range []Algorithm{XY{}, ICON{}, PANR{}} {
-		n, err := NewNetwork(Config{}, alg, sparseFlows(), zero)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref := newRefSim(Config{}, alg, sparseFlows(), zero)
-		rng := rand.New(rand.NewSource(7))
-		idleStarts, idleEnds := 0, 0
-		for n.cycle < 12000 {
-			if n.activeRouters.empty() && n.activeTiles.empty() {
-				idleStarts++
-			}
-			k := 1 + rng.Intn(120)
-			n.Run(k)
-			ref.run(k)
-			if n.activeRouters.empty() && n.activeTiles.empty() {
-				idleEnds++
-			}
-			for tile, want := range ref.rates() {
-				got := n.IncomingRate(geom.TileID(tile))
-				//parm:floateq
-				if got != want {
-					t.Fatalf("%s cycle %d tile %d: IncomingRate network=%g reference=%g", alg.Name(), n.cycle, tile, got, want)
-				}
-			}
-			if !reflect.DeepEqual(n.staged, ref.staged) {
-				t.Fatalf("%s cycle %d: staged packets network=%v reference=%v", alg.Name(), n.cycle, n.staged, ref.staged)
-			}
-		}
-		if !reflect.DeepEqual(n.stats, ref.stats) {
-			t.Errorf("%s: flow stats diverged\nnetwork:   %+v\nreference: %+v", alg.Name(), n.stats, ref.stats)
-		}
-		if idleStarts == 0 || idleEnds == 0 {
-			t.Errorf("%s: %d chunks started idle and %d ended idle; the jumps are not exercised", alg.Name(), idleStarts, idleEnds)
 		}
 	}
 }
@@ -381,16 +338,14 @@ type flowWake struct {
 }
 
 // pendingWakes lists n's pending wakeups in calendar order: by cycle from
-// the current one, and within a cycle in bucket-list order. Every pending
+// the current one, and within a cycle in bucket-list order; an empty
+// bucket's head is -1. Every pending
 // wakeup lies less than wakeBuckets cycles ahead, so a bucket's offset from
 // the current cycle's bucket is its wakeups' distance in cycles.
 func pendingWakes(n *Network) []flowWake {
 	ws := []flowWake{}
 	for k := 0; k < wakeBuckets; k++ {
 		b := (n.cycle + k) & (wakeBuckets - 1)
-		if n.wake.bits[b>>6]&(1<<uint(b&63)) == 0 {
-			continue
-		}
 		for f := n.wake.head[b]; f >= 0; f = n.wake.next[f] {
 			ws = append(ws, flowWake{cycle: n.cycle + k, flow: int(f)})
 		}

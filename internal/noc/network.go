@@ -100,7 +100,9 @@ type Network struct {
 	env     *Env
 	routers []router
 	flows   []Flow
-	stats   []FlowStats
+	// stats counts each flow's traffic since Reset or the start of the last
+	// Measure.
+	stats []FlowStats
 
 	// slots holds every input ring's flit handles, bufferFlits per (tile,
 	// port) in tile-major order (ringBase); routers keep only each ring's
@@ -139,7 +141,7 @@ type Network struct {
 	// The incoming-rate estimator adaptive routing reads: recv[t] counts the
 	// flits written into tile t's input buffers this cycle, and rate[t] is
 	// their exponentially weighted moving average, folded for every tile at
-	// the end of each cycle (foldRates, decayRates). The counts are held as
+	// the end of each cycle (foldRates). The counts are held as
 	// float64, exact for counts this small, so the fold converts nothing.
 	recv []float64
 	rate []float64
@@ -153,11 +155,6 @@ type Network struct {
 
 	// per-cycle scratch, reused to avoid allocation in the hot loop
 	arrivalScratch []pendingArrival
-
-	// Measure's start-of-window snapshots, kept so a window allocates only
-	// the Result it returns.
-	startForwarded []int
-	startStats     []FlowStats
 
 	cycle int
 }
@@ -369,26 +366,9 @@ func (n *Network) Step() {
 	n.cycle++
 }
 
-// Run advances the simulation by the given number of cycles. Stretches
-// where no router holds a flit and no tile has injection work are skipped
-// in one jump to the next flow wakeup: in between, the only per-cycle
-// state change is the rates' decay, which decayRates replays (demand
-// accrual is booked ahead, credits are clear between cycles), so the jump
-// is exact.
+// Run advances the simulation by the given number of cycles.
 func (n *Network) Run(cycles int) {
-	end := n.cycle + cycles
-	for n.cycle < end {
-		if n.activeRouters.empty() && n.activeTiles.empty() {
-			next := end
-			if due, ok := n.wake.nextDue(n.cycle); ok && due < next {
-				next = due
-			}
-			if next > n.cycle {
-				n.decayRates(next - n.cycle)
-				n.cycle = next
-				continue
-			}
-		}
+	for range cycles {
 		n.Step()
 	}
 }
@@ -740,11 +720,11 @@ func (n *Network) applyArrivals(arrivals []pendingArrival) {
 	}
 }
 
-// ewmaStep is the one incoming-rate update foldRates and decayRates share,
-// so the two round identically whether or not the compiler fuses the
-// multiply-add.
+// ewmaStep is the incoming-rate update. The explicit conversions round
+// each product before the add, so no architecture fuses the multiply-add
+// and the rates are bit for bit the same everywhere.
 func ewmaStep(rate, alpha, sample float64) float64 {
-	return (1-alpha)*rate + alpha*sample
+	return float64((1-alpha)*rate) + float64(alpha*sample)
 }
 
 // foldRates folds this cycle's receive counts into every tile's rate and
@@ -756,24 +736,6 @@ func (n *Network) foldRates() {
 		rate[t] = ewmaStep(r, rateEWMA, recv[t])
 	}
 	clear(recv)
-}
-
-// decayRates folds k cycles without receives into every tile's rate, as k
-// foldRates calls over idle cycles would. A rate that stops changing (zero,
-// or a deep-subnormal rounding fixed point) stays put, so each tile's replay
-// ends there. Exact comparison, not a tolerance.
-func (n *Network) decayRates(k int) {
-	for t, rate := range n.rate {
-		for c := 0; c < k; c++ {
-			next := ewmaStep(rate, rateEWMA, 0)
-			//parm:floateq
-			if next == rate {
-				break
-			}
-			rate = next
-		}
-		n.rate[t] = rate
-	}
 }
 
 // Result summarizes a measurement window.
@@ -789,35 +751,25 @@ type Result struct {
 }
 
 // Measure runs the network for the given number of cycles from its current
-// state and returns aggregate statistics. A window of no cycles reports
-// zero router utilization. The Result shares no storage with the network.
+// state and returns aggregate statistics. The flow statistics and router
+// forwarding counts start from zero, so they count the window alone. A
+// window of no cycles reports zero router utilization. The Result shares no
+// storage with the network.
 func (n *Network) Measure(cycles int) *Result {
-	n.startForwarded = n.startForwarded[:0]
+	clear(n.stats)
 	for i := range n.routers {
-		n.startForwarded = append(n.startForwarded, n.routers[i].forwarded)
+		n.routers[i].forwarded = 0
 	}
-	n.startStats = append(n.startStats[:0], n.stats...)
-	startForwarded, startStats := n.startForwarded, n.startStats
-
 	n.Run(cycles)
-
 	res := &Result{
 		Cycles:          cycles,
 		Flows:           make([]FlowStats, len(n.stats)),
 		RouterForwarded: make([]int, len(n.routers)),
 		RouterUtil:      make([]float64, len(n.routers)),
 	}
-	for i := range n.stats {
-		res.Flows[i] = FlowStats{
-			InjectedFlits:      n.stats[i].InjectedFlits - startStats[i].InjectedFlits,
-			DeliveredFlits:     n.stats[i].DeliveredFlits - startStats[i].DeliveredFlits,
-			DeliveredPackets:   n.stats[i].DeliveredPackets - startStats[i].DeliveredPackets,
-			TotalPacketLatency: n.stats[i].TotalPacketLatency - startStats[i].TotalPacketLatency,
-			StalledCycles:      n.stats[i].StalledCycles - startStats[i].StalledCycles,
-		}
-	}
+	copy(res.Flows, n.stats)
 	for i := range n.routers {
-		fw := n.routers[i].forwarded - startForwarded[i]
+		fw := n.routers[i].forwarded
 		res.RouterForwarded[i] = fw
 		if cycles > 0 {
 			res.RouterUtil[i] = float64(fw) / float64(cycles) / float64(geom.NumPorts)

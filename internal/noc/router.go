@@ -74,7 +74,8 @@ type router struct {
 	// input that wins a tie next.
 	rrPtr [geom.NumPorts]uint8
 
-	// forwarded counts flits that traversed the crossbar (all outputs).
+	// forwarded counts flits that traversed the crossbar (all outputs)
+	// since the network was reset or its last Measure began.
 	forwarded int
 }
 

@@ -143,7 +143,7 @@ func (p PANR) Route(ctx RouteCtx) geom.Dir {
 		// network an adaptive turn couples worms across dimensions and
 		// usually costs more than a mildly busier but straight path.
 		return pickWithHysteresis(ctx, dirs, def, 1.2, func(n geom.TileID) float64 {
-			return ctx.Net.IncomingRate(n) + ctx.Net.SensorPSN(n)*1e-3
+			return ctx.Net.IncomingRate(n) + float64(ctx.Net.SensorPSN(n)*1e-3)
 		})
 	}
 	// Deviate for noise only when the default path is actually approaching
@@ -185,7 +185,7 @@ func (p PANR) Route(ctx RouteCtx) geom.Dir {
 		if rate > 0.5 {
 			penalty = (rate - 0.5) * 0.03
 		}
-		return ctx.Net.SensorPSN(n) + penalty + rate*1e-4
+		return ctx.Net.SensorPSN(n) + penalty + float64(rate*1e-4)
 	})
 }
 
