@@ -104,8 +104,8 @@ type Chip struct {
 	tileDomain []DomainID
 	occupants  []Occupant
 
-	// solver runs every domain solve, memoizing results and reusing its
-	// scratch buffers across samples; tests swap in an uncached one as the
+	// solver runs every domain solve, memoizing results across samples;
+	// tests swap in a fresh one to solve every domain again as the
 	// reference.
 	solver *pdn.Solver
 
@@ -135,7 +135,7 @@ func New(cfg Config) (*Chip, error) {
 		Vdds:       params.VddLevels(),
 		tileDomain: make([]DomainID, m.NumTiles()),
 		occupants:  make([]Occupant, m.NumTiles()),
-		solver:     pdn.NewSolver(pdn.NewSolveCache()),
+		solver:     pdn.NewSolver(),
 	}
 	for i := range c.occupants {
 		c.occupants[i].App = NoApp

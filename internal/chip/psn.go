@@ -14,8 +14,6 @@ type PSNSample struct {
 	// TilePeak is the peak PSN fraction observed at each tile during the
 	// sampling window (0 for tiles in inactive domains).
 	TilePeak []float64
-	// TileAvg is the time-averaged PSN fraction per tile.
-	TileAvg []float64
 	// DomainPeak and DomainAvg summarize each domain (0 when inactive).
 	DomainPeak []float64
 	DomainAvg  []float64
@@ -55,15 +53,14 @@ func (s *PSNSample) ActiveAvg() float64 {
 // domain are phase-staggered (see pdn.BuildLoads).
 //
 // Domains are solved one after another in domain order; repeated load
-// signatures are served from the chip's solve cache (see pdn.Solver). The
-// sample is bit-identical with the cache on or off.
+// signatures are served from the chip's solve memo (see pdn.Solver), which
+// returns the bits a fresh solve would.
 func (c *Chip) SamplePSN(routerUtil []float64) (*PSNSample, error) {
 	if routerUtil != nil && len(routerUtil) != c.Mesh.NumTiles() {
 		return nil, fmt.Errorf("chip: routerUtil length %d, want %d", len(routerUtil), c.Mesh.NumTiles())
 	}
 	s := &PSNSample{
 		TilePeak:   make([]float64, c.Mesh.NumTiles()),
-		TileAvg:    make([]float64, c.Mesh.NumTiles()),
 		DomainPeak: make([]float64, len(c.domains)),
 		DomainAvg:  make([]float64, len(c.domains)),
 	}
@@ -105,7 +102,6 @@ func (c *Chip) SamplePSN(routerUtil []float64) (*PSNSample, error) {
 		s.DomainAvg[i] = res.DomainAvg()
 		for slot, t := range d.Tiles {
 			s.TilePeak[t] = res.PeakPSN[slot]
-			s.TileAvg[t] = res.AvgPSN[slot]
 		}
 	}
 	if active > 0 {

@@ -39,16 +39,21 @@ func utilRamp(c *Chip) []float64 {
 	return util
 }
 
-// newUncached builds the uncached reference chip: its solver has no solve
-// cache, so every sample integrates every active domain.
-func newUncached(t testing.TB) *Chip {
+// newChip builds a default chip.
+func newChip(t testing.TB) *Chip {
 	t.Helper()
 	c, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.solver = pdn.NewSolver(nil)
 	return c
+}
+
+// sampleUncached samples c through a fresh solver, so every active domain
+// is solved and none is served from a memo.
+func sampleUncached(c *Chip, util []float64) (*PSNSample, error) {
+	c.solver = pdn.NewSolver()
+	return c.SamplePSN(util)
 }
 
 // newCounted builds a default (cached) chip instrumented in a fresh
@@ -76,18 +81,17 @@ func sameSample(a, b *PSNSample) bool {
 		}
 		return true
 	}
-	return eq(a.TilePeak, b.TilePeak) && eq(a.TileAvg, b.TileAvg) &&
-		eq(a.DomainPeak, b.DomainPeak) && eq(a.DomainAvg, b.DomainAvg)
+	return eq(a.TilePeak, b.TilePeak) && eq(a.DomainPeak, b.DomainPeak) && eq(a.DomainAvg, b.DomainAvg)
 }
 
 // The default sampling path (solve cache on) must be bit-identical to the
 // serial, uncached reference: on the first pass and on a repeat served
 // wholly from the cache.
 func TestSamplePSNParallelMatchesSerial(t *testing.T) {
-	ref := newUncached(t)
+	ref := newChip(t)
 	populate(t, ref)
 	util := utilRamp(ref)
-	want, err := ref.SamplePSN(util)
+	want, err := sampleUncached(ref, util)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +172,7 @@ func churn(t testing.TB, c *Chip, epoch int) {
 // later passes run from the solve cache. Every sample of the cached chip
 // must be bit-identical to the uncached reference chip mutated in lockstep.
 func TestSamplePSNChurnMatchesUncached(t *testing.T) {
-	ref := newUncached(t)
+	ref := newChip(t)
 	cached, count := newCounted(t)
 	populate(t, ref)
 	populate(t, cached)
@@ -185,7 +189,7 @@ func TestSamplePSNChurnMatchesUncached(t *testing.T) {
 		}
 		for rep := 0; rep < reps; rep++ {
 			for b := 0; b < batches; b++ {
-				want, err := ref.SamplePSN(utilBatch(ref, b))
+				want, err := sampleUncached(ref, utilBatch(ref, b))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -208,25 +212,18 @@ func TestSamplePSNChurnMatchesUncached(t *testing.T) {
 // reference and the steady-state cached path (the hot path of every
 // simulated second).
 func BenchmarkSamplePSN(b *testing.B) {
-	bench := func(b *testing.B, c *Chip) {
+	bench := func(b *testing.B, sample func(*Chip, []float64) (*PSNSample, error)) {
+		c := newChip(b)
 		populate(b, c)
 		util := utilRamp(c)
 		b.ResetTimer()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := c.SamplePSN(util); err != nil {
+			if _, err := sample(c, util); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
-	b.Run("uncached", func(b *testing.B) {
-		bench(b, newUncached(b))
-	})
-	b.Run("cached", func(b *testing.B) {
-		c, err := New(Config{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		bench(b, c)
-	})
+	b.Run("uncached", func(b *testing.B) { bench(b, sampleUncached) })
+	b.Run("cached", func(b *testing.B) { bench(b, (*Chip).SamplePSN) })
 }

@@ -205,10 +205,7 @@ func (h *eventHeap) pop() event {
 // runningApp is the engine's record of a mapped application.
 type runningApp struct {
 	app       *appmodel.App
-	graph     *appmodel.APG
 	placement *mapping.Placement
-	vdd       power.Volts
-	dop       int
 	freq      float64
 	power     power.Watts
 	flows     []noc.Flow
@@ -218,7 +215,6 @@ type runningApp struct {
 	mappedAt       float64
 	completionTime float64
 	ves            int
-	avgLat         float64
 }
 
 // Engine simulates one framework executing one workload on one chip.
@@ -256,7 +252,6 @@ type Engine struct {
 	psnTimeIntegral float64
 	psnActiveTime   float64
 	lastSampleT     float64
-	nextSampleDue   float64
 
 	trace *Trace
 
@@ -409,7 +404,6 @@ func (e *Engine) scheduleSample(t float64) {
 	if e.arrivalsLeft == 0 && len(e.running) == 0 && len(e.queue) == 0 {
 		return
 	}
-	e.nextSampleDue = t
 	e.push(t, evSample, -1)
 }
 
@@ -679,10 +673,7 @@ func (e *Engine) commit(app *appmodel.App, vdd power.Volts, dop int, p *mapping.
 
 	ra := &runningApp{
 		app:       app,
-		graph:     g,
 		placement: p,
-		vdd:       vdd,
-		dop:       dop,
 		freq:      e.chip.Node.Frequency(vdd),
 		power:     pw,
 		mappedAt:  e.now,
@@ -707,7 +698,6 @@ func (e *Engine) commit(app *appmodel.App, vdd power.Volts, dop int, p *mapping.
 	if err != nil {
 		return err
 	}
-	ra.avgLat = avgLat
 	makespan, err := sched.SPMDMakespan(g, sched.Config{
 		Freq:              ra.freq,
 		Delay:             delays,

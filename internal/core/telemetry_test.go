@@ -58,7 +58,7 @@ func TestTelemetryCountersPopulated(t *testing.T) {
 
 	for _, name := range []string{
 		"pdn/cache/hits", "pdn/cache/misses",
-		"pdn/lti/factor_hits", "chip/psn/samples", "chip/psn/domain_solves",
+		"chip/psn/samples", "chip/psn/domain_solves",
 		"chip/sensor/samples", "noc/windows", "noc/measured_cycles",
 		"noc/warmup_cycles", "noc/flits_delivered/PANR",
 		"mapper/candidates", "mapper/mapped",

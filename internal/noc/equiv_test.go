@@ -341,12 +341,17 @@ type flowWake struct {
 // the current one, and within a cycle in bucket-list order; an empty
 // bucket's head is -1. Every pending
 // wakeup lies less than wakeBuckets cycles ahead, so a bucket's offset from
-// the current cycle's bucket is its wakeups' distance in cycles.
+// the current cycle's bucket is its wakeups' distance in cycles. Each flow
+// holds at most one wakeup, so a walk longer than the flow count has met a
+// cyclic list; it panics there rather than grow without bound.
 func pendingWakes(n *Network) []flowWake {
 	ws := []flowWake{}
 	for k := 0; k < wakeBuckets; k++ {
 		b := (n.cycle + k) & (wakeBuckets - 1)
 		for f := n.wake.head[b]; f >= 0; f = n.wake.next[f] {
+			if len(ws) == len(n.wake.next) {
+				panic("noc: wake calendar holds more wakeups than flows")
+			}
 			ws = append(ws, flowWake{cycle: n.cycle + k, flow: int(f)})
 		}
 	}

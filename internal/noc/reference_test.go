@@ -151,7 +151,8 @@ func (s *refSim) step() {
 	alpha := rateEWMA
 	for t := range s.routers {
 		r := &s.routers[t]
-		r.rate = (1-alpha)*r.rate + alpha*float64(r.recv)
+		// Each product rounded as in ewmaStep, so no target fuses one.
+		r.rate = float64((1-alpha)*r.rate) + float64(alpha*float64(r.recv))
 		r.recv = 0
 	}
 	s.cycle++

@@ -20,10 +20,10 @@ func BenchmarkSimulateDomain(b *testing.B) {
 	}
 }
 
-// BenchmarkDomainSolve times one uncached solve of the phasor path and of
-// its two test references over the default measurement window, with warm
-// scratch and electrical caches (the steady state of the runtime pipeline
-// when a load signature misses the solve cache). The acceptance bar for the
+// BenchmarkDomainSolve times one solve of the phasor path and of its two
+// test references over the default measurement window (what the runtime
+// pipeline runs when a load signature misses the Solver's memo; the
+// references reuse their tables and Φ). The acceptance bar for the
 // phasor path is >= 5x faster than rk4 here; phasor-ref times the same
 // solve with the reference grid loop.
 func BenchmarkDomainSolve(b *testing.B) {
@@ -53,44 +53,40 @@ func BenchmarkDCOperatingPoint(b *testing.B) {
 	p := power.MustParams(power.Node7)
 	loads := BuildLoads(occupantsForBench(p))
 	c := newCircuit(Config{Params: p, Vdd: 0.5}, loads)
-	var scratch solverScratch
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.dcOperatingPoint(&scratch); err != nil {
+		if _, err := c.dcOperatingPoint(); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// warmSolve returns an uncached Solver's transient solve of a fully loaded
-// domain (every call takes the full integration path), after one warm-up
-// solve has grown the scratch buffers.
-func warmSolve(tb testing.TB) func() {
+// missSolve returns the solve a Solver runs when a fully loaded domain
+// misses its memo: the package-level path on the quantized loads (DC
+// operating point, phasor solve, grid sampling).
+func missSolve(tb testing.TB) func() {
 	p := power.MustParams(power.Node7)
-	loads := BuildLoads(occupantsForBench(p))
+	loads := QuantizeLoads(BuildLoads(occupantsForBench(p)))
 	cfg := Config{Params: p, Vdd: 0.5}
-	s := NewSolver(nil)
-	solve := func() {
-		if _, err := s.SimulateDomain(cfg, loads); err != nil {
+	return func() {
+		if _, err := SimulateDomain(cfg, loads); err != nil {
 			tb.Fatal(err)
 		}
 	}
-	solve()
-	return solve
 }
 
-// TestPSNStepAllocs pins the PSN solve's zero-allocation contract: a warm
-// Solver's transient solve (DC operating point, phasor solve, grid
-// sampling) must run allocation-free, inside loops or not.
+// TestPSNStepAllocs pins the PSN solve's zero-allocation contract: the
+// full solve behind a memo miss must run allocation-free, inside loops or
+// not.
 func TestPSNStepAllocs(t *testing.T) {
-	if allocs := testing.AllocsPerRun(10, warmSolve(t)); allocs != 0 {
-		t.Fatalf("warm PSN solve allocates %.1f times per run, want 0", allocs)
+	if allocs := testing.AllocsPerRun(10, missSolve(t)); allocs != 0 {
+		t.Fatalf("PSN solve allocates %.1f times per run, want 0", allocs)
 	}
 }
 
-// BenchmarkPSNStepAllocs times the warm solve TestPSNStepAllocs pins.
+// BenchmarkPSNStepAllocs times the solve TestPSNStepAllocs pins.
 func BenchmarkPSNStepAllocs(b *testing.B) {
-	solve := warmSolve(b)
+	solve := missSolve(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -93,10 +93,6 @@ type Result struct {
 	PeakPSN [DomainTiles]float64
 	// AvgPSN is the time-averaged supply droop per tile.
 	AvgPSN [DomainTiles]float64
-	// MinVoltage is the lowest instantaneous voltage per tile.
-	MinVoltage [DomainTiles]power.Volts
-	// Steps is the number of sampling steps in the window.
-	Steps int
 }
 
 // DomainPeak returns the largest per-tile peak PSN in the domain.
@@ -160,19 +156,6 @@ func newCircuit(cfg Config, loads [DomainTiles]TileLoad) circuit {
 // plus one voltage per tile node.
 const dcUnknowns = 1 + DomainTiles
 
-// solverScratch holds the DC operating-point system one domain solve reuses
-// across calls. A Solver threads one scratch through consecutive solves so
-// the warm path performs no allocation at all (TestPSNStepAllocs pins 0
-// allocs/op).
-type solverScratch struct {
-	// dcRows backs the DC conductance matrix; dcA holds the row slices the
-	// pivoting solver permutes in place.
-	dcRows [dcUnknowns][dcUnknowns]float64
-	dcA    [dcUnknowns][]float64
-	dcB    [dcUnknowns]float64
-	dcX    [dcUnknowns]float64
-}
-
 // state is the circuit state vector: inductor current, bump node voltage,
 // and the four tile node voltages.
 type state struct {
@@ -183,32 +166,16 @@ type state struct {
 
 // dcOperatingPoint solves the resistive DC network with the average tile
 // currents, giving an initial condition free of artificial start-up droop.
-// The system lives entirely in scratch: matrix, right-hand side, and
-// solution are reused buffers, so the warm path allocates nothing.
-func (c *circuit) dcOperatingPoint(scr *solverScratch) (state, error) {
+func (c *circuit) dcOperatingPoint() (state, error) {
 	// Unknowns: x[0]=vB, x[1..4]=vT0..vT3. iL = total current.
-	if scr.dcA[0] == nil {
-		for i := range scr.dcA {
-			scr.dcA[i] = scr.dcRows[i][:]
-		}
-	}
-	a := scr.dcA[:]
-	for i := range a {
-		row := a[i]
-		for j := range row {
-			row[j] = 0
-		}
-	}
-	b := scr.dcB[:]
-	for i := range b {
-		b[i] = 0
-	}
+	var a [dcUnknowns][dcUnknowns]float64
+	var b [dcUnknowns]float64
 	total := 0.0
 	for i := 0; i < DomainTiles; i++ {
 		total += c.loads[i].IAvg
 	}
 	// Bump node KCL: (Vs - vB)/Rb = sum_i (vB - vTi)/Rv
-	a[0][0] = 1/c.rb + DomainTiles*c.gv
+	a[0][0] = 1/c.rb + float64(DomainTiles*c.gv)
 	for i := 0; i < DomainTiles; i++ {
 		a[0][1+i] = -c.gv
 	}
@@ -226,8 +193,8 @@ func (c *circuit) dcOperatingPoint(scr *solverScratch) (state, error) {
 		}
 		b[r] = -c.loads[i].IAvg
 	}
-	x := scr.dcX[:]
-	if err := solveLinearInto(x, a, b); err != nil {
+	x, err := solveLinear(&a, &b)
+	if err != nil {
 		return state{}, err
 	}
 	st := state{il: total, vb: x[0]}
@@ -267,5 +234,5 @@ func SimulateDomain(cfg Config, loads [DomainTiles]TileLoad) (Result, error) {
 	if err := validate(cfg, loads); err != nil {
 		return Result{}, err
 	}
-	return simulatePhasor(cfg, loads, &solverScratch{}, nil)
+	return simulatePhasor(cfg, loads)
 }

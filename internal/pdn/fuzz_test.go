@@ -9,7 +9,8 @@ import (
 )
 
 // FuzzSolveLinear pins the solver's output contract: for any finite 3x3
-// system, a nil error means every solution component is finite. Singular and
+// system, embedded in the DC solve's 5x5 shape with an identity block, a nil
+// error means every solution component is finite. Singular and
 // ill-conditioned systems must be rejected with an error, never answered
 // with NaN/Inf voltages — a non-finite DC operating point would poison an
 // entire transient solve silently.
@@ -30,19 +31,21 @@ func FuzzSolveLinear(f *testing.F) {
 				t.Skip("contract covers finite inputs only")
 			}
 		}
-		a := [][]float64{
+		a := [dcUnknowns][dcUnknowns]float64{
 			{a00, a01, a02},
 			{a10, a11, a12},
 			{a20, a21, a22},
+			{3: 1},
+			{4: 1},
 		}
-		b := []float64{b0, b1, b2}
-		x := make([]float64, len(a))
-		if err := solveLinearInto(x, a, b); err != nil {
+		b := [dcUnknowns]float64{b0, b1, b2}
+		x, err := solveLinear(&a, &b)
+		if err != nil {
 			return // rejection is always acceptable
 		}
 		for i, v := range x {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
-				t.Fatalf("solveLinearInto returned non-finite x[%d]=%g with nil error", i, v)
+				t.Fatalf("solveLinear returned non-finite x[%d]=%g with nil error", i, v)
 			}
 		}
 	})
@@ -52,7 +55,7 @@ func FuzzSolveLinear(f *testing.F) {
 // 6x6 input, a nil error means every entry of Φ is finite. Overflowing or
 // non-finite cases must be rejected with an error, never answered with
 // NaN/Inf — a poisoned step propagator would corrupt every subsequent expm
-// solve served from the Solver's Φ cache.
+// solve served from refSolver's Φ cache.
 func FuzzExpm(f *testing.F) {
 	seed := func(vals ...float64) {
 		var m [ltiStates][ltiStates]float64

@@ -85,16 +85,17 @@ type TileOccupant struct {
 // staggered tasks get evenly spaced phases (cancelling their common-mode
 // swing at the shared bump), while non-staggered tasks stay aligned.
 // Cross-class pairs always interfere because their burst frequencies differ.
+// Every occupant's Class is Idle, Low or High.
 func BuildLoads(occ [DomainTiles]TileOccupant) [DomainTiles]TileLoad {
 	var loads [DomainTiles]TileLoad
-	// Count staggered members per class to spread phases evenly.
-	counts := map[Class]int{}
+	// Count staggered members per class to spread phases evenly; idx counts
+	// the phases handed out so far.
+	var counts, idx [High + 1]int
 	for _, o := range occ {
 		if o.Class != Idle && o.Staggered {
 			counts[o.Class]++
 		}
 	}
-	idx := map[Class]int{}
 	for i, o := range occ {
 		if o.Class == Idle || o.IAvg <= 0 {
 			continue

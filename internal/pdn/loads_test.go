@@ -111,9 +111,6 @@ func TestBuildLoadsSingleStaggeredKeepsPhaseZero(t *testing.T) {
 
 func TestSensorQuantization(t *testing.T) {
 	s := NewSensor(4, 6, 0.20)
-	if s.NumTiles() != 4 {
-		t.Fatalf("NumTiles = %d", s.NumTiles())
-	}
 	s.Record(0, 0.05)
 	got := s.Read(0)
 	if res := 0.20 / 63; math.Abs(got-0.05) > res {

@@ -4,10 +4,11 @@
 // tile, so it admits an exact solution: the homogeneous part evolves by the
 // matrix exponential Φ = exp(A·h) per step, and each sinusoid contributes a
 // particular solution obtained from one complex phasor solve. lti.go holds
-// the numerical kernels (state matrix assembly, complex LU); phasor.go
-// builds the harmonic decomposition and runs the steady-state measurement
-// loop. The matrix exponential and the stepping loops that use it are test
-// references (reference_test.go).
+// the numerical kernels (state matrix assembly, complex LU), which every
+// solve runs afresh on the stack; phasor.go builds the harmonic
+// decomposition and runs the steady-state measurement loop. The matrix
+// exponential and the stepping loops that use it are test references
+// (reference_test.go).
 package pdn
 
 // ltiStates is the order of the domain state vector: inductor current, bump
@@ -45,9 +46,7 @@ func (c *circuit) ltiMatrix() [ltiStates][ltiStates]float64 {
 }
 
 // cluFactor is the pivoted LU factorization of the complex admittance
-// system (jωI - A) of one harmonic frequency. One factorization serves
-// every load signature at that frequency: the forcing vector changes per
-// solve, the matrix does not.
+// system (jωI - A) of one harmonic frequency.
 type cluFactor struct {
 	lu  [ltiStates][ltiStates]complex128
 	piv [ltiStates]int8
@@ -80,10 +79,10 @@ func factorAdmittance(a *[ltiStates][ltiStates]float64, omega float64, f *cluFac
 		f.piv[col] = int8(pivot)
 		inv := 1 / f.lu[col][col]
 		for r := col + 1; r < n; r++ {
-			m := f.lu[r][col] * inv
+			m := cmul(f.lu[r][col], inv)
 			f.lu[r][col] = m
 			for c := col + 1; c < n; c++ {
-				f.lu[r][c] -= m * f.lu[col][c]
+				f.lu[r][c] -= cmul(m, f.lu[col][c])
 			}
 		}
 	}
@@ -98,15 +97,24 @@ func (f *cluFactor) solve(b *[ltiStates]complex128) {
 			b[col], b[p] = b[p], b[col]
 		}
 		for r := col + 1; r < n; r++ {
-			b[r] -= f.lu[r][col] * b[col]
+			b[r] -= cmul(f.lu[r][col], b[col])
 		}
 	}
 	for r := n - 1; r >= 0; r-- {
 		for c := r + 1; c < n; c++ {
-			b[r] -= f.lu[r][c] * b[c]
+			b[r] -= cmul(f.lu[r][c], b[c])
 		}
 		b[r] /= f.lu[r][r]
 	}
+}
+
+// cmul is the complex product x·y in the form Go compiles x*y to, (xr·yr −
+// xi·yi) + (xr·yi + xi·yr)j, with each real product rounded on its own so
+// that no target fuses a multiply into the add (the result is the same on
+// every architecture).
+func cmul(x, y complex128) complex128 {
+	xr, xi, yr, yi := real(x), imag(x), real(y), imag(y)
+	return complex(float64(xr*yr)-float64(xi*yi), float64(xr*yi)+float64(xi*yr))
 }
 
 // cabs1 is the |re|+|im| magnitude used for pivot selection (cheaper than

@@ -107,8 +107,6 @@ func TestPhasorLoopMatchesReference(t *testing.T) {
 		return true
 	}
 	sets, idle, staggered, aligned := 0, 0, 0, 0
-	var scratch solverScratch
-	var lti ltiCaches
 	for _, n := range power.Nodes {
 		p := power.MustParams(n)
 		for _, vdd := range p.VddLevels() {
@@ -133,17 +131,12 @@ func TestPhasorLoopMatchesReference(t *testing.T) {
 					aligned++
 				}
 				loads := QuantizeLoads(BuildLoads(occ))
-				g, err := newPhasorGrid(cfg, loads, &scratch, &lti)
+				g, err := newPhasorGrid(cfg, loads)
 				if err != nil {
 					t.Fatal(err)
 				}
 				got, want := g.run(), g.runReference()
-				var gotV, wantV [DomainTiles]float64
-				for i := range gotV {
-					gotV[i], wantV[i] = float64(got.MinVoltage[i]), float64(want.MinVoltage[i])
-				}
-				if !bitsEqual(got.PeakPSN, want.PeakPSN) || !bitsEqual(got.AvgPSN, want.AvgPSN) ||
-					!bitsEqual(gotV, wantV) || got.Steps != want.Steps {
+				if !bitsEqual(got.PeakPSN, want.PeakPSN) || !bitsEqual(got.AvgPSN, want.AvgPSN) {
 					t.Fatalf("%v vdd=%.2f loads %+v:\n got  %+v\n want %+v", n, float64(vdd), loads, got, want)
 				}
 				sets++
@@ -158,7 +151,7 @@ func TestPhasorLoopMatchesReference(t *testing.T) {
 
 // Every solver is individually deterministic: repeated identical solves
 // are bit-identical, for the references and for the production path through
-// a Solver (cached and uncached) and the one-shot path alike.
+// a Solver (memo miss and hits) and the one-shot path alike.
 func TestModesDeterministic(t *testing.T) {
 	p := power.MustParams(power.Node7)
 	loads := ltiTestLoads(p, 0.5)["mixed"]
@@ -182,24 +175,16 @@ func TestModesDeterministic(t *testing.T) {
 	if again, err := SimulateDomain(cfg, loads); err != nil || again != ref {
 		t.Errorf("repeated one-shot solves differ (%v)", err)
 	}
-	// The Solver path quantizes the load signature before solving, so it is
-	// compared against itself (cache hit vs miss), not the one-shot.
-	s := NewSolver(NewSolveCache())
-	sref, err := s.SimulateDomain(cfg, loads)
+	// The Solver quantizes the load signature before solving: its miss and
+	// its hits both equal the one-shot solve of the quantized loads.
+	want, err := SimulateDomain(cfg, QuantizeLoads(loads))
 	if err != nil {
 		t.Fatal(err)
 	}
-	uncached := NewSolver(nil)
+	s := NewSolver()
 	for rep := 0; rep < 3; rep++ {
-		r, err := s.SimulateDomain(cfg, loads)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r != sref {
-			t.Errorf("rep %d: cached solver result drifted", rep)
-		}
-		if r2, err := uncached.SimulateDomain(cfg, loads); err != nil || r2 != sref {
-			t.Errorf("rep %d: uncached solver differs from cached (%v)", rep, err)
+		if r, err := s.SimulateDomain(cfg, loads); err != nil || r != want {
+			t.Errorf("rep %d: Solver differs from the quantized one-shot solve (%v)", rep, err)
 		}
 	}
 }
@@ -218,7 +203,7 @@ func TestPhasorDCOnly(t *testing.T) {
 		if math.Abs(res.PeakPSN[i]-res.AvgPSN[i]) > 1e-12 {
 			t.Errorf("tile %d: DC peak %g != avg %g", i, res.PeakPSN[i], res.AvgPSN[i])
 		}
-		gotDrop := float64(0.5 - res.MinVoltage[i])
+		gotDrop := 0.5 * res.PeakPSN[i]
 		if math.Abs(gotDrop-wantDrop)/wantDrop > 0.02 {
 			t.Errorf("tile %d DC drop %g, want %g", i, gotDrop, wantDrop)
 		}
@@ -365,27 +350,5 @@ func TestAdmittanceFactorization(t *testing.T) {
 		if cabs1(got-rhs[i]) > 1e-12*(scale+cabs1(rhs[i])) {
 			t.Errorf("row %d: (jωI-A)x = %g, want %g", i, got, rhs[i])
 		}
-	}
-}
-
-// The per-solver admittance factorizations hit across load signatures and
-// Vdd: a second solve at a different Vdd and load reuses them.
-func TestLTICacheReuse(t *testing.T) {
-	p := power.MustParams(power.Node7)
-	s := NewSolver(nil)
-	if _, err := s.SimulateDomain(Config{Params: p, Vdd: 0.5}, ltiTestLoads(p, 0.5)["mixed"]); err != nil {
-		t.Fatal(err)
-	}
-	nFac := len(s.lti.factor)
-	if nFac == 0 {
-		t.Fatal("no cached admittance factorizations")
-	}
-	if _, err := s.SimulateDomain(Config{Params: p, Vdd: 0.7}, ltiTestLoads(p, 0.7)["staggered"]); err != nil {
-		t.Fatal(err)
-	}
-	// staggered High tiles burst at the same two harmonic frequencies the
-	// mixed signature already used, so no new factorizations either.
-	if len(s.lti.factor) != nFac {
-		t.Errorf("same-frequency solve grew the factor cache: %d -> %d", nFac, len(s.lti.factor))
 	}
 }

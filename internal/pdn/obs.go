@@ -7,22 +7,16 @@ package pdn
 
 import "parm/internal/obs"
 
-// Instrument registers the solver's counters in r: the solve cache's
-// lookups and overflow resets under pdn/cache/ (entries held = misses -
-// evicted) and the admittance factorization cache's hit rate under
-// pdn/lti/. Call it right after NewSolver, before the first solve. A nil
-// registry leaves the Solver uninstrumented; an uncached Solver registers
-// no pdn/cache/ counters.
+// Instrument registers the solver's counters in r: the memo's lookups and
+// overflow resets under pdn/cache/ (entries held = misses - evicted). Call
+// it right after NewSolver, before the first solve. A nil registry leaves
+// the Solver uninstrumented.
 func (s *Solver) Instrument(r *obs.Registry) {
 	if r == nil {
 		return
 	}
-	s.lti.facHits = r.Counter("pdn/lti/factor_hits")
-	s.lti.facMisses = r.Counter("pdn/lti/factor_misses")
-	if c := s.cache; c != nil {
-		c.hits = r.Counter("pdn/cache/hits")
-		c.misses = r.Counter("pdn/cache/misses")
-		c.clears = r.Counter("pdn/cache/clears")
-		c.evicted = r.Counter("pdn/cache/evicted")
-	}
+	s.hits = r.Counter("pdn/cache/hits")
+	s.misses = r.Counter("pdn/cache/misses")
+	s.clears = r.Counter("pdn/cache/clears")
+	s.evicted = r.Counter("pdn/cache/evicted")
 }

@@ -7,16 +7,15 @@
 // part and evaluates the periodic steady state directly on the sampling
 // grid, which is legitimate because the measurement window already discards
 // a settle prefix and targets steady switching noise (DESIGN.md §8 derives
-// it). The matrix-exponential stepper that keeps w, and the RK4 integrator
-// both are checked against, are test references (reference_test.go).
+// it). simulatePhasor is a pure function of (Config, loads): it keeps no
+// state between calls, and Solver is the only memo in front of it. The
+// matrix-exponential stepper that keeps w, and the RK4 integrator both are
+// checked against, are test references (reference_test.go).
 package pdn
 
 import (
 	"fmt"
 	"math"
-
-	"parm/internal/obs"
-	"parm/internal/power"
 )
 
 // maxHarmonics bounds the distinct harmonic frequencies of one load
@@ -74,60 +73,18 @@ func (c *circuit) addHarmonic(hs *harmonicSet, omega, amp, phase float64, tile i
 		hs.force[idx] = [ltiStates]complex128{}
 	}
 	s, co := math.Sincos(phase)
-	hs.force[idx][2+tile] += complex(-amp/c.cd*s, amp/c.cd*co)
-}
-
-// facKey identifies one cached admittance factorization (jωI - A).
-type facKey struct {
-	params power.NodeParams
-	omega  float64
-}
-
-// ltiCaches memoizes the load-independent electrical factorizations a
-// Solver reuses across solves: the complex LU per (node, ω). Algorithm 1's
-// candidate scan revisits the same technology node and the same two class
-// burst frequencies for every (Vdd, DoP, mapping) candidate, so after the
-// first few solves every entry hits and the solver's setup cost amortizes
-// to near-free. The map is per-Solver (Solvers are single-threaded) and
-// bounded by the handful of distinct nodes and burst frequencies a run can
-// see.
-type ltiCaches struct {
-	factor map[facKey]*cluFactor
-	// Telemetry counters set by Solver.Instrument; nil discards updates.
-	facHits, facMisses *obs.Counter
-}
-
-// factorFor returns the cached LU of (jωI - A), computing and memoizing it
-// on first use. A nil receiver computes without storing.
-func (lc *ltiCaches) factorFor(c *circuit, params power.NodeParams, omega float64) (*cluFactor, error) {
-	if lc != nil {
-		if f, ok := lc.factor[facKey{params, omega}]; ok {
-			lc.facHits.Inc()
-			return f, nil
-		}
-		lc.facMisses.Inc()
-	}
-	a := c.ltiMatrix()
-	f := &cluFactor{}
-	if err := factorAdmittance(&a, omega, f); err != nil {
-		return nil, fmt.Errorf("pdn: admittance at ω=%g: %w", omega, err)
-	}
-	if lc != nil {
-		if lc.factor == nil {
-			lc.factor = make(map[facKey]*cluFactor)
-		}
-		lc.factor[facKey{params, omega}] = f
-	}
-	return f, nil
+	hs.force[idx][2+tile] += complex(float64(-amp/c.cd*s), float64(amp/c.cd*co))
 }
 
 // solvePhasors fills hs.resp with the phasor response X_k of every harmonic:
-// (jω_k·I - A)·X_k = force_k.
-func (c *circuit) solvePhasors(cfg Config, hs *harmonicSet, caches *ltiCaches) error {
+// (jω_k·I - A)·X_k = force_k. A is assembled once; each harmonic factors
+// its own admittance (a solve has at most maxHarmonics of them).
+func (c *circuit) solvePhasors(hs *harmonicSet) error {
+	a := c.ltiMatrix()
 	for k := 0; k < hs.n; k++ {
-		fac, err := caches.factorFor(c, cfg.Params, hs.omega[k])
-		if err != nil {
-			return err
+		var fac cluFactor
+		if err := factorAdmittance(&a, hs.omega[k], &fac); err != nil {
+			return fmt.Errorf("pdn: admittance at ω=%g: %w", hs.omega[k], err)
 		}
 		hs.resp[k] = hs.force[k]
 		fac.solve(&hs.resp[k])
@@ -158,15 +115,15 @@ const (
 
 // newPhasorGrid solves the DC operating point and the phasor responses of
 // loads and lays them out for the grid loop.
-func newPhasorGrid(cfg Config, loads [DomainTiles]TileLoad, scratch *solverScratch, caches *ltiCaches) (phasorGrid, error) {
+func newPhasorGrid(cfg Config, loads [DomainTiles]TileLoad) (phasorGrid, error) {
 	c := newCircuit(cfg, loads)
-	st0, err := c.dcOperatingPoint(scratch)
+	st0, err := c.dcOperatingPoint()
 	if err != nil {
 		return phasorGrid{}, err
 	}
 	var hs harmonicSet
 	c.harmonics(&hs)
-	if err := c.solvePhasors(cfg, &hs, caches); err != nil {
+	if err := c.solvePhasors(&hs); err != nil {
 		return phasorGrid{}, err
 	}
 	g := phasorGrid{vdd: float64(cfg.Vdd), vt: st0.vt, n: hs.n}
@@ -189,8 +146,8 @@ func newPhasorGrid(cfg Config, loads [DomainTiles]TileLoad, scratch *solverScrat
 // Σ_k Re(X_k[2+i]·e^{jω_k t}) at the same instants t = (n+1)·h, n ∈
 // [settle, steps), that the RK4 loop records. The homogeneous start-up
 // transient (which the settle window exists to shed) is dropped entirely.
-func simulatePhasor(cfg Config, loads [DomainTiles]TileLoad, scratch *solverScratch, caches *ltiCaches) (Result, error) {
-	g, err := newPhasorGrid(cfg, loads, scratch, caches)
+func simulatePhasor(cfg Config, loads [DomainTiles]TileLoad) (Result, error) {
+	g, err := newPhasorGrid(cfg, loads)
 	if err != nil {
 		return Result{}, err
 	}
@@ -222,11 +179,11 @@ func (g *phasorGrid) run() Result {
 		for k := 0; k < nh; k++ {
 			a, b := zr[k], zi[k]
 			cr, ci := &g.cr[k], &g.ci[k]
-			v0 += cr[0]*a - ci[0]*b
-			v1 += cr[1]*a - ci[1]*b
-			v2 += cr[2]*a - ci[2]*b
-			v3 += cr[3]*a - ci[3]*b
-			zr[k], zi[k] = a*rr[k]-b*ri[k], a*ri[k]+b*rr[k]
+			v0 += float64(cr[0]*a) - float64(ci[0]*b)
+			v1 += float64(cr[1]*a) - float64(ci[1]*b)
+			v2 += float64(cr[2]*a) - float64(ci[2]*b)
+			v3 += float64(cr[3]*a) - float64(ci[3]*b)
+			zr[k], zi[k] = float64(a*rr[k])-float64(b*ri[k]), float64(a*ri[k])+float64(b*rr[k])
 		}
 		if v0 < m0 {
 			m0 = v0
@@ -244,9 +201,7 @@ func (g *phasorGrid) run() Result {
 	}
 	points := float64(gridSteps - gridSettle)
 	return Result{
-		PeakPSN:    [DomainTiles]float64{droop(m0), droop(m1), droop(m2), droop(m3)},
-		AvgPSN:     [DomainTiles]float64{s0 / points, s1 / points, s2 / points, s3 / points},
-		MinVoltage: [DomainTiles]power.Volts{power.Volts(m0), power.Volts(m1), power.Volts(m2), power.Volts(m3)},
-		Steps:      gridSteps,
+		PeakPSN: [DomainTiles]float64{droop(m0), droop(m1), droop(m2), droop(m3)},
+		AvgPSN:  [DomainTiles]float64{s0 / points, s1 / points, s2 / points, s3 / points},
 	}
 }

@@ -47,7 +47,7 @@ func (s *Sensor) Record(i int, psn float64) {
 	if psn > s.fullScale {
 		psn = s.fullScale
 	}
-	code := float64(int(psn/s.fullScale*s.levels + 0.5))
+	code := float64(int(float64(psn/s.fullScale*s.levels) + 0.5))
 	s.readings[i] = code / s.levels * s.fullScale
 }
 
@@ -59,6 +59,3 @@ func (s *Sensor) Read(i int) float64 {
 	}
 	return s.readings[i]
 }
-
-// NumTiles returns the number of tiles covered by the sensor bank.
-func (s *Sensor) NumTiles() int { return len(s.readings) }

@@ -20,7 +20,6 @@ package pdn
 
 import (
 	"errors"
-	"fmt"
 	"math"
 )
 
@@ -30,22 +29,17 @@ var ErrSingular = errors.New("pdn: singular linear system")
 // ErrIllConditioned is returned when elimination survives the pivot test but
 // the computed solution overflows or degenerates to NaN/Inf — the system is
 // too ill-conditioned for the result to mean anything. With this guard,
-// solveLinearInto never hands back a non-finite voltage with a nil error
+// solveLinear never hands back a non-finite voltage with a nil error
 // (FuzzSolveLinear pins the property).
 var ErrIllConditioned = errors.New("pdn: ill-conditioned linear system")
 
-// solveLinearInto solves the dense linear system a·x = b by Gaussian
-// elimination with partial pivoting, eliminating in place (a and b are
-// modified) and writing the solution to x. It returns ErrSingular when no
-// unique solution exists and an error when the shapes disagree. The systems
-// in this package are tiny (the 5-unknown DC operating point of a domain),
-// so a dense direct solve is the right tool; that path threads a scratch x
-// through it every solve, so it allocates nothing.
-func solveLinearInto(x []float64, a [][]float64, b []float64) error {
-	n := len(a)
-	if len(b) != n || len(x) != n {
-		return fmt.Errorf("pdn: bad system shape %dx%d vs %d", n, n, len(b))
-	}
+// solveLinear solves the DC operating-point system a·x = b of a domain by
+// Gaussian elimination with partial pivoting, eliminating in place (a and b
+// are modified). It returns ErrSingular when no unique solution exists. The
+// system is tiny (dcUnknowns unknowns), so a dense direct solve on the
+// stack is the right tool.
+func solveLinear(a *[dcUnknowns][dcUnknowns]float64, b *[dcUnknowns]float64) ([dcUnknowns]float64, error) {
+	var x [dcUnknowns]float64
 	// Singularity is judged relative to the matrix's own scale: conductance
 	// matrices built from nano-Henry bumps or pico-Farad decaps can be
 	// well-conditioned while every entry is far below any fixed absolute
@@ -53,9 +47,6 @@ func solveLinearInto(x []float64, a [][]float64, b []float64) error {
 	// an absolute test would miss).
 	scale := 0.0
 	for _, row := range a {
-		if len(row) != n {
-			return fmt.Errorf("pdn: non-square matrix row of length %d", len(row))
-		}
 		for _, v := range row {
 			if abs(v) > scale {
 				scale = abs(v)
@@ -63,11 +54,12 @@ func solveLinearInto(x []float64, a [][]float64, b []float64) error {
 		}
 	}
 	if scale == 0 {
-		return ErrSingular
+		return x, ErrSingular
 	}
 	// Pivots below scale*pivotRelTol are indistinguishable from elimination
 	// round-off (~n*machine-epsilon per step for these tiny systems).
 	const pivotRelTol = 1e-12
+	const n = dcUnknowns
 	for col := 0; col < n; col++ {
 		// Partial pivot: largest magnitude in this column.
 		pivot := col
@@ -77,7 +69,7 @@ func solveLinearInto(x []float64, a [][]float64, b []float64) error {
 			}
 		}
 		if abs(a[pivot][col]) < scale*pivotRelTol {
-			return ErrSingular
+			return x, ErrSingular
 		}
 		a[col], a[pivot] = a[pivot], a[col]
 		b[col], b[pivot] = b[pivot], b[col]
@@ -88,24 +80,24 @@ func solveLinearInto(x []float64, a [][]float64, b []float64) error {
 				continue
 			}
 			for c := col; c < n; c++ {
-				a[r][c] -= f * a[col][c]
+				a[r][c] -= float64(f * a[col][c])
 			}
-			b[r] -= f * b[col]
+			b[r] -= float64(f * b[col])
 		}
 	}
 	for r := n - 1; r >= 0; r-- {
 		sum := b[r]
 		for c := r + 1; c < n; c++ {
-			sum -= a[r][c] * x[c]
+			sum -= float64(a[r][c] * x[c])
 		}
 		x[r] = sum / a[r][r]
 	}
 	for _, v := range x {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return ErrIllConditioned
+			return x, ErrIllConditioned
 		}
 	}
-	return nil
+	return x, nil
 }
 
 func abs(v float64) float64 {

@@ -31,9 +31,8 @@ const (
 func quantize(v, q float64) float64 { return math.Round(v/q) * q }
 
 // QuantizeLoads snaps a 4-tile load signature to the solver's input grids.
-// Solver.SimulateDomain applies it before every solve, cached or not, so a
-// cached result is always the exact transient solution of the inputs the
-// uncached path would solve.
+// Solver.SimulateDomain applies it before every lookup, so a memoized
+// result is always the exact solution of the quantized inputs.
 func QuantizeLoads(loads [DomainTiles]TileLoad) [DomainTiles]TileLoad {
 	for i := range loads {
 		loads[i].IAvg = quantize(loads[i].IAvg, iavgQuantum)
@@ -53,88 +52,66 @@ type solveKey struct {
 	loads  [DomainTiles]TileLoad
 }
 
-// maxCacheEntries bounds a SolveCache. Real runs see a few hundred distinct
-// keys (occupant sets x Vdd levels x router-utilization grid points); the
-// bound only guards against pathological churn. On overflow the cache is
-// cleared wholesale — eviction order is irrelevant at this hit rate and a
-// plain map stays cheap.
+// maxCacheEntries bounds a Solver's memo. Real runs see a few hundred
+// distinct keys (occupant sets x Vdd levels x router-utilization grid
+// points); the bound only guards against pathological churn. On overflow
+// the memo is cleared wholesale — eviction order is irrelevant at this hit
+// rate and a plain map stays cheap.
 const maxCacheEntries = 1 << 15
 
-// SolveCache memoizes domain transient solves across samples. It is not
+// Solver memoizes domain solves across samples in one map. The solve
+// behind a miss is the pure package-level path, so a memoized result is
+// bit-identical to SimulateDomain on the quantized loads. A Solver is not
 // safe for concurrent use.
-type SolveCache struct {
+type Solver struct {
 	m map[solveKey]Result
-	// Registry counters set by Solver.Instrument, the cache's only record
-	// of its lookups and resets; nil (uninstrumented) counters discard
-	// updates. clears counts wholesale resets on overflow; evicted totals
-	// the entries those resets dropped.
+	// Registry counters set by Instrument, the memo's only record of its
+	// lookups and resets; nil (uninstrumented) counters discard updates.
+	// clears counts wholesale resets on overflow; evicted totals the
+	// entries those resets dropped.
 	hits, misses, clears, evicted *obs.Counter
 }
 
-// NewSolveCache returns an empty cache.
-func NewSolveCache() *SolveCache {
-	return &SolveCache{m: make(map[solveKey]Result)}
+// NewSolver returns a Solver with an empty memo.
+func NewSolver() *Solver {
+	return &Solver{m: make(map[solveKey]Result)}
 }
 
-func (c *SolveCache) lookup(k solveKey) (Result, bool) {
-	r, ok := c.m[k]
+func (s *Solver) lookup(k solveKey) (Result, bool) {
+	r, ok := s.m[k]
 	if ok {
-		c.hits.Inc()
+		s.hits.Inc()
 	} else {
-		c.misses.Inc()
+		s.misses.Inc()
 	}
 	return r, ok
 }
 
-func (c *SolveCache) store(k solveKey, r Result) {
-	if len(c.m) >= maxCacheEntries {
-		c.clears.Inc()
-		c.evicted.Add(uint64(len(c.m)))
-		c.m = make(map[solveKey]Result)
+func (s *Solver) store(k solveKey, r Result) {
+	if len(s.m) >= maxCacheEntries {
+		s.clears.Inc()
+		s.evicted.Add(uint64(len(s.m)))
+		s.m = make(map[solveKey]Result)
 	}
-	c.m[k] = r
-}
-
-// Solver runs domain transient simulations with reusable scratch buffers
-// and an optional solve cache. A Solver is not safe for concurrent use (the
-// scratch is per-solve state).
-type Solver struct {
-	cache   *SolveCache
-	scratch solverScratch
-	// lti memoizes the load-independent admittance factorizations the
-	// phasor solve reuses — these hit even when the solve cache misses on a
-	// new load signature.
-	lti ltiCaches
-}
-
-// NewSolver returns a Solver backed by cache. A nil cache disables
-// memoization (every call solves) but keeps the scratch-buffer reuse
-// and the input quantization, so cached and uncached solvers produce
-// bit-identical results for the same inputs.
-func NewSolver(cache *SolveCache) *Solver {
-	return &Solver{cache: cache}
+	s.m[k] = r
 }
 
 // SimulateDomain is the memoizing counterpart of the package-level
 // SimulateDomain: it quantizes the load signature (QuantizeLoads), then
-// returns the cached result for the (node params, Vdd, loads) key,
+// returns the memoized result for the (node params, Vdd, loads) key,
 // solving only on a miss.
 func (s *Solver) SimulateDomain(cfg Config, loads [DomainTiles]TileLoad) (Result, error) {
 	if err := validate(cfg, loads); err != nil {
 		return Result{}, err
 	}
-	loads = QuantizeLoads(loads)
-	if s.cache == nil {
-		return simulatePhasor(cfg, loads, &s.scratch, &s.lti)
-	}
-	key := solveKey{params: cfg.Params, vdd: cfg.Vdd, loads: loads}
-	if r, ok := s.cache.lookup(key); ok {
+	key := solveKey{params: cfg.Params, vdd: cfg.Vdd, loads: QuantizeLoads(loads)}
+	if r, ok := s.lookup(key); ok {
 		return r, nil
 	}
-	r, err := simulatePhasor(cfg, loads, &s.scratch, &s.lti)
+	r, err := simulatePhasor(cfg, key.loads)
 	if err != nil {
 		return Result{}, err
 	}
-	s.cache.store(key, r)
+	s.store(key, r)
 	return r, nil
 }

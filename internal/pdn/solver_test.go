@@ -24,28 +24,27 @@ func solverLoads(p power.NodeParams, vdd power.Volts) [DomainTiles]TileLoad {
 	return BuildLoads(occ)
 }
 
-// cachedSolver returns a cached Solver instrumented in a fresh registry,
-// and a reader of its pdn/cache/ counters.
-func cachedSolver() (*Solver, func(name string) uint64) {
-	s := NewSolver(NewSolveCache())
+// countedSolver returns a Solver instrumented in a fresh registry, and a
+// reader of its pdn/cache/ counters.
+func countedSolver() (*Solver, func(name string) uint64) {
+	s := NewSolver()
 	r := obs.NewRegistry()
 	s.Instrument(r)
 	return s, func(name string) uint64 { return r.Counter("pdn/cache/" + name).Value() }
 }
 
-// A cached solve must be bit-identical to the same solver's uncached solve:
-// the cache key is the exact (quantized) input the integrator sees.
+// A memoized solve must be bit-identical to the package-level solve of the
+// quantized loads: the memo key is the exact input the solve sees.
 func TestSolverCachedMatchesUncached(t *testing.T) {
 	p := power.MustParams(power.Node7)
 	cfg := Config{Params: p, Vdd: 0.5}
 	loads := solverLoads(p, 0.5)
 
-	uncached := NewSolver(nil)
-	want, err := uncached.SimulateDomain(cfg, loads)
+	want, err := SimulateDomain(cfg, QuantizeLoads(loads))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cached, count := cachedSolver()
+	cached, count := countedSolver()
 	for trial := 0; trial < 3; trial++ {
 		got, err := cached.SimulateDomain(cfg, loads)
 		if err != nil {
@@ -67,7 +66,7 @@ func TestSolverQuantizationHits(t *testing.T) {
 	cfg := Config{Params: p, Vdd: 0.5}
 	base := solverLoads(p, 0.5)
 
-	s, count := cachedSolver()
+	s, count := countedSolver()
 	if _, err := s.SimulateDomain(cfg, base); err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +98,7 @@ func TestSolverCloseToExactPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	quant, err := NewSolver(nil).SimulateDomain(cfg, loads)
+	quant, err := NewSolver().SimulateDomain(cfg, loads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +112,7 @@ func TestSolverCloseToExactPath(t *testing.T) {
 // The solver validates like the package-level path.
 func TestSolverRejectsBadInput(t *testing.T) {
 	p := power.MustParams(power.Node7)
-	s, count := cachedSolver()
+	s, count := countedSolver()
 	if _, err := s.SimulateDomain(Config{Params: p, Vdd: -1}, [DomainTiles]TileLoad{}); err == nil {
 		t.Error("negative Vdd accepted")
 	}
@@ -126,9 +125,9 @@ func TestSolverRejectsBadInput(t *testing.T) {
 	}
 }
 
-// Scratch buffers must not leak state between solves: interleaving
-// different load vectors through one Solver gives the same results as
-// fresh solvers.
+// Solves must not leak into each other: interleaving different load
+// vectors through one Solver, misses and hits, gives the same results as
+// fresh Solvers.
 func TestSolverScratchIsolation(t *testing.T) {
 	p := power.MustParams(power.Node7)
 	cfg := Config{Params: p, Vdd: 0.5}
@@ -136,49 +135,52 @@ func TestSolverScratchIsolation(t *testing.T) {
 	var b [DomainTiles]TileLoad // idle domain: zero currents
 	b[2] = TileLoad{IAvg: 1.0, Activity: 0.9, BurstHz: HighBurstHz}
 
-	shared := NewSolver(nil)
-	ra1, err := shared.SimulateDomain(cfg, a)
+	ra2, err := NewSolver().SimulateDomain(cfg, a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb1, err := shared.SimulateDomain(cfg, b)
+	rb2, err := NewSolver().SimulateDomain(cfg, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ra2, err := NewSolver(nil).SimulateDomain(cfg, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb2, err := NewSolver(nil).SimulateDomain(cfg, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ra1 != ra2 || rb1 != rb2 {
-		t.Error("scratch reuse changed results")
+	shared := NewSolver()
+	for rep := 0; rep < 2; rep++ { // the second pass hits the memo
+		ra1, err := shared.SimulateDomain(cfg, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rb1, err := shared.SimulateDomain(cfg, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ra1 != ra2 || rb1 != rb2 {
+			t.Errorf("rep %d: a shared Solver changed results", rep)
+		}
 	}
 }
 
 // BenchmarkSolverCached measures the memoized hot path against the full
-// integration.
+// solve behind a miss.
 func BenchmarkSolverCached(b *testing.B) {
 	p := power.MustParams(power.Node7)
 	cfg := Config{Params: p, Vdd: 0.5}
 	loads := solverLoads(p, 0.5)
 	b.Run("miss", func(b *testing.B) {
-		s := NewSolver(nil)
+		quantized := QuantizeLoads(loads)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := s.SimulateDomain(cfg, loads); err != nil {
+			if _, err := SimulateDomain(cfg, quantized); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("hit", func(b *testing.B) {
-		s := NewSolver(NewSolveCache())
+		s := NewSolver()
 		if _, err := s.SimulateDomain(cfg, loads); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := s.SimulateDomain(cfg, loads); err != nil {
 				b.Fatal(err)
@@ -187,20 +189,19 @@ func BenchmarkSolverCached(b *testing.B) {
 	})
 }
 
-// Driving the cache past maxCacheEntries triggers a wholesale clear, and the
+// Driving the memo past maxCacheEntries triggers a wholesale clear, and the
 // counters expose it: one clear, maxCacheEntries entries evicted, and the
 // population (misses - evicted) restarted from the overflowing insert.
-func TestSolveCacheOverflow(t *testing.T) {
-	s, count := cachedSolver()
-	c := s.cache
+func TestSolverMemoOverflow(t *testing.T) {
+	s, count := countedSolver()
 	var k solveKey
 	for i := 0; i <= maxCacheEntries; i++ {
 		// Distinct keys: vary the quantized average current of tile 0.
 		k.loads[0].IAvg = float64(i) * iavgQuantum
-		if _, ok := c.lookup(k); ok {
+		if _, ok := s.lookup(k); ok {
 			t.Fatalf("key %d hit before it was stored", i)
 		}
-		c.store(k, Result{})
+		s.store(k, Result{})
 	}
 	if clears := count("clears"); clears != 1 {
 		t.Errorf("clears = %d, want 1", clears)
@@ -208,11 +209,11 @@ func TestSolveCacheOverflow(t *testing.T) {
 	if evicted := count("evicted"); evicted != maxCacheEntries {
 		t.Errorf("evicted = %d, want %d", evicted, maxCacheEntries)
 	}
-	if entries := count("misses") - count("evicted"); entries != 1 || len(c.m) != 1 {
-		t.Errorf("entries = %d (map holds %d), want 1 (the overflowing insert)", entries, len(c.m))
+	if entries := count("misses") - count("evicted"); entries != 1 || len(s.m) != 1 {
+		t.Errorf("entries = %d (map holds %d), want 1 (the overflowing insert)", entries, len(s.m))
 	}
-	// The cache still works after the reset.
-	if _, ok := c.lookup(k); !ok {
+	// The memo still works after the reset.
+	if _, ok := s.lookup(k); !ok {
 		t.Error("overflowing insert not retrievable after clear")
 	}
 	if hits := count("hits"); hits != 1 {
